@@ -130,7 +130,7 @@ def _assert_no_leaked_lanes(names):
         except FileNotFoundError:
             continue
         seg.close()
-        raise AssertionError(f"reply lane {name} outlived its pool")
+        raise AssertionError(f"lane {name} outlived its pool")
 
 
 def bench_kill_episode(blob, batches, reference, steady):
@@ -271,9 +271,7 @@ def run_benchmark():
     names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
     for name in names:
         with backend.forced(name):
-            steady_lat, steady_stats = _steady_run(
-                blob, batches, reference, backend_name=name
-            )
+            steady_lat, steady_stats = _steady_run(blob, batches, reference)
             assert steady_stats["respawns"] == 0, steady_stats
             steady = episode_percentiles(steady_lat)
             backends[backend.active()] = {
@@ -342,13 +340,9 @@ def run_check():
                 }
             )
             pool = WorkerPool(
-                blob,
-                workers=WORKERS,
-                backend_name=name,
-                recv_timeout_s=0.25,
-                fault_plan=plan,
+                blob, workers=WORKERS, recv_timeout_s=0.25, fault_plan=plan
             )
-            lanes = [ln.name for ln in pool._lanes if ln is not None]
+            lanes = pool.lane_names()
             try:
                 for batch, want in zip(batches, reference):
                     assert pool.execute(batch) == want, (

@@ -24,20 +24,14 @@ therefore asserts parity, dispatch structure and crash-free operation
 unconditionally, and timing floors only when the box has enough cores
 to make them physical.
 
-A third A/B (PR 6) compares the **reply transports**: the same workload
-served once over shared-memory reply lanes and once over the plain
-pickle-over-pipe path.  Its headline metric — bytes moved over the
-reply pipes — is hardware-independent, so the ISSUE's >= 10x reduction
-bar is a *hard* assertion in every mode (the wall-clock delta stays
-CPU-gated like everything else), and the run verifies that no
-``/dev/shm`` segment outlives its pool.
+Two byte checks ride along, both deterministic and so *hard* in every
+mode:
 
-PR 9 adds the two symmetric A/Bs:
-
-* **Request transports**: the same workload dispatched once through the
-  shared-memory request rings (packed REQCOL columns + ~60 B control
-  frames) and once over pickled-request pipes.  Request pipe bytes are
-  deterministic, so the >= 10x reduction bar is hard in every mode.
+* **Pipe bytes**: requests and replies cross per-worker shared-memory
+  lanes, so each pipe carries one small control frame per dispatched
+  sub-batch.  The same served workload must stay within
+  ``PIPE_BYTES_PER_SUB_BATCH`` in each direction, with zero oversized
+  fallbacks and no ``/dev/shm`` segment outliving its pool.
 * **Build pipeline**: ``HubLabelIndex(build_workers=4)`` barrier vs
   pipelined sync fabric, byte-identity vs the serial build asserted on
   both before any clock.  Sync bytes (pickled entry broadcasts vs
@@ -46,8 +40,8 @@ PR 9 adds the two symmetric A/Bs:
   wall-clock check stays CPU-gated.
 
 ``--check`` (CI, both backend legs): 2 workers, small workload, parity
-+ byte-identity + reply/request-path byte ratios + build-pipeline sync
-ratio + "every worker actually served" only — no timing.  Writes
++ byte-identity + the pipe-byte ceilings + build-pipeline sync ratio +
+"every worker actually served" only — no timing.  Writes
 ``BENCH_pool.check.json`` so the committed timing record is never
 clobbered by a CI reproduction.
 """
@@ -78,6 +72,10 @@ CLIENTS = 1000
 ROUNDS = 3
 REPEATS = 3
 BUILD_REPEATS = 3
+#: Pipe bytes allowed per dispatched sub-batch, each direction.  A lane
+#: control frame pickles to ~33 B (request) and ~42 B (reply); a payload
+#: riding the pipe instead costs kilobytes.
+PIPE_BYTES_PER_SUB_BATCH = 64
 
 
 def visible_cpus() -> int:
@@ -100,16 +98,9 @@ def _single_process_run(hl, scripts):
     return seconds, _served_flat(per_client), stats
 
 
-def _pool_run(blob, scripts, workers, reply_transport="auto",
-              request_transport="auto"):
+def _pool_run(blob, scripts, workers):
     """One cold-cache pool-served run; fresh pool (fresh shared cache)."""
-    pool = WorkerPool(
-        blob,
-        workers=workers,
-        cache=DistanceCache(1 << 16),
-        reply_transport=reply_transport,
-        request_transport=request_transport,
-    )
+    pool = WorkerPool(blob, workers=workers, cache=DistanceCache(1 << 16))
     lanes = pool.lane_names()
     try:
         seconds, per_client, stats = run_closed_loop(
@@ -134,88 +125,37 @@ def _assert_no_leaked_lanes(names):
         raise AssertionError(f"lane {name} outlived its pool")
 
 
-def bench_reply_path(blob, scripts, reference, requests, workers=POOL_WORKERS):
-    """Pipe-vs-shm reply transport A/B on the same served workload.
+def bench_pipe_bytes(blob, scripts, reference, workers=POOL_WORKERS):
+    """Pipe bytes per dispatched sub-batch on the served workload.
 
-    Both runs are parity-asserted against the per-query reference.  The
-    headline metric is *reply bytes moved over the pipes* — a
-    hardware-independent count (control frames vs pickled payload
-    blobs), so the >= 10x reduction bar is asserted here, hard, in every
-    mode.  Wall times are recorded for the trajectory but not asserted
-    (on a 1-CPU box they measure time-sharing, not transport).
+    Parity-asserted against the per-query reference first.  Byte counts
+    are deterministic, so the ceiling, zero oversized fallbacks and zero
+    CRC failures are asserted here, hard, in every mode; ``_pool_run``
+    has already checked that no lane segment outlived the pool.
     """
-    out = {}
-    for transport in ("shm", "pipe"):
-        seconds, flat, stats = _pool_run(
-            blob, scripts, workers, reply_transport=transport
-        )
-        assert flat == reference, (
-            f"{transport}: pool served != per-query calls"
-        )
-        rp = stats["pool"]["reply_path"]
-        assert rp["transport"] == transport
-        out[transport] = {
-            "seconds": round(seconds, 5),
-            "requests_per_s": round(requests / seconds, 1),
-            "reply_pipe_bytes": rp["pipe_bytes"],
-            "reply_shm_bytes": rp["shm_bytes"],
-            "oversized_replies": rp["oversized_replies"],
-        }
-    ratio = out["pipe"]["reply_pipe_bytes"] / max(
-        1, out["shm"]["reply_pipe_bytes"]
-    )
-    assert ratio >= 10.0, (
-        f"shm reply path moved only {ratio:.1f}x fewer pipe bytes: {out}"
-    )
-    return {
+    _, flat, stats = _pool_run(blob, scripts, workers)
+    assert flat == reference, "pool served != per-query calls"
+    tier = stats["pool"]
+    reply, request = tier["reply_path"], tier["request_path"]
+    sub_batches = sum(w["batches"] for w in tier["per_worker"])
+    reply_bytes = reply["pipe_bytes"] / sub_batches
+    request_bytes = request["pipe_bytes"] / sub_batches
+    out = {
         "workers": workers,
-        "pipe_vs_shm_reply_pipe_byte_ratio": round(ratio, 1),
+        "sub_batches": sub_batches,
+        "reply_pipe_bytes_per_sub_batch": round(reply_bytes, 1),
+        "request_pipe_bytes_per_sub_batch": round(request_bytes, 1),
+        "ceiling": PIPE_BYTES_PER_SUB_BATCH,
+        "reply": reply,
+        "request": request,
         "no_leaked_segments": True,
-        "transports": out,
     }
-
-
-def bench_request_path(blob, scripts, reference, requests, workers=POOL_WORKERS):
-    """Pipe-vs-shm *request* transport A/B — the PR 9 symmetric leg.
-
-    Same contract as :func:`bench_reply_path`, pointed at the dispatch
-    side: request bytes over the pipes (control frames vs pickled
-    ``List[Request]`` batches) are deterministic, so the >= 10x
-    reduction bar is hard in every mode.  Both runs are parity-asserted
-    against the per-query reference first.
-    """
-    out = {}
-    for transport in ("shm", "pipe"):
-        seconds, flat, stats = _pool_run(
-            blob, scripts, workers, request_transport=transport
-        )
-        assert flat == reference, (
-            f"request {transport}: pool served != per-query calls"
-        )
-        rp = stats["pool"]["request_path"]
-        assert rp["transport"] == transport
-        assert rp["crc_failures"] == 0
-        out[transport] = {
-            "seconds": round(seconds, 5),
-            "requests_per_s": round(requests / seconds, 1),
-            "request_pipe_bytes": rp["pipe_bytes"],
-            "request_shm_bytes": rp["shm_bytes"],
-            "oversized_batches": rp["oversized_batches"],
-            "pickled_batches": rp["pickled_batches"],
-        }
-    assert out["shm"]["pickled_batches"] == 0, out  # everything packed
-    ratio = out["pipe"]["request_pipe_bytes"] / max(
-        1, out["shm"]["request_pipe_bytes"]
-    )
-    assert ratio >= 10.0, (
-        f"shm request path moved only {ratio:.1f}x fewer pipe bytes: {out}"
-    )
-    return {
-        "workers": workers,
-        "pipe_vs_shm_request_pipe_byte_ratio": round(ratio, 1),
-        "no_leaked_segments": True,
-        "transports": out,
-    }
+    assert reply_bytes <= PIPE_BYTES_PER_SUB_BATCH, out
+    assert request_bytes <= PIPE_BYTES_PER_SUB_BATCH, out
+    assert reply["oversized_replies"] == 0, out
+    assert request["oversized_batches"] == 0, out
+    assert reply["crc_failures"] == request["crc_failures"] == 0, out
+    return out
 
 
 def bench_build_pipeline(graph, workers=POOL_WORKERS, repeats=BUILD_REPEATS):
@@ -405,8 +345,7 @@ def run_benchmark():
             )
     build = bench_build(graph)
     build_pipeline = bench_build_pipeline(graph)
-    reply = bench_reply_path(blob, scripts, reference, requests)
-    request = bench_request_path(blob, scripts, reference, requests)
+    pipe = bench_pipe_bytes(blob, scripts, reference)
     headline = {
         "note": "pool = Server over a %d-worker WorkerPool (bundle-booted "
         "replicas, group-preserving dispatch, shared dispatcher cache); "
@@ -421,9 +360,9 @@ def run_benchmark():
         "build_parallel_vs_serial": build["parallel_vs_serial_speedup"],
         "build_sync_byte_reduction": build_pipeline["sync_byte_reduction"],
         "build_overlap_fraction": build_pipeline["overlap_fraction"],
-        "reply_pipe_byte_reduction": reply["pipe_vs_shm_reply_pipe_byte_ratio"],
-        "request_pipe_byte_reduction": request[
-            "pipe_vs_shm_request_pipe_byte_ratio"
+        "reply_pipe_bytes_per_sub_batch": pipe["reply_pipe_bytes_per_sub_batch"],
+        "request_pipe_bytes_per_sub_batch": pipe[
+            "request_pipe_bytes_per_sub_batch"
         ],
     }
     for name, rec in backends.items():
@@ -433,14 +372,13 @@ def run_benchmark():
         {
             "method": "closed-loop, best-of-%d per side, cold cache and "
             "fresh pool per served repeat, backends A/B'd in one process; "
-            "build best-of-%d over one shared contraction; reply "
-            "transports A/B'd on the identical workload" % (REPEATS, BUILD_REPEATS),
+            "build best-of-%d over one shared contraction; pipe bytes "
+            "counted on the identical workload" % (REPEATS, BUILD_REPEATS),
             "headline": headline,
             "serving": backends,
             "parallel_build": build,
             "build_pipeline": build_pipeline,
-            "reply_path": reply,
-            "request_path": request,
+            "pipe_bytes": pipe,
         }
     )
     return result
@@ -485,21 +423,18 @@ def run_check(workers=2):
         "byte_identical": True,
         "bands": parallel.build_info["bands"],
     }
-    # Transport A/Bs: parity + the hard >= 10x pipe-byte bars on both
-    # sides (byte counts are deterministic, so check mode gates them
-    # too), plus the pipelined-build sync fabric with the full 4-worker
-    # count (sync bytes are deterministic as well; timings untouched).
-    result["reply_path"] = bench_reply_path(
-        blob, scripts, reference, requests, workers=workers
-    )
-    result["request_path"] = bench_request_path(
-        blob, scripts, reference, requests, workers=workers
+    # Parity + the hard pipe-byte ceilings (byte counts are
+    # deterministic, so check mode gates them too), plus the
+    # pipelined-build sync fabric with the full 4-worker count (sync
+    # bytes are deterministic as well; timings untouched).
+    result["pipe_bytes"] = bench_pipe_bytes(
+        blob, scripts, reference, workers=workers
     )
     result["build_pipeline"] = bench_build_pipeline(
         graph, workers=POOL_WORKERS, repeats=1
     )
     result["mode"] = (
-        "check (parity + structure + reply/request-path byte ratios + "
+        "check (parity + structure + pipe-byte ceilings + "
         "build-pipeline sync ratio; timings omitted)"
     )
     result["serving"] = checks
@@ -532,13 +467,12 @@ def test_pool_speed():
     for rec in result["serving"].values():
         assert rec["dispatch"]["dispatches"] > 0
         assert all(b > 0 for b in rec["dispatch"]["per_worker_batches"]), rec
-    # PR 6 + PR 9: bytes-moved is hardware-independent — always hard.
-    reply = result["reply_path"]
-    assert reply["pipe_vs_shm_reply_pipe_byte_ratio"] >= 10.0, reply
-    assert reply["no_leaked_segments"]
-    request = result["request_path"]
-    assert request["pipe_vs_shm_request_pipe_byte_ratio"] >= 10.0, request
-    assert request["no_leaked_segments"]
+    # Bytes moved are hardware-independent — always hard.
+    pipe = result["pipe_bytes"]
+    ceiling = PIPE_BYTES_PER_SUB_BATCH
+    assert pipe["reply_pipe_bytes_per_sub_batch"] <= ceiling, pipe
+    assert pipe["request_pipe_bytes_per_sub_batch"] <= ceiling, pipe
+    assert pipe["no_leaked_segments"]
     pipeline = result["build_pipeline"]
     assert pipeline["byte_identical"]
     assert pipeline["sync_byte_reduction"] >= 5.0, pipeline

@@ -115,10 +115,10 @@ def main() -> None:
         print(f"   dispatch breakdown: pack={d['pack_s']:.4f}s "
               f"send={d['send_s']:.4f}s compute={d['compute_s']:.4f}s "
               f"merge={d['merge_s']:.4f}s")
-        req = tier["request_path"]
-        print(f"   request path ({req['transport']}): "
-              f"{req['pipe_bytes']} pipe bytes / {req['shm_bytes']} shm "
-              f"bytes ({req['pickled_batches']} pickled batches)")
+        for side in ("request_path", "reply_path"):
+            path = tier[side]
+            print(f"   {side}: {path['pipe_bytes']} pipe bytes / "
+                  f"{path['shm_bytes']} shm bytes")
         for i, w in enumerate(tier["per_worker"]):
             print(f"   worker {i}: pid={w['pid']} batches={w['batches']} "
                   f"requests={w['requests']} busy={w['busy_s']:.3f}s "

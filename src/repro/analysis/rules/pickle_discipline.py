@@ -14,12 +14,9 @@ regression shape mechanically:
 * any ``pickle.dumps(...)`` over the same identifiers,
 
 must either go through the packed encoder or carry an explicit
-``# repro: allow[hot-path-pickle-discipline]`` annotation naming *why*
-the pickled path is correct there.  The pool's three legitimate seams
-are annotated: the ``pack_requests`` → ``None`` fallback (request types
-the column format cannot carry), hedge duplicates (must not disturb the
-straggler's ring slot), and post-fault retries (the clean objects must
-get through even when the lane itself is suspect).
+``# repro: allow[<rule id>]`` annotation naming *why* the pickled path
+is correct there.  The pool itself needs none: every request kind
+packs, and retries and hedges resend the packed payload in-band.
 
 The check is identifier-based on purpose: it cannot prove dataflow, but
 every pickled-request regression so far spelled the payload ``req*`` at

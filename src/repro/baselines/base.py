@@ -70,6 +70,7 @@ from ..graph.traversal import dijkstra_distances
 
 __all__ = [
     "BatchCapabilities",
+    "CrashRequest",
     "DistanceCache",
     "DistanceRequest",
     "OneToManyRequest",
@@ -257,6 +258,21 @@ class TableRequest(Request):
             f"TableRequest(<{len(self.sources)} sources>, "
             f"<{len(self.targets)} targets>)"
         )
+
+
+class CrashRequest(Request):
+    """Test hook: a request that makes a pool worker ``os._exit`` mid-batch.
+
+    Exists so the worker tier's crash handling (respawn, retry, clean
+    failure) is testable *deterministically* — the worker dies while the
+    sub-batch is in flight, exactly the race a real OOM-kill hits.  It
+    packs as its own REQCOL kind (no ids), so it rides the same wire
+    path as real requests.  Never emitted by production code; the
+    planner and :meth:`Server.submit` reject it like any unknown type.
+    """
+
+    __slots__ = ()
+    kind = "crash"
 
 
 @dataclass(frozen=True)

@@ -306,13 +306,9 @@ def _build_labels_parallel(
     lane_cfg = None
     slice_bytes = 0
     if pipeline:
-        try:
-            lane = _Lane(sync_lane_bytes)
-        except Exception:
-            lane = None  # no shared memory: chunks ride the pipe packed
-        if lane is not None:
-            slice_bytes = lane.size // (2 * workers)
-            lane_cfg = {"name": lane.name, "size": lane.size}
+        lane = _Lane(sync_lane_bytes)
+        slice_bytes = lane.size // (2 * workers)
+        lane_cfg = lane.cfg
     handles = build_worker_handles(
         n,
         res.up_out,
@@ -415,7 +411,7 @@ def _build_labels_parallel(
                     blob = bytes(lane.shm.buf[offset : offset + nbytes])
                     sync_shm += nbytes
                     relay = ("syncl", offset, nbytes, crc)
-                else:  # "okp": chunk larger than its slice, or no lane
+                else:  # "okp": chunk larger than its slice
                     _, blob, crc, _elapsed = reply
                     oversized_chunks += 1
                     relay = ("syncp", blob, crc)

@@ -86,14 +86,14 @@ Bundles end with a **CRC trailer** (the robustness PR)::
     magic  b"BCRC1\\n"
 
 The magic sits *last* so the trailer is locatable from the file end
-without parsing any section, and so every pre-trailer bundle remains
-loadable: :func:`load_bundle` verifies each section's CRC32 before
-decoding anything and raises :class:`BundleCorrupted` naming the
-failing section — a torn or bit-flipped bundle fails typed instead of
-serving garbage — while a trailer-less (legacy) bundle loads with a
-one-time :class:`RuntimeWarning`.  Raw ``struct.error`` / ``EOFError``
-from a damaged legacy file are wrapped into :class:`BundleCorrupted`
-too, so callers need exactly one except clause.
+without parsing any section.  :func:`load_bundle` verifies each
+section's CRC32 before decoding anything and raises
+:class:`BundleCorrupted` naming the failing section — a torn or
+bit-flipped bundle fails typed instead of serving garbage — and a file
+with no trailer at all (torn before its end, or never a bundle) fails
+as section ``"trailer"``.  Raw ``struct.error`` / ``EOFError`` from the
+decoders are wrapped into :class:`BundleCorrupted` too, so callers need
+exactly one except clause.
 
 All flat sections move as whole-column ``tobytes`` blocks (loaded back
 with ``frombuffer`` under the numpy backend) — no per-entry ``struct``
@@ -123,7 +123,6 @@ from __future__ import annotations
 import io
 import struct
 import sys
-import warnings
 import zlib
 from array import array
 from bisect import bisect_left
@@ -131,6 +130,7 @@ from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from .. import backend
 from ..baselines.base import (
+    CrashRequest,
     DistanceRequest,
     OneToManyRequest,
     Request,
@@ -218,22 +218,6 @@ def _section_name(head: bytes, offset: int) -> str:
     return f"section@{offset}"
 
 
-_warned_crcless = False
-
-
-def _warn_crcless() -> None:
-    """One warning per process for legacy (pre-``BCRC1``) bundles."""
-    global _warned_crcless
-    if not _warned_crcless:
-        _warned_crcless = True
-        warnings.warn(
-            "bundle has no CRC trailer (pre-BCRC1 format); loading "
-            "without integrity verification — re-save to add checksums",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 class _CrcWriter:
     """Write-through wrapper that tracks crc32 + byte count per section.
 
@@ -298,6 +282,16 @@ class _BufferReader:
         out = self._mv[self._pos : self._pos + nbytes]
         self._pos += len(out)
         return out
+
+    def seekable(self) -> bool:
+        return True
+
+    def tell(self) -> int:
+        return self._pos
+
+    def seek(self, offset: int, whence: int = 0) -> int:
+        self._pos = offset + (len(self._mv) if whence == 2 else 0)
+        return self._pos
 
 
 #: Loader sources: a path, an open binary file, or an in-memory buffer.
@@ -949,22 +943,26 @@ def _decode_label_side(fh, n: int) -> Tuple:
 # ints/floats keep the bytes identical under both backends.
 
 #: Request kind codes in the REQCOL block (order is part of the format).
-_REQ_DISTANCE, _REQ_ONE_TO_MANY, _REQ_TABLE = 0, 1, 2
+_REQ_DISTANCE, _REQ_ONE_TO_MANY, _REQ_TABLE, _REQ_CRASH = 0, 1, 2, 3
+
+#: The request types (and their subclasses) :func:`pack_requests` packs.
+_REQCOL_TYPES = (DistanceRequest, OneToManyRequest, TableRequest, CrashRequest)
 
 #: Label-chunk distance encodings: raw float64, or uvarint when every
 #: distance is a non-negative integral (int -> float64 is exact there).
 _CHUNK_F8, _CHUNK_UV = 0, 1
 
 
-def pack_requests(requests) -> Optional[bytes]:
-    """A planner sub-batch -> one flat REQCOL block (or ``None``).
+def pack_requests(requests) -> bytes:
+    """A planner sub-batch -> one flat REQCOL block.
 
     Layout (little-endian)::
 
         u8  width          4 or 8 (HLIDX2's width discipline: int32
                            columns when every node id fits, else int64)
         <q  nreq
-        kinds[nreq]        u8: 0 distance, 1 one_to_many, 2 table
+        kinds[nreq]        u8: 0 distance, 1 one_to_many, 2 table,
+                           3 crash (the pool's test hook, no ids)
         <q  nmeta; meta    uvarint stream, request order: one_to_many
                            contributes ``len(targets)``, table
                            contributes ``len(sources), len(targets)``
@@ -973,33 +971,35 @@ def pack_requests(requests) -> Optional[bytes]:
                            ``s, targets...``; table ``sources...,
                            targets...``
 
-    Returns ``None`` when the batch contains anything but the three
-    exact planner request types (e.g. a test-hook ``CrashRequest``) —
-    those sub-batches keep the pickled pipe path, which preserves
-    arbitrary request objects by construction.
+    Any instance of the three planner request types packs, so a
+    subclass travels as its base kind; :class:`CrashRequest` packs as
+    kind 3.  Anything else raises :class:`TypeError`.
     """
     kinds = bytearray()
     meta = bytearray()
     ids: List[int] = []
     for req in requests:
-        t = type(req)
-        if t is DistanceRequest:
+        if isinstance(req, DistanceRequest):
             kinds.append(_REQ_DISTANCE)
             ids.append(req.source)
             ids.append(req.target)
-        elif t is OneToManyRequest:
+        elif isinstance(req, OneToManyRequest):
             kinds.append(_REQ_ONE_TO_MANY)
             _uvarint_append(meta, len(req.targets))
             ids.append(req.source)
             ids.extend(req.targets)
-        elif t is TableRequest:
+        elif isinstance(req, TableRequest):
             kinds.append(_REQ_TABLE)
             _uvarint_append(meta, len(req.sources))
             _uvarint_append(meta, len(req.targets))
             ids.extend(req.sources)
             ids.extend(req.targets)
+        elif isinstance(req, CrashRequest):
+            kinds.append(_REQ_CRASH)
         else:
-            return None
+            raise TypeError(
+                f"cannot pack request type {type(req).__name__!r}"
+            )
     width = 4
     for v in ids:
         if not 0 <= v <= 0x7FFFFFFF:
@@ -1022,7 +1022,7 @@ def unpack_requests(blob) -> List[Request]:
     The constructors re-coerce every id to a plain Python ``int``, so
     reconstructed requests group, hash, and execute exactly like the
     originals — :func:`pack_requests` then this is the identity on the
-    three planner request types.
+    three planner request types (a subclass comes back as its base).
     """
     buf = memoryview(blob)
     width = buf[0]
@@ -1062,6 +1062,8 @@ def unpack_requests(blob) -> List[Request]:
                 TableRequest(ids[ipos : ipos + ns], ids[ipos + ns : ipos + ns + nt])
             )
             ipos += ns + nt
+        elif code == _REQ_CRASH:
+            out.append(CrashRequest())
         else:
             raise ValueError(f"unknown REQCOL request kind {code}")
     return out
@@ -1302,7 +1304,6 @@ def save_bundle(
     sink: Union[str, BinaryIO],
     *,
     compact: bool = True,
-    crc: bool = True,
 ) -> None:
     """Write ``index``'s graph followed by the index itself.
 
@@ -1311,12 +1312,9 @@ def save_bundle(
     :func:`load_bundle` needs no separately-loaded network, which is the
     deployment story the paper's §7 memory-footprint discussion asks
     for.  ``compact`` selects HL2 vs HL1 for hub-label sections (AH
-    sections are unaffected).
-
-    ``crc=True`` (the default) appends the ``BCRC1`` trailer — one
-    (offset, length, crc32) entry per section — so :func:`load_bundle`
-    can verify integrity before decoding; ``crc=False`` reproduces the
-    legacy trailer-less format.
+    sections are unaffected).  The ``BCRC1`` trailer — one (offset,
+    length, crc32) entry per section — follows, so :func:`load_bundle`
+    can verify integrity before decoding.
     """
     own = isinstance(sink, str)
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
@@ -1334,11 +1332,10 @@ def save_bundle(
             save_index(index, w)  # type: ignore[arg-type]
         length, section_crc = w.section_done()
         entries.append((offset, length, section_crc))
-        if crc:
-            for entry in entries:
-                fh.write(_TRAILER_ENTRY.pack(*entry))
-            fh.write(struct.pack("<q", len(entries)))
-            fh.write(_TRAILER_MAGIC)
+        for entry in entries:
+            fh.write(_TRAILER_ENTRY.pack(*entry))
+        fh.write(struct.pack("<q", len(entries)))
+        fh.write(_TRAILER_MAGIC)
     finally:
         if own:
             fh.close()
@@ -1371,53 +1368,23 @@ def _check_entry(offset: int, length: int, limit: int) -> None:
         )
 
 
-def _verify_crc_trailer(fh) -> str:
+def _verify_crc_trailer(fh) -> None:
     """Verify a bundle's ``BCRC1`` trailer before anything is decoded.
 
-    Returns ``"verified"``, ``"legacy"`` (no trailer — caller warns) or
-    ``"skipped"`` (non-seekable stream, nothing to be done); raises
-    :class:`BundleCorrupted` naming the damaged section on mismatch.
-    The read position is left where it was found.
+    ``fh`` is seekable and read from its current position to its end.
+    Raises :class:`BundleCorrupted` naming the damaged section on a CRC
+    mismatch, and naming ``"trailer"`` when the trailer is missing or
+    implausible.  The read position is left where it was found.
     """
-    if isinstance(fh, _BufferReader):
-        mv, base = fh._mv, fh._pos
-        total = len(mv) - base
-        if total < _TRAILER_TAIL:
-            return "legacy"
-        parsed = _parse_trailer_tail(bytes(mv[len(mv) - _TRAILER_TAIL :]), total)
+    pos = fh.tell()
+    end = fh.seek(0, 2)
+    try:
+        fh.seek(max(pos, end - _TRAILER_TAIL))
+        parsed = _parse_trailer_tail(bytes(fh.read(_TRAILER_TAIL)), end - pos)
         if parsed is None:
-            return "legacy"
-        count, tstart = parsed
-        for i in range(count):
-            offset, length, crc = _TRAILER_ENTRY.unpack_from(
-                mv, base + tstart + _TRAILER_ENTRY.size * i
+            raise BundleCorrupted(
+                "trailer", "no BCRC1 trailer (torn, truncated, or not a bundle)"
             )
-            _check_entry(offset, length, tstart)
-            actual = zlib.crc32(mv[base + offset : base + offset + length])
-            if actual != crc:
-                name = _section_name(
-                    bytes(mv[base + offset : base + offset + 8]), offset
-                )
-                raise BundleCorrupted(
-                    name,
-                    f"CRC mismatch (stored 0x{crc:08x}, "
-                    f"computed 0x{actual:08x})",
-                )
-        return "verified"
-    # Real file handle: verify by seeking, then restore the position.
-    try:
-        pos = fh.tell()
-        fh.seek(0, 2)
-        end = fh.tell()
-    except (OSError, AttributeError, io.UnsupportedOperation):
-        return "skipped"
-    try:
-        if end - pos < _TRAILER_TAIL:
-            return "legacy"
-        fh.seek(end - _TRAILER_TAIL)
-        parsed = _parse_trailer_tail(fh.read(_TRAILER_TAIL), end - pos)
-        if parsed is None:
-            return "legacy"
         count, tstart = parsed
         fh.seek(pos + tstart)
         entries = [
@@ -1439,19 +1406,18 @@ def _verify_crc_trailer(fh) -> str:
                 remaining -= len(chunk)
             if actual != crc:
                 fh.seek(pos + offset)
-                name = _section_name(fh.read(8), offset)
+                name = _section_name(bytes(fh.read(8)), offset)
                 raise BundleCorrupted(
                     name,
                     f"CRC mismatch (stored 0x{crc:08x}, "
                     f"computed 0x{actual:08x})",
                 )
-        return "verified"
     finally:
         fh.seek(pos)
 
 
 def load_bundle(
-    source: Source, *, mmap: bool = False, verify: bool = True
+    source: Source, *, mmap: bool = False
 ) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
     """Load a ``(graph, index)`` pair written by :func:`save_bundle`.
 
@@ -1467,18 +1433,18 @@ def load_bundle(
     that buffer in place (zero-copy under numpy; label columns
     zero-copy on both backends).
 
-    ``verify=True`` (the default) checks the ``BCRC1`` trailer's
-    section CRCs before decoding: a torn or bit-flipped bundle raises
-    :class:`BundleCorrupted` naming the failing section instead of
-    mis-decoding; a legacy trailer-less bundle loads with a one-time
-    :class:`RuntimeWarning`.  Decode-time ``struct.error``/``EOFError``
-    (a damaged legacy file) are wrapped into :class:`BundleCorrupted`
-    as well.
+    The ``BCRC1`` trailer's section CRCs are checked before decoding: a
+    torn or bit-flipped bundle raises :class:`BundleCorrupted` naming
+    the failing section (``"trailer"`` when there is no trailer)
+    instead of mis-decoding.  A non-seekable stream is read into memory
+    first so it is verified too.  Decode-time ``struct.error`` /
+    ``EOFError`` are wrapped into :class:`BundleCorrupted` as well.
     """
     fh, own = _open_source(source, mmap)
     try:
-        if verify and _verify_crc_trailer(fh) == "legacy":
-            _warn_crcless()
+        if not fh.seekable():
+            fh = _BufferReader(fh.read())
+        _verify_crc_trailer(fh)
         section = "GCSR1"
         try:
             graph = load_graph(fh)
@@ -1537,11 +1503,7 @@ def inspect_bundle(source: Source) -> List[dict]:
     # its own pseudo-section so offsets/sizes still tile the file.
     limit = len(data)
     trailer: Optional[dict] = None
-    parsed = (
-        _parse_trailer_tail(data[-_TRAILER_TAIL:], len(data))
-        if len(data) >= _TRAILER_TAIL
-        else None
-    )
+    parsed = _parse_trailer_tail(data[-_TRAILER_TAIL:], len(data))
     if parsed is not None:
         count, tstart = parsed
         entries = [

@@ -49,10 +49,9 @@ damage, exactly like a torn write it did not cause):
                    lane, frame metadata unchanged.
 =================  ====================================================
 
-Request faults are a documented no-op when the sub-batch rides the
-pickled pipe path (``request_transport="pipe"``, or a batch carrying
-non-column request types): there is no packed payload to damage, and
-the contract under test — never a wrong answer — holds trivially.
+Every sub-batch is packed, so a request fault always lands: on the
+lane payload, or on the in-band ``"reqp"`` payload of a batch too big
+for the lane.  Retries resend the clean payload.
 
 File-level helpers :func:`torn_copy` / :func:`flipped_copy` damage a
 *copy* of a bundle file for the ``BundleCorrupted`` tests; they never

@@ -22,32 +22,29 @@ with a **process pool over a shared bundle substrate**:
   bit-identical to direct engine calls no matter the grouping) the
   merged results are **bit-identical to the single-process path**.
 * Results travel back as one packed ``float64`` column per sub-batch
-  (shape recovered from the requests the dispatcher kept), so the
-  pickle cost per answer is a memcpy, not per-float object churn —
-  and the exact IEEE bits survive the trip.
-* By default that packed column never touches the pipe at all: each
-  worker owns a **shared-memory result lane** (a
-  ``multiprocessing.shared_memory`` ring the parent creates and
-  unlinks), writes the reply bytes into it at a ring offset, and sends
-  only a tiny ``("okl", offset, nbytes, busy)`` control frame — the
-  reply path's pipe traffic drops from the full float64 payload to
-  ~60 bytes per sub-batch (PR 5 measured the pipe copy as the tier's
-  dominant overhead).  Dispatch is lockstep per worker (one in-flight
-  sub-batch), so a single ring with no read barrier is race-free; a
-  reply larger than the lane falls back to the pipe transparently, and
-  ``reply_transport="pipe"`` turns lanes off (the A/B baseline).
+  (shape recovered from the requests the dispatcher kept), so the cost
+  per answer is a memcpy, not per-float object churn — and the exact
+  IEEE bits survive the trip.
+* That packed column never touches the pipe: each worker owns a
+  **shared-memory result lane** (a ``multiprocessing.shared_memory``
+  ring the parent creates and unlinks), writes the reply bytes into it
+  at a ring offset, and sends only a tiny ``("okl", offset, nbytes,
+  crc, busy)`` control frame.  Dispatch is lockstep per worker (one
+  in-flight sub-batch), so a single ring with no read barrier is
+  race-free; a reply larger than the lane rides the pipe in-band
+  (``("ok", blob, crc, busy)``).
 * The *request* path is symmetric: each sub-batch's typed requests are
   packed into flat REQCOL columns (:func:`repro.core.serialize.
   pack_requests` — per-kind codes, uvarint shape counts, one int32/64
   node-id column at HLIDX2's width discipline), written into a second
-  per-worker **request lane**, and announced with a ~60 B
+  per-worker **request lane**, and announced with a tiny
   ``("reql", offset, nbytes, crc)`` frame; the worker reconstructs the
   typed requests from the columns without per-object unpickling.
-  Oversized batches ride the pipe packed (``"reqp"``), non-column
-  request kinds (and ``request_transport="pipe"``, the A/B baseline)
-  fall back to classic pickled dispatch, and a payload failing its
-  CRC32 check fails typed as :class:`RequestCorrupted` — never a wrong
-  answer.  ``stats()["request_path"]`` counts bytes per transport and
+  Oversized batches, retries and hedges send the same packed payload
+  in-band on the pipe (``("reqp", payload, crc)``), and a payload
+  failing its CRC32 check fails typed as :class:`RequestCorrupted` —
+  never a wrong answer.  ``stats()["request_path"]`` and
+  ``stats()["reply_path"]`` count pipe and lane bytes, and
   ``stats()["dispatch"]`` splits dispatch wall time into
   pack/send/compute/merge.
 * A shared :class:`~repro.baselines.base.DistanceCache` stays in the
@@ -94,13 +91,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import backend
 from ..baselines.base import (
+    CrashRequest,
     DistanceCache,
     DistanceRequest,
     OneToManyRequest,
     Request,
     TableRequest,
 )
-from ..core.serialize import pack_requests, unpack_requests
+from ..core.serialize import _REQCOL_TYPES, pack_requests, unpack_requests
 from . import faults as _faults
 from .health import BackoffPolicy, CircuitBreaker
 
@@ -121,13 +119,14 @@ __all__ = [
 #: from a real fault in CI logs.
 _CRASH_EXIT_CODE = _faults.CRASH_EXIT_CODE
 
-#: Default shared-memory lane size per worker (reply and request rings
-#: alike).  Replies are one float64 per answered (s, t) pair, so 1 MiB
-#: covers a 128k-pair sub-batch — far past the planner's batch shapes —
-#: and packed REQCOL requests are smaller still; larger payloads fall
-#: back to the pipe (counted in ``stats()['reply_path']`` /
-#: ``stats()['request_path']``).
-_LANE_BYTES_DEFAULT = 1 << 20
+#: Shared-memory lane size per worker (reply and request rings alike).
+#: Replies are one float64 per answered (s, t) pair, so 1 MiB covers a
+#: 128k-pair sub-batch — far past the planner's batch shapes — and
+#: packed REQCOL requests are smaller still; larger payloads ride the
+#: pipe in-band (counted in ``stats()['reply_path']`` /
+#: ``stats()['request_path']``).  Read at pool construction, so tests
+#: shrink it with ``monkeypatch``.
+_LANE_BYTES = 1 << 20
 
 
 class _Lane:
@@ -153,6 +152,11 @@ class _Lane:
     @property
     def name(self) -> str:
         return self.shm.name
+
+    @property
+    def cfg(self) -> dict:
+        """What a peer needs to attach: ``{"name", "size"}``."""
+        return {"name": self.shm.name, "size": self.size}
 
     def view(self, offset: int, nbytes: int) -> memoryview:
         """Zero-copy window over one payload (valid until the next send)."""
@@ -215,28 +219,15 @@ class RequestCorrupted(ReplyCorrupted):
     decode) on the worker side — the request lane's mirror of
     :class:`ReplyCorrupted`.  The worker reports it typed instead of
     reconstructing garbage requests, keeps serving, and the
-    dispatcher's existing crash path retries the sub-batch (pickled,
-    on a respawned worker) — never a wrong answer."""
+    dispatcher's existing crash path retries the sub-batch (the clean
+    payload over the pipe, on a respawned worker) — never a wrong
+    answer."""
 
 
 class HedgeMismatch(WorkerCrashed):
     """A hedged duplicate of a sub-batch returned different bytes than
     the first answer.  Replicas must be bit-identical, so this is
     never retried — it means nondeterminism, not a transient fault."""
-
-
-class CrashRequest(Request):
-    """Test hook: a request that makes the worker ``os._exit`` mid-batch.
-
-    Exists so the crash-handling path (respawn, retry, clean failure) is
-    testable *deterministically* — the worker dies while the sub-batch
-    is in flight, exactly the race a real OOM-kill hits.  Never emitted
-    by production code; :meth:`Server.submit` rejects it at the door
-    like any unknown request type.
-    """
-
-    __slots__ = ()
-    kind = "crash"
 
 
 def _request_pairs(req: Request) -> int:
@@ -388,22 +379,14 @@ def _worker_main(conn, spec: dict) -> None:
 
             path = spec.get("bundle_path")
             if path is not None:
-                graph, engine = load_bundle(path, mmap=spec.get("mmap", True))
+                graph, engine = load_bundle(path, mmap=True)
             else:
                 graph, engine = load_bundle(spec["bundle"])
             planner = QueryPlanner(engine)
-            lane_cfg = spec.get("lane")
-            lane = _attach_lane(lane_cfg) if lane_cfg is not None else None
-            req_cfg = spec.get("req_lane")
-            req_lane = _attach_lane(req_cfg) if req_cfg is not None else None
+            lane = _attach_lane(spec["lane"])
+            req_lane = _attach_lane(spec["req_lane"])
             conn.send(("ready", graph.n))
-            _serve_loop(
-                conn,
-                planner,
-                lane,
-                lane_cfg["size"] if lane_cfg else 0,
-                req_lane,
-            )
+            _serve_loop(conn, planner, lane, spec["lane"]["size"], req_lane)
         elif spec["role"] == "build":
             conn.send(("ready", spec["n"]))
             _build_loop(conn, spec)
@@ -441,20 +424,17 @@ def _decode_request_frame(msg, req_lane):
 
     ``("reql", offset, nbytes, crc[, fault])`` resolves the payload
     from the request lane, ``("reqp", payload, crc[, fault])`` carries
-    it on the pipe (the oversized fallback).  Either way the payload's
-    CRC32 must match the one the dispatcher framed *before* any
-    scripted request fault damaged the bytes — a mismatch (or a payload
-    that will not decode) raises :class:`RequestCorrupted` so the
-    caller reports it typed instead of executing garbage requests.
+    it on the pipe (oversized batches, retries and hedges).  Either way
+    the payload's CRC32 must match the one the dispatcher framed
+    *before* any scripted request fault damaged the bytes — a mismatch
+    (or a payload that will not decode) raises :class:`RequestCorrupted`
+    so the caller reports it typed instead of executing garbage
+    requests.
     """
     op = msg[0]
     if op == "reql":
         _, offset, nbytes, crc = msg[:4]
         fault = msg[4] if len(msg) > 4 else None
-        if req_lane is None:
-            raise RequestCorrupted(
-                "request-lane frame arrived but no lane is attached"
-            )
         payload = bytes(req_lane.buf[offset : offset + nbytes])
     else:
         _, payload, crc = msg[:3]
@@ -471,9 +451,7 @@ def _decode_request_frame(msg, req_lane):
         ) from None
 
 
-def _serve_loop(
-    conn, planner, lane=None, lane_size: int = 0, req_lane=None
-) -> None:
+def _serve_loop(conn, planner, lane, lane_size: int, req_lane) -> None:
     wpos = 0  # ring write head; single live reply, so wrap is just reset
     while True:
         msg = _recv_command(conn)
@@ -481,20 +459,12 @@ def _serve_loop(
         if op == "stop":
             conn.send(("bye",))
             return
-        if op in ("batch", "reql", "reqp"):
-            if op == "batch":
-                # Pickled-object dispatch: the fallback seam (non-column
-                # request kinds, retries, hedges, transport="pipe").
-                # Scripted fault rides as a third element when the
-                # dispatcher runs under a FaultPlan.
-                requests = msg[1]
-                fault = msg[2] if len(msg) > 2 else None
-            else:
-                try:
-                    requests, fault = _decode_request_frame(msg, req_lane)
-                except RequestCorrupted as exc:
-                    conn.send(("err", exc))
-                    continue
+        if op in ("reql", "reqp"):
+            try:
+                requests, fault = _decode_request_frame(msg, req_lane)
+            except RequestCorrupted as exc:
+                conn.send(("err", exc))
+                continue
             if any(isinstance(r, CrashRequest) for r in requests):
                 os._exit(_CRASH_EXIT_CODE)  # test hook: die mid-batch
             if fault is not None:
@@ -514,14 +484,14 @@ def _serve_loop(
             payload = blob
             if fault is not None:
                 payload = _faults.apply_reply(fault, blob)
-            if lane is not None and len(payload) <= lane_size:
+            if len(payload) <= lane_size:
                 if wpos + len(payload) > lane_size:
                     wpos = 0
                 lane.buf[wpos : wpos + len(payload)] = payload
                 conn.send(("okl", wpos, len(payload), crc, busy))
                 # keep the next write 8-aligned for the f64 cast
                 wpos = (wpos + len(payload) + 7) & ~7
-            else:  # no lane, or an oversized reply: the pipe fallback
+            else:  # an oversized reply rides the pipe in-band
                 conn.send(("ok", payload, crc, busy))
         elif op == "stats":
             conn.send(("ok", planner.stats()))
@@ -545,7 +515,7 @@ def _build_loop(conn, spec: dict) -> None:
     (:func:`repro.core.serialize.pack_label_entries`), writes it into
     its designated slice of the shared sync ring when it fits, and
     replies with a tiny ``("okb", offset, nbytes, crc, elapsed)`` frame
-    (``("okp", blob, crc, elapsed)`` when oversized or laneless).  Peer
+    (``("okp", blob, crc, elapsed)`` when oversized).  Peer
     chunks arrive as un-acked ``("syncl"/"syncp", ...)`` relays — pipe
     FIFO order makes the next ``band`` command the fence, which is what
     lets band *b*'s broadcast overlap band *b+1*'s compute.
@@ -582,7 +552,7 @@ def _build_loop(conn, spec: dict) -> None:
             offset, limit = msg[2], msg[3]
             blob = pack_label_entries(out)
             crc = zlib.crc32(blob)
-            if lane is not None and len(blob) <= limit:
+            if len(blob) <= limit:
                 lane.buf[offset : offset + len(blob)] = blob
                 conn.send(("okb", offset, len(blob), crc, elapsed))
             else:
@@ -595,11 +565,7 @@ def _build_loop(conn, spec: dict) -> None:
         elif op in ("syncl", "syncp"):
             if op == "syncl":
                 _, offset, nbytes, crc = msg
-                blob = (
-                    bytes(lane.buf[offset : offset + nbytes])
-                    if lane is not None
-                    else b""
-                )
+                blob = bytes(lane.buf[offset : offset + nbytes])
             else:
                 _, blob, crc = msg
             if zlib.crc32(blob) != crc:
@@ -806,7 +772,6 @@ def build_worker_handles(
     up_in,
     workers: int,
     mp_context: Optional[str] = None,
-    backend_name: Optional[str] = None,
     sync_lane: Optional[dict] = None,
 ) -> List[WorkerHandle]:
     """Spawn ``workers`` build-role handles sharing one upward-graph spec.
@@ -825,7 +790,7 @@ def build_worker_handles(
         "n": n,
         "up_out": up_out,
         "up_in": up_in,
-        "backend": backend_name or backend.active(),
+        "backend": backend.active(),
     }
     if sync_lane is not None:
         spec["sync_lane"] = sync_lane
@@ -854,11 +819,9 @@ class WorkerPool:
         planner rule 3, lifted one tier up.
     mp_context:
         ``multiprocessing`` start method (default: ``fork`` where
-        available, else ``spawn``).
-    backend_name:
-        Array backend forced in each worker (default: the parent's
-        active backend, so an A/B benchmark's ``backend.forced`` scope
-        propagates).
+        available, else ``spawn``).  Each worker runs the array backend
+        active in the constructing process, so a ``backend.forced``
+        scope around the constructor propagates.
     max_retries:
         How many times a crashed sub-batch is retried on a fresh worker
         before its requests are failed with :class:`WorkerCrashed`.
@@ -898,29 +861,11 @@ class WorkerPool:
         worker faults by (dispatch, slot).  Production pools pass
         ``None`` and every injection site is behind an ``is None``
         fast path.
-    mmap:
-        For path bundles: mmap the file (default) instead of reading it.
-    reply_transport:
-        ``"auto"`` (default) gives each worker a shared-memory result
-        lane when the platform supports ``multiprocessing.shared_memory``,
-        falling back to pipe replies otherwise; ``"shm"`` requires
-        lanes; ``"pipe"`` forces the packed-float64 pipe path (the A/B
-        baseline).  Answers are identical either way.
-    lane_bytes:
-        Size of each worker's reply lane (default 1 MiB); replies that
-        do not fit fall back to the pipe for that sub-batch only.
-    request_transport:
-        The symmetric knob for the *request* side: ``"auto"``
-        (default) packs each sub-batch into REQCOL columns in a
-        per-worker shared-memory request lane and sends only a ~60 B
-        control frame; ``"shm"`` requires lanes; ``"pipe"`` keeps the
-        classic pickled-object dispatch (the A/B baseline).  Batches
-        containing non-column request kinds fall back to pickled
-        dispatch per sub-batch; answers are identical on every path.
-    request_lane_bytes:
-        Size of each worker's request lane (default 1 MiB); packed
-        batches that do not fit ride the pipe packed (``"reqp"``) for
-        that sub-batch only.
+
+    Each worker gets one shared-memory reply lane and one request lane
+    of :data:`_LANE_BYTES` each; a platform without
+    ``multiprocessing.shared_memory`` fails construction.  A path
+    bundle is mmap'd by every worker.
 
     ``execute`` is the whole query surface: one heterogeneous request
     batch in, positionally aligned results out, bit-identical to the
@@ -936,13 +881,7 @@ class WorkerPool:
         workers: int = 2,
         cache=None,
         mp_context: Optional[str] = None,
-        backend_name: Optional[str] = None,
         max_retries: int = 1,
-        mmap: bool = True,
-        reply_transport: str = "auto",
-        lane_bytes: int = _LANE_BYTES_DEFAULT,
-        request_transport: str = "auto",
-        request_lane_bytes: int = _LANE_BYTES_DEFAULT,
         recv_timeout_s: float = 30.0,
         hedge_after_s: Optional[float] = None,
         hedge_grace_s: float = 1.0,
@@ -954,22 +893,6 @@ class WorkerPool:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if reply_transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                "reply_transport must be 'auto', 'shm' or 'pipe', got "
-                f"{reply_transport!r}"
-            )
-        if lane_bytes <= 0:
-            raise ValueError(f"lane_bytes must be positive, got {lane_bytes}")
-        if request_transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                "request_transport must be 'auto', 'shm' or 'pipe', got "
-                f"{request_transport!r}"
-            )
-        if request_lane_bytes <= 0:
-            raise ValueError(
-                f"request_lane_bytes must be positive, got {request_lane_bytes}"
-            )
         if recv_timeout_s <= 0:
             raise ValueError(
                 f"recv_timeout_s must be positive, got {recv_timeout_s}"
@@ -996,12 +919,11 @@ class WorkerPool:
         self._fault_plan = fault_plan
         spec: Dict[str, object] = {
             "role": "serve",
-            "backend": backend_name or backend.active(),
+            "backend": backend.active(),
         }
         if isinstance(bundle, str):
             spec["bundle_path"] = bundle
-            spec["mmap"] = mmap
-            self.transport = "mmap-path" if mmap else "file-path"
+            self.transport = "mmap-path"
         elif isinstance(bundle, (bytes, bytearray, memoryview)):
             spec["bundle"] = bytes(bundle)
             self.transport = "pipe-bytes"
@@ -1020,47 +942,20 @@ class WorkerPool:
         ctx = multiprocessing.get_context(mp_context or _default_context_name())
         # Shared-memory lanes: one reply ring and one request ring per
         # worker, recorded in a per-handle copy of the spec so a
-        # respawned worker re-attaches the same segments.  "auto"
-        # degrades to the pipe on the first creation failure; "shm"
-        # propagates it.
-        self._lane_bytes = lane_bytes
-        self._req_lane_bytes = request_lane_bytes
-        self._lanes: List[Optional[_Lane]] = []
-        self._req_lanes: List[Optional[_Lane]] = []
+        # respawned worker re-attaches the same segments.
+        self._lanes: List[_Lane] = []
+        self._req_lanes: List[_Lane] = []
         self._handles: List[WorkerHandle] = []
         self._reply_pipe_bytes = 0
         self._reply_shm_bytes = 0
         self._oversized_replies = 0
-        lanes_on = reply_transport in ("auto", "shm")
-        req_lanes_on = request_transport in ("auto", "shm")
         try:
             for _ in range(workers):
-                lane = None
-                if lanes_on:
-                    try:
-                        lane = _Lane(lane_bytes)
-                    except Exception:
-                        if reply_transport == "shm":
-                            raise
-                        lanes_on = False
-                self._lanes.append(lane)
-                req_lane = None
-                if req_lanes_on:
-                    try:
-                        req_lane = _Lane(request_lane_bytes)
-                    except Exception:
-                        if request_transport == "shm":
-                            raise
-                        req_lanes_on = False
-                self._req_lanes.append(req_lane)
+                self._lanes.append(_Lane(_LANE_BYTES))
+                self._req_lanes.append(_Lane(_LANE_BYTES))
                 wspec = dict(spec)  # shallow: the bundle blob is shared
-                if lane is not None:
-                    wspec["lane"] = {"name": lane.name, "size": lane.size}
-                if req_lane is not None:
-                    wspec["req_lane"] = {
-                        "name": req_lane.name,
-                        "size": req_lane.size,
-                    }
+                wspec["lane"] = self._lanes[-1].cfg
+                wspec["req_lane"] = self._req_lanes[-1].cfg
                 self._handles.append(WorkerHandle(wspec, ctx))
         except BaseException:
             for handle in self._handles:
@@ -1069,19 +964,8 @@ class WorkerPool:
                 except Exception:
                     pass
             for lane in (*self._lanes, *self._req_lanes):
-                if lane is not None:
-                    lane.destroy()
+                lane.destroy()
             raise
-        #: Reply-path transport actually in effect ("shm" or "pipe").
-        self.reply_transport = (
-            "shm" if any(lane is not None for lane in self._lanes) else "pipe"
-        )
-        #: Request-path transport actually in effect ("shm" or "pipe").
-        self.request_transport = (
-            "shm"
-            if any(lane is not None for lane in self._req_lanes)
-            else "pipe"
-        )
         #: Node count of the bundled graph (from the ready handshake) —
         #: what Server.submit validates request node ids against.
         self.n: int = self._handles[0].ready_info
@@ -1095,7 +979,6 @@ class WorkerPool:
         self._req_pipe_bytes = 0
         self._req_shm_bytes = 0
         self._req_oversized = 0
-        self._req_pickled = 0
         self._req_crc_failures = 0
         self._req_wpos = [0] * workers
         # Dispatch wall-time breakdown (stats()["dispatch"]).
@@ -1138,48 +1021,36 @@ class WorkerPool:
     def lane_names(self) -> List[str]:
         """Names of every shared-memory segment the pool owns (reply
         and request lanes) — tests assert none outlive ``close()``."""
-        return [
-            lane.name
-            for lane in (*self._lanes, *self._req_lanes)
-            if lane is not None
-        ]
+        return [lane.name for lane in (*self._lanes, *self._req_lanes)]
 
     # ------------------------------------------------------------------
     def _encode_sub(self, slot: int, reqs: List[Request], fault):
-        """One sub-batch -> its wire message, with request-path accounting.
+        """One sub-batch -> ``(message, clean)``, with request accounting.
 
-        The happy path packs the requests into REQCOL columns, writes
-        them at worker ``slot``'s request-ring cursor (8-aligned
-        advance, wrap to 0 — safe because dispatch is lockstep per
-        worker) and returns the tiny ``("reql", offset, nbytes, crc)``
-        control frame.  A packed batch larger than the lane rides the
-        pipe packed (``"reqp"``); a batch with non-column request kinds
-        — or a pool with request lanes off — falls back to classic
-        pickled dispatch.  Scripted *request* faults (``req_corrupt`` /
-        ``req_truncate``) are consumed here: the frame keeps the clean
-        payload's CRC and length while the damaged bytes go into the
-        lane/pipe, exactly like a torn write the worker must catch; on
-        the pickled path there is no packed payload to damage, so they
-        are a documented no-op.  Every frame's pickled size is charged
-        to ``pipe_bytes`` — the same accounting rule the reply path
-        uses.
+        The requests are packed into REQCOL columns, written at worker
+        ``slot``'s request-ring cursor (8-aligned advance, wrap to 0 —
+        safe because dispatch is lockstep per worker) and announced by
+        the tiny ``("reql", offset, nbytes, crc)`` control frame; a
+        packed batch larger than the lane rides the pipe in-band as
+        ``("reqp", payload, crc)``.  ``clean`` is that in-band frame
+        over the undamaged payload, which retries and hedges resend.
+        Scripted *request* faults (``req_corrupt`` / ``req_truncate``)
+        are consumed here: the frame keeps the clean payload's CRC and
+        length while the damaged bytes go into the lane/pipe, exactly
+        like a torn write the worker must catch.  Every frame's pickled
+        size is charged to ``pipe_bytes`` — the same accounting rule
+        the reply path uses.
         """
         req_fault = None
         if fault is not None and _faults.is_request_fault(fault):
             req_fault, fault = fault, None
-        lane = self._req_lanes[slot]
-        blob = pack_requests(reqs) if lane is not None else None
-        if blob is None:
-            self._req_pickled += 1
-            msg: tuple = ("batch", reqs)  # repro: allow[hot-path-pickle-discipline] — the fallback seam
-            if fault is not None:
-                msg = ("batch", reqs, fault)
-            self._req_pipe_bytes += len(pickle.dumps(msg))
-            return msg
+        blob = pack_requests(reqs)
         crc = zlib.crc32(blob)
+        clean = ("reqp", blob, crc)
         payload = blob
         if req_fault is not None:
             payload = _faults.apply_request(req_fault, blob)
+        lane = self._req_lanes[slot]
         if len(blob) <= lane.size:
             wpos = self._req_wpos[slot]
             if wpos + len(blob) > lane.size:
@@ -1187,18 +1058,15 @@ class WorkerPool:
             lane.shm.buf[wpos : wpos + len(payload)] = payload
             # keep the next write 8-aligned, mirroring the reply ring
             self._req_wpos[slot] = (wpos + len(blob) + 7) & ~7
-            msg = ("reql", wpos, len(blob), crc)
-            if fault is not None:
-                msg = msg + (fault,)
-            self._req_pipe_bytes += len(pickle.dumps(msg))
+            msg: tuple = ("reql", wpos, len(blob), crc)
             self._req_shm_bytes += len(blob)
-            return msg
-        self._req_oversized += 1
-        msg = ("reqp", payload, crc)
+        else:
+            self._req_oversized += 1
+            msg = ("reqp", payload, crc)
         if fault is not None:
             msg = msg + (fault,)
         self._req_pipe_bytes += len(pickle.dumps(msg))
-        return msg
+        return msg, clean
 
     # ------------------------------------------------------------------
     def _reply_payload(self, w: int, reply) -> Tuple[object, float]:
@@ -1206,14 +1074,14 @@ class WorkerPool:
         and CRC verification.
 
         ``("okl", offset, nbytes, crc, busy)`` control frames resolve to
-        a zero-copy window over worker ``w``'s lane (only the ~60-byte
+        a zero-copy window over worker ``w``'s lane (only the tiny
         pickled frame crossed the pipe — that is what gets charged to
-        ``pipe_bytes``); ``("ok", blob, crc, busy)`` replies charge the
-        full packed payload, and count as oversized when a lane existed
-        but the reply did not fit it.  Either way the payload's CRC32
-        must match the one the worker computed before writing — a torn
-        lane write or truncated frame raises :class:`ReplyCorrupted`
-        (retried like a crash) instead of unpacking garbage floats.
+        ``pipe_bytes``); ``("ok", blob, crc, busy)`` replies did not fit
+        the lane, charge the full packed payload and count as oversized.
+        Either way the payload's CRC32 must match the one the worker
+        computed before writing — a torn lane write or truncated frame
+        raises :class:`ReplyCorrupted` (retried like a crash) instead of
+        unpacking garbage floats.
         """
         if reply[0] == "okl":
             _, offset, nbytes, crc, busy = reply
@@ -1238,8 +1106,7 @@ class WorkerPool:
                 f"worker {w} pipe reply failed CRC32 ({len(blob)} bytes)"
             )
         self._reply_pipe_bytes += len(blob)
-        if self._lanes[w] is not None:
-            self._oversized_replies += 1
+        self._oversized_replies += 1
         return blob, busy
 
     def _reply_blob(self, w: int, reply) -> bytes:
@@ -1262,11 +1129,19 @@ class WorkerPool:
         slots hold the :class:`WorkerCrashed` instance (the Server tier
         maps them onto the right futures); otherwise the first failure
         raises — but only after every in-flight reply has been drained,
-        so the pool is always left consistent and fully respawned.
+        so the pool is always left consistent and fully respawned.  A
+        request of any kind the wire format cannot carry raises
+        :class:`TypeError` before anything is sent.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         requests = list(requests)
+        for req in requests:
+            if not isinstance(req, _REQCOL_TYPES):
+                raise TypeError(
+                    f"unknown request type {type(req).__name__!r}; expected "
+                    "DistanceRequest / OneToManyRequest / TableRequest"
+                )
         if not requests:
             return []
         results: List[object] = [None] * len(requests)
@@ -1346,7 +1221,7 @@ class WorkerPool:
                 if self._fault_plan is not None:
                     fault = self._fault_plan.take(dispatch_id, slot)
                 t_pack = time.perf_counter()
-                msg = self._encode_sub(slot, reqs, fault)
+                msg, clean = self._encode_sub(slot, reqs, fault)
                 t_send = time.perf_counter()
                 self._pack_s += t_send - t_pack
                 try:
@@ -1355,7 +1230,7 @@ class WorkerPool:
                 except WorkerCrashed:
                     sent = False
                 self._send_s += time.perf_counter() - t_send
-                dispatched.append((slot, sub, sent))
+                dispatched.append((slot, sub, clean, sent))
                 busy_slots.add(slot)
 
             # Phase 2: collect replies in dispatch order under the recv
@@ -1364,11 +1239,11 @@ class WorkerPool:
             # dispatched sub-batch is resolved here — success, remote
             # error, or a typed WorkerCrashed subclass — so no reply is
             # ever left in a pipe and nothing waits unboundedly.
-            for slot, sub, sent in dispatched:
+            for slot, sub, clean, sent in dispatched:
                 reqs = [r for _, r in sub]
                 try:
                     blob, busy_s, aslot = self._collect_sub(
-                        slot, reqs, sent, busy_slots
+                        slot, reqs, clean, sent, busy_slots
                     )
                     busy_slots.discard(slot)
                     t_merge = time.perf_counter()
@@ -1417,7 +1292,12 @@ class WorkerPool:
         return results
 
     def _collect_sub(
-        self, slot: int, reqs: List[Request], sent: bool, busy_slots: Set[int]
+        self,
+        slot: int,
+        reqs: List[Request],
+        clean: tuple,
+        sent: bool,
+        busy_slots: Set[int],
     ) -> Tuple[object, float, int]:
         """Resolve one dispatched sub-batch to ``(payload, busy_s, slot)``.
 
@@ -1430,7 +1310,7 @@ class WorkerPool:
         """
         if sent:
             try:
-                reply, aslot = self._await_reply(slot, reqs, busy_slots)
+                reply, aslot = self._await_reply(slot, clean, busy_slots)
                 blob, busy_s = self._reply_payload(aslot, reply)
                 self._breaker.record_success(slot)
                 return blob, busy_s, aslot
@@ -1441,7 +1321,7 @@ class WorkerPool:
                 cause: Optional[WorkerCrashed] = exc
         else:
             cause = None
-        blob, busy_s = self._retry_sub(slot, reqs, cause=cause)
+        blob, busy_s = self._retry_sub(slot, reqs, clean, cause=cause)
         # Break the frame <-> traceback cycle: ``cause``'s traceback
         # references this frame, which now holds a live lane view in
         # ``blob`` — left to the cyclic GC, that view would keep the
@@ -1459,9 +1339,7 @@ class WorkerPool:
             # CRC counter is untouched (that check never ran).
             self._req_crc_failures += 1
 
-    def _await_reply(
-        self, slot: int, reqs: List[Request], busy_slots: Set[int]
-    ):
+    def _await_reply(self, slot: int, clean: tuple, busy_slots: Set[int]):
         """First reply for ``slot``'s sub-batch, under the watchdog.
 
         Without hedging this is a plain bounded recv.  With
@@ -1485,9 +1363,7 @@ class WorkerPool:
         hh = self._handles[hslot]
         self._hedges += 1
         try:
-            # Hedges ride the pickled path: the duplicate must not
-            # disturb the straggler's request-ring slot.
-            hh.send(("batch", reqs))  # repro: allow[hot-path-pickle-discipline]
+            hh.send(clean)  # in-band: the duplicate leaves the rings alone
         except WorkerCrashed:
             return h.recv(remaining), slot
         deadline = time.monotonic() + remaining
@@ -1599,6 +1475,7 @@ class WorkerPool:
         self,
         slot: int,
         reqs: List[Request],
+        clean: tuple,
         cause: Optional[WorkerCrashed] = None,
     ) -> Tuple[object, float]:
         """Respawn worker ``slot`` and re-run its sub-batch, bounded.
@@ -1620,10 +1497,9 @@ class WorkerPool:
             self._retry_attempts += 1
             handle.respawn()
             try:
-                # Retries ride the pickled path: after a RequestCorrupted
-                # (or any crash) the clean objects must get through even
-                # if the lane itself is what broke.
-                handle.send(("batch", reqs))  # repro: allow[hot-path-pickle-discipline]
+                # In-band: the clean payload gets through even if the
+                # request lane itself is what broke.
+                handle.send(clean)
                 reply = handle.recv(self.recv_timeout_s)
                 return self._reply_payload(slot, reply)
             except WorkerCrashed as exc:
@@ -1654,9 +1530,7 @@ class WorkerPool:
 
             path = self._spec.get("bundle_path")
             if path is not None:
-                _, engine = load_bundle(
-                    path, mmap=bool(self._spec.get("mmap", True))
-                )
+                _, engine = load_bundle(path, mmap=True)
             else:
                 _, engine = load_bundle(self._spec["bundle"])
             self._fb_planner = QueryPlanner(engine)
@@ -1690,26 +1564,15 @@ class WorkerPool:
             "workers": len(self._handles),
             "transport": self.transport,
             "reply_path": {
-                "transport": self.reply_transport,
-                "lane_bytes": (
-                    self._lane_bytes if self.reply_transport == "shm" else None
-                ),
                 "pipe_bytes": self._reply_pipe_bytes,
                 "shm_bytes": self._reply_shm_bytes,
                 "oversized_replies": self._oversized_replies,
                 "crc_failures": self._crc_failures,
             },
             "request_path": {
-                "transport": self.request_transport,
-                "lane_bytes": (
-                    self._req_lane_bytes
-                    if self.request_transport == "shm"
-                    else None
-                ),
                 "pipe_bytes": self._req_pipe_bytes,
                 "shm_bytes": self._req_shm_bytes,
                 "oversized_batches": self._req_oversized,
-                "pickled_batches": self._req_pickled,
                 "crc_failures": self._req_crc_failures,
             },
             "dispatch": {
@@ -1774,8 +1637,7 @@ class WorkerPool:
         for handle in self._handles:
             handle.close()
         for lane in (*self._lanes, *self._req_lanes):
-            if lane is not None:
-                lane.destroy()
+            lane.destroy()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -61,13 +61,12 @@ The compute itself is synchronous CPython/numpy and runs in one of
   keeps a one-thread executor for it), results merge bit-identically to
   the single-process planner path, and a sub-batch whose worker crashed
   beyond the retry budget fails only its own futures — the rest of the
-  batch completes.  Since PR 6 each worker streams its bulk reply
-  columns through a shared-memory reply lane (pipes carry only tiny
-  control frames — see :mod:`repro.serve.pool`), so the server's
-  reply path no longer pays
-  per-byte pipe cost; ``stats()["pool"]`` carries the worker-tier
-  picture (per-worker batches, busy/idle, dispatch imbalance, respawns,
-  and the ``reply_path`` transport/byte counters).
+  batch completes.  Requests and replies cross shared-memory lanes
+  (pipes carry only tiny control frames — see
+  :mod:`repro.serve.pool`), so the pool path pays no per-byte pipe
+  cost; ``stats()["pool"]`` carries the worker-tier picture
+  (per-worker batches, busy/idle, dispatch imbalance, respawns, and
+  the ``reply_path`` / ``request_path`` byte counters).
 """
 
 from __future__ import annotations

@@ -11,12 +11,12 @@ Layers:
 * ``FaultPlan`` / backoff / breaker unit behaviour (no processes);
 * single-fault episodes — kill, stall (watchdog ``WorkerStalled``),
   corrupted and truncated reply lanes (``ReplyCorrupted`` + retry),
-  and their PR-9 request-side mirrors (``RequestCorrupted`` + a clean
-  pickled retry) — each healing to planner-exact answers;
+  and their request-side mirrors (``RequestCorrupted`` + a clean
+  in-band retry) — each healing to planner-exact answers;
 * hedged re-dispatch first-answer-wins with bit-parity between the
   duplicate answers;
 * breaker quarantine -> single-process planner fallback -> recovery;
-* torn / bit-flipped bundle files -> ``BundleCorrupted``;
+* torn, trailer-less and bit-flipped bundle files -> ``BundleCorrupted``;
 * hypothesis-driven random schedules on both backends, asserting the
   full contract plus leak-freedom after ``close()``.
 """
@@ -24,7 +24,6 @@ Layers:
 import os
 import signal
 import time
-import warnings
 from multiprocessing import shared_memory
 
 import pytest
@@ -39,7 +38,12 @@ from repro.baselines.base import (
     QueryPlanner,
     TableRequest,
 )
-from repro.core.serialize import BundleCorrupted, bundle_bytes, load_bundle
+from repro.core.serialize import (
+    BundleCorrupted,
+    bundle_bytes,
+    inspect_bundle,
+    load_bundle,
+)
 from repro.datasets import grid_city
 from repro.serve import (
     BackoffPolicy,
@@ -99,14 +103,6 @@ def _assert_no_leaks(pool, shm_names):
         with pytest.raises(FileNotFoundError):
             seg = shared_memory.SharedMemory(name=name)
             seg.close()  # pragma: no cover - only reached on a leak
-
-
-def _load_quietly(source, **kwargs):
-    """load_bundle with the CRC-less legacy warning silenced (torn files
-    lose their trailer, so the legacy path may fire it first)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return load_bundle(source, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -319,18 +315,6 @@ def test_corrupt_request_is_typed_when_retries_exhausted(blob, hl):
         assert pool.execute([DistanceRequest(0, 1)]) == direct
 
 
-def test_request_fault_is_noop_on_pickled_path(blob, reqs, want):
-    """No packed payload to damage on the pipe transport — documented."""
-    plan = FaultPlan.scripted({(0, 0): faults.req_corrupt()})
-    with WorkerPool(
-        blob, workers=2, request_transport="pipe", fault_plan=plan
-    ) as pool:
-        assert pool.execute(reqs) == want
-        assert plan.injected == 1  # consumed, even though harmless
-        assert pool.stats()["request_path"]["crc_failures"] == 0
-        assert pool.stats()["resilience"]["retry"]["attempts"] == 0
-
-
 # ----------------------------------------------------------------------
 # Hedging: first answer wins, duplicates bit-compared
 # ----------------------------------------------------------------------
@@ -434,7 +418,18 @@ def test_torn_bundle_raises_bundle_corrupted(tmp_path, blob):
         fh.write(blob)
     torn = faults.torn_copy(path, str(tmp_path / "torn.bundle"))
     with pytest.raises(BundleCorrupted):
-        _load_quietly(torn)
+        load_bundle(torn)
+    # a valid bundle with its trailer sliced off fails at the trailer,
+    # before any section is decoded — from bytes and from a file alike
+    (trailer,) = [s for s in inspect_bundle(blob) if s["magic"] == "BCRC1"]
+    sliced = blob[: trailer["offset"]]
+    bare = str(tmp_path / "bare.bundle")
+    with open(bare, "wb") as fh:
+        fh.write(sliced)
+    for source in (sliced, bare):
+        with pytest.raises(BundleCorrupted) as exc_info:
+            load_bundle(source)
+        assert exc_info.value.section == "trailer"
     # the pristine original still loads
     load_bundle(path)
 
@@ -492,11 +487,7 @@ def test_chaos_schedule_full_contract(graph, hl, blob, name, seed):
     with backend.forced(name):
         want = QueryPlanner(hl).execute(reqs)
         pool = WorkerPool(
-            blob,
-            workers=2,
-            backend_name=name,
-            recv_timeout_s=0.25,
-            fault_plan=plan,
+            blob, workers=2, recv_timeout_s=0.25, fault_plan=plan
         )
         try:
             shm = _shm_names(pool)
@@ -551,7 +542,7 @@ def test_request_chaos_never_wrong_answer(graph, hl, blob, seed):
         assert plan.injected + len(plan) == scheduled
         assert pool.execute(reqs) == want  # fully healed
         stats = pool.stats()["request_path"]
-        assert stats["transport"] == "shm"
+        assert stats["shm_bytes"] > 0
         assert stats["crc_failures"] <= plan.injected
     finally:
         pool.close()

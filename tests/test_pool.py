@@ -14,11 +14,13 @@ Four load-bearing properties:
 * **Buffer/mmap serialization**: bundles load from bytes and mmap'd
   paths with zero-copy label columns, answer identically, and re-save
   byte-identically.
-* **Reply-lane lifecycle** (PR 6): the shared-memory reply path answers
-  exactly like the pipe path, oversized replies degrade to the pipe,
-  lanes survive worker crash + respawn with a reply in flight, and
-  ``close`` unlinks every segment — nothing outlives the pool in
-  ``/dev/shm``.
+* **Lane lifecycle**: oversized replies and requests ride the pipe
+  in-band, the rings wrap, lanes survive worker crash + respawn with a
+  reply in flight, and ``close`` unlinks every segment — nothing
+  outlives the pool in ``/dev/shm``.
+* **One wire format**: every request kind (subclasses included) packs
+  into REQCOL columns and round-trips exactly; anything else is refused
+  before a single byte is sent.
 """
 
 import asyncio
@@ -41,9 +43,16 @@ from repro.baselines.base import (
 from repro.baselines.ch import contract_graph
 from repro.baselines.hl import _rank_bands
 from repro.bench.harness import run_open_loop
-from repro.core.serialize import bundle_bytes, load_bundle, save_bundle
+from repro.core.serialize import (
+    bundle_bytes,
+    load_bundle,
+    pack_requests,
+    save_bundle,
+    unpack_requests,
+)
 from repro.datasets import grid_city
 from repro.serve import Server, WorkerCrashed, WorkerPool
+from repro.serve import pool as pool_module
 from repro.serve.pool import CrashRequest, plan_split
 
 INF = float("inf")
@@ -118,10 +127,10 @@ def _request_strategy(n):
 def test_pool_matches_single_process_planner(graph, hl, pools, data):
     """Pool answers == single-process planner answers, bit for bit.
 
-    The workers of each pool were booted under their backend
-    (``backend_name`` pins it), the reference planner runs under the
-    same backend in this process — so the property also crosses the
-    process boundary for both kernel families.
+    The workers of each pool were booted under their backend (the pool
+    was built inside ``backend.forced``), the reference planner runs
+    under the same backend in this process — so the property also
+    crosses the process boundary for both kernel families.
     """
     requests = data.draw(
         st.lists(_request_strategy(graph.n), min_size=1, max_size=24)
@@ -267,53 +276,25 @@ def _attach_by_name(name):
     seg.close()
 
 
-def test_reply_transports_agree_and_report(blob, hl):
-    """shm and pipe transports are answer-identical; stats tell them apart."""
-    reqs = [DistanceRequest(i, 35 - i) for i in range(14)] + [
-        OneToManyRequest(3, tuple(range(12))),
-        TableRequest((0, 7, 21), (5, 9, 30)),
-    ]
-    want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2) as shm_pool, WorkerPool(
-        blob, workers=2, reply_transport="pipe"
-    ) as pipe_pool:
-        assert shm_pool.execute(reqs) == want
-        assert pipe_pool.execute(reqs) == want
-        s = shm_pool.stats()["reply_path"]
-        p = pipe_pool.stats()["reply_path"]
-        assert s["transport"] == "shm" and p["transport"] == "pipe"
-        assert s["shm_bytes"] > 0 and s["oversized_replies"] == 0
-        assert p["shm_bytes"] == 0 and p["lane_bytes"] is None
-        # control frames are tiny next to the packed-f64 payload
-        assert s["pipe_bytes"] < p["pipe_bytes"]
-        assert all(lane is None for lane in pipe_pool._lanes)
-
-
-def test_reply_transport_validation(blob):
-    with pytest.raises(ValueError):
-        WorkerPool(blob, workers=2, reply_transport="carrier-pigeon")
-    with pytest.raises(ValueError):
-        WorkerPool(blob, workers=2, lane_bytes=0)
-
-
-def test_oversized_reply_falls_back_to_pipe(blob, hl):
+def test_oversized_reply_falls_back_to_pipe(blob, hl, monkeypatch):
     """Replies that outgrow the lane ride the pipe and stay correct."""
+    monkeypatch.setattr(pool_module, "_LANE_BYTES", 64)
     reqs = [TableRequest(tuple(range(8)), tuple(range(8, 24)))] + [
         DistanceRequest(i, i + 12) for i in range(6)
     ]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2, lane_bytes=64) as pool:
+    with WorkerPool(blob, workers=2) as pool:
         assert pool.execute(reqs) == want
         stats = pool.stats()["reply_path"]
         assert stats["oversized_replies"] >= 1
-        assert stats["transport"] == "shm"  # lanes exist; fallback is per-reply
 
 
-def test_reply_lane_ring_wraps(blob, hl):
+def test_reply_lane_ring_wraps(blob, hl, monkeypatch):
     """A lane smaller than the batch stream forces the ring to wrap."""
+    monkeypatch.setattr(pool_module, "_LANE_BYTES", 256)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=1, lane_bytes=256) as pool:
+    with WorkerPool(blob, workers=1) as pool:
         for _ in range(6):  # cumulative replies >> lane size
             assert pool.execute(reqs) == want
         stats = pool.stats()["reply_path"]
@@ -340,7 +321,7 @@ def test_reply_lane_survives_crash_with_reply_in_flight(blob, hl):
 def test_reply_lanes_unlinked_on_close(blob):
     """No /dev/shm segment outlives the pool."""
     pool = WorkerPool(blob, workers=2)
-    names = [lane.name for lane in pool._lanes if lane is not None]
+    names = [lane.name for lane in pool._lanes]
     assert len(names) == 2  # one lane per worker
     pool.execute([DistanceRequest(0, 1)])
     pool.close()
@@ -353,7 +334,7 @@ def test_reply_lanes_unlinked_on_close(blob):
 def test_reply_lanes_unlinked_when_worker_already_dead(blob):
     """Killing a worker before close still leaves no segments behind."""
     pool = WorkerPool(blob, workers=2)
-    names = [lane.name for lane in pool._lanes if lane is not None]
+    names = [lane.name for lane in pool._lanes]
     os.kill(pool.handles[0].pid, signal.SIGKILL)
     pool.handles[0].process.join(timeout=10)
     pool.close()
@@ -366,62 +347,83 @@ def test_reply_lanes_unlinked_when_worker_already_dead(blob):
 # Request lanes (the symmetric dispatch side)
 # ----------------------------------------------------------------------
 class TaggedDistanceRequest(DistanceRequest):
-    """Planner-compatible subclass the REQCOL packer must refuse.
-
-    ``pack_requests`` keys on exact types, so this rides the pickled
-    fallback while ``QueryPlanner`` (isinstance dispatch) still answers
-    it — the seam the request lanes promise to keep working.
-    """
+    """Planner-compatible subclass: packs (and answers) as its base kind."""
 
 
-def test_request_transports_agree_and_report(blob, hl):
-    """shm and pipe request transports are answer-identical; stats differ."""
-    reqs = [DistanceRequest(i, 35 - i) for i in range(14)] + [
-        OneToManyRequest(3, tuple(range(12))),
-        TableRequest((0, 7, 21), (5, 9, 30)),
+class TaggedOneToManyRequest(OneToManyRequest):
+    pass
+
+
+class TaggedTableRequest(TableRequest):
+    pass
+
+
+def _wire_form(req):
+    """``(base kind, fields)`` — what a request must keep on the wire."""
+    for base in (DistanceRequest, OneToManyRequest, TableRequest, CrashRequest):
+        if isinstance(req, base):
+            return base, tuple(getattr(req, f) for f in base.__slots__)
+    raise AssertionError(f"not a wire kind: {req!r}")
+
+
+def _wire_requests():
+    node = st.one_of(
+        st.integers(0, 2**31 - 1),  # fits the int32 id column
+        st.integers(2**31, 2**63 - 1),  # forces the int64 column
+    )
+    ids = st.lists(node, max_size=5)
+
+    def kind(classes, a, b):
+        return st.sampled_from(classes).flatmap(lambda cls: st.builds(cls, a, b))
+
+    return st.lists(
+        st.one_of(
+            kind((DistanceRequest, TaggedDistanceRequest), node, node),
+            kind((OneToManyRequest, TaggedOneToManyRequest), node, ids),
+            kind((TableRequest, TaggedTableRequest), ids, ids),
+            st.builds(CrashRequest),
+        ),
+        max_size=12,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(reqs=_wire_requests())
+def test_reqcol_round_trips_every_wire_kind(reqs):
+    """pack -> unpack gives back equal requests, subclasses as their base
+    kind, on both sides of the int32/int64 id-width switch."""
+    blob = pack_requests(reqs)
+    back = unpack_requests(blob)
+    want = [_wire_form(r) for r in reqs]
+    assert [type(r) for r in back] == [kind for kind, _ in want]
+    assert [_wire_form(r) for r in back] == want
+    ids = [
+        v
+        for _, fields in want
+        for f in fields
+        for v in (f if isinstance(f, tuple) else (f,))
     ]
-    want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2) as shm_pool, WorkerPool(
-        blob, workers=2, request_transport="pipe"
-    ) as pipe_pool:
-        assert shm_pool.execute(reqs) == want
-        assert pipe_pool.execute(reqs) == want
-        s = shm_pool.stats()["request_path"]
-        p = pipe_pool.stats()["request_path"]
-        assert s["transport"] == "shm" and p["transport"] == "pipe"
-        assert s["shm_bytes"] > 0 and s["oversized_batches"] == 0
-        assert s["pickled_batches"] == 0 and s["crc_failures"] == 0
-        assert p["shm_bytes"] == 0 and p["lane_bytes"] is None
-        assert p["pickled_batches"] > 0
-        # control frames are tiny next to pickled request objects
-        assert s["pipe_bytes"] < p["pipe_bytes"]
-        assert all(lane is None for lane in pipe_pool._req_lanes)
+    assert blob[0] == (4 if all(v < 2**31 for v in ids) else 8)
 
 
-def test_request_transport_validation(blob):
-    with pytest.raises(ValueError):
-        WorkerPool(blob, workers=2, request_transport="smoke-signal")
-    with pytest.raises(ValueError):
-        WorkerPool(blob, workers=2, request_lane_bytes=0)
-
-
-def test_oversized_request_falls_back_to_packed_pipe(blob, hl):
+def test_oversized_request_falls_back_to_packed_pipe(blob, hl, monkeypatch):
     """Batches that outgrow the request ring ride the pipe, packed."""
+    monkeypatch.setattr(pool_module, "_LANE_BYTES", 64)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2, request_lane_bytes=64) as pool:
+    with WorkerPool(blob, workers=2) as pool:
         assert pool.execute(reqs) == want
         stats = pool.stats()["request_path"]
         assert stats["oversized_batches"] >= 1
-        assert stats["transport"] == "shm"  # lanes exist; fallback per-batch
-        assert stats["pickled_batches"] == 0  # packed even over the pipe
+        assert stats["shm_bytes"] == 0  # nothing fit the 64-byte ring
 
 
-def test_request_ring_wraps(blob, hl):
+def test_request_ring_wraps(blob, hl, monkeypatch):
     """A request ring smaller than the stream forces a wrap."""
+    monkeypatch.setattr(pool_module, "_LANE_BYTES", 256)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=1, request_lane_bytes=256) as pool:
+    with WorkerPool(blob, workers=1) as pool:
         for _ in range(6):  # cumulative request bytes >> ring size
             assert pool.execute(reqs) == want
         stats = pool.stats()["request_path"]
@@ -430,16 +432,37 @@ def test_request_ring_wraps(blob, hl):
 
 
 def test_unpackable_request_kind_rides_pickled_fallback(blob, hl):
-    """Non-column request types keep the pickled path, same answers."""
-    tagged = [TaggedDistanceRequest(0, 7)]
-    packable = [DistanceRequest(i, i + 9) for i in range(8)]
+    """A request subclass packs as its base kind: it rides the request
+    lane (there is no pickled fallback) and is answered exactly like
+    the base kind."""
+    tagged = [
+        TaggedDistanceRequest(0, 7),
+        TaggedOneToManyRequest(3, (1, 2, 30)),
+        TaggedTableRequest((0, 4), (5, 6)),
+    ]
+    base = [
+        DistanceRequest(0, 7),
+        OneToManyRequest(3, (1, 2, 30)),
+        TableRequest((0, 4), (5, 6)),
+    ]
     with WorkerPool(blob, workers=2) as pool:
-        assert pool.execute(tagged) == QueryPlanner(hl).execute(tagged)
-        assert pool.stats()["request_path"]["pickled_batches"] == 1
-        assert pool.execute(packable) == QueryPlanner(hl).execute(packable)
+        assert pool.execute(tagged) == QueryPlanner(hl).execute(base)
         stats = pool.stats()["request_path"]
-        assert stats["pickled_batches"] == 1  # only the tagged batch
-        assert stats["shm_bytes"] > 0  # the packable batch took the lane
+        assert stats["shm_bytes"] > 0 and stats["oversized_batches"] == 0
+
+
+def test_unknown_request_kind_raises_before_dispatch(blob):
+    """A request the wire format cannot carry is refused up front: no
+    sub-batch is sent, so no worker is touched."""
+    with WorkerPool(blob, workers=2) as pool:
+        before = pool.stats()
+        for batch in ([object()], [DistanceRequest(0, 1), object()]):
+            with pytest.raises(TypeError):
+                pool.execute(batch)
+        after = pool.stats()
+        assert after["dispatches"] == before["dispatches"]
+        assert after["respawns"] == before["respawns"]
+        assert after["request_path"] == before["request_path"]
 
 
 def test_request_lanes_unlinked_on_close(blob):
