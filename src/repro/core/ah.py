@@ -24,7 +24,12 @@ A bidirectional Dijkstra over upward edges only (the **rank
 constraint**), optionally pruning any relaxation toward a level-``i``
 node that falls outside every 3x3-cell region of ``R_{i+1}`` around the
 query endpoint (the **proximity constraint**), optionally jumping along
-elevating edges up to the separation level of the query pair.
+elevating edges up to the separation level of the query pair.  The loop
+reads tables derived once per index (``_build_query_tables``): each
+node's cell in the grid of its own proximity test, the endpoint anchors
+those cells are compared with, and each node's jump list per separation
+level.  A relaxation then tests proximity with integer arithmetic, and
+a jump costs one list index.
 
 Correctness notes
 -----------------
@@ -48,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from heapq import heappop, heappush
 
 from ..baselines.base import QueryEngine
-from ..baselines.ch import contract_graph
+from ..baselines.ch import contract_graph, unpack_shortcuts
 from ..graph.graph import Graph
 from ..graph.path import Path
 from ..graph.workspace import acquire, release
@@ -60,8 +65,21 @@ __all__ = ["AHIndex"]
 
 INF = float("inf")
 
-# parent entry: (predecessor, packed chain from predecessor to node)
-_Parent = Tuple[int, Tuple[int, ...]]
+# elevating jump: (terminal, distance, packed chain between the two ends)
+_Jump = Tuple[int, float, Tuple[int, ...]]
+# per node: the jump list a query at one separation level takes, or None
+_JumpColumn = List[Optional[List[_Jump]]]
+
+
+def _separating_level(
+    sx: List[int], sy: List[int], tx: List[int], ty: List[int], h: int
+) -> int:
+    """:meth:`NodeGrid.coarsest_separating_level`, read off two nodes'
+    anchor lists (their finest cells shifted by ``0 .. h-1``)."""
+    j = h
+    while j and -2 <= sx[j - 1] - tx[j - 1] <= 2 and -2 <= sy[j - 1] - ty[j - 1] <= 2:
+        j -= 1
+    return j
 
 
 class AHIndex(QueryEngine):
@@ -148,12 +166,13 @@ class AHIndex(QueryEngine):
         self.node_grid: NodeGrid = self.assignment.node_grid
         self.h: int = self.assignment.h
 
-        self._elev_f: Dict[int, Dict[int, List[Tuple[int, float, Tuple[int, ...]]]]] = {}
-        self._elev_b: Dict[int, Dict[int, List[Tuple[int, float, Tuple[int, ...]]]]] = {}
+        self._elev_f: Dict[int, Dict[int, List[_Jump]]] = {}
+        self._elev_b: Dict[int, Dict[int, List[_Jump]]] = {}
         if elevating:
             t0 = time.perf_counter()
             self._build_elevating(elevating_settle_cap)
             self.build_times["elevating"] = time.perf_counter() - t0
+        self._build_query_tables()
 
     # ------------------------------------------------------------------
     # Accounting
@@ -246,6 +265,7 @@ class AHIndex(QueryEngine):
         custom.build_times["customization"] = time.perf_counter() - t0
         custom._elev_f = {}
         custom._elev_b = {}
+        custom._build_query_tables()
         return custom
 
     # ------------------------------------------------------------------
@@ -275,7 +295,7 @@ class AHIndex(QueryEngine):
         j: int,
         adjacency: List[List[Tuple[int, float, Optional[int]]]],
         cap: int,
-    ) -> Optional[List[Tuple[int, float, Tuple[int, ...]]]]:
+    ) -> Optional[List[_Jump]]:
         """Upward search from ``source`` through sub-``j`` levels.
 
         Returns ``(terminal, distance, packed chain)`` for every first
@@ -318,7 +338,7 @@ class AHIndex(QueryEngine):
                         dist[v] = nd
                         parent[v] = u
                         heappush(heap, (nd, v))
-            out: List[Tuple[int, float, Tuple[int, ...]]] = []
+            out: List[_Jump] = []
             for node, d in terminals:
                 chain = [node]
                 x = node
@@ -332,6 +352,51 @@ class AHIndex(QueryEngine):
             release(graph, ws)
 
     # ------------------------------------------------------------------
+    # Query tables
+    # ------------------------------------------------------------------
+    def _build_query_tables(self) -> None:
+        """Derive, once per index, the per-node tables :meth:`_query` reads.
+
+        ``_anchor_x[v]``/``_anchor_y[v]`` list node ``v``'s finest cell
+        shifted by ``0 .. h-1``, then ``0``: the anchors that a query from
+        or to ``v`` tests proximity against.  Nodes with the same finest
+        coordinate share one list.  ``_cell_x[v]``/``_cell_y[v]`` pick
+        ``v``'s own entry at its level ``l``: its cell in ``R_{l+1}``,
+        the grid of its proximity test.  A top-level node gets ``0``,
+        which every anchor list ends with, so it always passes.
+
+        ``_jumps_f``/``_jumps_b`` hold, per separation level ``j``, each
+        node's jump list for a query separated at ``R_j``: its elevating
+        table of the largest level ``<= j`` above its own, or ``None``
+        where the node relaxes its plain upward edges.  A level without
+        any jump is ``None`` as a whole.
+        """
+        h = self.h
+        grid = self.node_grid
+        coords = dict.fromkeys(grid._fx + grid._fy)
+        shifted = {c: [c >> i for i in range(h)] + [0] for c in coords}
+        self._anchor_x = [shifted[c] for c in grid._fx]
+        self._anchor_y = [shifted[c] for c in grid._fy]
+        self._cell_x = [a[lv] for a, lv in zip(self._anchor_x, self.levels)]
+        self._cell_y = [a[lv] for a, lv in zip(self._anchor_y, self.levels)]
+        self._jumps_f = self._jump_columns(self._elev_f)
+        self._jumps_b = self._jump_columns(self._elev_b)
+
+    def _jump_columns(
+        self, tables: Dict[int, Dict[int, List[_Jump]]]
+    ) -> List[Optional[_JumpColumn]]:
+        levels = self.levels
+        columns: List[Optional[_JumpColumn]] = [None] * (self.h + 1)
+        for j in range(1, self.h + 1):
+            column: _JumpColumn = [None] * self.graph.n
+            for u, per_level in tables.items():
+                reach = [k for k in per_level if levels[u] < k <= j]
+                if reach:
+                    column[u] = per_level[max(reach)]
+                    columns[j] = column
+        return columns
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def distance(self, source: int, target: int) -> float:
@@ -341,61 +406,38 @@ class AHIndex(QueryEngine):
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Shortest path: constrained search, then two-hop unpacking."""
-        d, meet = self._query(source, target, want_parents=True)
-        if meet is None:
+        d, packed = self._query(source, target, want_parents=True)
+        if packed is None:
             return None
-        node, parent_f, parent_b = meet
-        packed: List[int] = []
-        segments: List[Tuple[int, ...]] = []
-        x = node
-        while x != source:
-            pred, chain = parent_f[x]
-            segments.append(chain)
-            x = pred
-        packed.append(source)
-        for chain in reversed(segments):
-            packed.extend(chain[1:])
-        x = node
-        while x != target:
-            nxt, chain = parent_b[x]
-            packed.extend(chain[1:])
-            x = nxt
-        nodes = self._unpack(packed)
-        return Path(tuple(nodes), d)
-
-    def _unpack(self, packed: List[int]) -> List[int]:
-        middle = self._res.middle
-        nodes: List[int] = [packed[0]]
-        stack: List[Tuple[int, int]] = [
-            (packed[i], packed[i + 1]) for i in range(len(packed) - 2, -1, -1)
-        ]
-        while stack:
-            a, b = stack.pop()
-            mid = middle.get((a, b))
-            if mid is None:
-                nodes.append(b)
-            else:
-                stack.append((mid, b))
-                stack.append((a, mid))
-        return nodes
+        return Path(tuple(unpack_shortcuts(self._res.middle, packed)), d)
 
     def _query(
         self, source: int, target: int, want_parents: bool
-    ) -> Tuple[float, Optional[Tuple[int, Dict[int, _Parent], Dict[int, _Parent]]]]:
+    ) -> Tuple[float, Optional[List[int]]]:
+        """Constrained bidirectional upward search.
+
+        Returns ``(distance, packed path)`` — the node sequence through
+        the meeting point, shortcuts and jumps not yet expanded — or
+        ``(inf, None)``.  With ``want_parents=False`` the packed path of
+        a reachable pair is ``[]``.
+        """
         if source == target:
-            return 0.0, (source, {}, {})
+            return 0.0, [source]
         res = self._res
         up_out, up_in = res.up_out, res.up_in
         levels = self.levels
-        node_grid = self.node_grid
-        h = self.h
         proximity = self.proximity
         stall = self.stall_on_demand
-        j_sep = (
-            node_grid.coarsest_separating_level(source, target)
-            if self.use_elevating
-            else 0
-        )
+        # Node v passes the proximity test when its own cell lies within
+        # two cells of its side's anchor at shift levels[v], on both axes.
+        cell_x, cell_y = self._cell_x, self._cell_y
+        sx, sy = self._anchor_x[source], self._anchor_y[source]
+        tx, ty = self._anchor_x[target], self._anchor_y[target]
+        jumps_f = jumps_b = None
+        if self.use_elevating:
+            j_sep = _separating_level(sx, sy, tx, ty, self.h)
+            jumps_f = self._jumps_f[j_sep]
+            jumps_b = self._jumps_b[j_sep]
 
         graph = self.graph
         ws_f = acquire(graph)
@@ -406,8 +448,10 @@ class AHIndex(QueryEngine):
         dist_b = ws_b.dist
         visit_f = ws_f.visit
         visit_b = ws_b.visit
-        parent_f: Dict[int, _Parent] = {}
-        parent_b: Dict[int, _Parent] = {}
+        # A parent is the predecessor across a plain upward edge, or the
+        # packed chain of the jump that reached the node.
+        parent_f = ws_f.parent
+        parent_b = ws_b.parent
         dist_f[source] = 0.0
         visit_f[source] = cf
         dist_b[target] = 0.0
@@ -416,44 +460,13 @@ class AHIndex(QueryEngine):
         heap_b: List[Tuple[float, int]] = [(0.0, target)]
         best = INF
         best_node: Optional[int] = None
-        # Inlined proximity test: node v at level i must share a 3x3-cell
-        # region of R_{i+1} with the anchor, i.e. the cell Chebyshev
-        # distance at shift i is <= 2.  Anchor cells are precomputed per
-        # level so the hot loop is pure integer arithmetic.
-        fx = node_grid._fx
-        fy = node_grid._fy
-        if proximity:
-            src_cx = [fx[source] >> i for i in range(h)]
-            src_cy = [fy[source] >> i for i in range(h)]
-            tgt_cx = [fx[target] >> i for i in range(h)]
-            tgt_cy = [fy[target] >> i for i in range(h)]
-
-        def allowed_f(v: int) -> bool:
-            lv = levels[v]
-            if lv >= h:
-                return True
-            return (
-                -2 <= (fx[v] >> lv) - src_cx[lv] <= 2
-                and -2 <= (fy[v] >> lv) - src_cy[lv] <= 2
-            )
-
-        def allowed_b(v: int) -> bool:
-            lv = levels[v]
-            if lv >= h:
-                return True
-            return (
-                -2 <= (fx[v] >> lv) - tgt_cx[lv] <= 2
-                and -2 <= (fy[v] >> lv) - tgt_cy[lv] <= 2
-            )
-
         try:
             while heap_f or heap_b:
                 top_f = heap_f[0][0] if heap_f else INF
                 top_b = heap_b[0][0] if heap_b else INF
-                if best <= min(top_f, top_b):
-                    break
-                forward = top_f <= top_b
-                if forward:
+                if top_f <= top_b:
+                    if best <= top_f:
+                        break
                     d, u = heappop(heap_f)
                     if d > dist_f[u]:
                         continue
@@ -462,40 +475,34 @@ class AHIndex(QueryEngine):
                         best_node = u
                     if stall and self._stalled(u, d, dist_f, visit_f, cf, up_in):
                         continue
-                    jumped = False
-                    if j_sep and levels[u] < j_sep:
-                        per_level = self._elev_f.get(u)
-                        if per_level:
-                            jj = max((k for k in per_level if k <= j_sep), default=None)
-                            if jj is not None and jj > levels[u]:
-                                jumped = True
-                                for v, w, chain in per_level[jj]:
-                                    nd = d + w
-                                    if (
-                                        visit_f[v] != cf or nd < dist_f[v]
-                                    ) and (not proximity or allowed_f(v)):
-                                        visit_f[v] = cf
-                                        dist_f[v] = nd
-                                        if want_parents:
-                                            parent_f[v] = (u, chain)
-                                        heappush(heap_f, (nd, v))
-                    if not jumped:
+                    jump = None if jumps_f is None else jumps_f[u]
+                    if jump is None:
                         for v, w, _mid in up_out[u]:
                             nd = d + w
-                            if visit_f[v] != cf:
-                                if not proximity or allowed_f(v):
-                                    visit_f[v] = cf
-                                    dist_f[v] = nd
-                                    if want_parents:
-                                        parent_f[v] = (u, (u, v))
-                                    heappush(heap_f, (nd, v))
-                            elif nd < dist_f[v]:
-                                if not proximity or allowed_f(v):
-                                    dist_f[v] = nd
-                                    if want_parents:
-                                        parent_f[v] = (u, (u, v))
-                                    heappush(heap_f, (nd, v))
+                            if (visit_f[v] != cf or nd < dist_f[v]) and (
+                                not proximity
+                                or -2 <= cell_x[v] - sx[levels[v]] <= 2
+                                and -2 <= cell_y[v] - sy[levels[v]] <= 2
+                            ):
+                                visit_f[v] = cf
+                                dist_f[v] = nd
+                                parent_f[v] = u
+                                heappush(heap_f, (nd, v))
+                    else:
+                        for v, w, chain in jump:
+                            nd = d + w
+                            if (visit_f[v] != cf or nd < dist_f[v]) and (
+                                not proximity
+                                or -2 <= cell_x[v] - sx[levels[v]] <= 2
+                                and -2 <= cell_y[v] - sy[levels[v]] <= 2
+                            ):
+                                visit_f[v] = cf
+                                dist_f[v] = nd
+                                parent_f[v] = chain  # runs u .. v
+                                heappush(heap_f, (nd, v))
                 else:
+                    if best <= top_b:
+                        break
                     d, u = heappop(heap_b)
                     if d > dist_b[u]:
                         continue
@@ -504,46 +511,60 @@ class AHIndex(QueryEngine):
                         best_node = u
                     if stall and self._stalled(u, d, dist_b, visit_b, cb, up_out):
                         continue
-                    jumped = False
-                    if j_sep and levels[u] < j_sep:
-                        per_level = self._elev_b.get(u)
-                        if per_level:
-                            jj = max((k for k in per_level if k <= j_sep), default=None)
-                            if jj is not None and jj > levels[u]:
-                                jumped = True
-                                for v, w, chain in per_level[jj]:
-                                    nd = d + w
-                                    if (
-                                        visit_b[v] != cb or nd < dist_b[v]
-                                    ) and (not proximity or allowed_b(v)):
-                                        visit_b[v] = cb
-                                        dist_b[v] = nd
-                                        if want_parents:
-                                            # chain runs v .. u in graph order
-                                            parent_b[v] = (u, chain)
-                                        heappush(heap_b, (nd, v))
-                    if not jumped:
+                    jump = None if jumps_b is None else jumps_b[u]
+                    if jump is None:
                         for v, w, _mid in up_in[u]:
                             nd = d + w
-                            if visit_b[v] != cb:
-                                if not proximity or allowed_b(v):
-                                    visit_b[v] = cb
-                                    dist_b[v] = nd
-                                    if want_parents:
-                                        parent_b[v] = (u, (v, u))
-                                    heappush(heap_b, (nd, v))
-                            elif nd < dist_b[v]:
-                                if not proximity or allowed_b(v):
-                                    dist_b[v] = nd
-                                    if want_parents:
-                                        parent_b[v] = (u, (v, u))
-                                    heappush(heap_b, (nd, v))
+                            if (visit_b[v] != cb or nd < dist_b[v]) and (
+                                not proximity
+                                or -2 <= cell_x[v] - tx[levels[v]] <= 2
+                                and -2 <= cell_y[v] - ty[levels[v]] <= 2
+                            ):
+                                visit_b[v] = cb
+                                dist_b[v] = nd
+                                parent_b[v] = u
+                                heappush(heap_b, (nd, v))
+                    else:
+                        for v, w, chain in jump:
+                            nd = d + w
+                            if (visit_b[v] != cb or nd < dist_b[v]) and (
+                                not proximity
+                                or -2 <= cell_x[v] - tx[levels[v]] <= 2
+                                and -2 <= cell_y[v] - ty[levels[v]] <= 2
+                            ):
+                                visit_b[v] = cb
+                                dist_b[v] = nd
+                                parent_b[v] = chain  # runs v .. u
+                                heappush(heap_b, (nd, v))
+            if best_node is None:
+                return INF, None
+            if not want_parents:
+                return best, []
+            packed: List[int] = []
+            x = best_node
+            while x != source:
+                p = parent_f[x]
+                if isinstance(p, tuple):
+                    packed.extend(p[:0:-1])
+                    x = p[0]
+                else:
+                    packed.append(x)
+                    x = p
+            packed.append(source)
+            packed.reverse()
+            x = best_node
+            while x != target:
+                p = parent_b[x]
+                if isinstance(p, tuple):
+                    packed.extend(p[1:])
+                    x = p[-1]
+                else:
+                    packed.append(p)
+                    x = p
+            return best, packed
         finally:
             release(graph, ws_b)
             release(graph, ws_f)
-        if best_node is None:
-            return INF, None
-        return best, (best_node, parent_f, parent_b)
 
     @staticmethod
     def _stalled(

@@ -13,9 +13,13 @@ Index format (little-endian)::
     magic  b"AHIDX1\\n"
     header: n, h, flags, then pyramid origin_x/origin_y/side as doubles
     arrays: levels[n] (int32), rank[n] (int32)
-    up_out: counts[n] (int32), targets (int32), weights (float64),
-            middles (int32, -1 for original edges)
+    up_out: counts[n] (int32), total (int64), targets (int32),
+            weights (float64), middles (int32, -1 for original edges)
     up_in:  same layout
+
+Loading range-checks every id before a query can index with it (edge
+counts, targets, middles, levels and ``h``) and raises
+:class:`BundleCorrupted` on damage.
 
 Elevating tables are *not* serialized (they are an optional query
 accelerator, cheaply rebuilt); a loaded index answers every query the
@@ -173,6 +177,12 @@ _DIST_ENC_NAMES = {_DIST_I4: "i4", _DIST_F8: "f8", _DIST_DD: "dd"}
 
 _FLAG_PROXIMITY = 1
 _FLAG_STALL = 2
+
+#: Largest grid height an ``AHIDX1`` header may carry.  ``R_1`` has
+#: ``2^(h+1)`` cells per side, and double coordinates cannot tell more
+#: than ``2^53`` cells apart; a larger ``h`` is damage, and the query
+#: tables would grow with it.
+_MAX_GRID_H = 64
 
 #: Bundle CRC trailer (written by :func:`save_bundle`): per-section
 #: ``<qqI`` (offset, length, crc32) entries, then the entry count, then
@@ -409,15 +419,35 @@ def _write_adjacency(
 
 
 def _read_adjacency(
-    fh: BinaryIO, n: int
+    fh: BinaryIO, n: int, name: str
 ) -> List[List[Tuple[int, float, Optional[int]]]]:
+    """One upward adjacency (``name`` is ``up_out`` or ``up_in``).
+
+    Node ids are range-checked before any query can index with them: a
+    target or middle outside ``[0, n)`` would raise mid-query or, if
+    negative, silently read another node's search state (Python indexes
+    from the end).
+    """
     counts = _read_i32_array(fh, n)
     (total,) = struct.unpack("<q", _read_exact(fh, 8))
+    if counts and min(counts) < 0:
+        raise BundleCorrupted("AHIDX1", f"{name} has a negative edge count")
+    stored = sum(counts)
+    if stored != total:
+        raise BundleCorrupted(
+            "AHIDX1", f"{name} edge counts sum to {stored}, not {total}"
+        )
     # tolist() up front so the tuple-building loop below handles plain
     # Python ints/floats only (one C conversion pass per column).
     targets = _read_i32_array(fh, total).tolist()
     weights = _read_d_array(fh, total).tolist()
     middles = _read_i32_array(fh, total).tolist()
+    if total and (min(targets) < 0 or max(targets) >= n):
+        raise BundleCorrupted("AHIDX1", f"{name} has a target outside [0, {n})")
+    if total and (min(middles) < -1 or max(middles) >= n):
+        raise BundleCorrupted(
+            "AHIDX1", f"{name} has a middle outside [0, {n}) that is not -1"
+        )
     adjacency: List[List[Tuple[int, float, Optional[int]]]] = []
     pos = 0
     for count in counts:
@@ -496,10 +526,14 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
         raise ValueError(
             f"index was built for {n} nodes but the graph has {graph.n}"
         )
+    if not 1 <= h <= _MAX_GRID_H:
+        raise BundleCorrupted("AHIDX1", f"grid height {h} outside [1, {_MAX_GRID_H}]")
     levels = _read_i32_array(fh, n)
+    if n and (min(levels) < 0 or max(levels) > h):
+        raise BundleCorrupted("AHIDX1", f"a node level lies outside [0, {h}]")
     rank = _read_i32_array(fh, n)
-    up_out = _read_adjacency(fh, n)
-    up_in = _read_adjacency(fh, n)
+    up_out = _read_adjacency(fh, n, "up_out")
+    up_in = _read_adjacency(fh, n, "up_in")
 
     middle = {}
     shortcut_count = 0
@@ -534,6 +568,7 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
     )
     index._elev_f = {}
     index._elev_b = {}
+    index._build_query_tables()
     return index
 
 

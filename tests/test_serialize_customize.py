@@ -1,10 +1,12 @@
 """Tests for index serialization and metric customization (§7 extensions)."""
 
 import io
+import struct
 
 import pytest
 
 from repro.core import AHIndex, index_bytes, load_index, save_index
+from repro.core.serialize import BundleCorrupted
 from repro.graph import GraphBuilder
 from repro.graph.traversal import distance_query
 
@@ -83,6 +85,91 @@ class TestSerialization:
         loaded = load_index(buf, towns_graph)
         with pytest.raises(ValueError, match="deserialized"):
             loaded.with_weights(towns_graph)
+
+
+class AhStream:
+    """A ``save_index`` stream with the byte offsets of its fields.
+
+    Layout (see ``repro.core.serialize``): magic, header ``<iii3d``,
+    ``levels[n]`` and ``rank[n]`` (int32), then ``up_out`` as
+    ``counts[n]`` (int32), ``total`` (int64), ``targets``, ``weights``,
+    ``middles``, then ``up_in`` in the same layout.
+    """
+
+    def __init__(self, index):
+        buf = io.BytesIO()
+        save_index(index, buf)
+        self.data = bytearray(buf.getvalue())
+        self.header = 7
+        self.n, self.h = struct.unpack_from("<ii", self.data, self.header)
+        self.levels = self.header + 36
+        self.counts = self.levels + 8 * self.n
+        (self.total,) = struct.unpack_from("<q", self.data, self.counts + 4 * self.n)
+        self.targets = self.counts + 4 * self.n + 8
+        self.middles = self.targets + 12 * self.total
+
+    def get(self, offset, i):
+        return struct.unpack_from("<i", self.data, offset + 4 * i)[0]
+
+    def put(self, offset, i, value):
+        struct.pack_into("<i", self.data, offset + 4 * i, value)
+
+    def load(self, graph):
+        return load_index(bytes(self.data), graph)
+
+
+class TestIndexValidation:
+    """Every id an ``AHIDX1`` stream carries is range-checked on load.
+
+    Before these checks a target of -1 loaded and answered some queries
+    wrong, a target >= n raised ``IndexError`` mid-query, and a negative
+    level loaded.
+    """
+
+    def assert_rejected(self, stream, graph, detail):
+        with pytest.raises(BundleCorrupted, match=detail) as exc_info:
+            stream.load(graph)
+        assert exc_info.value.section == "AHIDX1"
+
+    @pytest.mark.parametrize("damage", ["negative", "sum"])
+    def test_counts(self, towns_ah, towns_graph, damage):
+        stream = AhStream(towns_ah)
+        a = next(u for u in range(stream.n) if stream.get(stream.counts, u) > 0)
+        count = stream.get(stream.counts, a)
+        if damage == "negative":
+            # keeps the sum equal to the stored total
+            stream.put(stream.counts, a, -1)
+            after = stream.get(stream.counts, a + 1)
+            stream.put(stream.counts, a + 1, after + count + 1)
+            self.assert_rejected(stream, towns_graph, "negative edge count")
+        else:
+            stream.put(stream.counts, a, count + 1)
+            self.assert_rejected(stream, towns_graph, "counts sum to")
+
+    @pytest.mark.parametrize("bad", ["-1", "n", "i32-max"])
+    def test_targets(self, towns_ah, towns_graph, bad):
+        stream = AhStream(towns_ah)
+        value = {"-1": -1, "n": stream.n, "i32-max": 2**31 - 1}[bad]
+        stream.put(stream.targets, stream.total // 2, value)
+        self.assert_rejected(stream, towns_graph, "up_out has a target outside")
+
+    @pytest.mark.parametrize("bad", ["-2", "n"])
+    def test_middles(self, towns_ah, towns_graph, bad):
+        stream = AhStream(towns_ah)
+        stream.put(stream.middles, 0, {"-2": -2, "n": stream.n}[bad])
+        self.assert_rejected(stream, towns_graph, "up_out has a middle outside")
+
+    @pytest.mark.parametrize("bad", ["-3", "h+1"])
+    def test_levels(self, towns_ah, towns_graph, bad):
+        stream = AhStream(towns_ah)
+        stream.put(stream.levels, 0, {"-3": -3, "h+1": stream.h + 1}[bad])
+        self.assert_rejected(stream, towns_graph, "level lies outside")
+
+    @pytest.mark.parametrize("value", [0, 65])
+    def test_grid_height(self, towns_ah, towns_graph, value):
+        stream = AhStream(towns_ah)
+        struct.pack_into("<i", stream.data, stream.header + 4, value)
+        self.assert_rejected(stream, towns_graph, "grid height")
 
 
 class TestCustomization:
