@@ -17,9 +17,7 @@ the PR 5 worker tier taking the same serving stack past that:
 3. ``stats()["pool"]`` shows the worker-tier picture: per-worker batch
    counts, busy vs idle seconds, dispatch imbalance, respawns;
 4. a worker is **killed mid-service** and the pool respawns it from the
-   bundle — clients never notice;
-5. the same worker substrate rebuilds the hub labels **in parallel**
-   (`build_workers=`), byte-identical to the serial build.
+   bundle — clients never notice.
 
 On a multicore box steps 2-3 are where the throughput multiplies; on a
 single-core container the demo still runs (the tier is correct
@@ -35,7 +33,7 @@ import time
 
 from repro import backend
 from repro.baselines import HubLabelIndex
-from repro.core.serialize import bundle_bytes, save_bundle
+from repro.core.serialize import save_bundle
 from repro.datasets import towns_and_highways
 from repro.serve import DistanceRequest, OneToManyRequest, Server, WorkerPool
 
@@ -133,20 +131,6 @@ def main() -> None:
               f"respawns={stats2['pool']['respawns']}, clients saw nothing")
     finally:
         pool.close()
-
-    print(f"\n[5] parallel label build ({WORKERS} workers), byte-identical")
-    t0 = time.perf_counter()
-    parallel = HubLabelIndex(graph, build_workers=WORKERS)
-    t_par = time.perf_counter() - t0
-    assert bundle_bytes(parallel) == bundle_bytes(index)
-    info = parallel.build_info
-    sync = info["sync"]
-    print(f"   {t_par:.3f}s over {info['bands']} rank bands "
-          f"(largest {info['largest_band']} nodes) — "
-          f"bundle bytes identical to the serial build")
-    print(f"   pipelined sync: {sync['shm_bytes']} shm bytes / "
-          f"{sync['pipe_bytes']} pipe bytes, "
-          f"overlap fraction {sync['overlap_fraction']:.2f}")
 
 
 if __name__ == "__main__":

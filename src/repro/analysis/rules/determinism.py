@@ -3,8 +3,8 @@
 Set iteration order is a hash-table implementation detail — it varies
 with insertion history and (for strings) ``PYTHONHASHSEED``.  Any
 answer assembled by walking a set can differ run-to-run while staying
-"equal", which breaks byte-identical serialization, parallel-build
-byte-identity, and the pool's bit-parity contract.  The rule flags
+"equal", which breaks byte-identical serialization, cross-backend
+bundle identity, and the pool's bit-parity contract.  The rule flags
 ``for``-loops and comprehension generators whose iterable is:
 
 * a set literal / set comprehension,
@@ -100,9 +100,9 @@ register(
             "of the input graph — never of hash order."
         ),
         rationale=(
-            "The repo pins byte-identical labels from serial and "
-            "parallel builds, byte-identical bundles across backends, "
-            "and bit-identical pool answers.  All three die quietly if "
+            "The repo pins byte-identical bundles across backends, "
+            "byte-identical re-saves of loaded bundles, and "
+            "bit-identical pool answers.  All three die quietly if "
             "any contributing loop walks a set: the values stay 'equal' "
             "while their order — and thus tie-breaks, label layouts and "
             "serialized bytes — drifts between runs.  Such bugs evade "
@@ -111,8 +111,8 @@ register(
             "refactors."
         ),
         motivated_by=(
-            "PR 5 parallel-build byte-identity tests (tests/test_pool.py) "
-            "and the PR 3 bundle byte-identity property tests"
+            "the cross-backend bundle byte-identity property tests "
+            "(tests/test_backend_parity.py)"
         ),
         check=_check,
         paths=lambda rel: rel.endswith(".py")

@@ -179,288 +179,6 @@ def _pruned_upward_labels(
     return entries
 
 
-def _rank_bands(res: ContractionResult, by_rank: List[int]) -> List[List[int]]:
-    """Partition nodes into parallelisable *rank bands* (equal levels).
-
-    ``height[u]`` is the longest upward-edge path out of ``u`` over the
-    union of both upward graphs (``up_out`` and ``up_in``).  Every node
-    either search from ``u`` can settle is reachable by upward edges,
-    hence has strictly smaller height — so nodes of equal height are
-    mutually unreachable: their pruned searches read only labels of
-    earlier (smaller-height) bands, and a whole band can build in
-    parallel once the previous bands are finished.  Band 0 holds the top
-    of the hierarchy (no upward edges at all), matching the serial
-    descending-rank order's first nodes; by induction every node's label
-    comes out *identical* to the serial build's (the ISSUE's
-    byte-for-byte bar — ``tests/test_pool.py`` pins it).
-
-    Within a band nodes are listed in descending rank, so a
-    single-worker band-parallel build visits nodes in exactly the serial
-    order.
-    """
-    n = len(by_rank)
-    height = [0] * n
-    for r in range(n - 1, -1, -1):  # upward neighbours outrank u: done
-        u = by_rank[r]
-        h = 0
-        for v, _, _ in res.up_out[u]:
-            hv = height[v]
-            if hv >= h:
-                h = hv + 1
-        for v, _, _ in res.up_in[u]:
-            hv = height[v]
-            if hv >= h:
-                h = hv + 1
-        height[u] = h
-    bands: List[List[int]] = [[] for _ in range(max(height) + 1 if n else 0)]
-    for r in range(n - 1, -1, -1):
-        u = by_rank[r]
-        bands[height[u]].append(u)
-    return bands
-
-
-def _contiguous_chunks(seq: List[int], k: int) -> List[List[int]]:
-    """``seq`` in ``k`` contiguous, near-equal slices (may be empty)."""
-    q, r = divmod(len(seq), k)
-    out = []
-    pos = 0
-    for i in range(k):
-        size = q + (1 if i < r else 0)
-        out.append(seq[pos : pos + size])
-        pos += size
-    return out
-
-
-#: Bands smaller than this are built in the parent process — at the top
-#: of the hierarchy bands hold a handful of nodes, where two pipe
-#: round-trips cost more than the searches themselves.  The
-#: ``band_min=`` constructor knob overrides it per build.
-_PARALLEL_BAND_MIN = 8
-
-#: Default size of the pipelined build's shared sync ring (split into
-#: two halves of per-worker slices; chunks that do not fit their slice
-#: ride the pipe packed).
-_SYNC_LANE_BYTES = 1 << 20
-
-
-def _build_labels_parallel(
-    graph: Graph,
-    res: ContractionResult,
-    by_rank: List[int],
-    workers: int,
-    mp_context: Optional[str],
-    band_min: int = _PARALLEL_BAND_MIN,
-    pipeline: bool = True,
-    sync_lane_bytes: int = _SYNC_LANE_BYTES,
-) -> Tuple[list, list, dict]:
-    """Fan the pruned label build out over band-sliced worker processes.
-
-    Reuses the :mod:`repro.serve.pool` worker substrate: each build
-    worker holds the upward graphs plus a local replica of all finished
-    labels.  Per band, workers compute contiguous slices of the band's
-    nodes and every replica is brought up to date before the next band.
-    Small bands (< ``band_min`` nodes) are computed in the parent
-    directly (the round-trip would dominate).  Results are exactly the
-    serial build's labels — see :func:`_rank_bands` for why — so the
-    flattened columns are byte-identical.  A worker crash during the
-    build raises :class:`~repro.serve.pool.WorkerCrashed` (builds are
-    restartable; only the serving pool retries).
-
-    Two sync fabrics:
-
-    **Barrier** (``pipeline=False``, the A/B baseline): workers return
-    pickled entry lists, the parent merges them and broadcasts a
-    pickled, *acked* ``("sync", entries)`` to every worker — a full
-    stop-the-world fence per band.
-
-    **Pipelined** (the default): band replies are packed LBLCHUNK
-    columns (:func:`repro.core.serialize.pack_label_entries`) written
-    into the worker's slice of one shared sync ring; the parent
-    CRC-checks each chunk as it lands, relays a ~60 B ``("syncl",
-    offset, nbytes, crc)`` frame to the peers, and defers its own
-    decode until after the *next* band's commands are in flight — so
-    band *b*'s broadcast and the parent's merge overlap band *b+1*'s
-    compute.  No sync is ever acked: pipe FIFO order means a worker's
-    next band reply proves every earlier relay was consumed.  The ring
-    is double-buffered (two halves, indexed by a large-band counter):
-    worker *w*'s slice for band *k* is only rewritten at band *k+2*,
-    by which point every peer's band *k+1* reply has fenced its read
-    of the band-*k* chunk.  Small parent-built bands broadcast packed
-    ``("syncp", blob, crc)`` frames over the pipe (the ring's slices
-    belong to the workers' reply rhythm), and a chunk larger than its
-    slice rides the pipe packed the same way.
-    """
-    import pickle
-    import zlib
-
-    from ..core.serialize import pack_label_entries, unpack_label_entries
-    from ..serve.pool import (  # deferred: no import cycle
-        ReplyCorrupted,
-        _Lane,
-        build_worker_handles,
-    )
-
-    n = graph.n
-    bands = _rank_bands(res, by_rank)
-    lane = None
-    lane_cfg = None
-    slice_bytes = 0
-    if pipeline:
-        lane = _Lane(sync_lane_bytes)
-        slice_bytes = lane.size // (2 * workers)
-        lane_cfg = lane.cfg
-    handles = build_worker_handles(
-        n,
-        res.up_out,
-        res.up_in,
-        workers,
-        mp_context=mp_context,
-        sync_lane=lane_cfg,
-    )
-    fwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
-    bwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
-    local_nodes = 0
-    sync_shm = 0
-    sync_pipe = 0
-    oversized_chunks = 0
-    overlap_sum = 0.0
-    overlap_bands = 0
-    big_k = 0  # large-band counter — indexes the ring's double-buffer half
-    pending: List[bytes] = []  # packed chunks awaiting the deferred decode
-
-    def _drain() -> None:
-        for blob in pending:
-            for u, f, b in unpack_label_entries(blob):
-                fwd[u] = f
-                bwd[u] = b
-        pending.clear()
-
-    ws = acquire(graph)
-    try:
-        for bi, band in enumerate(bands):
-            last = bi + 1 == len(bands)  # nothing depends on the last band
-            if len(band) < band_min:
-                if pipeline:
-                    _drain()  # parent search needs every prior label
-                entries = []
-                for u in band:
-                    f = _pruned_upward_labels(u, res.up_out, bwd, ws)
-                    b = _pruned_upward_labels(u, res.up_in, fwd, ws)
-                    fwd[u] = f
-                    bwd[u] = b
-                    entries.append((u, f, b))
-                local_nodes += len(band)
-                if last:
-                    continue
-                if pipeline:
-                    blob = pack_label_entries(entries)
-                    frame = ("syncp", blob, zlib.crc32(blob))
-                    sync_pipe += len(pickle.dumps(frame)) * workers
-                    for handle in handles:
-                        handle.send(frame)  # un-acked: FIFO fences it
-                else:
-                    sync_pipe += (
-                        len(pickle.dumps(("sync", entries))) * workers
-                    )
-                    for handle in handles:
-                        handle.send(("sync", entries))
-                    for handle in handles:
-                        handle.recv()
-                continue
-            chunks = _contiguous_chunks(band, workers)
-            if not pipeline:  # barrier mode: pickled replies, acked sync
-                for handle, chunk in zip(handles, chunks):
-                    if chunk:
-                        handle.send(("band", chunk))
-                entries = []
-                for handle, chunk in zip(handles, chunks):
-                    if chunk:
-                        reply = handle.recv()
-                        entries.extend(reply[1])
-                for u, f, b in entries:
-                    fwd[u] = f
-                    bwd[u] = b
-                if not last:
-                    sync_pipe += (
-                        len(pickle.dumps(("sync", entries))) * workers
-                    )
-                    for handle in handles:
-                        handle.send(("sync", entries))
-                    for handle in handles:
-                        handle.recv()
-                continue
-            # Pipelined large band.  Every worker gets a band command —
-            # an empty chunk's reply is what proves the worker consumed
-            # the preceding sync relays (pipe FIFO), which is also what
-            # makes the double-buffered slice reuse at band big_k + 2
-            # safe.
-            half = big_k % 2
-            big_k += 1
-            for wi, handle in enumerate(handles):
-                offset = (half * workers + wi) * slice_bytes
-                handle.send(("band", chunks[wi], offset, slice_bytes))
-            _drain()  # the overlap: decode band bi-1 while workers compute
-            band_total = 0
-            band_last = 0
-            for wi, handle in enumerate(handles):
-                reply = handle.recv()
-                if not chunks[wi]:
-                    continue  # empty chunk: the reply was only a fence
-                if reply[0] == "okb":
-                    _, offset, nbytes, crc, _elapsed = reply
-                    blob = bytes(lane.shm.buf[offset : offset + nbytes])
-                    sync_shm += nbytes
-                    relay = ("syncl", offset, nbytes, crc)
-                else:  # "okp": chunk larger than its slice
-                    _, blob, crc, _elapsed = reply
-                    oversized_chunks += 1
-                    relay = ("syncp", blob, crc)
-                if zlib.crc32(blob) != crc:
-                    raise ReplyCorrupted(
-                        f"build chunk from worker {wi} failed CRC32 "
-                        f"({len(blob)} bytes, band {bi})"
-                    )
-                if not last:
-                    sync_pipe += len(pickle.dumps(relay)) * (workers - 1)
-                    for pj, peer in enumerate(handles):
-                        if pj != wi:
-                            peer.send(relay)  # un-acked: FIFO fences it
-                pending.append(blob)
-                band_total += len(blob)
-                band_last = len(blob)
-            if band_total:
-                # Everything relayed before the band's last chunk landed
-                # was broadcast while workers were still computing.
-                overlap_sum += (band_total - band_last) / band_total
-                overlap_bands += 1
-        if pipeline:
-            _drain()
-    finally:
-        release(graph, ws)
-        for handle in handles:
-            handle.close()
-        if lane is not None:
-            lane.destroy()
-    info = {
-        "mode": "parallel",
-        "workers": workers,
-        "bands": len(bands),
-        "largest_band": max((len(b) for b in bands), default=0),
-        "parent_built_nodes": local_nodes,
-        "pipeline": bool(pipeline),
-        "band_min": band_min,
-        "sync": {
-            "shm_bytes": sync_shm,
-            "pipe_bytes": sync_pipe,
-            "oversized_chunks": oversized_chunks,
-            "overlap_fraction": (
-                round(overlap_sum / overlap_bands, 4) if overlap_bands else 0.0
-            ),
-        },
-    }
-    return fwd, bwd, info
-
-
 def _flatten(
     labels: Sequence[List[Tuple[int, float, int]]],
 ) -> Tuple[array, array, array, array]:
@@ -490,28 +208,6 @@ class HubLabelIndex(QueryEngine):
         An existing :class:`ContractionResult` to label over, skipping
         the contraction phase (e.g. share one hierarchy between a
         :class:`~repro.baselines.ch.CHEngine` and its labels).
-    build_workers:
-        ``> 1`` fans the label build out over that many worker
-        processes (:func:`_build_labels_parallel`): nodes of equal
-        *level* in the upward DAG are independent given the finished
-        higher ranks, so whole rank bands build concurrently.  Labels
-        come out byte-identical to the serial build — the default
-        (``None``/``1``) keeps the serial descending-rank loop verbatim.
-    mp_context:
-        ``multiprocessing`` start method for the build workers
-        (default: ``fork`` where available).
-    band_min:
-        Bands smaller than this many nodes are built inline in the
-        parent instead of fanned out (default: the module's
-        ``_PARALLEL_BAND_MIN``, 8).  Any threshold picks the same
-        labels byte-for-byte — it only trades pipe round-trips against
-        parent-side compute.  Ignored by the serial build.
-    build_pipeline:
-        ``True`` (default) overlaps each band's sync broadcast with
-        the next band's compute through a shared-memory sync ring of
-        packed label columns; ``False`` keeps the barrier build (a
-        full acked pickled broadcast per band — the A/B baseline).
-        Identical labels either way.  Ignored by the serial build.
     """
 
     name = "HL"
@@ -523,14 +219,8 @@ class HubLabelIndex(QueryEngine):
         hop_limit: int = 8,
         settle_limit: int = 64,
         contraction: Optional[ContractionResult] = None,
-        build_workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        band_min: Optional[int] = None,
-        build_pipeline: bool = True,
     ) -> None:
         super().__init__(graph)
-        if band_min is not None and band_min < 1:
-            raise ValueError(f"band_min must be >= 1, got {band_min}")
         res = contraction if contraction is not None else contract_graph(
             graph, order=order, hop_limit=hop_limit, settle_limit=settle_limit
         )
@@ -540,30 +230,16 @@ class HubLabelIndex(QueryEngine):
         by_rank = [0] * n
         for node, r in enumerate(res.rank):
             by_rank[r] = node
-        if build_workers is not None and build_workers > 1:
-            fwd, bwd, self.build_info = _build_labels_parallel(
-                graph,
-                res,
-                by_rank,
-                build_workers,
-                mp_context,
-                band_min=(
-                    band_min if band_min is not None else _PARALLEL_BAND_MIN
-                ),
-                pipeline=build_pipeline,
-            )
-        else:
-            fwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
-            bwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
-            ws = acquire(graph)
-            try:
-                for r in range(n - 1, -1, -1):
-                    u = by_rank[r]
-                    fwd[u] = _pruned_upward_labels(u, res.up_out, bwd, ws)
-                    bwd[u] = _pruned_upward_labels(u, res.up_in, fwd, ws)
-            finally:
-                release(graph, ws)
-            self.build_info = {"mode": "serial", "workers": 1}
+        fwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
+        bwd: List[Optional[List[Tuple[int, float, int]]]] = [None] * n
+        ws = acquire(graph)
+        try:
+            for r in range(n - 1, -1, -1):
+                u = by_rank[r]
+                fwd[u] = _pruned_upward_labels(u, res.up_out, bwd, ws)
+                bwd[u] = _pruned_upward_labels(u, res.up_in, fwd, ws)
+        finally:
+            release(graph, ws)
         self.fwd_head, self.fwd_hub, self.fwd_dist, self.fwd_parent = _flatten(fwd)
         self.bwd_head, self.bwd_hub, self.bwd_dist, self.bwd_parent = _flatten(bwd)
         self._init_runtime_state()
@@ -576,8 +252,6 @@ class HubLabelIndex(QueryEngine):
         a bundle-loaded replica carries the same runtime state as a
         freshly built index.
         """
-        if not hasattr(self, "build_info"):
-            self.build_info = {"mode": "loaded"}
         if not hasattr(self, "domain"):
             #: "flat" (int64/float64 columns) or "compact" (int32 HL2
             #: columns) — set by the HL2 loader before this runs.

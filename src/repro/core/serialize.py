@@ -161,8 +161,6 @@ __all__ = [
     "inspect_bundle",
     "pack_requests",
     "unpack_requests",
-    "pack_label_entries",
-    "unpack_label_entries",
     "main",
 ]
 
@@ -968,24 +966,20 @@ def _decode_label_side(fh, n: int) -> Tuple:
 
 
 # ----------------------------------------------------------------------
-# Worker-tier column transport (request lanes + build-band sync chunks)
+# Worker-tier request transport (request lanes)
 # ----------------------------------------------------------------------
-# Transient wire formats for repro.serve.pool: same uvarint / width
+# Transient wire format for repro.serve.pool: same uvarint / width
 # discipline as HL2, but never written to disk — a dispatcher packs a
-# planner sub-batch (or a build worker packs a band's label entries)
-# into one flat block, ships it through a shared-memory lane, and the
-# other side reconstructs exact values.  Pure-Python loops over plain
-# ints/floats keep the bytes identical under both backends.
+# planner sub-batch into one flat block, ships it through a
+# shared-memory lane, and the worker reconstructs exact values.
+# Pure-Python loops over plain ints/floats keep the bytes identical
+# under both backends.
 
 #: Request kind codes in the REQCOL block (order is part of the format).
 _REQ_DISTANCE, _REQ_ONE_TO_MANY, _REQ_TABLE, _REQ_CRASH = 0, 1, 2, 3
 
 #: The request types (and their subclasses) :func:`pack_requests` packs.
 _REQCOL_TYPES = (DistanceRequest, OneToManyRequest, TableRequest, CrashRequest)
-
-#: Label-chunk distance encodings: raw float64, or uvarint when every
-#: distance is a non-negative integral (int -> float64 is exact there).
-_CHUNK_F8, _CHUNK_UV = 0, 1
 
 
 def pack_requests(requests) -> bytes:
@@ -1101,114 +1095,6 @@ def unpack_requests(blob) -> List[Request]:
             out.append(CrashRequest())
         else:
             raise ValueError(f"unknown REQCOL request kind {code}")
-    return out
-
-
-def pack_label_entries(entries) -> bytes:
-    """Build-band label entries -> one packed LBLCHUNK block.
-
-    ``entries`` is the build workers' sync unit: ``(u, fwd, bwd)`` per
-    node, each side a hub-ascending list of ``(hub, dist, parent)``
-    tuples whose parent is either ``-1`` (root) or a hub of the *same*
-    side (the pruning invariant — see ``_pruned_upward_labels``).  The
-    block stores hubs as first-absolute-then-``delta-1`` uvarints and
-    parents as 1-based in-slice positions, exactly like HL2; distances
-    ride as raw float64, or as uvarints when every value is integral
-    (bit-exact either way).  Replaces the pickled entry lists the
-    barrier-mode build broadcasts — same information, a fraction of the
-    bytes, and shareable through one shared-memory write.
-    """
-    stream = bytearray()
-    dists: List[float] = []
-    nnodes = 0
-    for u, f, b in entries:
-        nnodes += 1
-        _uvarint_append(stream, u)
-        _uvarint_append(stream, len(f))
-        _uvarint_append(stream, len(b))
-        for side in (f, b):
-            prev = -1
-            for hub, _, _ in side:
-                _uvarint_append(stream, hub - prev - 1)
-                prev = hub
-            hubs = [e[0] for e in side]
-            for hub, _, par in side:
-                if par < 0:
-                    _uvarint_append(stream, 0)
-                else:
-                    ppos = bisect_left(hubs, par)
-                    if ppos >= len(hubs) or hubs[ppos] != par:
-                        raise ValueError(
-                            f"label entry parent {par} of hub {hub} is not "
-                            "a kept hub of the same node"
-                        )
-                    _uvarint_append(stream, ppos + 1)
-            for _, d, _ in side:
-                dists.append(d)
-    enc = _CHUNK_UV
-    for d in dists:
-        if not (0.0 <= d <= 9007199254740992.0 and float(int(d)) == d):
-            enc = _CHUNK_F8
-            break
-    out = bytearray()
-    out.append(enc)
-    out += struct.pack("<q", nnodes)
-    out += struct.pack("<q", len(stream))
-    out += stream
-    if enc == _CHUNK_UV:
-        dstream = bytearray()
-        for d in dists:
-            _uvarint_append(dstream, int(d))
-        out += struct.pack("<q", len(dstream))
-        out += dstream
-    else:
-        out += struct.pack("<q", len(dists) * 8)
-        out += array("d", dists).tobytes()
-    return bytes(out)
-
-
-def unpack_label_entries(blob) -> List[tuple]:
-    """LBLCHUNK block -> ``(u, fwd, bwd)`` entry lists, exact round-trip."""
-    buf = memoryview(blob)
-    enc = buf[0]
-    (nnodes,) = struct.unpack_from("<q", buf, 1)
-    (nstream,) = struct.unpack_from("<q", buf, 9)
-    pos = 17
-    codes = _uvarint_decode(buf[pos : pos + nstream])
-    pos += nstream
-    (ndist,) = struct.unpack_from("<q", buf, pos)
-    pos += 8
-    if enc == _CHUNK_UV:
-        dvals = [float(v) for v in _uvarint_decode(buf[pos : pos + ndist])]
-    elif enc == _CHUNK_F8:
-        darr = array("d")
-        darr.frombytes(bytes(buf[pos : pos + ndist]))
-        dvals = darr.tolist()
-    else:
-        raise ValueError(f"unknown LBLCHUNK distance encoding {enc}")
-    out: List[tuple] = []
-    ci = 0
-    di = 0
-    for _ in range(nnodes):
-        u, nf, nb = codes[ci], codes[ci + 1], codes[ci + 2]
-        ci += 3
-        sides = []
-        for count in (nf, nb):
-            hubs: List[int] = []
-            prev = -1
-            for _ in range(count):
-                prev = prev + 1 + codes[ci]
-                ci += 1
-                hubs.append(prev)
-            entries = []
-            for k in range(count):
-                p = codes[ci]
-                ci += 1
-                par = -1 if p == 0 else hubs[p - 1]
-                entries.append((hubs[k], dvals[di], par))
-                di += 1
-            sides.append(entries)
-        out.append((u, sides[0], sides[1]))
     return out
 
 

@@ -61,17 +61,6 @@ sub-batch of the same dispatch completes normally, in-flight replies
 are always drained so pipes never desynchronise, and the pool ends the
 dispatch with a full complement of live workers.
 
-The same :class:`WorkerHandle` substrate (process + duplex pipe +
-ready-handshake + respawn) also runs the **parallel hub-label build**:
-:class:`repro.baselines.hl.HubLabelIndex` fans rank bands out to
-``build``-role workers (see :func:`build_worker_handles` and the build
-loop below), which hold the upward search graphs and a growing replica
-of the finished labels, and return per-node label entries band by band.
-In the pipelined build those entries travel as packed LBLCHUNK columns
-through a shared sync ring instead of pickled lists, and the sync
-broadcast for band *b* overlaps band *b+1*'s compute (see
-``repro.baselines.hl._build_labels_parallel``).
-
 Everything here is synchronous; :class:`repro.serve.Server` wires a
 pool in as its third execution tier by dispatching off-loop (the event
 loop keeps accepting submissions while workers compute).
@@ -111,7 +100,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerPool",
     "WorkerStalled",
-    "build_worker_handles",
 ]
 
 #: Exit code a worker uses for the deliberate test-hook crash, so a
@@ -130,15 +118,13 @@ _LANE_BYTES = 1 << 20
 
 
 class _Lane:
-    """One parent-owned shared-memory ring (reply, request, or sync).
+    """One parent-owned shared-memory ring (reply or request).
 
     The parent creates (and finally unlinks) the segment; the peer
     attaches by name and the writing side places each payload at a ring
     offset announced in a tiny pipe frame.  Every use is lockstep — at
-    most one payload per writer is live in its ring region at a time
-    (one in-flight sub-batch per serve worker; one band chunk per build
-    worker's double-buffered slice) — so no read/write barrier is
-    needed.
+    most one payload is live in the ring at a time (one in-flight
+    sub-batch per worker) — so no read/write barrier is needed.
     """
 
     __slots__ = ("shm", "size")
@@ -364,34 +350,29 @@ def _unpack_results(requests: Sequence[Request], blob) -> List[object]:
 # Worker process mains
 # ----------------------------------------------------------------------
 def _worker_main(conn, spec: dict) -> None:
-    """Entry point of every pool process; ``spec['role']`` selects the loop.
+    """Entry point of every pool process.
 
-    Boots, sends a ``("ready", n)`` handshake (so load errors surface at
-    spawn time in the parent, not as a hang), then serves commands until
-    ``("stop",)`` or parent death (EOF).
+    Boots an engine replica from the bundle, sends a ``("ready", n)``
+    handshake (so load errors surface at spawn time in the parent, not
+    as a hang), then serves commands until ``("stop",)`` or parent
+    death (EOF).
     """
     try:
         if spec.get("backend"):
             backend.force_backend(spec["backend"])
-        if spec["role"] == "serve":
-            from ..baselines.base import QueryPlanner
-            from ..core.serialize import load_bundle
+        from ..baselines.base import QueryPlanner
+        from ..core.serialize import load_bundle
 
-            path = spec.get("bundle_path")
-            if path is not None:
-                graph, engine = load_bundle(path, mmap=True)
-            else:
-                graph, engine = load_bundle(spec["bundle"])
-            planner = QueryPlanner(engine)
-            lane = _attach_lane(spec["lane"])
-            req_lane = _attach_lane(spec["req_lane"])
-            conn.send(("ready", graph.n))
-            _serve_loop(conn, planner, lane, spec["lane"]["size"], req_lane)
-        elif spec["role"] == "build":
-            conn.send(("ready", spec["n"]))
-            _build_loop(conn, spec)
+        path = spec.get("bundle_path")
+        if path is not None:
+            graph, engine = load_bundle(path, mmap=True)
         else:
-            raise ValueError(f"unknown worker role {spec['role']!r}")
+            graph, engine = load_bundle(spec["bundle"])
+        planner = QueryPlanner(engine)
+        lane = _attach_lane(spec["lane"])
+        req_lane = _attach_lane(spec["req_lane"])
+        conn.send(("ready", graph.n))
+        _serve_loop(conn, planner, lane, spec["lane"]["size"], req_lane)
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass  # parent went away; nothing to report to
     except Exception as exc:  # boot failure: tell the parent, then exit
@@ -499,97 +480,6 @@ def _serve_loop(conn, planner, lane, lane_size: int, req_lane) -> None:
             conn.send(("err", ValueError(f"unknown worker op {op!r}")))
 
 
-def _build_loop(conn, spec: dict) -> None:
-    """Parallel hub-label build worker: bands in, label entries out.
-
-    Holds the contraction's upward graphs plus a local replica of every
-    finished label (grown by sync broadcasts), so each ``band`` command
-    runs the exact pruned upward searches the serial build runs — same
-    inputs, same entries, byte-identical flattened columns.
-
-    Two protocols share the loop.  The **barrier** build (the A/B
-    baseline) sends ``("band", nodes)`` and gets pickled entry lists
-    back, then fences each band with an acked pickled ``("sync",
-    entries)``.  The **pipelined** build sends ``("band", nodes,
-    offset, limit)``: the worker packs its chunk into LBLCHUNK columns
-    (:func:`repro.core.serialize.pack_label_entries`), writes it into
-    its designated slice of the shared sync ring when it fits, and
-    replies with a tiny ``("okb", offset, nbytes, crc, elapsed)`` frame
-    (``("okp", blob, crc, elapsed)`` when oversized).  Peer
-    chunks arrive as un-acked ``("syncl"/"syncp", ...)`` relays — pipe
-    FIFO order makes the next ``band`` command the fence, which is what
-    lets band *b*'s broadcast overlap band *b+1*'s compute.
-    """
-    from ..baselines.hl import _pruned_upward_labels
-    from ..core.serialize import pack_label_entries, unpack_label_entries
-    from ..graph.workspace import SearchWorkspace
-
-    up_out, up_in, n = spec["up_out"], spec["up_in"], spec["n"]
-    lane_cfg = spec.get("sync_lane")
-    lane = _attach_lane(lane_cfg) if lane_cfg is not None else None
-    fwd: List[Optional[list]] = [None] * n
-    bwd: List[Optional[list]] = [None] * n
-    ws = SearchWorkspace(n)
-    while True:
-        msg = _recv_command(conn)
-        op = msg[0]
-        if op == "stop":
-            conn.send(("bye",))
-            return
-        if op == "band":
-            t0 = time.perf_counter()
-            out = []
-            for u in msg[1]:
-                f = _pruned_upward_labels(u, up_out, bwd, ws)
-                b = _pruned_upward_labels(u, up_in, fwd, ws)
-                fwd[u] = f
-                bwd[u] = b
-                out.append((u, f, b))
-            elapsed = time.perf_counter() - t0
-            if len(msg) == 2:  # barrier mode: pickled entry lists
-                conn.send(("ok", out, elapsed))
-                continue
-            offset, limit = msg[2], msg[3]
-            blob = pack_label_entries(out)
-            crc = zlib.crc32(blob)
-            if len(blob) <= limit:
-                lane.buf[offset : offset + len(blob)] = blob
-                conn.send(("okb", offset, len(blob), crc, elapsed))
-            else:
-                conn.send(("okp", blob, crc, elapsed))
-        elif op == "sync":
-            for u, f, b in msg[1]:
-                fwd[u] = f
-                bwd[u] = b
-            conn.send(("ok",))
-        elif op in ("syncl", "syncp"):
-            if op == "syncl":
-                _, offset, nbytes, crc = msg
-                blob = bytes(lane.buf[offset : offset + nbytes])
-            else:
-                _, blob, crc = msg
-            if zlib.crc32(blob) != crc:
-                # There is no ack round to carry this back on; the err
-                # frame surfaces at the parent's next recv from this
-                # worker (its band-reply slot), failing the build typed
-                # instead of silently diverging label replicas.
-                conn.send(
-                    (
-                        "err",
-                        ReplyCorrupted(
-                            f"build sync chunk failed CRC32 "
-                            f"({len(blob)} bytes via {op!r})"
-                        ),
-                    )
-                )
-                continue
-            for u, f, b in unpack_label_entries(blob):
-                fwd[u] = f
-                bwd[u] = b
-        else:
-            conn.send(("err", ValueError(f"unknown build op {op!r}")))
-
-
 def _default_context_name() -> str:
     """``fork`` where the platform offers it (cheap respawn, no spec
     pickling), else ``spawn``."""
@@ -598,41 +488,33 @@ def _default_context_name() -> str:
 
 
 # ----------------------------------------------------------------------
-# WorkerHandle: one process + pipe + respawn — the shared substrate
+# WorkerHandle: one process + pipe + respawn
 # ----------------------------------------------------------------------
 #: Upper bound on a worker's boot (spawn -> ready handshake).  Bounded
 #: because a respawn can fork from a multi-threaded parent (the pool
 #: dispatch thread), where a child wedged on an inherited lock before
 #: reaching our code would otherwise hang the dispatch — and with it the
 #: whole server — forever.  A timeout turns that wedge into the
-#: already-handled WorkerCrashed path.  (``mp_context="spawn"`` avoids
+#: already-handled WorkerCrashed path.  (Platforms without ``fork``
+#: get ``spawn`` from :func:`_default_context_name`, which avoids
 #: fork-with-threads entirely, at the cost of re-importing per spawn.)
 _BOOT_TIMEOUT_S = 120.0
-
-#: Default recv watchdog when the caller passes no explicit timeout.
-#: Generous — it backstops the parallel *build* loop, whose bands on a
-#: loaded box legitimately take a while — but finite, so no caller of
-#: :meth:`WorkerHandle.recv` can ever wait on a pipe unboundedly.  The
-#: serving pool overrides it per dispatch with ``recv_timeout_s``.
-_RECV_TIMEOUT_S = 600.0
 
 
 class WorkerHandle:
     """One worker process with a duplex pipe and a respawn recipe.
 
     The spec is kept so :meth:`respawn` can boot an identical
-    replacement after a crash — for serve workers that means reloading
-    the engine replica from the same bundle.  All pipe errors are
-    normalised to :class:`WorkerCrashed` so callers have exactly one
-    failure mode to handle; a boot that neither fails nor reports ready
-    within :data:`_BOOT_TIMEOUT_S` counts as crashed too.
+    replacement after a crash, reloading the engine replica from the
+    same bundle.  All pipe errors are normalised to
+    :class:`WorkerCrashed` so callers have exactly one failure mode to
+    handle; a boot that neither fails nor reports ready within
+    :data:`_BOOT_TIMEOUT_S` counts as crashed too.
     """
 
-    def __init__(self, spec: dict, ctx=None) -> None:
+    def __init__(self, spec: dict) -> None:
         self.spec = spec
-        self._ctx = ctx if ctx is not None else multiprocessing.get_context(
-            _default_context_name()
-        )
+        self._ctx = multiprocessing.get_context(_default_context_name())
         self.respawns = 0
         self.process = None
         self.conn = None
@@ -687,26 +569,24 @@ class WorkerHandle:
                 f"worker pid {self.pid} is gone (send failed: {exc})"
             ) from None
 
-    def recv(self, timeout: Optional[float] = None):
+    def recv(self, timeout: float):
         """One reply, bounded by a watchdog; never an unbounded pipe wait.
 
         Remote errors re-raise, dead pipes raise :class:`WorkerCrashed`,
         and a worker that sends nothing within ``timeout`` seconds
-        (default :data:`_RECV_TIMEOUT_S`) raises :class:`WorkerStalled`
-        — the stuck-but-alive case (SIGSTOP, wedged lock) that EOF
-        detection can never see.
+        raises :class:`WorkerStalled` — the stuck-but-alive case
+        (SIGSTOP, wedged lock) that EOF detection can never see.
         """
         if self.conn is None:
             raise WorkerCrashed(
                 "worker handle has no live process (recv after discard)"
             )
-        limit = _RECV_TIMEOUT_S if timeout is None else timeout
         try:
-            if not self.conn.poll(limit):
+            if not self.conn.poll(timeout):
                 alive = self.process.is_alive() if self.process else False
                 raise WorkerStalled(
                     f"worker pid {self.pid} sent no reply within "
-                    f"{limit:.1f}s (process alive={alive})"
+                    f"{timeout:.1f}s (process alive={alive})"
                 )
             reply = self.conn.recv()
         except (EOFError, OSError):
@@ -728,7 +608,7 @@ class WorkerHandle:
                 del exc
         return reply
 
-    def call(self, message, timeout: Optional[float] = None):
+    def call(self, message, timeout: float):
         self.send(message)
         return self.recv(timeout)
 
@@ -766,37 +646,6 @@ class WorkerHandle:
         self._discard()
 
 
-def build_worker_handles(
-    n: int,
-    up_out,
-    up_in,
-    workers: int,
-    mp_context: Optional[str] = None,
-    sync_lane: Optional[dict] = None,
-) -> List[WorkerHandle]:
-    """Spawn ``workers`` build-role handles sharing one upward-graph spec.
-
-    Under the default ``fork`` context the upward graphs are inherited
-    copy-on-write (no pickling); under ``spawn`` they are pickled once
-    per worker.  ``sync_lane`` (a ``{"name", "size"}`` dict for a
-    parent-owned :class:`_Lane`) is the pipelined build's shared sync
-    ring — every worker attaches the *same* segment, each writing only
-    its designated slice.  Used by the parallel
-    :class:`~repro.baselines.hl.HubLabelIndex` build.
-    """
-    ctx = multiprocessing.get_context(mp_context or _default_context_name())
-    spec = {
-        "role": "build",
-        "n": n,
-        "up_out": up_out,
-        "up_in": up_in,
-        "backend": backend.active(),
-    }
-    if sync_lane is not None:
-        spec["sync_lane"] = sync_lane
-    return [WorkerHandle(spec, ctx) for _ in range(workers)]
-
-
 # ----------------------------------------------------------------------
 # WorkerPool: the sharded serving tier
 # ----------------------------------------------------------------------
@@ -807,9 +656,8 @@ class WorkerPool:
     ----------
     bundle:
         What workers boot from — a bundle *path* (each worker mmaps it;
-        preferred: one page-cache copy serves every replica), bundle
-        *bytes* (shipped over each worker's pipe at spawn), or a live
-        index object (serialized to bytes once, here).
+        preferred: one page-cache copy serves every replica) or bundle
+        *bytes* (shipped over each worker's pipe at spawn).
     workers:
         Replica count.
     cache:
@@ -817,11 +665,6 @@ class WorkerPool:
         default-sized one), consulted in the dispatcher before any
         sub-batch is sent and refilled from fresh point answers —
         planner rule 3, lifted one tier up.
-    mp_context:
-        ``multiprocessing`` start method (default: ``fork`` where
-        available, else ``spawn``).  Each worker runs the array backend
-        active in the constructing process, so a ``backend.forced``
-        scope around the constructor propagates.
     max_retries:
         How many times a crashed sub-batch is retried on a fresh worker
         before its requests are failed with :class:`WorkerCrashed`.
@@ -862,8 +705,11 @@ class WorkerPool:
         ``None`` and every injection site is behind an ``is None``
         fast path.
 
-    Each worker gets one shared-memory reply lane and one request lane
-    of :data:`_LANE_BYTES` each; a platform without
+    Workers start with ``fork`` where the platform offers it, else
+    ``spawn``, and run the array backend active in the constructing
+    process, so a ``backend.forced`` scope around the constructor
+    propagates.  Each worker gets one shared-memory reply lane and one
+    request lane of :data:`_LANE_BYTES` each; a platform without
     ``multiprocessing.shared_memory`` fails construction.  A path
     bundle is mmap'd by every worker.
 
@@ -880,7 +726,6 @@ class WorkerPool:
         *,
         workers: int = 2,
         cache=None,
-        mp_context: Optional[str] = None,
         max_retries: int = 1,
         recv_timeout_s: float = 30.0,
         hedge_after_s: Optional[float] = None,
@@ -917,29 +762,20 @@ class WorkerPool:
             breaker if breaker is not None else CircuitBreaker(workers)
         )
         self._fault_plan = fault_plan
-        spec: Dict[str, object] = {
-            "role": "serve",
-            "backend": backend.active(),
-        }
+        spec: Dict[str, object] = {"backend": backend.active()}
         if isinstance(bundle, str):
             spec["bundle_path"] = bundle
             self.transport = "mmap-path"
         elif isinstance(bundle, (bytes, bytearray, memoryview)):
             spec["bundle"] = bytes(bundle)
             self.transport = "pipe-bytes"
-        elif hasattr(bundle, "graph"):  # a live index object
-            from ..core.serialize import bundle_bytes
-
-            spec["bundle"] = bundle_bytes(bundle)
-            self.transport = "pipe-bytes"
         else:
             raise TypeError(
-                "bundle must be a path, bytes, or an index object; got "
+                "bundle must be a path or bytes; got "
                 f"{type(bundle).__name__!r}"
             )
         #: Base worker spec, kept for the all-quarantined planner fallback.
         self._spec = spec
-        ctx = multiprocessing.get_context(mp_context or _default_context_name())
         # Shared-memory lanes: one reply ring and one request ring per
         # worker, recorded in a per-handle copy of the spec so a
         # respawned worker re-attaches the same segments.
@@ -956,7 +792,7 @@ class WorkerPool:
                 wspec = dict(spec)  # shallow: the bundle blob is shared
                 wspec["lane"] = self._lanes[-1].cfg
                 wspec["req_lane"] = self._req_lanes[-1].cfg
-                self._handles.append(WorkerHandle(wspec, ctx))
+                self._handles.append(WorkerHandle(wspec))
         except BaseException:
             for handle in self._handles:
                 try:
@@ -1430,7 +1266,7 @@ class WorkerPool:
             return s
         return None
 
-    def _sweep_hedge_losers(self) -> None:
+    def _sweep_hedge_losers(self, wait: bool = False) -> None:
         """Drain (and parity-check) or dispose of losing hedge duplicates.
 
         A loser's reply must leave its pipe before the slot can be
@@ -1440,15 +1276,19 @@ class WorkerPool:
         duplicate is asserted bit-identical to the winner — the
         cheapest end-to-end exactness check the tier has; a loser
         still busy past the grace window (or dead) is force-respawned
-        instead, which clears the pipe just as surely.
+        instead, which clears the pipe just as surely.  With ``wait``
+        set the sweep resolves every loser before it returns: it waits
+        out the rest of each grace window for the duplicate.
         """
-        now = time.monotonic()
         for slot in list(self._hedge_pending):
             winner_blob, since = self._hedge_pending[slot]
             h = self._handles[slot]
+            grace_left = since + self.hedge_grace_s - time.monotonic()
             try:
-                if h.conn is None or not h.conn.poll(0):
-                    if now - since > self.hedge_grace_s:
+                if h.conn is None or not h.conn.poll(
+                    max(0.0, grace_left) if wait else 0
+                ):
+                    if wait or grace_left < 0:
                         del self._hedge_pending[slot]
                         h.respawn()
                     continue
@@ -1619,8 +1459,23 @@ class WorkerPool:
         return out
 
     def worker_planner_stats(self) -> List[dict]:
-        """Each replica's planner counters (kernel routing per worker)."""
-        return [h.call(("stats",))[1] for h in self._handles]
+        """Each replica's planner counters (kernel routing per worker).
+
+        Hedge losers still in flight are resolved first, so no stats
+        request queues behind a duplicate's reply.  Each reply is bounded
+        by ``recv_timeout_s``; a worker that misses it is respawned (its
+        late reply would desync the pipe) and the failure propagates.
+        """
+        if self._hedge_pending:
+            self._sweep_hedge_losers(wait=True)
+        out = []
+        for h in self._handles:
+            try:
+                out.append(h.call(("stats",), self.recv_timeout_s)[1])
+            except WorkerCrashed:
+                h.respawn()
+                raise
+        return out
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -350,6 +350,56 @@ def test_hedge_first_answer_wins_with_parity(blob, hl):
         assert pool.execute(reqs) == want  # no desync afterwards
 
 
+def test_worker_planner_stats_resolves_hedge_loser(blob, hl):
+    """Per-worker planner stats taken while a hedge loser is still in
+    flight must not read the duplicate's reply as a stats reply: the
+    loser is drained (and bit-compared) first, and the pipes stay in
+    sync for the next dispatch."""
+    reqs = [DistanceRequest(i, 35 - i) for i in range(8)]
+    want = QueryPlanner(hl).execute(reqs)
+    plan = FaultPlan.scripted({(0, 1): faults.stall(0.4)})
+    with WorkerPool(
+        blob,
+        workers=2,
+        hedge_after_s=0.05,
+        hedge_grace_s=5.0,
+        recv_timeout_s=10.0,
+        fault_plan=plan,
+    ) as pool:
+        assert pool.execute(reqs) == want
+        assert pool.stats()["resilience"]["hedge"]["draining"] == 1
+        per_worker = pool.worker_planner_stats()
+        assert len(per_worker) == 2
+        for stats in per_worker:
+            assert isinstance(stats, dict) and "kernel_distance" in stats
+        assert pool.execute(reqs) == want
+        h = pool.stats()["resilience"]["hedge"]
+        assert h["parity_checks"] >= 1 and h["mismatches"] == 0
+        assert h["draining"] == 0
+
+
+def test_worker_planner_stats_bounded_by_recv_timeout(blob, reqs, want):
+    """A stalled worker fails the stats call typed within the pool's
+    watchdog and is replaced, so its late reply cannot desync the next
+    dispatch."""
+    with WorkerPool(blob, workers=2, recv_timeout_s=0.3) as pool:
+        victim = pool.handles[0].pid
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(WorkerStalled):
+                pool.worker_planner_stats()
+            assert time.monotonic() - t0 < 10.0
+        finally:
+            try:
+                os.kill(victim, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        assert pool.handles[0].pid != victim
+        assert pool.execute(reqs) == want
+        assert all("kernel_distance" in s for s in pool.worker_planner_stats())
+
+
 def test_hedge_off_by_default(blob, reqs, want):
     with WorkerPool(blob, workers=2) as pool:
         assert pool.hedge_after_s is None
@@ -547,45 +597,3 @@ def test_request_chaos_never_wrong_answer(graph, hl, blob, seed):
     finally:
         pool.close()
     _assert_no_leaks(pool, shm)
-
-
-# ----------------------------------------------------------------------
-# Pipelined build under crashes: typed failure, clean teardown, restartable
-# ----------------------------------------------------------------------
-def test_pipelined_build_crash_mid_sync_typed_and_restartable(monkeypatch):
-    """A build worker killed while band commands / sync relays are in
-    flight surfaces as a typed WorkerCrashed (no hang — the build recv
-    is watchdog-bounded), tears down cleanly, and a rerun reproduces
-    the serial bytes exactly."""
-    import repro.serve.pool as pool_mod
-
-    g = grid_city(6, 6, seed=8)
-    serial = bundle_bytes(HubLabelIndex(g))
-    real = pool_mod.build_worker_handles
-    lanes = []
-    real_lane = pool_mod._Lane
-
-    class _TrackedLane(real_lane):
-        def __init__(self, size):
-            super().__init__(size)
-            lanes.append(self.name)
-
-    def sabotaged(*args, **kwargs):
-        handles = real(*args, **kwargs)
-        os.kill(handles[0].process.pid, signal.SIGKILL)
-        return handles
-
-    monkeypatch.setattr(pool_mod, "build_worker_handles", sabotaged)
-    monkeypatch.setattr(pool_mod, "_Lane", _TrackedLane)
-    with pytest.raises(WorkerCrashed):
-        HubLabelIndex(g, build_workers=2, band_min=2)
-    monkeypatch.undo()
-    assert lanes  # the sync ring existed ...
-    for name in lanes:  # ... and did not outlive the failed build
-        with pytest.raises(FileNotFoundError):
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()  # pragma: no cover - only reached on a leak
-    # builds are restartable: a clean rerun is byte-identical to serial
-    rebuilt = HubLabelIndex(g, build_workers=2, band_min=2)
-    assert bundle_bytes(rebuilt) == serial
-    assert rebuilt.build_info["pipeline"] is True
