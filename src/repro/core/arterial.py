@@ -29,12 +29,18 @@ Ties are handled *inclusively*: an edge is marked when it lies on **any**
 minimum-length spanning path, not just one canonical path, so correctness
 never depends on the weight-perturbation of Appendix A (which is still
 provided in :mod:`repro.core.perturb` for faithfulness).
+
+Each region is extracted once into a :class:`_RegionGraph`: its usable
+edges as flat lists over dense local ids, with the endpoints and crossing
+edges of both bisectors.  Both axes of :func:`_arterial_marks` and the AH
+shortcut pass (:mod:`repro.core.hierarchy`) search that one graph, and
+each search runs at most once per region, endpoint and direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..graph.graph import Graph
@@ -115,396 +121,347 @@ def _column_of(region: Region, cell: Tuple[int, int], axis: str) -> int:
     return cell[1] - region.ry
 
 
+def _offset_side(offset: int) -> Optional[int]:
+    """-1 / +1 for a *valid* spanning endpoint column (or row) offset from
+    the region's corner; None next to the bisector (offsets 1 and 2)."""
+    if offset in (1, 2):
+        return None
+    return -1 if offset <= 1 else 1
+
+
 def _endpoint_side(region: Region, cell: Tuple[int, int], axis: str) -> Optional[int]:
     """-1 / +1 for a *valid* spanning endpoint cell; None when the cell is
     adjacent to the bisector (columns 1 and 2 in region offsets)."""
-    col = _column_of(region, cell, axis)
-    if col in (1, 2):
-        return None
-    return -1 if col <= 1 else 1
+    return _offset_side(_column_of(region, cell, axis))
+
+
+# Strip bits of a cell: the region's west and east columns, south and
+# north rows (Definition 2's strips, one per bisector side).
+_WEST, _EAST, _SOUTH, _NORTH = 1, 2, 4, 8
+
+
+def _place(col: int, row: int) -> Tuple[int, int, int]:
+    """``(col, row, strip bits)`` of a cell at region offset ``(col, row)``."""
+    strips = 0
+    if 0 <= row <= 3:
+        if col == 0:
+            strips |= _WEST
+        elif col == 3:
+            strips |= _EAST
+    if 0 <= col <= 3:
+        if row == 0:
+            strips |= _SOUTH
+        elif row == 3:
+            strips |= _NORTH
+    return col, row, strips
+
+
+# ----------------------------------------------------------------------
+# One region's local graph, extracted once
+# ----------------------------------------------------------------------
+class _Axis:
+    """One bisector's view of a region graph.
+
+    ``low`` / ``high`` are the inside endpoints ``(node, local id)`` on
+    side -1 / +1: strip nodes with an edge leaving their strip, i.e.
+    genuine Definition-2 border nodes.  This loses no arterial edges: any
+    spanning path can be trimmed to the last in-strip node before / first
+    after its crossing edge, both of which have strip-leaving edges, and
+    the trimmed path is still a local shortest spanning path containing
+    the same crossing edge.  ``side`` maps each outside node that is a
+    valid endpoint to its side.  ``crossing`` lists the edges
+    ``(a, b, w, ia, ib)`` whose segment crosses the bisector segment, with
+    ``ia`` / ``ib`` the local ids of inside endpoints and -1 for outside
+    ones.
+    """
+
+    __slots__ = ("low", "high", "side", "crossing")
+
+    def __init__(self) -> None:
+        self.low: List[Tuple[int, int]] = []
+        self.high: List[Tuple[int, int]] = []
+        self.side: Dict[int, int] = {}
+        self.crossing: List[Tuple[int, int, float, int, int]] = []
+
+
+class _RegionGraph:
+    """A region's usable edges over dense local ids, read by every search.
+
+    ``nodes[i]`` is the node with local id ``i`` (the inside nodes in the
+    caller's order) and ``local`` the inverse map.  ``out`` / ``inn`` hold
+    the inside-to-inside edges per local id, forward and backward.
+    ``enter[f]`` lists ``(x, w)`` for every edge ``f -> x`` from an outside
+    node ``f``, usable only as a path's first edge; ``exit[v]`` lists
+    ``(x, w)`` for every edge ``x -> v`` to an outside node, usable only as
+    a path's last edge.  ``axes`` are the vertical and horizontal
+    :class:`_Axis`.
+    """
+
+    __slots__ = ("nodes", "local", "out", "inn", "enter", "exit", "axes")
+
+    def __init__(self, nodes, local, out, inn, enter, exit_, axes) -> None:
+        self.nodes: Sequence[int] = nodes
+        self.local: Dict[int, int] = local
+        self.out: List[List[Tuple[int, float]]] = out
+        self.inn: List[List[Tuple[int, float]]] = inn
+        self.enter: Dict[int, List[Tuple[int, float]]] = enter
+        self.exit: Dict[int, List[Tuple[int, float]]] = exit_
+        self.axes: Tuple[_Axis, _Axis] = axes
+
+
+def _region_graph(
+    node_grid: NodeGrid,
+    region: Region,
+    inside: Sequence[int],
+    out_of: Callable[[int], Iterable[Tuple[int, float]]],
+    in_of: Callable[[int], Iterable[Tuple[int, float]]],
+) -> _RegionGraph:
+    """Extract ``region``'s local graph in one pass over its edges.
+
+    ``out_of(u)`` / ``in_of(u)`` yield the usable ``(v, w)`` edges leaving
+    / entering ``u``; the caller bakes in any coverage filtering.  Every
+    edge with an inside endpoint is visited once: the out-edges of inside
+    nodes, plus the in-edges that come from outside nodes.
+    """
+    graph = node_grid.graph
+    xs, ys = graph.xs, graph.ys
+    level, rx, ry = region.level, region.rx, region.ry
+    cell_of = node_grid.cell_of
+    vpos, vlo, vhi, vmain, vcross = _axis_info(region, node_grid.pyramid, "vertical")
+    hpos, hlo, hhi, hmain, hcross = _axis_info(region, node_grid.pyramid, "horizontal")
+
+    k = len(inside)
+    local = {u: i for i, u in enumerate(inside)}
+    where: Dict[int, Tuple[int, int, int]] = {}
+    for u in inside:
+        cx, cy = cell_of(level, u)
+        where[u] = _place(cx - rx, cy - ry)
+    out: List[List[Tuple[int, float]]] = [[] for _ in range(k)]
+    inn: List[List[Tuple[int, float]]] = [[] for _ in range(k)]
+    enter: Dict[int, List[Tuple[int, float]]] = {}
+    exit_: Dict[int, List[Tuple[int, float]]] = {}
+    edges: List[Tuple[int, int, float, int, int]] = []
+    for i, u in enumerate(inside):
+        for v, w in out_of(u):
+            j = local.get(v, -1)
+            if j >= 0:
+                out[i].append((j, w))
+                inn[j].append((i, w))
+            else:
+                exit_.setdefault(v, []).append((i, w))
+            edges.append((u, v, w, i, j))
+        for v, w in in_of(u):
+            if v not in local:
+                enter.setdefault(v, []).append((i, w))
+                edges.append((v, u, w, -1, i))
+    for v in (*enter, *exit_):
+        if v not in where:
+            cx, cy = cell_of(level, v)
+            where[v] = _place(cx - rx, cy - ry)
+
+    vertical, horizontal = _Axis(), _Axis()
+    border = [0] * k
+    for a, b, w, ia, ib in edges:
+        ca, ra, sa = where[a]
+        cb, rb, sb = where[b]
+        if ia >= 0:
+            border[ia] |= sa & ~sb
+        if ib >= 0:
+            border[ib] |= sb & ~sa
+        # Cells a whole column (row) clear of the bisector on one side
+        # hold only points strictly on that side: no crossing to test.
+        if not (ca <= 0 and cb <= 0 or ca >= 3 and cb >= 3) and (
+            _segment_crosses_bisector(
+                xs[a], ys[a], xs[b], ys[b], vpos, vlo, vhi, vmain, vcross
+            )
+        ):
+            vertical.crossing.append((a, b, w, ia, ib))
+        if not (ra <= 0 and rb <= 0 or ra >= 3 and rb >= 3) and (
+            _segment_crosses_bisector(
+                xs[a], ys[a], xs[b], ys[b], hpos, hlo, hhi, hmain, hcross
+            )
+        ):
+            horizontal.crossing.append((a, b, w, ia, ib))
+
+    for i in sorted(range(k), key=inside.__getitem__):
+        bits = border[i]
+        if bits:
+            u = inside[i]
+            if bits & _WEST:
+                vertical.low.append((u, i))
+            if bits & _EAST:
+                vertical.high.append((u, i))
+            if bits & _SOUTH:
+                horizontal.low.append((u, i))
+            if bits & _NORTH:
+                horizontal.high.append((u, i))
+    for v in (*enter, *exit_):
+        col, row, _ = where[v]
+        side = _offset_side(col)
+        if side is not None:
+            vertical.side[v] = side
+        side = _offset_side(row)
+        if side is not None:
+            horizontal.side[v] = side
+
+    return _RegionGraph(inside, local, out, inn, enter, exit_, (vertical, horizontal))
 
 
 # ----------------------------------------------------------------------
 # The per-region solver (shared by the exact and the overlay variants)
 # ----------------------------------------------------------------------
-def _local_dijkstra(
-    seeds: Sequence[Tuple[int, float]],
-    adj: Dict[int, List[Tuple[int, float]]],
-    expandable: Optional[Set[int]] = None,
-    seed_nodes: Optional[Set[int]] = None,
-) -> Dict[int, float]:
-    """Dijkstra restricted to the region's interior adjacency ``adj``.
+def _local_search(
+    adj: List[List[Tuple[int, float]]],
+    expand: Sequence[int],
+    seeds: Iterable[Tuple[int, float]],
+    free: int,
+) -> List[float]:
+    """Dijkstra over local adjacency ``adj`` from ``seeds``.
 
-    When ``expandable`` is given, settled nodes outside it are terminals:
-    they receive a distance but are not relaxed through (the paper's
-    border condition — spanning-path interiors must be cores).  Seed
-    nodes themselves (``seed_nodes``) always expand: a path may *start*
-    at a non-core endpoint.
+    Only nodes with ``expand[i]`` (the cores, in the paper's border
+    condition: spanning-path interiors must be cores), and the source
+    ``free``, relax their edges; every other reached node is a terminal.
+    A terminal gets its distance but never enters the heap: it would only
+    be popped to be skipped, and with non-negative weights no later
+    relaxation can lower it.
     """
-    dist: Dict[int, float] = {}
+    dist = [INF] * len(adj)
     heap: List[Tuple[float, int]] = []
-    for node, d0 in seeds:
-        if d0 < dist.get(node, INF):
-            dist[node] = d0
-            heappush(heap, (d0, node))
-    settled: Dict[int, float] = {}
+    for i, d0 in seeds:
+        if d0 < dist[i]:
+            dist[i] = d0
+            if expand[i] or i == free:
+                heap.append((d0, i))
+    heapify(heap)
+    pop, push = heappop, heappush
     while heap:
-        d, u = heappop(heap)
-        if u in settled:
+        d, i = pop(heap)
+        if d > dist[i]:
             continue
-        settled[u] = d
-        if (
-            expandable is not None
-            and u not in expandable
-            and (seed_nodes is None or u not in seed_nodes)
-        ):
-            continue
-        for v, w in adj.get(u, ()):
+        for j, w in adj[i]:
             nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return settled
+            if nd < dist[j]:
+                dist[j] = nd
+                if expand[j]:
+                    push(heap, (nd, j))
+    return dist
 
 
-@dataclass
-class _RegionProblem:
-    """One region/axis instance handed to :func:`_solve_region_axis`.
-
-    Attributes
-    ----------
-    inside_out / inside_in:
-        Interior adjacency (both directions) among inside nodes only.
-    west_inside / east_inside:
-        Valid spanning-path endpoint nodes inside the region per side
-        (side -1 is "west"/"south", +1 is "east"/"north").
-    enter_edges:
-        ``(outside_node, inside_node, w)`` usable as a path's first edge.
-    exit_edges:
-        ``(inside_node, outside_node, w)`` usable as a path's last edge.
-    outside_side:
-        Side (+-1) of each referenced outside node, or ``None`` when the
-        node sits in a bisector-adjacent column (invalid endpoint).
-    crossing:
-        Candidate arterial edges ``(a, b, w, a_inside, b_inside)`` whose
-        segment crosses the bisector segment.
-    expandable:
-        When not ``None``, interior nodes the search may relax through
-        (the cores of the current AH iteration); other nodes only
-        terminate paths.
-    """
-
-    inside_out: Dict[int, List[Tuple[int, float]]]
-    inside_in: Dict[int, List[Tuple[int, float]]]
-    west_inside: List[int]
-    east_inside: List[int]
-    enter_edges: List[Tuple[int, int, float]]
-    exit_edges: List[Tuple[int, int, float]]
-    outside_side: Dict[int, Optional[int]]
-    crossing: List[Tuple[int, int, float, bool, bool]]
-    expandable: Optional[Set[int]] = None
-
-
-def _solve_region_axis(problem: _RegionProblem) -> Set[Tuple[int, int]]:
-    """Mark all-ties arterial edges for one region and one bisector.
+def _arterial_marks(rg: _RegionGraph, expand: Sequence[int]) -> Set[Tuple[int, int]]:
+    """All-ties arterial edges of both bisectors of one region.
 
     Sources are valid endpoints on either side (inside border nodes, plus
-    outside nodes via their single entry edge); targets symmetric.  An
-    inside-inside crossing edge ``(a, b)`` is arterial when some valid
-    pair ``(u, v)`` on opposite sides satisfies
-    ``d_u(a) + w + d_v(b) == d_u(v)`` (a tied shortest spanning path
-    through the edge).  Crossing edges with an outside endpoint are the
-    path's entry/exit edge and are checked against the other side's
-    distances; fully-outside crossing edges between valid endpoint
-    columns are marked directly (single-edge spanning paths).
+    outside nodes via their single entry edge); targets symmetric.  A
+    crossing edge ``(a, b)`` is arterial when some valid pair ``(u, v)`` on
+    opposite sides satisfies ``d_u(a) + w + d_v(b) == d_u(v)`` (a tied
+    shortest spanning path through the edge).  A crossing edge with an
+    outside endpoint is the path's entry or exit edge, so that endpoint
+    must be ``u`` or ``v`` itself; so must a non-core inside endpoint.
 
-    The solver maps the sub-problem onto dense local indices so the many
-    tiny Dijkstras run over lists instead of dictionaries.
+    Each search runs at most once per region, endpoint and direction:
+    both axes share them, and a backward search runs only when the
+    marking loop first reads it.
     """
-    marked: Set[Tuple[int, int]] = set()
-    if not problem.crossing:
-        return marked
-    expandable = problem.expandable
+    found: Set[Tuple[int, int]] = set()
+    local = rg.local
+    fwd: Dict[int, List[float]] = {}
+    bwd: Dict[int, List[float]] = {}
 
-    # ---- local index over inside nodes --------------------------------
-    ids: List[int] = list(problem.inside_out.keys())
-    k = len(ids)
-    idx: Dict[int, int] = {u: i for i, u in enumerate(ids)}
-    out_local: List[List[Tuple[int, float]]] = [
-        [(idx[v], w) for v, w in problem.inside_out[u]] for u in ids
-    ]
-    in_local: List[List[Tuple[int, float]]] = [
-        [(idx[v], w) for v, w in problem.inside_in[u]] for u in ids
-    ]
-    if expandable is None:
-        can_expand = [True] * k
-    else:
-        can_expand = [u in expandable for u in ids]
-
-    def dij(
-        seeds: List[Tuple[int, float]],
-        adj: List[List[Tuple[int, float]]],
-        free: int,
-    ) -> List[float]:
-        """List-based Dijkstra; ``free`` expands even if not a core."""
-        dist = [INF] * k
-        heap: List[Tuple[float, int]] = []
-        for i, d0 in seeds:
-            if d0 < dist[i]:
-                dist[i] = d0
-                heap.append((d0, i))
-        heap.sort()
-        done = [False] * k
-        while heap:
-            d, i = heappop(heap)
-            if done[i]:
-                continue
-            done[i] = True
-            if not can_expand[i] and i != free:
-                continue
-            for j, w in adj[i]:
-                nd = d + w
-                if nd < dist[j]:
-                    dist[j] = nd
-                    heappush(heap, (nd, j))
-        for i in range(k):
-            if not done[i]:
-                dist[i] = INF
+    def search(memo, adj, edges, u: int) -> List[float]:
+        dist = memo.get(u)
+        if dist is None:
+            i = local.get(u)
+            if i is None:
+                dist = _local_search(adj, expand, edges[u], -1)
+            else:
+                dist = _local_search(adj, expand, ((i, 0.0),), i)
+            memo[u] = dist
         return dist
 
-    # ---- forward / backward sweeps from valid endpoints ---------------
-    fwd: Dict[int, List[float]] = {}
-    fwd_side: Dict[int, int] = {}
-    for u in problem.west_inside:
-        fwd[u] = dij([(idx[u], 0.0)], out_local, idx[u])
-        fwd_side[u] = -1
-    for u in problem.east_inside:
-        fwd[u] = dij([(idx[u], 0.0)], out_local, idx[u])
-        fwd_side[u] = 1
-    enter_by_u: Dict[int, List[Tuple[int, float]]] = {}
-    for u, x, w in problem.enter_edges:
-        if problem.outside_side.get(u) is not None:
-            enter_by_u.setdefault(u, []).append((idx[x], w))
-    for u, seeds in enter_by_u.items():
-        fwd[u] = dij(seeds, out_local, -1)
-        fwd_side[u] = problem.outside_side[u]
-
-    bwd: Dict[int, List[float]] = {}
-    bwd_side: Dict[int, int] = {}
-    for v in problem.west_inside:
-        bwd[v] = dij([(idx[v], 0.0)], in_local, idx[v])
-        bwd_side[v] = -1
-    for v in problem.east_inside:
-        bwd[v] = dij([(idx[v], 0.0)], in_local, idx[v])
-        bwd_side[v] = 1
-    exit_by_v: Dict[int, List[Tuple[int, float]]] = {}
-    for x, v, w in problem.exit_edges:
-        if problem.outside_side.get(v) is not None:
-            exit_by_v.setdefault(v, []).append((idx[x], w))
-    for v, seeds in exit_by_v.items():
-        bwd[v] = dij(seeds, in_local, -1)
-        bwd_side[v] = problem.outside_side[v]
-
-    # ---- valid (u, v) pairs with their spanning distances --------------
-    # D(u, v) is read off the forward sweep directly: d_u(v) for inside
-    # targets, min over v's exit seeds for outside targets (an outside
-    # source's entry cost is already folded into its sweep seeds).
-    outside_src = set(enter_by_u)
-    outside_tgt = set(exit_by_v)
-    pairs: List[Tuple[int, int, float]] = []
-    for u, du in fwd.items():
-        su = fwd_side[u]
-        u_out = u in outside_src
-        for v, seeds in exit_by_v.items():
-            if u == v or bwd_side[v] == su or u_out:
-                continue  # same node, same side, or two crossings
-            best = INF
-            for i, w in seeds:
-                d = du[i] + w
-                if d < best:
-                    best = d
-            if best < INF:
-                pairs.append((u, v, best))
-        for v in bwd:
-            if v in outside_tgt or u == v or bwd_side[v] == su:
-                continue
-            d = du[idx[v]]
-            if d < INF:
-                pairs.append((u, v, d))
-
-    # ---- mark crossing edges on tied shortest spanning paths ----------
-    for a, b, w, a_in, b_in in problem.crossing:
-        key = (a, b)
-        if key in marked:
+    for axis in rg.axes:
+        if not axis.crossing:
             continue
-        if not a_in and not b_in:
-            sa = problem.outside_side.get(a)
-            sb = problem.outside_side.get(b)
-            # A single flying edge is its own spanning path when both
-            # endpoints are valid and on opposite sides.
-            if sa is not None and sb is not None and sa != sb:
-                marked.add(key)
-            continue
-        ia = idx[a] if a_in else -1
-        ib = idx[b] if b_in else -1
-        a_core = a_in and can_expand[ia]
-        b_core = b_in and can_expand[ib]
-        for u, v, duv in pairs:
-            if a_in:
-                if not a_core and a != u:
-                    continue  # a would be a non-core interior node
-                da = fwd[u][ia]
-            else:
-                if u != a:
-                    continue  # the edge must be the entry edge from u = a
-                da = 0.0
-            if da == INF:
+        # Targets per side: inside endpoints by local id, outside ones by
+        # their exit edges.
+        ends = {-1: axis.low, 1: axis.high}
+        exits: Dict[int, List[Tuple[int, List[Tuple[int, float]]]]] = {-1: [], 1: []}
+        for v, seeds in rg.exit.items():
+            side = axis.side.get(v)
+            if side is not None:
+                exits[side].append((v, seeds))
+
+        # Each source with its pairs' tie thresholds D(u, v) * (1 + eps),
+        # read off the forward search: d_u(v) for inside targets, the best
+        # exit for outside ones (an outside source's entry cost is already
+        # in its seeds, and a path crosses the boundary at most once).
+        sources: Dict[int, Tuple[List[float], Dict[int, float], float]] = {}
+        candidates = [(u, side, True) for side in (-1, 1) for u, _ in ends[side]]
+        candidates += [
+            (f, axis.side[f], False) for f in rg.enter if f in axis.side
+        ]
+        for u, side, u_in in candidates:
+            far_ends = ends[-side]
+            far_exits = exits[-side] if u_in else ()
+            if not far_ends and not far_exits:
                 continue
-            if b_in:
-                if not b_core and b != v:
+            du = search(fwd, rg.out, rg.enter, u)
+            pairs: Dict[int, float] = {}
+            for v, seeds in far_exits:
+                best = INF
+                for x, w in seeds:
+                    d = du[x] + w
+                    if d < best:
+                        best = d
+                if best < INF:
+                    pairs[v] = best * (1 + _REL_EPS) + 1e-15
+            for v, j in far_ends:
+                d = du[j]
+                if d < INF:
+                    pairs[v] = d * (1 + _REL_EPS) + 1e-15
+            if pairs:
+                sources[u] = (du, pairs, max(pairs.values()))
+
+        for a, b, w, ia, ib in axis.crossing:
+            if (a, b) in found:
+                continue
+            a_core = ia >= 0 and expand[ia]
+            if a_core:
+                cands = sources.items()
+            elif a in sources:
+                cands = ((a, sources[a]),)
+            else:
+                continue  # a would be a non-core interior node
+            b_core = ib >= 0 and expand[ib]
+            for u, (du, pairs, top) in cands:
+                # Since d_v(b) >= 0, a source already past every tie
+                # threshold of its pairs cannot tie on this edge.
+                s = (du[ia] if a_core else 0.0) + w
+                if s > top:
                     continue
-                db = bwd[v][ib]
-            else:
-                if v != b:
+                if not b_core:
+                    thr = pairs.get(b)  # b must be the target itself
+                    if thr is not None and s <= thr:
+                        found.add((a, b))
+                        break
                     continue
-                db = 0.0
-            if db == INF:
-                continue
-            total = da + w + db
-            if total <= duv * (1 + _REL_EPS) + 1e-15:
-                marked.add(key)
-                break
-    return marked
-
-
-# ----------------------------------------------------------------------
-# Shared single-pass extraction
-# ----------------------------------------------------------------------
-def _in_strip(region: Region, cell: Tuple[int, int], axis: str, side: int) -> bool:
-    """Cell membership in the outer strip of ``side`` for ``axis``."""
-    if axis == "vertical":
-        col = region.rx if side == -1 else region.rx + 3
-        return cell[0] == col and region.ry <= cell[1] < region.ry + 4
-    row = region.ry if side == -1 else region.ry + 3
-    return cell[1] == row and region.rx <= cell[0] < region.rx + 4
-
-
-def build_region_problems(
-    node_grid: NodeGrid,
-    region: Region,
-    inside: Sequence[int],
-    adjacency,
-    expandable: Optional[Set[int]] = None,
-) -> List[_RegionProblem]:
-    """Extract the vertical and horizontal sub-problems in one edge pass.
-
-    ``adjacency(u)`` must yield ``(v, w, is_out)`` for every usable edge
-    incident to ``u`` (``is_out`` True for ``u -> v``); the caller bakes
-    in any coverage filtering.  Inside endpoints are restricted to strip
-    nodes with an edge leaving their strip — genuine Definition-2 border
-    nodes.  This loses no arterial edges: any spanning path can be
-    trimmed to the last in-strip node before / first after its crossing
-    edge, both of which have strip-leaving edges, and the trimmed path is
-    still a local shortest spanning path containing the same crossing
-    edge.
-    """
-    graph = node_grid.graph
-    pyramid = node_grid.pyramid
-    xs, ys = graph.xs, graph.ys
-    level = region.level
-    inside_set = set(inside)
-    cell_of = node_grid.cell_of
-
-    problems: List[_RegionProblem] = []
-    axes_info = [
-        ("vertical", *_axis_info(region, pyramid, "vertical")),
-        ("horizontal", *_axis_info(region, pyramid, "horizontal")),
-    ]
-
-    inside_out: Dict[int, List[Tuple[int, float]]] = {u: [] for u in inside}
-    inside_in: Dict[int, List[Tuple[int, float]]] = {u: [] for u in inside}
-    enter_edges: List[Tuple[int, int, float]] = []
-    exit_edges: List[Tuple[int, int, float]] = []
-    outside_cell: Dict[int, Tuple[int, int]] = {}
-    crossing: Dict[str, List[Tuple[int, int, float, bool, bool]]] = {
-        "vertical": [],
-        "horizontal": [],
-    }
-    # endpoint candidates per axis/side: inside strip nodes with an edge
-    # leaving the strip.
-    border: Dict[Tuple[str, int], Set[int]] = {
-        ("vertical", -1): set(),
-        ("vertical", 1): set(),
-        ("horizontal", -1): set(),
-        ("horizontal", 1): set(),
-    }
-    strip_of: Dict[int, List[Tuple[str, int]]] = {}
-    for u in inside:
-        cu = cell_of(level, u)
-        memberships = []
-        for axis in ("vertical", "horizontal"):
-            side = _endpoint_side(region, cu, axis)
-            if side is not None and _in_strip(region, cu, axis, side):
-                memberships.append((axis, side))
-        if memberships:
-            strip_of[u] = memberships
-
-    seen_pairs: Set[Tuple[int, int, bool]] = set()
-    for u in inside:
-        cu = cell_of(level, u)
-        u_strips = strip_of.get(u, ())
-        for v, w, is_out in adjacency(u):
-            v_in = v in inside_set
-            if v_in:
-                cv = cell_of(level, v)
-                if is_out:
-                    inside_out[u].append((v, w))
-                else:
-                    inside_in[u].append((v, w))
-            else:
-                cv = outside_cell.get(v)
-                if cv is None:
-                    cv = cell_of(level, v)
-                    outside_cell[v] = cv
-                if is_out:
-                    exit_edges.append((u, v, w))
-                else:
-                    enter_edges.append((v, u, w))
-            for axis, side in u_strips:
-                if not _in_strip(region, cv, axis, side):
-                    border[(axis, side)].add(u)
-            key = (u, v) if is_out else (v, u)
-            dedup = (key[0], key[1], True)
-            if dedup in seen_pairs:
-                continue
-            seen_pairs.add(dedup)
-            a, b = key
-            a_in = a in inside_set
-            b_in = b in inside_set
-            for axis, pos, lo, hi, main, cross_idx in axes_info:
-                if _segment_crosses_bisector(
-                    xs[a], ys[a], xs[b], ys[b], pos, lo, hi, main, cross_idx
-                ):
-                    crossing[axis].append((a, b, w, a_in, b_in))
-
-    for axis, pos, lo, hi, main, cross_idx in axes_info:
-        outside_side = {
-            v: _endpoint_side(region, c, axis) for v, c in outside_cell.items()
-        }
-        problems.append(
-            _RegionProblem(
-                inside_out=inside_out,
-                inside_in=inside_in,
-                west_inside=sorted(border[(axis, -1)]),
-                east_inside=sorted(border[(axis, 1)]),
-                enter_edges=enter_edges,
-                exit_edges=exit_edges,
-                outside_side=outside_side,
-                crossing=crossing[axis],
-                expandable=expandable,
-            )
-        )
-    return problems
+                tied = False
+                for v, thr in pairs.items():
+                    if s > thr:
+                        continue
+                    if v == b:
+                        db = 0.0
+                    else:
+                        dv = bwd.get(v)
+                        if dv is None:
+                            dv = search(bwd, rg.inn, rg.exit, v)
+                        db = dv[ib]
+                    if s + db <= thr:
+                        tied = True
+                        break
+                if tied:
+                    found.add((a, b))
+                    break
+    return found
 
 
 def region_arterial_edges(
@@ -537,17 +494,10 @@ def region_arterial_edges(
         raise RegionTooLargeError(
             f"region {region} holds {len(inside)} nodes (cap {max_region_nodes})"
         )
-    out_adj, in_adj = graph.out, graph.inn
-
-    def adjacency(u: int):
-        return [(v, w, True) for v, w in out_adj[u]] + [
-            (v, w, False) for v, w in in_adj[u]
-        ]
-
-    marked: Set[Tuple[int, int]] = set()
-    for problem in build_region_problems(node_grid, region, inside, adjacency):
-        if problem.crossing:
-            marked |= _solve_region_axis(problem)
+    rg = _region_graph(
+        node_grid, region, inside, graph.out.__getitem__, graph.inn.__getitem__
+    )
+    marked = _arterial_marks(rg, b"\x01" * len(inside))
     if fly_edges is None:
         fly_edges = long_edges(graph, node_grid, region.level)
     marked |= _mark_fly_edges(graph, node_grid, region, fly_edges)

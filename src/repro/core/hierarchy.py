@@ -27,15 +27,16 @@ perturbation of Appendix A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..graph.graph import Graph
 from ..spatial.grid import GridPyramid, NodeGrid
 from ..spatial.regions import Region, nonempty_regions, regions_covering_cell
 from .arterial import (
-    _local_dijkstra,
-    _solve_region_axis,
-    build_region_problems,
+    _arterial_marks,
+    _local_search,
+    _region_graph,
+    long_edges,
     region_arterial_edges,
 )
 
@@ -131,14 +132,20 @@ def exact_levels(
     edge_level: Dict[Tuple[int, int], int] = {}
     pseudo: Dict[int, List[Tuple[int, int]]] = {i: [] for i in pyramid.levels()}
     for i in pyramid.levels():
+        fly = long_edges(graph, node_grid, i)
         for region in nonempty_regions(node_grid, i):
             marked = region_arterial_edges(
-                graph, node_grid, region, max_region_nodes=max_region_nodes
+                graph,
+                node_grid,
+                region,
+                max_region_nodes=max_region_nodes,
+                fly_edges=fly,
             )
             for e in marked:
                 if edge_level.get(e, 0) < i:
                     edge_level[e] = i
-    for e, lv in edge_level.items():
+    # Sorted, as assign_levels does: set iteration order is not a result.
+    for e, lv in sorted(edge_level.items()):
         pseudo[lv].append(e)
     levels = [0] * graph.n
     for (u, v), lv in edge_level.items():
@@ -213,23 +220,25 @@ class _Overlay:
             del self.fwd[u]
             del self.bwd[u]
 
-    def covered_adjacency(self, rbox: _Box):
-        """Adjacency callback honouring the coverage condition for the
-        region with box ``rbox`` (see :func:`build_region_problems`)."""
-        fwd, bwd = self.fwd, self.bwd
-        x0, y0, x1, y1 = rbox
+    def usable(self, box: _Box):
+        """``(out_of, in_of)``: each maps a node to its ``(v, w)`` edges,
+        leaving and entering, that the coverage condition lets the region
+        with box ``box`` use.  Original edges are usable everywhere; a
+        shortcut only where one of its generating boxes lies inside
+        ``box``."""
+        x0, y0, x1, y1 = box
 
-        def adjacency(u: int):
-            edges = []
-            for v, (w, gens) in fwd[u].items():
-                if gens is None or _covered(gens, x0, y0, x1, y1):
-                    edges.append((v, w, True))
-            for v, (w, gens) in bwd[u].items():
-                if gens is None or _covered(gens, x0, y0, x1, y1):
-                    edges.append((v, w, False))
+        def edges_of(rows):
+            def edges(u: int) -> List[Tuple[int, float]]:
+                return [
+                    (v, w)
+                    for v, (w, gens) in rows[u].items()
+                    if gens is None or _covered(gens, x0, y0, x1, y1)
+                ]
+
             return edges
 
-        return adjacency
+        return edges_of(self.fwd), edges_of(self.bwd)
 
 
 def _covered(gens: Tuple[_Box, ...], x0: int, y0: int, x1: int, y1: int) -> bool:
@@ -287,61 +296,68 @@ def _region_inside(
     return inside
 
 
-def _create_region_shortcuts(
+def _region_shortcuts(
     overlay: _Overlay,
-    rbox: _Box,
-    inside: Sequence[int],
-    adj: Dict[int, List[Tuple[int, float]]],
-    exit_edges: Sequence[Tuple[int, int, float]],
-    enter_edges: Sequence[Tuple[int, int, float]],
-    endpoint_set: Set[int],
-    interior_ok: Set[int],
+    box: _Box,
+    nodes: List[int],
+    out: List[List[Tuple[int, float]]],
+    enter: Dict[int, List[Tuple[int, float]]],
+    exit_: Dict[int, List[Tuple[int, float]]],
+    endpoint: bytearray,
+    interior: bytearray,
 ) -> None:
-    """Add shortcuts for local shortest paths inside ``region``.
+    """Add shortcuts for local shortest paths inside one region.
 
-    Endpoints come from ``endpoint_set`` (new cores and border nodes,
-    §4.2); interiors are restricted to ``interior_ok`` (alive nodes that
-    were *not* promoted).  Fringe nodes one crossing-edge outside the
-    region may serve as the far endpoint, never as interior.  The
-    coverage-filtered adjacency ``adj`` and boundary edge lists are
-    reused from the marking pass's extraction (identical region, box and
-    filter).
+    Endpoints are the nodes with ``endpoint[u]`` (new cores and border
+    nodes, §4.2); interiors are restricted to ``interior`` (alive nodes
+    that were *not* promoted).  Fringe nodes one crossing-edge outside the
+    region may serve as the far endpoint, never as interior.  ``nodes``,
+    ``out``, ``enter`` and ``exit_`` are the marking pass's region graph
+    (identical region, box and coverage filter; see
+    :class:`repro.core.arterial._RegionGraph`).
     """
-    if not any(u in interior_ok for u in inside):
+    expand = bytes(map(interior.__getitem__, nodes))
+    if 1 not in expand:
         return  # every inside node survives: direct edges already suffice
-    exits: Dict[int, List[Tuple[int, float]]] = {}
-    for u, v, w in exit_edges:
-        if v in endpoint_set:
-            exits.setdefault(u, []).append((v, w))
+    exits: List[List[Tuple[int, float]]] = [[] for _ in nodes]
+    for v, seeds in exit_.items():
+        if endpoint[v]:
+            for x, w in seeds:
+                exits[x].append((v, w))
+    add = overlay.add_shortcut
 
-    for u in inside:
-        if u not in endpoint_set:
+    for i, u in enumerate(nodes):
+        if not endpoint[u]:
             continue
-        dist = _local_dijkstra(
-            [(u, 0.0)], adj, expandable=interior_ok, seed_nodes={u}
-        )
-        for x, d in dist.items():
-            if x != u and x in endpoint_set:
-                overlay.add_shortcut(u, x, d, rbox)
+        dist = _local_search(out, expand, ((i, 0.0),), i)
+        for x, d in enumerate(dist):
+            if d == INF:
+                continue
+            if x != i and endpoint[nodes[x]]:
+                add(u, nodes[x], d, box)
             # Reaching x then leaving by one crossing edge ends the path;
             # x is then interior, so it must be a permitted interior node
             # (or the source itself).
-            if x == u or x in interior_ok:
-                for v, w in exits.get(x, ()):
-                    if v != u:
-                        overlay.add_shortcut(u, v, d + w, rbox)
+            if x == i or expand[x]:
+                for v, w in exits[x]:
+                    add(u, v, d + w, box)
 
-    # Paths entering from a fringe endpoint: group that endpoint's entry
-    # edges and run one search per fringe node.
-    entries: Dict[int, List[Tuple[int, float]]] = {}
-    for f, u, w in enter_edges:
-        if f in endpoint_set:
-            entries.setdefault(f, []).append((u, w))
-    for f, seeds in entries.items():
-        dist = _local_dijkstra(seeds, adj, expandable=interior_ok)
-        for x, d in dist.items():
-            if x != f and x in endpoint_set:
-                overlay.add_shortcut(f, x, d, rbox)
+    # Paths entering from a fringe endpoint: one search per fringe node,
+    # seeded with all of its entry edges.
+    for f, seeds in enter.items():
+        if endpoint[f]:
+            dist = _local_search(out, expand, seeds, -1)
+            for x, d in enumerate(dist):
+                if d < INF and endpoint[nodes[x]]:
+                    add(f, nodes[x], d, box)
+
+
+def _flags(n: int, members) -> bytearray:
+    """``flags[u] == 1`` exactly for the nodes in ``members``."""
+    flags = bytearray(n)
+    for u in members:
+        flags[u] = 1
+    return flags
 
 
 def assign_levels(
@@ -395,36 +411,21 @@ def assign_levels(
         # ---- pass 1: mark level-i cores via pseudo-arterial edges ----
         marked_edges: Set[Tuple[int, int]] = set()
         new_cores: Set[int] = set()
-        extraction: Dict[Region, Tuple] = {}
-        # Sorted: `regions` is a set, and this loop's order reaches the
-        # extraction dict, region_counts and shortcut creation — answer
-        # structure must not depend on hash order.
+        extraction: List[Tuple] = []
+        is_core = _flags(n, cores)
+        # Sorted: `regions` is a set, and this loop's order reaches
+        # region_counts and shortcut creation — answer structure must not
+        # depend on hash order.
         for region in sorted(regions, key=lambda r: (r.level, r.rx, r.ry)):
             inside = _region_inside(node_grid, region, buckets)
             if not inside:
                 continue
-            rbox = _region_box(region)
-            adjacency = overlay.covered_adjacency(rbox)
-            found: Set[Tuple[int, int]] = set()
-            problems = build_region_problems(
-                node_grid, region, inside, adjacency, expandable=cores
-            )
-            first = problems[0]
-            extraction[region] = (
-                inside,
-                rbox,
-                first.inside_out,
-                first.exit_edges,
-                first.enter_edges,
-            )
-            for problem in problems:
-                if problem.crossing and (
-                    problem.west_inside
-                    or problem.east_inside
-                    or problem.enter_edges
-                    or problem.exit_edges
-                ):
-                    found |= _solve_region_axis(problem)
+            box = _region_box(region)
+            rg = _region_graph(node_grid, region, inside, *overlay.usable(box))
+            found = _arterial_marks(rg, bytes(map(is_core.__getitem__, inside)))
+            # Pass 2 keeps only what it reads, so a level's region graphs
+            # hold one direction of their edges, not two.
+            extraction.append((box, rg.nodes, rg.out, rg.enter, rg.exit))
             if region_counts is not None:
                 region_counts[i].append(len(found))
             for a, b in sorted(found):
@@ -441,21 +442,13 @@ def assign_levels(
         # ---- pass 2: shortcuts bridging nodes about to be dropped ----
         next_border = border_by_level.get(i + 1, set())
         keep = (new_cores | (next_border & alive)) if i < h else set(new_cores)
-        interior_ok = alive - new_cores
-        endpoint_set = (new_cores | next_border) & alive
-        for region, (inside, rbox, adj, exit_edges, enter_edges) in extraction.items():
-            if len(inside) < 2:
-                continue
-            _create_region_shortcuts(
-                overlay,
-                rbox,
-                inside,
-                adj,
-                exit_edges,
-                enter_edges,
-                endpoint_set,
-                interior_ok,
-            )
+        interior = _flags(n, alive - new_cores)
+        endpoint = _flags(n, (new_cores | next_border) & alive)
+        for box, nodes, out, enter, exit_ in extraction:
+            if len(nodes) >= 2:
+                _region_shortcuts(
+                    overlay, box, nodes, out, enter, exit_, endpoint, interior
+                )
 
         dead = alive - keep
         overlay.drop_nodes(dead)

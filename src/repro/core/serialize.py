@@ -18,8 +18,11 @@ Index format (little-endian)::
     up_in:  same layout
 
 Loading range-checks every id before a query can index with it (edge
-counts, targets, middles, levels and ``h``) and raises
-:class:`BundleCorrupted` on damage.
+counts, targets, middles, levels and ``h``), requires every weight to be
+finite and non-negative, and requires every shortcut's middle to rank
+strictly below both of its ends (contraction guarantees this, and it is
+what makes path unpacking terminate); it raises :class:`BundleCorrupted`
+on damage.
 
 Elevating tables are *not* serialized (they are an optional query
 accelerator, cheaply rebuilt); a loaded index answers every query the
@@ -181,6 +184,7 @@ _FLAG_STALL = 2
 #: than ``2^53`` cells apart; a larger ``h`` is damage, and the query
 #: tables would grow with it.
 _MAX_GRID_H = 64
+_INF = float("inf")
 
 #: Bundle CRC trailer (written by :func:`save_bundle`): per-section
 #: ``<qqI`` (offset, length, crc32) entries, then the entry count, then
@@ -424,7 +428,8 @@ def _read_adjacency(
     Node ids are range-checked before any query can index with them: a
     target or middle outside ``[0, n)`` would raise mid-query or, if
     negative, silently read another node's search state (Python indexes
-    from the end).
+    from the end).  Weights must be finite and non-negative: a negative
+    one loads as a distance no path has.
     """
     counts = _read_i32_array(fh, n)
     (total,) = struct.unpack("<q", _read_exact(fh, 8))
@@ -445,6 +450,10 @@ def _read_adjacency(
     if total and (min(middles) < -1 or max(middles) >= n):
         raise BundleCorrupted(
             "AHIDX1", f"{name} has a middle outside [0, {n}) that is not -1"
+        )
+    if not all(0.0 <= w < _INF for w in weights):
+        raise BundleCorrupted(
+            "AHIDX1", f"{name} has a negative, NaN or infinite weight"
         )
     adjacency: List[List[Tuple[int, float, Optional[int]]]] = []
     pos = 0
@@ -532,6 +541,19 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
     rank = _read_i32_array(fh, n)
     up_out = _read_adjacency(fh, n, "up_out")
     up_in = _read_adjacency(fh, n, "up_in")
+    # Contraction ranks every middle strictly below both ends of its
+    # shortcut; under that rule unpacking a path always terminates.
+    rank_of = rank.tolist()
+    for name, adjacency in (("up_out", up_out), ("up_in", up_in)):
+        for u, adj in enumerate(adjacency):
+            ru = rank_of[u]
+            for v, _w, mid in adj:
+                if mid is not None and not rank_of[mid] < min(ru, rank_of[v]):
+                    raise BundleCorrupted(
+                        "AHIDX1",
+                        f"{name} shortcut ({u}, {v}) has middle {mid}, "
+                        "not ranked below both of its ends",
+                    )
 
     middle = {}
     shortcut_count = 0

@@ -7,6 +7,7 @@ the border-node retention logic.
 
 import pytest
 
+from repro.core.arterial import _region_graph
 from repro.core.hierarchy import _border_nodes, _covered, _Overlay, _region_box
 from repro.datasets import grid_city
 from repro.graph import GraphBuilder
@@ -82,10 +83,13 @@ class TestOverlay:
         assert all(1 not in adj for adj in ov.fwd.values())
 
     def test_covered_adjacency_filters(self):
-        ov = _Overlay(tiny_graph())
+        g = tiny_graph()
+        ov = _Overlay(g)
         ov.add_shortcut(0, 2, 2.0, BOX_B)  # generated outside BOX_A
-        adj = ov.covered_adjacency(BOX_A)
-        targets = [v for v, _, is_out in adj(0) if is_out]
+        # Region(1, 0, 0) has box BOX_A and holds all four nodes.
+        ng = NodeGrid(g, GridPyramid(0.0, 0.0, 8.0, 2))
+        rg = _region_graph(ng, Region(1, 0, 0), list(g.nodes()), *ov.usable(BOX_A))
+        targets = [rg.nodes[j] for j, _ in rg.out[rg.local[0]]]
         assert 1 in targets  # original edge always usable
         assert 2 not in targets  # coverage condition rejects the shortcut
 

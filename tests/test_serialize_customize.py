@@ -106,7 +106,16 @@ class AhStream:
         self.counts = self.levels + 8 * self.n
         (self.total,) = struct.unpack_from("<q", self.data, self.counts + 4 * self.n)
         self.targets = self.counts + 4 * self.n + 8
+        self.weights = self.targets + 4 * self.total
         self.middles = self.targets + 12 * self.total
+
+    def tail(self, i):
+        """The node whose ``up_out`` list holds entry ``i``."""
+        u, end = 0, self.get(self.counts, 0)
+        while end <= i:
+            u += 1
+            end += self.get(self.counts, u)
+        return u
 
     def get(self, offset, i):
         return struct.unpack_from("<i", self.data, offset + 4 * i)[0]
@@ -123,7 +132,9 @@ class TestIndexValidation:
 
     Before these checks a target of -1 loaded and answered some queries
     wrong, a target >= n raised ``IndexError`` mid-query, and a negative
-    level loaded.
+    level loaded.  A negative weight loaded and came back as a distance,
+    and a shortcut whose middle was its own tail loaded and sent
+    ``shortest_path`` into an endless unpacking loop.
     """
 
     def assert_rejected(self, stream, graph, detail):
@@ -170,6 +181,20 @@ class TestIndexValidation:
         stream = AhStream(towns_ah)
         struct.pack_into("<i", stream.data, stream.header + 4, value)
         self.assert_rejected(stream, towns_graph, "grid height")
+
+    @pytest.mark.parametrize("value", [-1000.0, float("nan"), float("inf")])
+    def test_weights(self, towns_ah, towns_graph, value):
+        stream = AhStream(towns_ah)
+        struct.pack_into("<d", stream.data, stream.weights, value)
+        self.assert_rejected(
+            stream, towns_graph, "up_out has a negative, NaN or infinite weight"
+        )
+
+    def test_middle_ranked_below_its_ends(self, towns_ah, towns_graph):
+        stream = AhStream(towns_ah)
+        i = next(i for i in range(stream.total) if stream.get(stream.middles, i) >= 0)
+        stream.put(stream.middles, i, stream.tail(i))
+        self.assert_rejected(stream, towns_graph, "not ranked below both of its ends")
 
 
 class TestCustomization:
