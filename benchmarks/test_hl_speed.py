@@ -29,16 +29,15 @@ Methodology
 * Exactness is asserted against plain Dijkstra before any clock starts,
   and the numpy kernels are asserted equal to the pure scans —
   a fast wrong oracle is worthless.
-* **Compact columns** (PR 6): the HL2 footprint facts (label-section
+* **Compact sections**: the HL2 footprint facts (label-section
   bytes, bytes/entry) are hardware-independent, so the >= 2.5x NH
-  shrink bar is asserted *hard* in every mode; the compact-vs-flat
-  kernel A/B interleaves the two domains per repeat with parity
-  asserted on the exact workload first, and its "no slower" floor is
-  CPU-gated like every other timing here.
+  shrink bar against the flat int64/float64 column image is asserted
+  *hard* in every mode, and an index loaded from the section must
+  answer bit-identically on every tier before any clock runs.
 * ``--check`` runs the build + exactness + kernel-parity +
-  compact-parity + footprint-floor phase only and writes a timing-free
-  JSON — what CI runs (on both the numpy and the no-numpy matrix leg),
-  immune to noisy-runner flake.
+  loaded-index parity + footprint-floor phase only and writes a
+  timing-free JSON — what CI runs (on both the numpy and the no-numpy
+  matrix leg), immune to noisy-runner flake.
 
 Run directly (``python benchmarks/test_hl_speed.py``) to refresh
 ``BENCH_hl.json``; under pytest the same measurement doubles as a
@@ -169,37 +168,35 @@ def build_and_verify():
                 sources, targets
             ), tier
 
-    # Compact label columns (PR 6).  The footprint facts are
-    # hardware-independent, so the ISSUE's >= 2.5x NH bar is a *hard*
-    # assertion (check mode included) — and the compact-domain kernels
-    # must answer bit-identically, on both backends, before any clock
-    # runs against them.
-    flat_buf = io.BytesIO()
-    save_hl_index(hl, flat_buf, compact=False)
-    comp_buf = io.BytesIO()
-    save_hl_index(hl, comp_buf)
-    flat_sec = inspect_bundle(flat_buf.getvalue())[0]["detail"]
-    comp_sec = inspect_bundle(comp_buf.getvalue())[0]["detail"]
-    size_ratio = flat_sec["label_bytes"] / comp_sec["label_bytes"]
+    # Compact label sections.  The footprint facts are
+    # hardware-independent, so the >= 2.5x NH bar against the flat
+    # int64/float64 column image (per side head[n+1], an entry count and
+    # 24 bytes per entry) is a *hard* assertion, check mode included —
+    # and the loaded index must answer bit-identically, on every tier.
+    buf = io.BytesIO()
+    save_hl_index(hl, buf)
+    comp_sec = inspect_bundle(buf.getvalue())[0]["detail"]
+    flat_label_bytes = 2 * (8 * (graph.n + 1) + 8) + 24 * comp_sec["entries"]
+    size_ratio = flat_label_bytes / comp_sec["label_bytes"]
     assert size_ratio >= 2.5, (
         f"NH label sections shrank only {size_ratio:.2f}x "
-        f"({flat_sec['label_bytes']} -> {comp_sec['label_bytes']} bytes)"
+        f"({flat_label_bytes} -> {comp_sec['label_bytes']} bytes)"
     )
-    comp_buf.seek(0)
-    hlc = load_hl_index(comp_buf, graph)
-    pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(50)]
+    buf.seek(0)
+    loaded = load_hl_index(buf, graph)
+    pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(20)]
     for name in _fast_tiers() + ["pure"]:
         with backend.forced(name):
-            for s, t in pairs[:20]:
-                assert hlc.distance(s, t) == hl.distance(s, t), (name, s, t)
-            assert hlc.one_to_many(sources[0], targets) == hl.one_to_many(
+            for s, t in pairs:
+                assert loaded.distance(s, t) == hl.distance(s, t), (name, s, t)
+            assert loaded.one_to_many(sources[0], targets) == hl.one_to_many(
                 sources[0], targets
             )
-            assert hlc.distance_table(sources, targets) == hl.distance_table(
+            assert loaded.distance_table(sources, targets) == hl.distance_table(
                 sources, targets
             )
 
-    return graph, workloads, ch, hl, hlc, {
+    return graph, workloads, ch, hl, {
         "dataset": DATASET,
         "n": graph.n,
         "m": graph.m,
@@ -212,8 +209,8 @@ def build_and_verify():
         "label_bytes_per_entry": comp_sec["bytes_per_entry"],
         "label_footprint": {
             "flat": {
-                "label_bytes": flat_sec["label_bytes"],
-                "bytes_per_entry": flat_sec["bytes_per_entry"],
+                "label_bytes": flat_label_bytes,
+                "bytes_per_entry": round(flat_label_bytes / comp_sec["entries"], 3),
             },
             "compact": {
                 "label_bytes": comp_sec["label_bytes"],
@@ -320,61 +317,8 @@ def _bench_batched(graph, hl):
     return table, o2m
 
 
-def _bench_compact(graph, hl, hlc):
-    """Compact-domain vs flat-domain kernels, interleaved per repeat.
-
-    Same index, two storage domains: the int32/varint-decoded columns
-    (``hlc``) against the flat int64/float64 ones (``hl``).  Parity is
-    asserted on the exact benchmark workload before any clock; the two
-    domains alternate within each repeat so machine drift hits both.
-    Runs under the ambient backend (numpy when available — the domain
-    where the int32 gathers matter; ``distance`` itself is
-    backend-independent).
-    """
-    rng = random.Random(29)
-    pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(100)]
-    sources = [rng.randrange(graph.n) for _ in range(TABLE_SIDE)]
-    targets = [rng.randrange(graph.n) for _ in range(TABLE_SIDE)]
-    o2m_targets = [rng.randrange(graph.n) for _ in range(O2M_TARGETS)]
-
-    # Parity before clocks, on this exact workload.
-    assert hlc.distance_table(sources, targets) == hl.distance_table(
-        sources, targets
-    )
-    assert hlc.one_to_many(sources[0], o2m_targets) == hl.one_to_many(
-        sources[0], o2m_targets
-    )
-
-    flat_us = _mean_us(hl.distance, pairs)
-    compact_us = _mean_us(hlc.distance, pairs)
-
-    table_s = {"flat": INF, "compact": INF}
-    o2m_s = {"flat": INF, "compact": INF}
-    for _ in range(REPEATS):
-        for key, idx in (("flat", hl), ("compact", hlc)):
-            idx.clear_target_inversions()
-            t0 = time.perf_counter()
-            idx.distance_table(sources, targets)
-            table_s[key] = min(table_s[key], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            idx.one_to_many(sources[0], o2m_targets)
-            o2m_s[key] = min(o2m_s[key], time.perf_counter() - t0)
-    return {
-        "backend": backend.active(),
-        "distance_us": {
-            "flat": round(flat_us, 3),
-            "compact": round(compact_us, 3),
-        },
-        "table_100x100_s": {k: round(v, 5) for k, v in table_s.items()},
-        "one_to_many_1000_s": {k: round(v, 6) for k, v in o2m_s.items()},
-        "distance_compact_vs_flat": round(flat_us / compact_us, 3),
-        "table_compact_vs_flat": round(table_s["flat"] / table_s["compact"], 3),
-        "o2m_compact_vs_flat": round(o2m_s["flat"] / o2m_s["compact"], 3),
-    }
-
-
 def run_benchmark():
-    graph, workloads, ch, hl, hlc, result = build_and_verify()
+    graph, workloads, ch, hl, result = build_and_verify()
 
     buckets = {}
     for b in workloads.non_empty_buckets():
@@ -390,7 +334,6 @@ def run_benchmark():
         }
 
     table, o2m = _bench_batched(graph, hl)
-    compact = _bench_compact(graph, hl, hlc)
 
     speedups = [rec["speedup"] for rec in buckets.values()]
     headline = {
@@ -423,29 +366,26 @@ def run_benchmark():
     headline["label_compact_vs_flat_size"] = result["label_footprint"][
         "compact_vs_flat_size_ratio"
     ]
-    headline["table_compact_vs_flat"] = compact["table_compact_vs_flat"]
     result.update(
         {
             "method": "shared contraction hierarchy; per-bucket interleaved "
-            "A/B; backend A/B interleaved per repeat; compact-vs-flat "
-            "domains interleaved per repeat; best-of-%d" % REPEATS,
+            "A/B; backend A/B interleaved per repeat; best-of-%d" % REPEATS,
             "headline": headline,
             "distance_query": buckets,
             "distance_table": table,
             "one_to_many": o2m,
-            "compact_vs_flat": compact,
         }
     )
     return result
 
 
 def run_check():
-    """CI mode: build + exactness + kernel/compact parity + the hard
+    """CI mode: build + exactness + kernel/loaded-index parity + the hard
     footprint floor — no timing, no flake."""
-    _, _, _, _, _, result = build_and_verify()
+    _, _, _, _, result = build_and_verify()
     result["mode"] = (
         "check (build + exactness + three-tier kernel parity + "
-        "compact-domain parity + >=2.5x label-footprint floor; "
+        "loaded-index parity + >=2.5x label-footprint floor; "
         "timings omitted)"
     )
     return result
@@ -504,14 +444,6 @@ def test_hl_speed():
     # PR 6: the footprint floor is hardware-independent — always hard
     # (build_and_verify also asserts it, so check mode gates too).
     assert result["label_footprint"]["compact_vs_flat_size_ratio"] >= 2.5
-    if visible_cpus() >= 4:
-        # Compact kernels must not pay for their footprint: the table
-        # join over int32 gathers should match or beat the flat one.
-        # Timing floor, so gated like PR 5's — only where it is physical
-        # (1-CPU CI boxes time-share and the clock is scheduler noise).
-        assert result["compact_vs_flat"]["table_compact_vs_flat"] >= 0.85, (
-            result["compact_vs_flat"]
-        )
     # The committed BENCH_hl.json is refreshed explicitly (run this file
     # directly on a quiet machine); CI gates, it does not overwrite.
 

@@ -8,8 +8,8 @@ One Python process tops out at one core (and one GIL).  This demo shows
 the PR 5 worker tier taking the same serving stack past that:
 
 1. an index is built once and **serialized to a bundle** — the shared
-   substrate every worker boots from (here an mmap'd file, so all
-   replicas share one page-cache copy of the read-only label columns);
+   substrate every worker boots from (here an mmap'd file, which every
+   replica decodes into its own label columns);
 2. a :class:`repro.serve.WorkerPool` spawns worker processes, each
    loading its own engine replica from the bundle, and the familiar
    :class:`repro.serve.Server` dispatches coalesced batches across them

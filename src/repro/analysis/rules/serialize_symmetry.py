@@ -1,6 +1,6 @@
 """serialize-symmetry: every packed struct format has a matching reader.
 
-The bundle formats (GCSR1/HLIDX1/HLIDX2) promise byte-identical files
+The bundle formats (GCSR1/AHIDX1/HLIDX2) promise byte-identical files
 from either backend and byte-exact round-trips; that only holds when
 every ``struct.pack`` in a section writer has a byte-compatible
 ``unpack`` in the matching reader, and every format is explicitly

@@ -87,7 +87,6 @@ __all__ = [
     "col_sum",
     "np_view_i64",
     "np_view_f64",
-    "np_view",
 ]
 
 HAS_NUMPY = np is not None
@@ -379,31 +378,3 @@ def np_view_f64(col):
     if isinstance(col, np.ndarray):
         return col
     return np.frombuffer(col, dtype=np.float64)
-
-
-#: Buffer format / array typecode -> numpy dtype, for :func:`np_view`.
-#: Covers the column widths the repo actually stores: int64/float64 flat
-#: columns plus the int32 compact (HL2) label columns.
-_VIEW_DTYPES = {"q": "int64", "l": "int64", "d": "float64", "i": "int32"}
-
-
-def np_view(col):
-    """Zero-copy numpy view over a column, dtype taken from the column.
-
-    The width-generic sibling of :func:`np_view_i64` / :func:`np_view_f64`:
-    stdlib arrays map through their typecode, memoryviews through their
-    format, ndarrays pass through untouched — so the batched kernels can
-    vectorise over flat (int64/float64) and compact (int32) label
-    columns alike without the caller tracking widths.  Only callable
-    when numpy is importable.
-    """
-    if isinstance(col, np.ndarray):
-        return col
-    code = col.typecode if isinstance(col, array) else memoryview(col).format
-    dtype = _VIEW_DTYPES.get(code)
-    if dtype is None:
-        raise TypeError(f"no numpy view mapping for column format {code!r}")
-    view = np.frombuffer(col, dtype=dtype)
-    if code == "l" and view.itemsize != memoryview(col).itemsize:
-        raise TypeError("platform 'l' width differs from int64")  # pragma: no cover
-    return view

@@ -44,9 +44,8 @@ thousands of label entries — so it dispatches on :mod:`repro.backend`:
   C extension is built): all three hot kernels — the two-pointer
   merge-join ``distance``, the dense-gather ``one_to_many`` and the
   co-occurrence scatter-min ``distance_table`` — run as single C calls
-  directly over the label columns through the buffer protocol, flat
-  and compact domains alike (the C loops read int32 and int64/float64
-  columns through the same accessors, so compact bundles never widen).
+  directly over the int64/float64 label columns through the buffer
+  protocol.
 * **numpy** (the default when importable): ``one_to_many`` scatters the
   source label into a dense hub-indexed distance vector (absent hubs
   read ``inf`` for free — no searchsorted, no mask), gathers it through
@@ -67,20 +66,14 @@ merge-join over the stdlib-array columns on both backends — at ~2 µs a
 query there is nothing for vectorisation to amortise, and numpy scalar
 indexing would only add boxing overhead.  The label columns therefore
 remain stdlib ``array``\\ s; the kernels vectorise over cached
-*zero-copy* numpy views of them (:func:`repro.backend.np_view`).
+*zero-copy* numpy views of them (:func:`repro.backend.np_view_i64`,
+:func:`repro.backend.np_view_f64`).
 
-Two **column domains** share every query path.  A freshly built index
-holds *flat* columns (int64 hubs/parents, float64 dists); an index
-loaded from a compact ``HL2`` bundle section
-(:mod:`repro.core.serialize`) holds *compact* ones — int32 hubs,
-parents and heads, int32 dists when the exactness guard proved the
-values integral.  The kernels are domain-generic: scalar paths coerce
-results through ``float()`` (int32 -> float64 casts are exact), the
-numpy table kernel widens the source distances to float64 before the
-join (so int32 + int32 can never wrap), and :meth:`_np_views` maps each
-column's own width.  Answers are bit-identical across domains *and*
-backends — the compact domain halves cache-line traffic in the
-gather-bound table kernel without changing a single bit of output.
+A built index and one loaded from an ``HLIDX2`` section
+(:mod:`repro.core.serialize`) hold the same column layout: ``array('q')``
+heads, hubs and parents and ``array('d')`` distances.  Every kernel
+therefore reads one layout, and a loaded index answers bit-identically
+to the build it was saved from.
 """
 
 from __future__ import annotations
@@ -252,14 +245,6 @@ class HubLabelIndex(QueryEngine):
         a bundle-loaded replica carries the same runtime state as a
         freshly built index.
         """
-        if not hasattr(self, "domain"):
-            #: "flat" (int64/float64 columns) or "compact" (int32 HL2
-            #: columns) — set by the HL2 loader before this runs.
-            self.domain = "flat"
-        if not hasattr(self, "dist_encoding"):
-            #: Per-direction on-disk distance encoding this index came
-            #: from ("i4" / "dd" / "f8"); flat columns are always f8.
-            self.dist_encoding = ("f8", "f8")
         self._npv = None  # cached zero-copy numpy views, built on first use
         # Target-side inversion memo: (backend flavour, target tuple) ->
         # prebuilt inversion structure.  Labels are immutable, so entries
@@ -276,20 +261,17 @@ class HubLabelIndex(QueryEngine):
         Cached per index (labels are immutable once built); shared by
         both batched kernels.  Only called when the numpy backend is
         active, so :mod:`repro.backend` guarantees numpy is importable.
-        Width-generic (:func:`repro.backend.np_view`): flat columns view
-        as int64/float64, compact HL2 columns as int32 — the kernels'
-        gathers then move half the cache-line traffic per entry.
         """
         views = getattr(self, "_npv", None)
         if views is None:
-            view = backend.np_view
+            i64, f64 = backend.np_view_i64, backend.np_view_f64
             views = (
-                view(self.fwd_head),
-                view(self.fwd_hub),
-                view(self.fwd_dist),
-                view(self.bwd_head),
-                view(self.bwd_hub),
-                view(self.bwd_dist),
+                i64(self.fwd_head),
+                i64(self.fwd_hub),
+                f64(self.fwd_dist),
+                i64(self.bwd_head),
+                i64(self.bwd_hub),
+                f64(self.bwd_dist),
             )
             self._npv = views
         return views
@@ -313,10 +295,9 @@ class HubLabelIndex(QueryEngine):
     def stats(self) -> dict:
         """Footprint observability: bytes/entry and per-column sizes.
 
-        Reports the *in-memory* query-time columns (flat vs compact
-        domain, per-column byte sizes, bytes per label entry) plus the
-        on-disk distance encoding the index came from.  The serialized
-        footprint of a bundle is the companion view —
+        Reports the *in-memory* query-time columns (per-column byte
+        sizes, bytes per label entry).  The serialized footprint of a
+        bundle is the companion view —
         ``python -m repro.serialize --inspect <bundle>``.
         """
         columns = {}
@@ -332,8 +313,6 @@ class HubLabelIndex(QueryEngine):
             label_bytes += nbytes
         entries = self.label_count
         return {
-            "domain": self.domain,
-            "dist_encoding": tuple(self.dist_encoding),
             "n": self.graph.n,
             "entries": entries,
             "label_bytes": label_bytes,
@@ -473,10 +452,8 @@ class HubLabelIndex(QueryEngine):
     def distance(self, source: int, target: int) -> float:
         """Merge-join of the two sorted label slices; no graph traversal.
 
-        Domain-generic: compact int32 columns sum as exact Python ints
-        and coerce to float64 on return — the same value, bit for bit,
-        the flat float64 columns produce.  Under the native tier the
-        same merge-join runs as one C call over the same columns.
+        Under the native tier the same merge-join runs as one C call over
+        the same columns.
         """
         if source == target:
             return 0.0
@@ -513,7 +490,7 @@ class HubLabelIndex(QueryEngine):
                 i += 1
             else:
                 j += 1
-        return float(best)
+        return best
 
     def _meet(self, source: int, target: int) -> Tuple[float, int]:
         """Like :meth:`distance` but also returns the best hub (-1 if none)."""
@@ -539,7 +516,7 @@ class HubLabelIndex(QueryEngine):
                 i += 1
             else:
                 j += 1
-        return float(best), hub
+        return best, hub
 
     def one_to_many(self, source: int, targets) -> List[float]:
         """HL fast path: scan the source label once for the whole batch.
@@ -563,10 +540,9 @@ class HubLabelIndex(QueryEngine):
 
         Same dense hub-indexed scatter/gather the numpy kernel performs
         (and the same candidate sums the pure scan folds), compiled —
-        the kernel reads the columns through the buffer protocol, so
-        flat and compact domains take the identical code path.  Results
-        are plain Python floats built by the extension; ``list`` is the
-        column constructor at the boundary.
+        the kernel reads the columns through the buffer protocol.
+        Results are plain Python floats built by the extension; ``list``
+        is the column constructor at the boundary.
         """
         return list(
             _native.one_to_many(
@@ -591,11 +567,8 @@ class HubLabelIndex(QueryEngine):
         """
         src: Dict[int, float] = {}
         fhub, fdist = self.fwd_hub, self.fwd_dist
-        # float() up front keeps the sums float64 in the compact (int32)
-        # domain too — int -> float64 casts are exact, so the answers
-        # stay bit-identical to the flat columns'.
         for i in range(self.fwd_head[source], self.fwd_head[source + 1]):
-            src[fhub[i]] = float(fdist[i])
+            src[fhub[i]] = fdist[i]
         bhead, bhub, bdist = self.bwd_head, self.bwd_hub, self.bwd_dist
         get = src.get
         out: List[float] = []
@@ -721,7 +694,7 @@ class HubLabelIndex(QueryEngine):
                 bucket = get(fhub[i])
                 if bucket is None:
                     continue
-                d = float(fdist[i])  # exact in the compact int32 domain too
+                d = fdist[i]
                 for col, bd in bucket:
                     nd = d + bd
                     if nd < row[col]:
@@ -780,12 +753,6 @@ class HubLabelIndex(QueryEngine):
                 )
                 shub = fhub[spos]
                 sdist = fdist[spos]
-                if sdist.dtype != np.float64:
-                    # Compact domain: widen the source side once so the
-                    # candidate sums are float64 (exact for int32 inputs
-                    # and immune to int32 + int32 wrap); the target side
-                    # stays narrow — the gather-bound hot path.
-                    sdist = sdist.astype(np.float64)
                 srowkey = np.repeat(np.arange(src.size, dtype=np.int64) * ncols, slens)
                 # Sparse probe of the memoized run index: source hubs
                 # absent from the target labels get cnt 0 (their base

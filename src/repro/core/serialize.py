@@ -40,21 +40,10 @@ adjacency::
     out_head[n+1] (int64), out_dst[m] (int64), out_w[m] (float64)
     in_head[n+1]  (int64), in_src[m] (int64), in_w[m]  (float64)
 
-Hub-label indexes (:class:`repro.baselines.hl.HubLabelIndex`) get their
-own ``HL1`` section: the label columns are already flat parallel arrays,
-so the dump is a straight ``array.tofile`` of the eight label columns
-plus the shortcut-middle triples that path unpacking needs::
-
-    magic  b"HLIDX1\\n"
-    header: n (int64)
-    forward:  head[n+1] (int64), count (int64),
-              hub (int64), dist (float64), parent (int64)
-    backward: same layout
-    middles:  count (int64), a (int64), b (int64), mid (int64)
-
-``HL2`` is the **compact** hub-label section (the default writer since
-the compact-column PR) — same information, ~3-4x fewer bytes, decoded
-back to exact values so queries are bit-identical to the flat path::
+Hub-label indexes (:class:`repro.baselines.hl.HubLabelIndex`) get the
+``HL2`` section: varint streams plus exact distance encodings, decoded
+back to the int64/float64 columns a built index holds, so a loaded index
+answers bit-identically to the build it was saved from::
 
     magic  b"HLIDX2\\n"
     header: n (int64)
@@ -81,6 +70,16 @@ stored float64 delta — true by construction for labels grown one edge
 relaxation at a time, and verified entry by entry at save; else raw
 ``f8``.  Quantisation can therefore never change an answer: lossy
 cases fall back to wider sections automatically.
+
+Loading checks every label structure a query walks: hubs lie in
+``[0, n)``, parent codes stay inside their row, every row has exactly
+one root and it holds the row's own node, parent chains are acyclic,
+``dd`` indexes stay inside the dictionary, shortcut middles lie in
+``[0, n)`` and their split relation is acyclic (``HLIDX2`` stores no
+ranks, so the middles table itself is searched).  Parent walks and
+shortcut unpacking therefore terminate, and every hub index stays
+inside the kernels' ``n``-sized scratch; damage raises
+:class:`BundleCorrupted`.
 
 :func:`save_bundle` / :func:`load_bundle` concatenate a graph section
 with an index section (AH or HL — the magic picks the loader) so one
@@ -113,16 +112,13 @@ Buffer sources (the worker-tier substrate)
 Every loader also accepts an in-memory buffer (``bytes`` / ``bytearray``
 / ``memoryview``) or, via ``mmap=True``, a path to memory-map — the two
 transports a multi-process serving tier boots engine replicas from
-(:mod:`repro.serve.pool`).  Buffer loads are **zero-copy for the big
-read-only sections**: the CSR graph columns come up as
-``numpy.frombuffer`` views straight over the buffer under the numpy
-backend, and the hub-label columns come up as ``memoryview`` casts on
-*both* backends (plain-scalar indexing for the two-pointer merge-join,
-``numpy.frombuffer``-viewable for the batched kernels).  An mmap'd
-bundle therefore shares its label pages between every worker process
-that maps it — N replicas, one page-cache copy.  :func:`bundle_bytes`
-is the matching writer-side helper (one in-memory bundle to hand a
-worker over a pipe).
+(:mod:`repro.serve.pool`).  Under the numpy backend the ``GCSR1`` graph
+columns come up as ``numpy.frombuffer`` views straight over the buffer,
+zero-copy; everything else, the hub labels included, is decoded into
+columns private to the loading process.  A length field larger than the
+bytes left in a seekable source raises before anything is read, so an
+inflated length allocates nothing.  :func:`bundle_bytes` is the matching
+writer-side helper (one in-memory bundle to hand a worker over a pipe).
 """
 
 from __future__ import annotations
@@ -133,6 +129,8 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
+from operator import add
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from .. import backend
@@ -168,7 +166,6 @@ __all__ = [
 ]
 
 _MAGIC = b"AHIDX1\n"
-_HL_MAGIC = b"HLIDX1\n"
 _HL2_MAGIC = b"HLIDX2\n"
 _GRAPH_MAGIC = b"GCSR1\n"
 
@@ -195,7 +192,6 @@ _TRAILER_TAIL = 8 + len(_TRAILER_MAGIC)  # count + magic
 
 _MAGIC_NAMES = {
     _MAGIC: "AHIDX1",
-    _HL_MAGIC: "HLIDX1",
     _HL2_MAGIC: "HLIDX2",
     _GRAPH_MAGIC: "GCSR1",
 }
@@ -272,9 +268,9 @@ class _BufferReader:
     """File-like ``read()`` over a bytes-like object, serving zero-copy slices.
 
     Every ``read`` returns a ``memoryview`` window into the underlying
-    buffer instead of a fresh ``bytes`` copy, which is what makes
-    buffer/mmap loads zero-copy: ``numpy.frombuffer`` and
-    ``memoryview.cast`` both view the window, and the views keep the
+    buffer instead of a fresh ``bytes`` copy, which is what makes the
+    graph columns' buffer/mmap loads zero-copy under numpy:
+    ``numpy.frombuffer`` views the window, and the views keep the
     buffer (and an mmap behind it) alive for as long as the loaded
     columns live.
     """
@@ -314,11 +310,10 @@ def _open_source(source: Source, use_mmap: bool = False):
     """Normalise a loader source to ``(file_like, owns_handle)``.
 
     ``use_mmap=True`` (paths only) memory-maps the file read-only and
-    reads through a :class:`_BufferReader`, so the loaded columns view
-    the mapping directly — the OS page cache backs every process that
-    maps the same bundle, which is the worker-tier sharing story.  The
-    mapping is kept alive by the column views and reclaimed by GC; the
-    file descriptor is closed as soon as the map exists.
+    reads through a :class:`_BufferReader`, so columns loaded as views
+    (the graph's, under numpy) view the mapping directly.  The mapping
+    is kept alive by those views and reclaimed by GC; the file
+    descriptor is closed as soon as the map exists.
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         return _BufferReader(source), False
@@ -337,13 +332,27 @@ def _open_source(source: Source, use_mmap: bool = False):
 
 def _read_exact(fh, nbytes: int):
     """``nbytes`` from ``fh`` — ``bytes`` from files, a zero-copy
-    ``memoryview`` window from buffer sources."""
+    ``memoryview`` window from buffer sources.
+
+    A length larger than what is left of a seekable source raises before
+    the read, so a damaged length field never allocates its claim.
+    """
+    if nbytes < 0 or (fh.seekable() and nbytes > _remaining(fh)):
+        raise EOFError(f"truncated section: wanted {nbytes} bytes")
     buf = fh.read(nbytes)
     if len(buf) != nbytes:
         raise EOFError(
             f"truncated section: wanted {nbytes} bytes, got {len(buf)}"
         )
     return buf
+
+
+def _remaining(fh) -> int:
+    """Bytes between the read position of seekable ``fh`` and its end."""
+    pos = fh.tell()
+    end = fh.seek(0, 2)
+    fh.seek(pos)
+    return end - pos
 
 
 def _write_col(fh: BinaryIO, col) -> None:
@@ -360,19 +369,13 @@ def _read_f64_col(fh, count: int):
     return backend.float_col_from_bytes(_read_exact(fh, 8 * count))
 
 
-def _read_q_array(fh, count: int) -> array:
-    """A stdlib ``array('q')`` (e.g. the shortcut-middle triples).
+def _read_d_array(fh, count: int) -> array:
+    """A stdlib ``array('d')`` straight off the bytes.
 
     Filled via ``frombytes`` rather than the ``array(typecode, buf)``
     constructor: the constructor treats a ``memoryview`` as an iterable
     of byte values and would silently build garbage from buffer sources.
     """
-    out = array("q")
-    out.frombytes(_read_exact(fh, 8 * count))
-    return out
-
-
-def _read_d_array(fh, count: int) -> array:
     out = array("d")
     out.frombytes(_read_exact(fh, 8 * count))
     return out
@@ -381,23 +384,6 @@ def _read_d_array(fh, count: int) -> array:
 def _read_i32_array(fh, count: int) -> array:
     out = array("i")
     out.frombytes(_read_exact(fh, 4 * count))
-    return out
-
-
-def _read_label_col(fh, count: int, typecode: str):
-    """One hub-label column: zero-copy from buffers, stdlib from files.
-
-    Buffer sources (bytes / mmap) return a read-only ``memoryview``
-    cast — no copy, plain Python scalars on indexing (so the two-pointer
-    merge-join keeps its speed), and ``numpy.frombuffer``-viewable for
-    the batched kernels — identically on both backends.  File sources
-    keep returning stdlib arrays, exactly as before.
-    """
-    buf = _read_exact(fh, 8 * count)
-    if isinstance(buf, memoryview):
-        return buf.cast(typecode)
-    out = array(typecode)
-    out.frombytes(buf)
     return out
 
 
@@ -592,126 +578,70 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
     return index
 
 
-def index_bytes(
-    index: Union[AHIndex, HubLabelIndex], *, compact: bool = True
-) -> int:
+def index_bytes(index: Union[AHIndex, HubLabelIndex]) -> int:
     """Size of the serialized index in bytes (Figure 10a in real units)."""
     buf = io.BytesIO()
     if isinstance(index, HubLabelIndex):
-        save_hl_index(index, buf, compact=compact)
+        save_hl_index(index, buf)
     else:
         save_index(index, buf)
     return buf.tell()
 
 
-def bundle_bytes(
-    index: Union[AHIndex, HubLabelIndex], *, compact: bool = True
-) -> bytes:
+def bundle_bytes(index: Union[AHIndex, HubLabelIndex]) -> bytes:
     """The full :func:`save_bundle` image as one in-memory ``bytes``.
 
     The transport :mod:`repro.serve.pool` ships to worker processes: one
     serialization in the parent, then each worker boots its replica via
-    ``load_bundle(blob)`` with the big columns viewing the blob in place.
-    Compact by default — the HL2 section shrinks the bytes a worker boot
-    moves over its pipe ~3x; pass ``compact=False`` for the flat HL1
-    image whose label columns load as zero-copy views.
+    ``load_bundle(blob)``.
     """
     buf = io.BytesIO()
-    save_bundle(index, buf, compact=compact)
+    save_bundle(index, buf)
     return buf.getvalue()
 
 
-# ----------------------------------------------------------------------
-# HL1: hub-label indexes (flat int64/float64 columns)
-# ----------------------------------------------------------------------
-def _coerce_col(col, typecode: str):
-    """An 8-byte-wide image of a label column (no copy when already 8B).
-
-    Lets the flat HL1 writer accept a compact-domain index (int32
-    columns, possibly int32 distances): widening int32 -> int64/float64
-    is exact, so a compact index saved with ``compact=False`` produces
-    the same HL1 bytes as the original flat index did.
-    """
-    if getattr(col, "itemsize", 8) == 8:
-        return col
-    return array(typecode, col)
-
-
-def _write_label_side(
-    fh: BinaryIO, head: array, hub: array, dist: array, parent: array
-) -> None:
-    hub = _coerce_col(hub, "q")
-    _write_col(fh, _coerce_col(head, "q"))
-    fh.write(struct.pack("<q", len(hub)))
-    _write_col(fh, hub)
-    _write_col(fh, _coerce_col(dist, "d"))
-    _write_col(fh, _coerce_col(parent, "q"))
-
-
-def _read_label_side(fh, n: int) -> Tuple:
-    # Label columns are backend-independent on the read path: stdlib
-    # arrays from file sources (the per-query two-pointer merge-join
-    # indexes them scalar-by-scalar; the numpy kernels wrap them in
-    # zero-copy views), read-only memoryview casts from buffer/mmap
-    # sources (same scalar indexing, zero copy — see _read_label_col).
-    head = _read_label_col(fh, n + 1, "q")
-    (total,) = struct.unpack("<q", _read_exact(fh, 8))
-    hub = _read_label_col(fh, total, "q")
-    dist = _read_label_col(fh, total, "d")
-    parent = _read_label_col(fh, total, "q")
-    return head, hub, dist, parent
-
-
-def save_hl_index(
-    index: HubLabelIndex, sink: Union[str, BinaryIO], *, compact: bool = True
-) -> None:
+def save_hl_index(index: HubLabelIndex, sink: Union[str, BinaryIO]) -> None:
     """Write a hub-label index's query-time state to ``sink``.
 
-    ``compact=True`` (the default) writes the delta-encoded ``HL2``
-    section — ~3-4x smaller, decoded back to exact values (see the
-    module docstring's exactness guard).  ``compact=False`` keeps the
-    flat ``HL1`` dump: label columns verbatim, zero-copy viewable
-    straight off a buffer/mmap load.  Either way the shortcut-middle
-    dict rides along as parallel int columns so path unpacking survives
-    the round-trip, and both loaders answer identically.
+    Writes the ``HL2`` section (see the module docstring's exactness
+    guard); the shortcut-middle dict rides along as parallel int32
+    columns so path unpacking survives the round-trip.  ``HL2`` stores
+    node ids as int32, so a graph of 2^31 or more nodes raises
+    :class:`ValueError`.
     """
+    if index.graph.n >= 2**31:
+        raise ValueError(
+            f"HLIDX2 stores node ids as int32; {index.graph.n} nodes do not fit"
+        )
     own = isinstance(sink, str)
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
-        if compact and index.graph.n < 2**31:
-            _save_hl2(index, fh)
-            return
-        fh.write(_HL_MAGIC)
+        fh.write(_HL2_MAGIC)
         fh.write(struct.pack("<q", index.graph.n))
-        _write_label_side(
-            fh, index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent
-        )
-        _write_label_side(
-            fh, index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent
-        )
+        for head, hub, dist, parent in (
+            (index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent),
+            (index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent),
+        ):
+            enc, count, lengths, hubs, parents, dist_payload = _encode_label_side(
+                head, hub, dist, parent
+            )
+            fh.write(struct.pack("<Bq", enc, count))
+            _write_blob(fh, lengths)
+            _write_blob(fh, hubs)
+            _write_blob(fh, parents)
+            fh.write(dist_payload)
         middle = index._middle
         fh.write(struct.pack("<q", len(middle)))
-        if backend.use_numpy():
-            np = backend.np
-            pairs = np.fromiter(
-                middle.keys(), dtype=np.dtype((np.int64, 2)), count=len(middle)
-            ).reshape(len(middle), 2)
-            _write_col(fh, np.ascontiguousarray(pairs[:, 0]))
-            _write_col(fh, np.ascontiguousarray(pairs[:, 1]))
-            _write_col(
-                fh, np.fromiter(middle.values(), dtype=np.int64, count=len(middle))
-            )
-        else:
-            a_col = array("q")
-            b_col = array("q")
-            mid_col = array("q")
-            for (a, b), mid in middle.items():
-                a_col.append(a)
-                b_col.append(b)
-                mid_col.append(mid)
-            _write_col(fh, a_col)
-            _write_col(fh, b_col)
-            _write_col(fh, mid_col)
+        a_col = array("i")
+        b_col = array("i")
+        mid_col = array("i")
+        for (a, b), mid in middle.items():
+            a_col.append(a)
+            b_col.append(b)
+            mid_col.append(mid)
+        _write_col(fh, a_col)
+        _write_col(fh, b_col)
+        _write_col(fh, mid_col)
     finally:
         if own:
             fh.close()
@@ -724,52 +654,20 @@ def load_hl_index(
 
     The loaded index answers distance *and* path queries without any
     rebuilding: labels, parent hubs and shortcut middles all come off
-    the file.  The magic picks the decoder: flat ``HL1`` buffer sources
-    (``bytes`` or ``mmap=True`` paths) give zero-copy read-only label
-    columns (see :func:`_read_label_col`); compact ``HL2`` sections are
-    decoded into int32 columns whose queries are bit-identical to the
-    flat path's.
+    the file, decoded into the same int64/float64 columns a built index
+    holds.
     """
     fh, own = _open_source(source, mmap)
     try:
-        magic = fh.read(len(_HL_MAGIC))
+        if fh.read(len(_HL2_MAGIC)) != _HL2_MAGIC:
+            raise ValueError("not a hub-label index file (bad magic)")
         try:
-            if magic == _HL_MAGIC:
-                return _load_hl_body(fh, graph)
-            if magic == _HL2_MAGIC:
-                return _load_hl2_body(fh, graph)
+            return _load_hl2_body(fh, graph)
         except (struct.error, EOFError) as exc:
-            section = "HLIDX1" if magic == _HL_MAGIC else "HLIDX2"
-            raise BundleCorrupted(section, str(exc)) from exc
-        raise ValueError("not a hub-label index file (bad magic)")
+            raise BundleCorrupted("HLIDX2", str(exc)) from exc
     finally:
         if own:
             fh.close()
-
-
-def _load_hl_body(fh: BinaryIO, graph: Graph) -> HubLabelIndex:
-    """Read everything after the ``HLIDX1`` magic and rebuild the index."""
-    (n,) = struct.unpack("<q", fh.read(8))
-    if n != graph.n:
-        raise ValueError(
-            f"index was built for {n} nodes but the graph has {graph.n}"
-        )
-    fwd = _read_label_side(fh, n)
-    bwd = _read_label_side(fh, n)
-    (mcount,) = struct.unpack("<q", _read_exact(fh, 8))
-    a_col = _read_q_array(fh, mcount).tolist()
-    b_col = _read_q_array(fh, mcount).tolist()
-    mid_col = _read_q_array(fh, mcount).tolist()
-
-    index = HubLabelIndex.__new__(HubLabelIndex)
-    index.graph = graph
-    index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent = fwd
-    index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent = bwd
-    index._middle = dict(zip(zip(a_col, b_col), mid_col))
-    # View cache + target-inversion memo (PR 4 state): without this a
-    # loaded index would crash on its first distance_table call.
-    index._init_runtime_state()
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -791,6 +689,9 @@ def _uvarint_append(out: bytearray, value: int) -> None:
 def _uvarint_decode(buf) -> List[int]:
     """Every uvarint in ``buf`` (the streams are framed, so bounds are
     known); one flat pass, no per-value function calls."""
+    buf = bytes(buf)
+    if not buf or max(buf) < 0x80:
+        return list(buf)  # every value fits one byte: no carries at all
     out: List[int] = []
     append = out.append
     value = 0
@@ -804,7 +705,7 @@ def _uvarint_decode(buf) -> List[int]:
             value = 0
             shift = 0
     if shift:
-        raise ValueError("truncated uvarint stream")
+        raise EOFError("truncated uvarint stream")
     return out
 
 
@@ -915,76 +816,127 @@ def _encode_label_side(head, hub, dist, parent) -> Tuple[int, int, bytes, bytes,
     )
 
 
-def _decode_label_side(fh, n: int) -> Tuple:
-    """One HL2 direction -> ``(head, hub, dist, parent, enc)`` columns.
+def _decode_label_side(fh, n: int) -> Tuple[array, array, array, array]:
+    """One HL2 direction -> ``(head, hub, dist, parent)`` columns.
 
-    ``head``/``hub``/``parent`` come back as int32 stdlib arrays (the
-    compact query domain); ``dist`` as int32 for ``i4`` sections and
-    float64 for ``dd``/``f8`` — in all cases holding the exact values
-    the flat columns held.
+    The layout a built index holds: ``array('q')`` ids and ``array('d')``
+    distances (``i4`` values widen exactly: each is below 2^31).  Rows a
+    query could not walk raise :class:`BundleCorrupted` (see the module
+    docstring's load checks).
     """
     enc, count = struct.unpack("<Bq", _read_exact(fh, 9))
+    if enc not in _DIST_ENC_NAMES:
+        raise BundleCorrupted("HLIDX2", f"unknown distance encoding {enc}")
     lengths = _uvarint_decode(_read_blob(fh))
-    if len(lengths) != n:
-        raise ValueError("HL2 lengths stream does not match the node count")
     hub_codes = _uvarint_decode(_read_blob(fh))
     parent_codes = _uvarint_decode(_read_blob(fh))
-    if len(hub_codes) != count or len(parent_codes) != count:
-        raise ValueError("HL2 label streams do not match the entry count")
-    head = array("i", bytes(4 * (n + 1)))
-    hub = array("i", bytes(4 * count))
-    parent = array("i", bytes(4 * count))
-    pabs = [-1] * count  # absolute parent index, for delta resolution
-    pos = 0
-    for u, ln in enumerate(lengths):
-        base = pos
-        prev = 0
-        for j in range(ln):
-            code = hub_codes[pos]
-            prev = code if j == 0 else prev + code + 1
-            hub[pos] = prev
-            pos += 1
-        head[u + 1] = pos
-        for k in range(base, pos):
-            code = parent_codes[k]
-            if code:
-                pabs[k] = base + code - 1
-                parent[k] = hub[base + code - 1]
-            else:
-                parent[k] = -1
-    if pos != count:
-        raise ValueError("HL2 lengths disagree with the entry count")
+    if len(lengths) != n:
+        raise BundleCorrupted("HLIDX2", "lengths stream does not match the node count")
+    if not len(hub_codes) == len(parent_codes) == sum(lengths) == count:
+        raise BundleCorrupted("HLIDX2", "label streams do not match the entry count")
+    heads = [0, *accumulate(lengths)]
+    hub = array("q")
+    parent = array("q")
+    pabs: List[int] = []  # absolute index of each entry's parent, -1: root
+    for u, (lo, hi) in enumerate(zip(heads, heads[1:])):
+        # First hub absolute, then ``delta - 1``: each hub is the running
+        # code sum plus its position in the row, so rows ascend.
+        hubs = list(map(add, accumulate(hub_codes[lo:hi]), range(hi - lo)))
+        if hubs and hubs[-1] >= n:
+            raise BundleCorrupted("HLIDX2", f"a hub of node {u} lies outside [0, {n})")
+        hub.extend(hubs)
+        row = parent_codes[lo:hi]
+        if row.count(0) != 1 or hubs[row.index(0)] != u:
+            raise BundleCorrupted(
+                "HLIDX2", f"node {u}'s label needs exactly one root, holding {u}"
+            )
+        if max(row) > hi - lo:
+            raise BundleCorrupted(
+                "HLIDX2", f"a parent code of node {u} lies past its label"
+            )
+        pabs += [lo - 1 + code if code else -1 for code in row]
+        parent.extend([hubs[code - 1] if code else -1 for code in row])
+    del hub_codes, parent_codes  # freed before the walk: they set the load's peak
+    order = _parents_first(pabs)
 
     if enc == _DIST_I4:
-        dist = _read_i32_array(fh, count)
+        dist = array("d", _read_i32_array(fh, count))
     elif enc == _DIST_F8:
         dist = _read_d_array(fh, count)
-    elif enc == _DIST_DD:
+    else:
         (dsize,) = struct.unpack("<q", _read_exact(fh, 8))
         values = _read_d_array(fh, dsize).tolist()
         codes = _uvarint_decode(_read_blob(fh))
         if len(codes) != count:
-            raise ValueError("HL2 delta indexes do not match the entry count")
+            raise BundleCorrupted(
+                "HLIDX2", "delta indexes do not match the entry count"
+            )
+        if codes and max(codes) >= dsize:
+            raise BundleCorrupted(
+                "HLIDX2", f"a delta index lies past the {dsize}-value dictionary"
+            )
         dist = array("d", bytes(8 * count))
-        done = bytearray(count)
-        for k in range(count):
-            if done[k]:
+        for k in order:
+            p = pabs[k]
+            dist[k] = (dist[p] if p >= 0 else 0.0) + values[codes[k]]
+    return array("q", heads), hub, dist, parent
+
+
+def _parents_first(pabs: List[int]) -> array:
+    """Every entry once, each after its parent (``pabs[k]``, -1 for a root).
+
+    Walks each parent chain up to an entry an earlier walk placed, tagging
+    the entries it passes; meeting its own tag again means a cycle.
+    """
+    tag = [0] * len(pabs)
+    order = array("q")
+    for k in range(len(pabs)):
+        if tag[k]:
+            continue
+        chain = []
+        x = k
+        mine = k + 1
+        while x >= 0 and not tag[x]:
+            tag[x] = mine
+            chain.append(x)
+            x = pabs[x]
+        if x >= 0 and tag[x] == mine:
+            raise BundleCorrupted("HLIDX2", "label parent chains form a cycle")
+        chain.reverse()
+        order.extend(chain)
+    return order
+
+
+def _check_splits(middle: Dict[Tuple[int, int], int]) -> None:
+    """Reject a middles table whose shortcut splits never bottom out.
+
+    :func:`~repro.baselines.ch.unpack_shortcuts` splits ``(a, b)`` into
+    ``(a, mid)`` and ``(mid, b)`` while a pair has a middle, which ends
+    iff that split relation is acyclic.  Contraction guarantees it through
+    ranks, which ``HLIDX2`` does not store, so a depth-first search checks
+    the table itself: state 1 marks a pair on the current search path, 2
+    a pair whose splits are all checked.
+    """
+    state = dict.fromkeys(middle, 0)
+    for start in middle:
+        if state[start]:
+            continue
+        stack = [start]
+        while stack:
+            key = stack[-1]
+            if state[key]:
+                state[key] = 2
+                stack.pop()
                 continue
-            chain = [k]
-            x = pabs[k]
-            while x >= 0 and not done[x]:
-                chain.append(x)
-                x = pabs[x]
-                if len(chain) > count:
-                    raise ValueError("HL2 parent positions form a cycle")
-            for j in reversed(chain):
-                p = pabs[j]
-                dp = dist[p] if p >= 0 else 0.0
-                dist[j] = dp + values[codes[j]]
-                done[j] = 1
-    else:
-        raise ValueError(f"unknown HL2 distance encoding {enc}")
-    return head, hub, dist, parent, enc
+            state[key] = 1
+            a, b = key
+            mid = middle[key]
+            for split in ((a, mid), (mid, b)):
+                seen = state.get(split)
+                if seen == 1:
+                    raise BundleCorrupted("HLIDX2", "shortcut middles form a cycle")
+                if seen == 0:
+                    stack.append(split)
 
 
 # ----------------------------------------------------------------------
@@ -1120,35 +1072,6 @@ def unpack_requests(blob) -> List[Request]:
     return out
 
 
-def _save_hl2(index: HubLabelIndex, fh: BinaryIO) -> None:
-    fh.write(_HL2_MAGIC)
-    fh.write(struct.pack("<q", index.graph.n))
-    for head, hub, dist, parent in (
-        (index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent),
-        (index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent),
-    ):
-        enc, count, lengths, hubs, parents, dist_payload = _encode_label_side(
-            head, hub, dist, parent
-        )
-        fh.write(struct.pack("<Bq", enc, count))
-        _write_blob(fh, lengths)
-        _write_blob(fh, hubs)
-        _write_blob(fh, parents)
-        fh.write(dist_payload)
-    middle = index._middle
-    fh.write(struct.pack("<q", len(middle)))
-    a_col = array("i")
-    b_col = array("i")
-    mid_col = array("i")
-    for (a, b), mid in middle.items():
-        a_col.append(a)
-        b_col.append(b)
-        mid_col.append(mid)
-    _write_col(fh, a_col)
-    _write_col(fh, b_col)
-    _write_col(fh, mid_col)
-
-
 def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
     """Read everything after the ``HLIDX2`` magic and rebuild the index."""
     (n,) = struct.unpack("<q", _read_exact(fh, 8))
@@ -1159,17 +1082,20 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
     fwd = _decode_label_side(fh, n)
     bwd = _decode_label_side(fh, n)
     (mcount,) = struct.unpack("<q", _read_exact(fh, 8))
-    a_col = _read_i32_array(fh, mcount).tolist()
-    b_col = _read_i32_array(fh, mcount).tolist()
-    mid_col = _read_i32_array(fh, mcount).tolist()
+    a_col, b_col, mid_col = (_read_i32_array(fh, mcount).tolist() for _ in range(3))
+    for col in (a_col, b_col, mid_col):
+        if col and (min(col) < 0 or max(col) >= n):
+            raise BundleCorrupted(
+                "HLIDX2", f"a shortcut-middle entry lies outside [0, {n})"
+            )
+    middle = dict(zip(zip(a_col, b_col), mid_col))
+    _check_splits(middle)
 
     index = HubLabelIndex.__new__(HubLabelIndex)
     index.graph = graph
-    index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent = fwd[:4]
-    index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent = bwd[:4]
-    index._middle = dict(zip(zip(a_col, b_col), mid_col))
-    index.domain = "compact"
-    index.dist_encoding = (_DIST_ENC_NAMES[fwd[4]], _DIST_ENC_NAMES[bwd[4]])
+    index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent = fwd
+    index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent = bwd
+    index._middle = middle
     index._init_runtime_state()
     return index
 
@@ -1243,10 +1169,7 @@ def load_graph(source: Source, *, mmap: bool = False) -> Graph:
 # Bundles: one file holding the graph and its index
 # ----------------------------------------------------------------------
 def save_bundle(
-    index: Union[AHIndex, HubLabelIndex],
-    sink: Union[str, BinaryIO],
-    *,
-    compact: bool = True,
+    index: Union[AHIndex, HubLabelIndex], sink: Union[str, BinaryIO]
 ) -> None:
     """Write ``index``'s graph followed by the index itself.
 
@@ -1254,10 +1177,9 @@ def save_bundle(
     records which it was).  The result is self-contained:
     :func:`load_bundle` needs no separately-loaded network, which is the
     deployment story the paper's §7 memory-footprint discussion asks
-    for.  ``compact`` selects HL2 vs HL1 for hub-label sections (AH
-    sections are unaffected).  The ``BCRC1`` trailer — one (offset,
-    length, crc32) entry per section — follows, so :func:`load_bundle`
-    can verify integrity before decoding.
+    for.  The ``BCRC1`` trailer — one (offset, length, crc32) entry per
+    section — follows, so :func:`load_bundle` can verify integrity
+    before decoding.
     """
     own = isinstance(sink, str)
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
@@ -1270,7 +1192,7 @@ def save_bundle(
         entries.append((offset, length, section_crc))
         offset += length
         if isinstance(index, HubLabelIndex):
-            save_hl_index(index, w, compact=compact)  # type: ignore[arg-type]
+            save_hl_index(index, w)  # type: ignore[arg-type]
         else:
             save_index(index, w)  # type: ignore[arg-type]
         length, section_crc = w.section_done()
@@ -1366,15 +1288,14 @@ def load_bundle(
 
     The index section's magic selects the loader, so callers get back
     whichever engine the bundle was saved with (``AHIDX1`` and
-    ``HLIDX1`` magics are deliberately the same length).
+    ``HLIDX2`` magics are deliberately the same length).
 
     ``source`` may also be an in-memory buffer (``bytes`` /
     ``bytearray`` / ``memoryview``) or, with ``mmap=True``, a path to
     memory-map — the worker-tier boot paths: a worker process hands
     this either the bundle blob it received over a pipe or the shared
-    bundle path, and gets a replica whose big read-only columns view
-    that buffer in place (zero-copy under numpy; label columns
-    zero-copy on both backends).
+    bundle path.  Under numpy the graph's CSR columns view that buffer
+    in place; the index is decoded into columns of its own.
 
     The ``BCRC1`` trailer's section CRCs are checked before decoding: a
     torn or bit-flipped bundle raises :class:`BundleCorrupted` naming
@@ -1396,9 +1317,6 @@ def load_bundle(
             if magic == _MAGIC:
                 section = "AHIDX1"
                 index = _load_index_body(fh, graph)
-            elif magic == _HL_MAGIC:
-                section = "HLIDX1"
-                index = _load_hl_body(fh, graph)
             elif magic == _HL2_MAGIC:
                 section = "HLIDX2"
                 index = _load_hl2_body(fh, graph)
@@ -1429,11 +1347,10 @@ def inspect_bundle(source: Source) -> List[dict]:
     Purely structural — nothing is decoded into arrays or objects.
     Returns one dict per section with its magic, byte offset/size and a
     footprint breakdown: per-stream sizes and the distance encoding for
-    ``HLIDX2``, label-column bytes for ``HLIDX1``, node/edge counts for
-    graphs.  ``label_bytes`` spans everything between a hub-label
-    section's header and its middles block, so HL1-vs-HL2 ratios
-    compare like with like.  Backs ``python -m repro.serialize
-    --inspect`` and the footprint benchmarks.
+    ``HLIDX2``, node/edge counts for graphs.  ``label_bytes`` spans
+    everything between a hub-label section's header and its middles
+    block.  Backs ``python -m repro.serialize --inspect`` and the
+    footprint benchmarks.
     """
     fh, own = _open_source(source, False)
     try:
@@ -1483,31 +1400,6 @@ def inspect_bundle(source: Source) -> List[dict]:
             pos += _skip_adjacency_bytes(data, pos, n)
             detail = {"n": n}
             magic = _MAGIC
-        elif data.startswith(_HL_MAGIC, pos):
-            pos += len(_HL_MAGIC)
-            (n,) = struct.unpack_from("<q", data, pos)
-            pos += 8
-            label_start = pos
-            entries = 0
-            per_side = []
-            for _ in range(2):
-                (total,) = struct.unpack_from("<q", data, pos + 8 * (n + 1))
-                entries += total
-                per_side.append({"entries": total, "bytes": 8 * (n + 1) + 8 + 24 * total})
-                pos += 8 * (n + 1) + 8 + 24 * total
-            label_bytes = pos - label_start
-            (mcount,) = struct.unpack_from("<q", data, pos)
-            pos += 8 + 24 * mcount
-            detail = {
-                "n": n,
-                "entries": entries,
-                "label_bytes": label_bytes,
-                "bytes_per_entry": round(label_bytes / entries, 3) if entries else 0.0,
-                "middles": mcount,
-                "encoding": {"hub": "i8", "dist": "f8", "parent": "i8"},
-                "sides": per_side,
-            }
-            magic = _HL_MAGIC
         elif data.startswith(_HL2_MAGIC, pos):
             pos += len(_HL2_MAGIC)
             (n,) = struct.unpack_from("<q", data, pos)

@@ -9,12 +9,12 @@ extension module itself, so a checkout without a compiler (or a wheel
 built with the pure-build escape hatch) degrades to the numpy/pure
 tiers without any import-time failure.
 
-The kernels operate directly on the existing label columns through the
-buffer protocol — flat ``array('q')``/``array('d')`` columns, compact
-int32 HL2 columns, and read-only memoryview casts over loaded bundles
-all work unchanged, so compact bundles never widen.  Results come back
-as plain Python floats/lists; answers are bit-identical to the numpy
-and pure tiers (``tests/test_backend_parity.py``).
+The kernels operate directly on the label columns through the buffer
+protocol: int64 heads and hubs and float64 distances, the one layout
+built and loaded indexes share (any other column raises
+:class:`TypeError`).  Results come back as plain Python floats/lists;
+answers are bit-identical to the numpy and pure tiers
+(``tests/test_backend_parity.py``).
 
 ``REPRO_NATIVE=0`` (or ``off`` / ``disable``) skips the extension
 import entirely — the forced-import-failure tests and the compiler-less

@@ -1,24 +1,19 @@
 /* _hubjoin: native hub-join kernels for the HL hot path.
  *
- * The three hub-label query kernels as tight C loops over the existing
- * flat label columns, reached through the buffer protocol — the module
- * never imports numpy and never copies a column.  It accepts every
- * storage the repo actually uses for label columns:
- *
- *   flat domain     stdlib array('q') heads/hubs/parents, array('d') dists
- *   compact domain  int32 columns ('i'), dists int32 ('i4' sections) or
- *                   float64 ('dd'/'f8' sections)
- *   loaded bundles  read-only memoryview casts over bytes/mmap windows
+ * The three hub-label query kernels as tight C loops over the label
+ * columns, reached through the buffer protocol — the module never
+ * imports numpy and never copies a column.  Built and loaded indexes
+ * hold one layout: int64 heads/hubs (stdlib array('q') or any 8-byte
+ * integer buffer) and float64 dists (array('d')); anything else is
+ * refused with TypeError.
  *
  * Bit-identity contract (the repo's standing one): every answer equals
  * the pure-python scan and the numpy kernel bit for bit.  The arithmetic
- * here is the same the other tiers perform — each distance converts to
- * IEEE float64 exactly (the HL2 exactness guard keeps int32 dists in
- * [0, 2^31), so a two-term sum stays below 2^53 and double addition is
- * exact), candidate sums are single `a + b` double additions, and min
- * over candidates is order-independent for the NaN-free, non-negative
- * values labels hold.  `tests/test_backend_parity.py` pins the claim
- * under hypothesis across all three tiers and both column domains.
+ * here is the same the other tiers perform — candidate sums are single
+ * `a + b` double additions, and min over candidates is
+ * order-independent for the NaN-free, non-negative values labels hold.
+ * `tests/test_backend_parity.py` pins the claim under hypothesis across
+ * all three tiers, on built and on loaded indexes.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -29,78 +24,50 @@
 
 #define HUBJOIN_VERSION "1"
 
-/* One label column: a borrowed C-contiguous buffer plus its element
- * shape.  `width` is the itemsize (4 or 8); `isfloat` marks float64
- * distance columns (int columns read through sign-extending loads). */
+/* One label column: a borrowed C-contiguous buffer of 8-byte items. */
 typedef struct {
     Py_buffer view;
-    const void *p;
     Py_ssize_t len;   /* elements, not bytes */
-    int width;        /* 4 or 8 */
-    int isfloat;      /* 1: float64, 0: int32/int64 */
 } col_t;
 
+/* Acquire `obj` as a flat column of float64 (`isfloat`) or int64. */
 static int
-col_acquire(PyObject *obj, col_t *c, const char *name)
+col_acquire(PyObject *obj, col_t *c, const char *name, int isfloat)
 {
     if (PyObject_GetBuffer(obj, &c->view, PyBUF_FORMAT | PyBUF_ND) < 0) {
-        return -1;
-    }
-    if (c->view.ndim > 1 || c->view.strides != NULL) {
-        /* PyBUF_ND guarantees C-contiguity; ndim 0/1 both fine. */
-        PyBuffer_Release(&c->view);
-        PyErr_Format(PyExc_TypeError, "%s: expected a flat column", name);
         return -1;
     }
     const char *fmt = c->view.format ? c->view.format : "B";
     if (*fmt == '@' || *fmt == '<' || *fmt == '=') {
         fmt++; /* little-endian / native prefixes; the repo is LE-only */
     }
-    c->p = c->view.buf;
-    c->width = (int)c->view.itemsize;
-    c->isfloat = 0;
-    switch (*fmt) {
-    case 'd':
-        if (c->width != 8) goto bad;
-        c->isfloat = 1;
-        break;
-    case 'i': case 'l': case 'q': case 'n':
-        if (c->width != 4 && c->width != 8) goto bad;
-        break;
-    default:
-        goto bad;
+    int ok = isfloat ? *fmt == 'd' : (*fmt == 'q' || *fmt == 'l');
+    /* PyBUF_ND guarantees C-contiguity; ndim 0/1 both fine. */
+    if (!ok || fmt[1] != '\0' || c->view.itemsize != 8 ||
+        c->view.ndim > 1 || c->view.strides != NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: expected a flat %s column, got format '%s' "
+                     "(itemsize %zd)",
+                     name, isfloat ? "float64" : "int64",
+                     c->view.format ? c->view.format : "?",
+                     c->view.itemsize);
+        PyBuffer_Release(&c->view);
+        return -1;
     }
-    c->len = c->view.len / c->view.itemsize;
+    c->len = c->view.len / 8;
     return 0;
-bad:
-    PyBuffer_Release(&c->view);
-    PyErr_Format(PyExc_TypeError,
-                 "%s: unsupported column format '%s' (itemsize %zd); "
-                 "expected int32/int64/float64",
-                 name, c->view.format ? c->view.format : "?",
-                 c->view.itemsize);
-    return -1;
 }
 
 static inline int64_t
 col_i(const col_t *c, Py_ssize_t k)
 {
-    if (c->width == 4) {
-        return (int64_t)((const int32_t *)c->p)[k];
-    }
-    return ((const int64_t *)c->p)[k];
+    return ((const int64_t *)c->view.buf)[k];
 }
 
 static inline double
 col_d(const col_t *c, Py_ssize_t k)
 {
-    if (c->isfloat) {
-        return ((const double *)c->p)[k];
-    }
-    if (c->width == 4) {
-        return (double)((const int32_t *)c->p)[k];
-    }
-    return (double)((const int64_t *)c->p)[k];
+    return ((const double *)c->view.buf)[k];
 }
 
 /* The six query-time columns every kernel takes, in hl.py's order. */
@@ -131,7 +98,7 @@ labels_acquire(PyObject *const objs[6], labels_t *L)
                                    "bwd_head", "bwd_hub", "bwd_dist"};
     L->acquired = 0;
     for (int i = 0; i < 6; i++) {
-        if (col_acquire(objs[i], cols[i], names[i]) < 0) {
+        if (col_acquire(objs[i], cols[i], names[i], i % 3 == 2) < 0) {
             for (int j = 0; j < i; j++) {
                 PyBuffer_Release(&cols[j]->view);
             }
@@ -504,7 +471,7 @@ static PyMethodDef hubjoin_methods[] = {
 static struct PyModuleDef hubjoin_module = {
     PyModuleDef_HEAD_INIT,
     "repro.native._hubjoin",
-    "Native hub-join kernels over flat/compact HL label columns.",
+    "Native hub-join kernels over int64/float64 HL label columns.",
     -1,
     hubjoin_methods,
 };

@@ -6,11 +6,10 @@ with a **process pool over a shared bundle substrate**:
 
 * Each worker process boots its own engine replica from the serialized
   bundle (:func:`repro.core.serialize.load_bundle`) — either from an
-  mmap'd bundle *path* (every worker maps the same file, so the OS page
-  cache holds one copy of the read-only label columns for N replicas) or
-  from bundle *bytes* shipped once over the worker's pipe.  Either way
-  the replica's big columns are zero-copy views over the mapped/received
-  buffer.
+  mmap'd bundle *path* or from bundle *bytes* shipped once over the
+  worker's pipe.  Under numpy the graph's CSR columns are zero-copy
+  views over that buffer; each worker decodes the hub labels into
+  columns of its own.
 * The dispatcher (:meth:`WorkerPool.execute`) splits one planner batch
   into per-worker sub-batches and merges the replies positionally.
   Splitting is **group-preserving**: requests are first grouped exactly
@@ -655,9 +654,8 @@ class WorkerPool:
     Parameters
     ----------
     bundle:
-        What workers boot from — a bundle *path* (each worker mmaps it;
-        preferred: one page-cache copy serves every replica) or bundle
-        *bytes* (shipped over each worker's pipe at spawn).
+        What workers boot from — a bundle *path* (each worker mmaps it)
+        or bundle *bytes* (shipped over each worker's pipe at spawn).
     workers:
         Replica count.
     cache:

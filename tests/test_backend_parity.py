@@ -163,25 +163,20 @@ def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
 def test_bundles_byte_identical_across_backends(seed):
     """serialize's backend-invariance guarantee, property-tested.
 
-    Both the compact (HL2) default and the flat (HL1) fallback must
-    produce the same bytes no matter which backend built the index —
-    the varint/delta encoders run the same pure loops either way.
+    HL2 bundles must hold the same bytes no matter which backend built
+    the index — the varint/delta encoders run the same pure loops either
+    way.
     """
     spec = _graph_spec(3, 4, seed)
-    compact_blobs, flat_blobs = {}, {}
+    blobs = {}
     for name in ("pure", "numpy"):
         graph = _build(spec, name)
         with backend.forced(name):
             hl = HubLabelIndex(graph)
             buf = io.BytesIO()
             save_bundle(hl, buf)
-            compact_blobs[name] = buf.getvalue()
-            buf = io.BytesIO()
-            save_bundle(hl, buf, compact=False)
-            flat_blobs[name] = buf.getvalue()
-    assert compact_blobs["pure"] == compact_blobs["numpy"]
-    assert flat_blobs["pure"] == flat_blobs["numpy"]
-    assert compact_blobs["pure"] != flat_blobs["pure"]  # formats differ
+            blobs[name] = buf.getvalue()
+    assert blobs["pure"] == blobs["numpy"]
 
 #: Kernel tiers available in this process, fastest first.
 _TIERS = (["native"] if backend.HAS_NATIVE else []) + ["numpy", "pure"]
@@ -201,28 +196,27 @@ def test_hl_kernels_identical_across_all_tiers_and_domains(rows, cols, seed):
     """PR 10's contract: pure / numpy / native answer bit-identically.
 
     All three HL hot kernels (distance, one_to_many, distance_table) are
-    driven under every available tier, on BOTH label domains — the flat
-    float64/int64 columns of a freshly built index and the compact
-    int32/delta columns of an HL2-loaded one.  Exact ``==`` on floats is
-    the honest assertion: every tier performs the same two-term float64
-    additions and order-independent mins (ints below 2**53 convert
-    exactly), so any difference is a kernel bug, not rounding.
+    driven under every available tier, on a freshly built index AND on
+    one decoded from its HL2 bundle — the same column layout reached by
+    two provenances.  Exact ``==`` on floats is the honest assertion:
+    every tier performs the same two-term float64 additions and
+    order-independent mins, so any difference is a kernel bug, not
+    rounding.
     """
     spec = _graph_spec(rows, cols, seed)
     graph = _build(spec, "numpy")
     with backend.forced("numpy"):
-        hl_flat = HubLabelIndex(graph)
+        hl_built = HubLabelIndex(graph)
         buf = io.BytesIO()
-        save_bundle(hl_flat, buf)  # compact (HL2) by default
+        save_bundle(hl_built, buf)
         buf.seek(0)
-        _, hl_compact = load_bundle(buf)
-    assert hl_compact.domain == "compact"
+        _, hl_loaded = load_bundle(buf)
     rng = random.Random(seed)
     n = graph.n
     pairs = _pairs(n, seed, count=8)
     sources = [rng.randrange(n) for _ in range(6)]
     targets = [rng.randrange(n) for _ in range(5)] + [sources[0]]
-    for hl, domain in ((hl_flat, "flat"), (hl_compact, "compact")):
+    for hl, provenance in ((hl_built, "built"), (hl_loaded, "loaded")):
         answers = {}
         for tier in _TIERS:
             with backend.forced(tier):
@@ -234,5 +228,5 @@ def test_hl_kernels_identical_across_all_tiers_and_domains(rows, cols, seed):
         baseline = answers[_TIERS[-1]]  # pure: the reference scans
         for tier in _TIERS[:-1]:
             assert answers[tier] == baseline, (
-                f"{tier} diverges from pure on the {domain} domain"
+                f"{tier} diverges from pure on the {provenance} index"
             )

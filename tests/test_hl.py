@@ -191,18 +191,6 @@ class TestSerialization:
         for s, t in random_pairs(towns_graph, 25, seed=4):
             assert loaded.distance(s, t) == towns_hl.distance(s, t)
 
-    def test_hl_flat_kwarg_writes_hl1(self, towns_graph, towns_hl, tmp_path):
-        """``compact=False`` keeps emitting the PR 2 flat format."""
-        path = str(tmp_path / "towns_flat.hl")
-        save_hl_index(towns_hl, path, compact=False)
-        with open(path, "rb") as fh:
-            assert fh.read(7) == b"HLIDX1\n"
-        loaded = load_hl_index(path, towns_graph)
-        assert loaded.domain == "flat"
-        assert list(loaded.fwd_hub) == list(towns_hl.fwd_hub)
-        for s, t in random_pairs(towns_graph, 15, seed=4):
-            assert loaded.distance(s, t) == towns_hl.distance(s, t)
-
     def test_hl_compact_default_writes_hl2(self, towns_hl, tmp_path):
         path = str(tmp_path / "towns.hl")
         save_hl_index(towns_hl, path)

@@ -1,23 +1,24 @@
-"""Compact label columns (HL2) — the PR 6 exactness and footprint pins.
+"""Compact label sections (HL2) — the exactness and footprint pins.
 
 What must hold:
 
-* **Answer identity**: a compact-domain index answers ``distance`` /
-  ``one_to_many`` / ``distance_table`` / ``shortest_path`` bit-for-bit
-  like the flat index it was encoded from, on both backends.
+* **Answer identity**: an index loaded from an HL2 section holds the
+  built index's column layout (int64 ids, float64 distances) and answers
+  ``distance`` / ``one_to_many`` / ``distance_table`` /
+  ``shortest_path`` bit-for-bit like the index it was saved from, on
+  both backends.
 * **Exactness guard** (hypothesis-pinned): the distance encoder picks
   ``i4`` exactly when every distance is a non-negative integral value
   below 2^31; anything that would quantise lossily (non-integral
   floats, values past the int32 boundary with inexact deltas) falls
   back to ``dd`` or raw ``f8`` — and no weight class ever changes a
   query answer.
-* **Round-trip determinism**: save -> load -> save is byte-identical;
-  the flat (HL1) re-save of a compact-domain index equals the original
-  flat save.
+* **Round-trip determinism**: save -> load -> save is byte-identical.
 * **Observability**: ``HubLabelIndex.stats()`` and
   ``inspect_bundle`` / ``python -m repro.serialize --inspect`` report
   the per-section footprint, and the towns fixture's label sections
-  shrink >= 2.5x (hardware-independent hard floor; the NH bar lives in
+  are >= 2.5x smaller than the flat int64/float64 column image
+  (hardware-independent hard floor; the NH bar lives in
   ``benchmarks/test_hl_speed.py``).
 """
 
@@ -66,18 +67,39 @@ def _pairs(n, count, seed):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
+def _dist_encoding(blob):
+    """Per-direction distance encoding of a bare HL2 section's bytes."""
+    return inspect_bundle(blob)[0]["detail"]["dist_encoding"]
+
+
+LABEL_COLUMNS = {
+    "fwd_head": "q",
+    "fwd_hub": "q",
+    "fwd_dist": "d",
+    "fwd_parent": "q",
+    "bwd_head": "q",
+    "bwd_hub": "q",
+    "bwd_dist": "d",
+    "bwd_parent": "q",
+}
+
+
+def _typecodes(index):
+    return {name: getattr(index, name).typecode for name in LABEL_COLUMNS}
+
+
 # ----------------------------------------------------------------------
-# Answer identity: compact domain == flat domain, bit for bit
+# Answer identity: loaded == built, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
 def test_compact_answers_bit_identical(towns_graph, towns_hl, name):
     buf = io.BytesIO()
     save_hl_index(towns_hl, buf)
+    assert _dist_encoding(buf.getvalue()) == ["dd", "dd"]  # towns: float weights
     buf.seek(0)
     with backend.forced(name):
         compact = load_hl_index(buf, towns_graph)
-        assert compact.domain == "compact"
-        assert compact.dist_encoding == ("dd", "dd")  # towns: float weights
+        assert _typecodes(compact) == _typecodes(towns_hl) == LABEL_COLUMNS
         n = towns_graph.n
         for s, t in _pairs(n, 40, seed=11):
             assert compact.distance(s, t) == towns_hl.distance(s, t)
@@ -107,9 +129,10 @@ def test_compact_results_stay_floats(towns_graph, towns_hl):
     hl = HubLabelIndex(gi)
     buf = io.BytesIO()
     save_hl_index(hl, buf)
+    assert _dist_encoding(buf.getvalue()) == ["i4", "i4"]
     buf.seek(0)
     compact = load_hl_index(buf, gi)
-    assert compact.dist_encoding == ("i4", "i4")
+    assert _typecodes(compact) == LABEL_COLUMNS
     d = compact.distance(0, gi.n - 1)
     assert type(d) is float and d == hl.distance(0, gi.n - 1)
     o2m = compact.one_to_many(0, (1, 2, 3))
@@ -132,23 +155,10 @@ def test_save_load_save_idempotent(towns_graph, towns_hl):
     assert again.getvalue() == blob
 
 
-def test_flat_resave_of_compact_matches_original_flat(towns_graph, towns_hl):
-    """Widening int32 columns back to the HL1 wire format is exact."""
-    flat = io.BytesIO()
-    save_hl_index(towns_hl, flat, compact=False)
-    buf = io.BytesIO()
-    save_hl_index(towns_hl, buf)
-    buf.seek(0)
-    compact = load_hl_index(buf, towns_graph)
-    flat2 = io.BytesIO()
-    save_hl_index(compact, flat2, compact=False)
-    assert flat2.getvalue() == flat.getvalue()
-
-
 def test_compact_bundle_round_trip(towns_graph, towns_hl):
     blob = bundle_bytes(towns_hl)
     g2, hl2 = load_bundle(blob)
-    assert hl2.domain == "compact"
+    assert _typecodes(hl2) == LABEL_COLUMNS
     buf = io.BytesIO()
     save_bundle(hl2, buf)
     assert buf.getvalue() == blob
@@ -272,12 +282,9 @@ def test_guard_never_changes_answers(case):
     save_hl_index(hl, buf)
     blob = buf.getvalue()
 
-    # guard semantics: i4 exactly when the flat columns allow it
+    # guard semantics: i4 exactly when the built columns allow it
     loaded = load_hl_index(io.BytesIO(blob), g)
-    for side_col, enc_name in (
-        (hl.fwd_dist, loaded.dist_encoding[0]),
-        (hl.bwd_dist, loaded.dist_encoding[1]),
-    ):
+    for side_col, enc_name in zip((hl.fwd_dist, hl.bwd_dist), _dist_encoding(blob)):
         i4_ok = all(
             0 <= d <= 0x7FFFFFFF and d == int(d) for d in side_col.tolist()
         )
@@ -327,59 +334,41 @@ def test_compact_blobs_byte_identical_across_backends(case):
 # Observability: stats(), inspect_bundle, the CLI
 # ----------------------------------------------------------------------
 def test_stats_reports_footprint(towns_graph, towns_hl):
-    flat = towns_hl.stats()
-    assert flat["domain"] == "flat"
-    assert flat["dist_encoding"] == ("f8", "f8")
-    assert flat["entries"] > 0
-    assert flat["bytes_per_entry"] > 24  # three 8-byte columns + heads
-    assert set(flat["columns"]) == {
-        "fwd_head",
-        "fwd_hub",
-        "fwd_dist",
-        "fwd_parent",
-        "bwd_head",
-        "bwd_hub",
-        "bwd_dist",
-        "bwd_parent",
-    }
+    built = towns_hl.stats()
+    assert built["entries"] > 0
+    assert built["bytes_per_entry"] > 24  # three 8-byte columns + heads
+    assert set(built["columns"]) == set(LABEL_COLUMNS)
+    assert {col["itemsize"] for col in built["columns"].values()} == {8}
     buf = io.BytesIO()
     save_hl_index(towns_hl, buf)
     buf.seek(0)
-    compact = load_hl_index(buf, towns_graph)
-    cstats = compact.stats()
-    assert cstats["domain"] == "compact"
-    assert cstats["entries"] == flat["entries"]
-    assert cstats["bytes_per_entry"] < flat["bytes_per_entry"]
-    # int32 hub columns are half the flat int64 ones
-    assert (
-        cstats["columns"]["fwd_hub"]["itemsize"]
-        < flat["columns"]["fwd_hub"]["itemsize"]
-    )
+    assert load_hl_index(buf, towns_graph).stats() == built  # one layout
+
+
+def _flat_label_bytes(detail):
+    """Label bytes of the flat int64/float64 column image of a section:
+    per side ``head[n+1]``, an entry count, then hub/dist/parent."""
+    return 2 * (8 * (detail["n"] + 1) + 8) + 24 * detail["entries"]
 
 
 def test_inspect_reports_sections_and_ratio(towns_hl):
-    """The hard footprint floor: towns label sections shrink >= 2.5x."""
-    flat_secs = inspect_bundle(bundle_bytes(towns_hl, compact=False))
-    comp_secs = inspect_bundle(bundle_bytes(towns_hl))
-    assert [s["magic"] for s in flat_secs] == ["GCSR1", "HLIDX1", "BCRC1"]
-    assert [s["magic"] for s in comp_secs] == ["GCSR1", "HLIDX2", "BCRC1"]
-    flat_hl = next(s for s in flat_secs if s["magic"] == "HLIDX1")["detail"]
-    comp_hl = next(s for s in comp_secs if s["magic"] == "HLIDX2")["detail"]
-    assert flat_hl["entries"] == comp_hl["entries"]
+    """The hard footprint floor: towns label sections are >= 2.5x smaller
+    than the flat column image."""
+    blob = bundle_bytes(towns_hl)
+    secs = inspect_bundle(blob)
+    assert [s["magic"] for s in secs] == ["GCSR1", "HLIDX2", "BCRC1"]
+    comp_hl = secs[1]["detail"]
+    assert comp_hl["entries"] == towns_hl.label_count
+    assert comp_hl["middles"] == len(towns_hl._middle)
     assert comp_hl["dist_encoding"] == ["dd", "dd"]
-    ratio = flat_hl["label_bytes"] / comp_hl["label_bytes"]
+    ratio = _flat_label_bytes(comp_hl) / comp_hl["label_bytes"]
     assert ratio >= 2.5, f"label sections shrank only {ratio:.2f}x"
-    assert comp_hl["bytes_per_entry"] < flat_hl["bytes_per_entry"] / 2.5
     # offsets/sizes tile the file exactly (CRC trailer included)
-    for secs, blob in (
-        (flat_secs, bundle_bytes(towns_hl, compact=False)),
-        (comp_secs, bundle_bytes(towns_hl)),
-    ):
-        assert secs[0]["offset"] == 0
-        for prev, sec in zip(secs, secs[1:]):
-            assert sec["offset"] == prev["offset"] + prev["bytes"]
-        assert secs[-1]["offset"] + secs[-1]["bytes"] == len(blob)
-        assert secs[-1]["detail"]["sections"] == len(secs) - 1
+    assert secs[0]["offset"] == 0
+    for prev, sec in zip(secs, secs[1:]):
+        assert sec["offset"] == prev["offset"] + prev["bytes"]
+    assert secs[-1]["offset"] + secs[-1]["bytes"] == len(blob)
+    assert secs[-1]["detail"]["sections"] == len(secs) - 1
 
 
 def test_inspect_rejects_garbage():
@@ -449,20 +438,3 @@ def test_inspect_cli_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read" in err
     assert "Traceback" not in err
-
-
-# ----------------------------------------------------------------------
-# The generic numpy view helper
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not backend.HAS_NUMPY, reason="needs numpy")
-def test_np_view_generic():
-    from array import array
-
-    np = backend.np
-    assert backend.np_view(array("i", [1, 2])).dtype == np.int32
-    assert backend.np_view(array("q", [1, 2])).dtype == np.int64
-    assert backend.np_view(array("d", [1.0])).dtype == np.float64
-    arr = np.arange(3)
-    assert backend.np_view(arr) is arr
-    with pytest.raises(TypeError):
-        backend.np_view(array("b", [1]))

@@ -73,12 +73,7 @@ def hl(graph):
 
 @pytest.fixture(scope="module")
 def blob(hl):
-    return bundle_bytes(hl)  # compact (HL2) by default since PR 6
-
-
-@pytest.fixture(scope="module")
-def flat_blob(hl):
-    return bundle_bytes(hl, compact=False)
+    return bundle_bytes(hl)
 
 
 @pytest.fixture(scope="module")
@@ -573,36 +568,11 @@ def test_server_close_pool_flag(blob):
 # Buffer / mmap serialization
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
-def test_bundle_loads_from_bytes_zero_copy(hl, flat_blob, name):
-    """Flat (HL1) bundles keep the PR 5 zero-copy load property."""
-    with backend.forced(name):
-        g2, hl2 = load_bundle(flat_blob)
-        # label columns view the blob itself — no copy on either backend
-        assert isinstance(hl2.fwd_hub, memoryview)
-        assert hl2.fwd_hub.obj is flat_blob
-        assert isinstance(hl2.bwd_dist, memoryview)
-        for s, t in [(0, 35), (3, 17), (11, 11), (20, 4)]:
-            assert hl2.distance(s, t) == hl.distance(s, t)
-        targets = (1, 7, 13, 35)
-        assert hl2.one_to_many(5, targets) == hl.one_to_many(5, targets)
-        assert hl2.distance_table((2, 9), targets) == hl.distance_table(
-            (2, 9), targets
-        )
-        p, p2 = hl.shortest_path(0, 35), hl2.shortest_path(0, 35)
-        assert (p2.nodes, p2.length) == (p.nodes, p.length)
-        # and re-serializes to the exact same bundle
-        buf = io.BytesIO()
-        save_bundle(hl2, buf, compact=False)
-        assert buf.getvalue() == flat_blob
-
-
-@pytest.mark.parametrize("name", BACKENDS)
 def test_bundle_loads_compact(hl, blob, name):
-    """Compact (HL2) bundles — the new default — answer identically and
-    round-trip byte-for-byte on both backends."""
+    """HL2 bundles answer identically and round-trip byte-for-byte on
+    both backends."""
     with backend.forced(name):
         g2, hl2 = load_bundle(blob)
-        assert hl2.domain == "compact"
         for s, t in [(0, 35), (3, 17), (11, 11), (20, 4)]:
             assert hl2.distance(s, t) == hl.distance(s, t)
         targets = (1, 7, 13, 35)
@@ -617,23 +587,15 @@ def test_bundle_loads_compact(hl, blob, name):
         assert buf.getvalue() == blob
 
 
-def test_bundle_loads_from_mmap(tmp_path, hl, flat_blob, blob):
-    path = str(tmp_path / "hl.bundle")
+def test_bundle_loads_from_mmap(tmp_path, hl, blob):
+    path = str(tmp_path / "hl2.bundle")
     with open(path, "wb") as fh:
-        fh.write(flat_blob)
-    g2, hl2 = load_bundle(path, mmap=True)
-    assert isinstance(hl2.fwd_hub, memoryview)  # views the mapping
+        fh.write(blob)
+    g2, hl2 = load_bundle(path, mmap=True)  # decoded, not zero-copy
     assert hl2.distance(4, 31) == hl.distance(4, 31)
     assert hl2.one_to_many(0, (8, 16, 24)) == hl.one_to_many(0, (8, 16, 24))
-    # compact bundles mmap-load too (decoded, not zero-copy)
-    cpath = str(tmp_path / "hl2.bundle")
-    with open(cpath, "wb") as fh:
-        fh.write(blob)
-    g3, hl3 = load_bundle(cpath, mmap=True)
-    assert hl3.domain == "compact"
-    assert hl3.distance(4, 31) == hl.distance(4, 31)
     with pytest.raises(ValueError):
-        load_bundle(io.BytesIO(flat_blob), mmap=True)  # mmap needs a path
+        load_bundle(io.BytesIO(blob), mmap=True)  # mmap needs a path
 
 
 def test_bundle_file_load_still_serves_tables(hl, blob, tmp_path):
