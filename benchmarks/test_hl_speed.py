@@ -31,7 +31,7 @@ Methodology
   a fast wrong oracle is worthless.
 * **Compact sections**: the HL2 footprint facts (label-section
   bytes, bytes/entry) are hardware-independent, so the >= 2.5x NH
-  shrink bar against the flat int64/float64 column image is asserted
+  shrink bar against the flat int64/float64 columns in memory is asserted
   *hard* in every mode, and an index loaded from the section must
   answer bit-identically on every tier before any clock runs.
 * ``--check`` runs the build + exactness + kernel-parity +
@@ -170,13 +170,13 @@ def build_and_verify():
 
     # Compact label sections.  The footprint facts are
     # hardware-independent, so the >= 2.5x NH bar against the flat
-    # int64/float64 column image (per side head[n+1], an entry count and
-    # 24 bytes per entry) is a *hard* assertion, check mode included —
-    # and the loaded index must answer bit-identically, on every tier.
+    # int64/float64 columns the index holds in memory is a *hard*
+    # assertion, check mode included — and the loaded index must answer
+    # bit-identically, on every tier.
     buf = io.BytesIO()
     save_hl_index(hl, buf)
     comp_sec = inspect_bundle(buf.getvalue())[0]["detail"]
-    flat_label_bytes = 2 * (8 * (graph.n + 1) + 8) + 24 * comp_sec["entries"]
+    flat_label_bytes = hl.stats()["label_bytes"]
     size_ratio = flat_label_bytes / comp_sec["label_bytes"]
     assert size_ratio >= 2.5, (
         f"NH label sections shrank only {size_ratio:.2f}x "

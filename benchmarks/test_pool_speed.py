@@ -41,10 +41,11 @@ from pathlib import Path
 from repro import backend
 from repro.baselines import DistanceCache, HubLabelIndex
 from repro.bench.harness import ServeRecord, environment_metadata, run_closed_loop
-from repro.core.serialize import bundle_bytes, inspect_bundle
+from repro.core.serialize import bundle_bytes
 from repro.datasets import dataset
 from repro.serve import WorkerPool
 
+from flat_image import flat_bundle_bytes
 from test_serve_speed import build_workload, sequential_reference, workload_pairs
 
 INF = float("inf")
@@ -193,11 +194,6 @@ def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
     graph = dataset(DATASET)
     hl = HubLabelIndex(graph)
     blob = bundle_bytes(hl)
-    hl_sec = next(s for s in inspect_bundle(blob) if s["magic"] == "HLIDX2")
-    d = hl_sec["detail"]
-    # The same bundle with flat int64/float64 label columns: magic + n,
-    # per side head[n+1] + an entry count + hub/dist/parent, then middles.
-    flat_hl = 7 + 8 + 2 * (8 * (d["n"] + 1) + 8) + 24 * d["entries"] + 8 + 24 * d["middles"]
     scripts = build_workload(graph, clients=clients, rounds=rounds)
     reference = sequential_reference(hl, scripts)
     result = {
@@ -207,7 +203,7 @@ def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
         "environment": environment_metadata(),
         "visible_cpus": visible_cpus(),
         "bundle_bytes": len(blob),  # compact (HL2) — what workers boot from
-        "bundle_bytes_flat": len(blob) - hl_sec["bytes"] + flat_hl,
+        "bundle_bytes_flat": flat_bundle_bytes(blob),
         "workload": {
             "clients": clients,
             "requests": clients * rounds,

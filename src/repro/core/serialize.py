@@ -689,9 +689,6 @@ def _uvarint_append(out: bytearray, value: int) -> None:
 def _uvarint_decode(buf) -> List[int]:
     """Every uvarint in ``buf`` (the streams are framed, so bounds are
     known); one flat pass, no per-value function calls."""
-    buf = bytes(buf)
-    if not buf or max(buf) < 0x80:
-        return list(buf)  # every value fits one byte: no carries at all
     out: List[int] = []
     append = out.append
     value = 0

