@@ -3,14 +3,15 @@
 Times ``HubLabelIndex.distance`` against ``CHEngine.distance`` on the
 ``NH`` suite dataset — both engines share one contraction hierarchy, so
 the comparison isolates *query scheme* (label merge-join vs
-bidirectional upward search) — and A/Bs the batched surface across the
-**backend dimension**: the native C kernels (PR 10) and the numpy
-kernels (PR 3) against PR 2's pure-python label scans, interleaved in
-one process, on a 100x100 ``distance_table`` and a 1x1000
-``one_to_many`` batch, plus the base-class Dijkstra fallback for
-scale.  Results go to ``BENCH_hl.json``
-at the repo root with full environment metadata (backend + numpy
-version, CPython, platform) so the trajectory stays interpretable.
+bidirectional upward search) — and A/Bs the batched surface's two
+kernel versions: the native C kernels against the pure-python label
+scans, interleaved in one process, on a 100x100
+``distance_table`` and a 1x1000 ``one_to_many`` batch, plus the
+base-class Dijkstra fallback for scale.  Results go to ``BENCH_hl.json``
+at the repo root with full environment metadata (tier, numpy version,
+CPython, platform) so the trajectory stays interpretable.  The committed
+file predates the deletion of the numpy HL kernels, so its ``numpy``
+lanes and ratios are history.
 
 Methodology
 -----------
@@ -19,15 +20,13 @@ Methodology
   CH query time grows with distance (bigger upward search spaces);
   HL's merge-join cost is bounded by label size, so the win widens
   toward Q10 — the recorded per-bucket ratios document that shape.
-  Per-query ``distance`` is backend-independent (two-pointer scan over
-  stdlib label columns), so buckets carry no backend dimension.
-* The batched A/B interleaves backends per repeat (numpy, then pure,
-  each pass) so machine drift hits both sides equally; best-of-repeats
-  suppresses GC/warm-up spikes.  ``pr2_reference`` preserves the
-  label-scan timing recorded by PR 2's benchmark run of the *same* pure
-  code path (single-shot measurement, same container family).
+  Per-query ``distance`` runs under the ambient tier (the C merge-join
+  when the native tier is loaded).
+* The batched A/B interleaves the two kernel versions per repeat
+  (native, then pure, each pass) so machine drift hits both sides
+  equally; best-of-repeats suppresses GC/warm-up spikes.
 * Exactness is asserted against plain Dijkstra before any clock starts,
-  and the numpy kernels are asserted equal to the pure scans —
+  and the native kernels are asserted equal to the pure scans —
   a fast wrong oracle is worthless.
 * **Compact sections**: the HL2 footprint facts (label-section
   bytes, bytes/entry) are hardware-independent, so the >= 2.5x NH
@@ -36,8 +35,8 @@ Methodology
   answer bit-identically on every tier before any clock runs.
 * ``--check`` runs the build + exactness + kernel-parity +
   loaded-index parity + footprint-floor phase only and writes a
-  timing-free JSON — what CI runs (on both the numpy and the no-numpy
-  matrix leg), immune to noisy-runner flake.
+  timing-free JSON — what CI runs (on every matrix leg), immune to
+  noisy-runner flake.
 
 Run directly (``python benchmarks/test_hl_speed.py``) to refresh
 ``BENCH_hl.json``; under pytest the same measurement doubles as a
@@ -67,25 +66,10 @@ REPEATS = 7
 TABLE_SIDE = 100
 O2M_TARGETS = 1000
 
-#: PR 2's committed measurement of the pure label-scan distance_table
-#: (BENCH_hl.json as of PR 2: single-shot 100x100 on NH, same container
-#: family) — the baseline the ISSUE's ">=5x" targets.  A post-PR-3
-#: checkout can still re-measure the pure path live (it is kept as the
-#: fallback), so unlike PR 1's seed_reference this number *is*
-#: reproducible — it is pinned here so the recorded trajectory survives
-#: machine drift between benchmark runs.
-PR2_REFERENCE = {
-    "table_100x100_label_scan_s": 0.0028,
-    "captured": "PR 2 benchmark run, NH, single-shot 100x100 "
-    "distance_table via the pure label-scan path (rng seed 23)",
-}
-
 
 def _fast_tiers():
-    """Kernel tiers above pure available in this process, fastest first."""
-    return (["native"] if backend.HAS_NATIVE else []) + (
-        ["numpy"] if backend.HAS_NUMPY else []
-    )
+    """Kernel tiers above pure available in this process."""
+    return ["native"] if backend.HAS_NATIVE else []
 
 
 def visible_cpus() -> int:
@@ -153,9 +137,8 @@ def build_and_verify():
             assert abs(got - want) <= 1e-9 * max(1.0, want), (s, t, got, want)
             checked += 1
 
-    # Kernel parity: the vectorised batch paths must equal PR 2's scans,
-    # and since PR 10 the native C kernels must too — bit-identical,
-    # before any clock runs.
+    # Kernel parity: the native C kernels must equal the pure scans —
+    # bit-identical, before any clock runs.
     rng = random.Random(41)
     sources = [rng.randrange(graph.n) for _ in range(20)]
     targets = [rng.randrange(graph.n) for _ in range(20)] + [sources[0]]
@@ -223,7 +206,7 @@ def build_and_verify():
 
 
 def _bench_batched(graph, hl):
-    """A/B the batched surface across backends (the PR 3 dimension)."""
+    """A/B the batched surface's native kernels against the pure scans."""
     rng = random.Random(23)
     sources = [rng.randrange(graph.n) for _ in range(TABLE_SIDE)]
     targets = [rng.randrange(graph.n) for _ in range(TABLE_SIDE)]
@@ -240,12 +223,10 @@ def _bench_batched(graph, hl):
     pure_table = hl._distance_table_pure(sources, targets)
     _assert_tables_match(pure_table, dijkstra_fallback())
 
-    # Interleave tiers per repeat so drift hits all sides equally.  The
+    # Interleave tiers per repeat so drift hits both sides equally.  The
     # target-inversion memo (PR 4) is cleared before every timed table
-    # call: this guard records the *cold* kernel, same quantity as the
-    # PR 2/3 baselines it is compared against (the serving benchmark,
-    # BENCH_serve.json, is where the warm-memo win is recorded).  The
-    # native C kernels (PR 10) join the rotation as a third lane.
+    # call: this guard records the *cold* kernel (the serving benchmark,
+    # BENCH_serve.json, is where the warm-memo win is recorded).
     lanes = _fast_tiers()
     table_s = {name: INF for name in lanes + ["pure-python"]}
     o2m_s = {name: INF for name in lanes + ["pure-python"]}
@@ -272,7 +253,6 @@ def _bench_batched(graph, hl):
 
     fallback_s = _best_s(dijkstra_fallback, repeats=3)
 
-    pr2_s = PR2_REFERENCE["table_100x100_label_scan_s"]
     table = {
         "shape": f"{TABLE_SIDE}x{TABLE_SIDE}",
         "backends": {
@@ -282,7 +262,6 @@ def _bench_batched(graph, hl):
         },
         "dijkstra_fallback_s": round(fallback_s, 4),
         "pure_vs_fallback_speedup": round(fallback_s / table_s["pure-python"], 3),
-        "pr2_reference": PR2_REFERENCE,
     }
     o2m = {
         "shape": f"1x{O2M_TARGETS}",
@@ -292,14 +271,6 @@ def _bench_batched(graph, hl):
             if s is not INF
         },
     }
-    if backend.HAS_NUMPY:
-        table["numpy_vs_pure_speedup"] = round(
-            table_s["pure-python"] / table_s["numpy"], 3
-        )
-        table["numpy_vs_pr2_recorded_speedup"] = round(pr2_s / table_s["numpy"], 3)
-        o2m["numpy_vs_pure_speedup"] = round(
-            o2m_s["pure-python"] / o2m_s["numpy"], 3
-        )
     if backend.HAS_NATIVE:
         table["native_vs_pure_speedup"] = round(
             table_s["pure-python"] / table_s["native"], 3
@@ -307,13 +278,6 @@ def _bench_batched(graph, hl):
         o2m["native_vs_pure_speedup"] = round(
             o2m_s["pure-python"] / o2m_s["native"], 3
         )
-        if backend.HAS_NUMPY:
-            table["native_vs_numpy_speedup"] = round(
-                table_s["numpy"] / table_s["native"], 3
-            )
-            o2m["native_vs_numpy_speedup"] = round(
-                o2m_s["numpy"] / o2m_s["native"], 3
-            )
     return table, o2m
 
 
@@ -345,31 +309,19 @@ def run_benchmark():
         "runs under the ambient tier — with the native extension "
         "built, hl_us is the C merge-join, which is why the "
         "vs-CH ratios stepped up at PR 10.  Batched-surface numbers "
-        "carry the full backend dimension: native C kernels and "
-        "numpy kernels vs PR 2's pure label scans, interleaved "
-        "in-process.",
+        "A/B the native C kernels against the pure label scans, "
+        "interleaved in-process.",
     }
-    if backend.HAS_NUMPY:
-        headline["table_numpy_vs_pure"] = table["numpy_vs_pure_speedup"]
-        headline["table_numpy_vs_pr2_recorded"] = table[
-            "numpy_vs_pr2_recorded_speedup"
-        ]
-        headline["one_to_many_numpy_vs_pure"] = o2m["numpy_vs_pure_speedup"]
     if backend.HAS_NATIVE:
         headline["table_native_vs_pure"] = table["native_vs_pure_speedup"]
         headline["one_to_many_native_vs_pure"] = o2m["native_vs_pure_speedup"]
-        if backend.HAS_NUMPY:
-            headline["table_native_vs_numpy"] = table["native_vs_numpy_speedup"]
-            headline["one_to_many_native_vs_numpy"] = o2m[
-                "native_vs_numpy_speedup"
-            ]
     headline["label_compact_vs_flat_size"] = result["label_footprint"][
         "compact_vs_flat_size_ratio"
     ]
     result.update(
         {
             "method": "shared contraction hierarchy; per-bucket interleaved "
-            "A/B; backend A/B interleaved per repeat; best-of-%d" % REPEATS,
+            "A/B; native/pure A/B interleaved per repeat; best-of-%d" % REPEATS,
             "headline": headline,
             "distance_query": buckets,
             "distance_table": table,
@@ -384,7 +336,7 @@ def run_check():
     footprint floor — no timing, no flake."""
     _, _, _, _, result = build_and_verify()
     result["mode"] = (
-        "check (build + exactness + three-tier kernel parity + "
+        "check (build + exactness + native/pure kernel parity + "
         "loaded-index parity + >=2.5x label-footprint floor; "
         "timings omitted)"
     )
@@ -407,7 +359,7 @@ def write_json(result, path=None):
 # ----------------------------------------------------------------------
 def test_hl_speed():
     """HL must beat CH in every distance bucket, the batched pure path
-    must beat the Dijkstra fallback, and the numpy kernels must beat the
+    must beat the Dijkstra fallback, and the native kernels must beat the
     pure scans — conservative margins, since CI machines are noisy; the
     recorded JSON carries the real numbers."""
     result = run_benchmark()
@@ -427,20 +379,18 @@ def test_hl_speed():
         assert long_range and max(long_range) >= 3.0, long_range
         table = result["distance_table"]
         assert table["pure_vs_fallback_speedup"] > 1.0, table
-        if backend.HAS_NUMPY:
-            # Real ratios on a quiet machine run ~2-4x (table) and ~10x
-            # (one_to_many); the guard only has to catch a vectorisation
-            # path that silently fell back or regressed.
-            assert table["numpy_vs_pure_speedup"] >= 1.3, table
-            assert result["one_to_many"]["numpy_vs_pure_speedup"] >= 3.0, result[
+        if backend.HAS_NATIVE:
+            # Real ratios on a quiet machine run ~8x (table) and ~30x
+            # (one_to_many).  The table floor is the product of the two
+            # floors the deleted numpy kernels sat between (numpy >=
+            # 1.3x pure, native >= 2x numpy); the one_to_many floor is
+            # the old numpy one.  The guard only has to catch a C path
+            # that silently fell back or regressed.  CPU-gated like
+            # every timing here.
+            assert table["native_vs_pure_speedup"] >= 2.6, table
+            assert result["one_to_many"]["native_vs_pure_speedup"] >= 3.0, result[
                 "one_to_many"
             ]
-        if backend.HAS_NATIVE and backend.HAS_NUMPY:
-            # ISSUE 10's hard floor: the C scatter-min must clear 2x
-            # over the numpy co-occurrence join on NH.  CPU-gated like
-            # every timing here — on a 1-CPU box the ratio is scheduler
-            # noise, and the recorded JSON carries it either way.
-            assert table["native_vs_numpy_speedup"] >= 2.0, table
     # PR 6: the footprint floor is hardware-independent — always hard
     # (build_and_verify also asserts it, so check mode gates too).
     assert result["label_footprint"]["compact_vs_flat_size_ratio"] >= 2.5

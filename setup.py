@@ -1,9 +1,12 @@
 """Build script: pure-python package + the optional native kernel tier.
 
 The ``repro.native._hubjoin`` C extension is a *strictly optional*
-accelerator (the third kernel tier behind :mod:`repro.backend`; numpy
-and pure-python fallbacks answer bit-identically).  The build therefore
-must never fail on a box without a working C toolchain:
+accelerator (the native hub-label kernel tier behind
+:mod:`repro.backend`; the pure-python kernels answer bit-identically).
+Without a build here, :mod:`repro.native` compiles the same source on
+first import when a compiler is present; a module built here imports
+first.  The build therefore must never fail on a box without a working
+C toolchain:
 
 * every compile/link error is caught and reported as a warning — the
   install completes as a pure build and :mod:`repro.native` degrades at
@@ -28,7 +31,7 @@ class optional_build_ext(build_ext):
         except Exception as exc:  # no compiler at all
             warnings.warn(
                 f"skipping the repro.native._hubjoin extension ({exc!r}); "
-                "the numpy/pure kernel tiers remain fully functional"
+                "the pure-python kernels remain fully functional"
             )
 
     def build_extension(self, ext):
@@ -37,7 +40,7 @@ class optional_build_ext(build_ext):
         except Exception as exc:  # compile/link failure
             warnings.warn(
                 f"could not build {ext.name} ({exc!r}); "
-                "the numpy/pure kernel tiers remain fully functional"
+                "the pure-python kernels remain fully functional"
             )
 
 

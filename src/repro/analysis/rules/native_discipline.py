@@ -197,7 +197,7 @@ register(
         ),
         motivated_by=(
             "PR 10 (repro.native) and the backend-purity rule it mirrors — "
-            "tests/test_backend_parity.py pins the three-tier bit-identity "
+            "tests/test_backend_parity.py pins the native/pure bit-identity "
             "this discipline protects"
         ),
         check=_check,

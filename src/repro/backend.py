@@ -1,34 +1,42 @@
-"""Array-kernel backend selection: NumPy acceleration with a pure fallback.
+"""Backend selection: the HL kernel tier plus the array-container layer.
 
 The paper's practical thesis is that road-network oracles win by keeping
 hot state in flat, cache-friendly arrays.  The PR-1 CSR substrate and the
-PR-2 hub labels realised that layout in pure CPython; this module lets the
-same flat columns be *NumPy* arrays when ``numpy`` is importable, so that
-the batched kernels (label merge-joins, distance tables, reverse-CSR
-derivation, bundle I/O) run as vectorised C loops instead of one CPython
-bytecode per element — while every algorithm keeps a tested pure-Python
-path for deployments without the optional ``fast`` extra.
+PR-2 hub labels realised that layout in pure CPython.  Two independent
+accelerations sit on top of it:
+
+* the **native** tier: the compiled :mod:`repro.native` kernels for the
+  three hub-label (HL) hot paths — built by ``setup.py`` or, failing
+  that, compiled on first import when a C compiler is present;
+* the **numpy** container layer: the graph's flat CSR columns become
+  *NumPy* arrays when ``numpy`` is importable, so reverse-CSR derivation
+  and bundle I/O run as vectorised C loops instead of one CPython
+  bytecode per element.
+
+Every algorithm keeps a tested pure-Python path for deployments without
+either.
 
 Contract
 --------
-* **The backend never changes answers.**  Both backends execute the same
+* **The backend never changes answers.**  Every tier executes the same
   algorithms over the same values in the same order; only the container
   type of the flat columns and the inner-loop engine differ.  The
   hypothesis suite in ``tests/test_backend_parity.py`` pins this.
 * **Selection** happens once at import, in tier order ``native`` ->
-  ``numpy`` -> ``pure-python``: the compiled :mod:`repro.native` hub-join
-  kernels when the extension is importable, else numpy, else pure.  The
-  ``REPRO_BACKEND`` environment variable overrides (``native`` /
-  ``numpy`` / ``pure``; ``native`` on a box without the compiled module
+  ``numpy`` -> ``pure-python``: the native HL kernels when
+  :mod:`repro.native` has its extension, else numpy containers, else
+  pure.  The ``REPRO_BACKEND`` environment variable overrides
+  (``native`` / ``numpy`` / ``pure``; ``native`` without the extension
   degrades with a single warning instead of failing), and :func:`forced`
-  flips the active tier for a scope — which is how the parity tests and
-  the A/B benchmarks run all paths in one process.
+  flips the active tier for a scope — which is how the parity tests run
+  all paths in one process.  Under ``numpy`` and ``pure`` the HL
+  kernels are the pure-python scans.
 * The **native tier stacks on the container layer**: columns under
   ``native`` are whatever :func:`use_numpy` says (numpy arrays when the
-  fast extra is installed, stdlib arrays otherwise) — the C kernels read
-  either through the buffer protocol.  ``native`` only redirects the HL
-  hot-path kernels; every other code path behaves exactly as on the
-  container backend beneath it.
+  fast extra is installed, stdlib arrays otherwise).  ``native`` only
+  redirects the HL hot-path kernels, which read the stdlib label
+  columns through the buffer protocol; every other code path behaves
+  exactly as on the container backend beneath it.
 * **Columns** are ``int64`` / ``float64`` either way: ``numpy.ndarray``
   under the numpy backend, ``array('q')`` / ``array('d')`` under the pure
   one.  Both expose ``tobytes`` / ``tolist`` / slicing, and the stdlib
@@ -56,10 +64,7 @@ try:  # the optional "fast" extra — never required
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
-try:  # the optional "native" extra — never required either
-    from . import native as _native
-except ImportError:  # pragma: no cover - a broken facade, not a missing .so
-    _native = None  # type: ignore[assignment]
+from . import native as _native  # never raises: a missing tier is None inside
 
 __all__ = [
     "HAS_NATIVE",
@@ -90,7 +95,7 @@ __all__ = [
 ]
 
 HAS_NUMPY = np is not None
-HAS_NATIVE = _native is not None and _native.available()
+HAS_NATIVE = _native.available()
 
 #: Canonical backend names, as recorded in BENCH_*.json metadata.
 NATIVE = "native"
@@ -123,19 +128,21 @@ def _initial() -> str:
         if choice == NATIVE and not HAS_NATIVE:
             # Unlike the numpy override this degrades instead of raising:
             # "native" is a *tier* request, and the tier ladder has two
-            # bit-identical rungs below it.  One warning, then the same
-            # auto-selection a bare import performs.
+            # bit-identical rungs below it.  One warning per process,
+            # then the same auto-selection a bare import performs; a
+            # failed on-import build has already given it.
             fallback = NUMPY if HAS_NUMPY else PURE
-            warnings.warn(
-                "REPRO_BACKEND=native but the repro.native._hubjoin "
-                "extension is not importable (not built, or disabled via "
-                f"REPRO_NATIVE=0); degrading to the {fallback} tier — "
-                "answers are bit-identical, only slower.  Build it with "
-                "`python setup.py build_ext --inplace` or "
-                "`pip install repro-roadnet[native]`.",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            if _native.DISABLED:
+                warnings.warn(
+                    "REPRO_BACKEND=native but REPRO_NATIVE=0 disables the "
+                    f"repro.native._hubjoin extension; degrading to the "
+                    f"{fallback} tier — answers are bit-identical, only "
+                    "slower.  Unset REPRO_NATIVE to load the extension, "
+                    "which is compiled on first import when a C compiler "
+                    "is present.",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             return fallback
         return choice
     if HAS_NATIVE:
@@ -147,7 +154,7 @@ _ACTIVE = _initial()
 
 
 def active() -> str:
-    """Name of the active backend: ``"numpy"`` or ``"pure-python"``."""
+    """Name of the active tier: ``"native"``, ``"numpy"`` or ``"pure-python"``."""
     return _ACTIVE
 
 
@@ -155,9 +162,9 @@ def use_numpy() -> bool:
     """True when the numpy *container* layer is the live code path.
 
     The native tier stacks on numpy when the fast extra is installed —
-    everything outside the three HL hot kernels (CSR packing, batch
-    kernels of other engines, bundle I/O) keeps vectorising — so this
-    answers "are columns numpy arrays", not "is numpy the top tier".
+    everything outside the three HL hot kernels (CSR packing, bundle
+    I/O) keeps vectorising — so this answers "are columns numpy
+    arrays", not "is numpy the top tier".
     """
     return _ACTIVE == NUMPY or (_ACTIVE == NATIVE and HAS_NUMPY)
 
@@ -170,7 +177,7 @@ def use_native() -> bool:
 def force_backend(name: str) -> str:
     """Switch the active backend; returns the previous one.
 
-    Meant for tests and A/B benchmarks.  Objects built under the old
+    Meant for tests and benchmarks.  Objects built under the old
     backend keep their storage type and stay fully queryable — dispatch
     happens per call, not per object.
     """
@@ -181,7 +188,7 @@ def force_backend(name: str) -> str:
     if choice == NATIVE and not HAS_NATIVE:
         raise RuntimeError(
             "cannot force the native tier: the repro.native._hubjoin "
-            "extension is not importable"
+            "extension is not loaded"
         )
     previous = _ACTIVE
     _ACTIVE = choice
@@ -365,7 +372,7 @@ def col_sum(col) -> float:
 def np_view_i64(col):
     """Zero-copy numpy int64 view over a column of either container.
 
-    Only callable when numpy is importable (kernels check
+    Only callable when numpy is importable (callers check
     :func:`use_numpy` before reaching for views).
     """
     if isinstance(col, np.ndarray):

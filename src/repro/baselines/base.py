@@ -283,7 +283,7 @@ class BatchCapabilities:
     ----------
     one_to_many, distance_table:
         Human-readable kernel tags for reports (e.g.
-        ``"dijkstra-per-source"``, ``"hl-dense-gather"``) — surfaced in
+        ``"dijkstra-per-source"``, ``"hl-native-gather"``) — surfaced in
         planner/server stats so a recorded benchmark says *which* kernel
         served it.
     native_batching:

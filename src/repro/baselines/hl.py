@@ -35,39 +35,22 @@ upward path from the node (``-1`` for the node itself), which together
 with the contraction's shortcut middles reconstructs full original-graph
 paths.
 
-The batched surface (:meth:`HubLabelIndex.one_to_many`,
-:meth:`HubLabelIndex.distance_table`) is where the interpreter overhead
-of per-entry scans actually bites — a 100x100 table touches tens of
-thousands of label entries — so it dispatches on :mod:`repro.backend`:
+The three hot kernels — the two-pointer merge-join ``distance``, the
+batched ``one_to_many`` and the co-occurrence ``distance_table`` — each
+come in two bit-identical versions, picked per call:
 
-* **native** (the top tier, when the optional :mod:`repro.native`
-  C extension is built): all three hot kernels — the two-pointer
-  merge-join ``distance``, the dense-gather ``one_to_many`` and the
-  co-occurrence scatter-min ``distance_table`` — run as single C calls
-  directly over the int64/float64 label columns through the buffer
-  protocol.
-* **numpy** (the default when importable): ``one_to_many`` scatters the
-  source label into a dense hub-indexed distance vector (absent hubs
-  read ``inf`` for free — no searchsorted, no mask), gathers it through
-  the concatenation of the targets' backward columns, and collapses the
-  per-target runs with ``minimum.reduceat``; ``distance_table``
-  materialises exactly the hub *co-occurrence* pairs (the same pairs
-  the pure scan iterates) via a bucketed merge-join and scatter-mins
-  them into the table with ``minimum.at`` — no Python in either loop.
-  A broadcast + ``reduceat`` formulation was benchmarked too and lost:
-  label/bucket matrices here are ~3% dense, so candidate expansion
-  proportional to co-occurrences beats dense row sweeps ~3x.
-* **pure-python**: PR 2's label-scan paths (source-label dict for
-  batches, inverted hub buckets for tables), kept verbatim as the
-  tested fallback and as the A/B baseline the benchmarks record.
+* **native** (:func:`repro.backend.use_native`, the default wherever
+  :mod:`repro.native` could load or build its C extension): each kernel
+  is one C call straight over the int64/float64 label columns through
+  the buffer protocol.
+* **pure-python**: the original scans (merge-join, source-label dict for
+  batches, inverted hub buckets for tables), kept as the reference the
+  parity tests hold the C kernels to and as the fallback on boxes
+  without a compiler, with ``REPRO_NATIVE=0`` or under a forced
+  ``numpy`` / ``pure`` tier.
 
-The per-query :meth:`HubLabelIndex.distance` stays a two-pointer
-merge-join over the stdlib-array columns on both backends — at ~2 µs a
-query there is nothing for vectorisation to amortise, and numpy scalar
-indexing would only add boxing overhead.  The label columns therefore
-remain stdlib ``array``\\ s; the kernels vectorise over cached
-*zero-copy* numpy views of them (:func:`repro.backend.np_view_i64`,
-:func:`repro.backend.np_view_f64`).
+The label columns are stdlib ``array``\\ s on every tier; numpy never
+touches them.
 
 A built index and one loaded from an ``HLIDX2`` section
 (:mod:`repro.core.serialize`) hold the same column layout: ``array('q')``
@@ -96,12 +79,6 @@ from .ch import ContractionResult, contract_graph, unpack_shortcuts
 __all__ = ["HubLabelIndex"]
 
 INF = float("inf")
-
-#: Upper bound on hub co-occurrence pairs materialised at once by the
-#: numpy distance_table kernel; larger requests are chunked over
-#: sources (the scatter-min accumulates across chunks, so chunking is
-#: invisible in results).  4M pairs is ~100 MB of transient scratch.
-_TABLE_PAIR_BUDGET = 4_000_000
 
 #: Distinct target tuples whose hub->targets inversion is memoized per
 #: index (ROADMAP "batched-table headroom": serving workloads reuse
@@ -245,36 +222,14 @@ class HubLabelIndex(QueryEngine):
         a bundle-loaded replica carries the same runtime state as a
         freshly built index.
         """
-        self._npv = None  # cached zero-copy numpy views, built on first use
-        # Target-side inversion memo: (backend flavour, target tuple) ->
-        # prebuilt inversion structure.  Labels are immutable, so entries
-        # never go stale; a small LRU bound caps the memory.
+        # Target-side inversion memo for the pure table scan: target
+        # tuple -> hub buckets.  Labels are immutable, so entries never
+        # go stale; a small LRU bound caps the memory.
         self._tinv: "OrderedDict" = OrderedDict()
         self._tinv_lock = threading.Lock()
         self._tinv_hits = 0
         self._tinv_misses = 0
         self._tinv_max = _TARGET_INVERSION_CACHE_MAX
-
-    def _np_views(self):
-        """Zero-copy numpy views over the six query-time label columns.
-
-        Cached per index (labels are immutable once built); shared by
-        both batched kernels.  Only called when the numpy backend is
-        active, so :mod:`repro.backend` guarantees numpy is importable.
-        """
-        views = getattr(self, "_npv", None)
-        if views is None:
-            i64, f64 = backend.np_view_i64, backend.np_view_f64
-            views = (
-                i64(self.fwd_head),
-                i64(self.fwd_hub),
-                f64(self.fwd_dist),
-                i64(self.bwd_head),
-                i64(self.bwd_hub),
-                f64(self.bwd_dist),
-            )
-            self._npv = views
-        return views
 
     # ------------------------------------------------------------------
     # Accounting
@@ -328,8 +283,8 @@ class HubLabelIndex(QueryEngine):
     def batch_capabilities(self) -> BatchCapabilities:
         """Full grouping unlocked: the label join *is* a batch primitive.
 
-        Every batched path (dict scan, bucket scan, dense gather,
-        co-occurrence join) minimises over exactly the hub co-occurrence
+        Every batched path (dict scan, bucket scan, native gather,
+        native scatter-min) minimises over exactly the hub co-occurrence
         pairs the per-query merge-join visits, summing the same
         ``fwd_dist + bwd_dist`` operands — so coalescing point queries
         into ``one_to_many`` and same-target rows into
@@ -338,8 +293,6 @@ class HubLabelIndex(QueryEngine):
         """
         if backend.use_native():
             o2m, table = "hl-native-gather", "hl-native-scatter-min"
-        elif backend.use_numpy():
-            o2m, table = "hl-dense-gather", "hl-cooccurrence-join"
         else:
             o2m, table = "hl-label-scan", "hl-bucket-scan"
         return BatchCapabilities(
@@ -398,7 +351,7 @@ class HubLabelIndex(QueryEngine):
         self, targets: Tuple[int, ...]
     ) -> Dict[int, List[Tuple[int, float]]]:
         """Hub -> [(column, dist)] buckets over ``targets``, memoized."""
-        entry = self._tinv_lookup(("pure", targets))
+        entry = self._tinv_lookup(targets)
         if entry is not None:
             return entry
         buckets: Dict[int, List[Tuple[int, float]]] = {}
@@ -406,45 +359,7 @@ class HubLabelIndex(QueryEngine):
         for col, t in enumerate(targets):
             for k in range(bhead[t], bhead[t + 1]):
                 buckets.setdefault(bhub[k], []).append((col, bdist[k]))
-        return self._tinv_store(("pure", targets), buckets)
-
-    def _target_inversion_numpy(self, targets: Tuple[int, ...]):
-        """Hub-sorted target columns + per-hub run index, memoized.
-
-        Returns ``(ttotal, tdist_s, tcol_s, uhub, ucount, ustart)`` —
-        the whole target-side half of the co-occurrence join (concat,
-        stable sort by hub, per-*present*-hub run offsets), which is
-        exactly the part a serving workload reuses across calls when
-        dispatch keeps asking about the same open orders.  The run
-        index is sparse (``uhub`` holds only hubs that occur in the
-        target labels), keeping every memo entry O(target label
-        entries) as documented — a dense hub-indexed table would pin
-        O(graph.n) per entry however small the target set.
-        """
-        entry = self._tinv_lookup(("numpy", targets))
-        if entry is not None:
-            return entry
-        np = backend.np
-        _, _, _, bhead, bhub, bdist = self._np_views()
-        tgt = np.asarray(targets, dtype=np.int64)
-        tstarts = bhead[tgt]
-        tlens = bhead[tgt + 1] - tstarts
-        ttotal = int(tlens.sum())
-        if ttotal:
-            toffs = np.cumsum(tlens) - tlens
-            tpos = np.arange(ttotal, dtype=np.int64) + np.repeat(
-                tstarts - toffs, tlens
-            )
-            thub = bhub[tpos]
-            order = np.argsort(thub, kind="stable")
-            tdist_s = bdist[tpos][order]
-            tcol_s = np.repeat(np.arange(tgt.size, dtype=np.int64), tlens)[order]
-            uhub, ucount = np.unique(thub, return_counts=True)
-            ustart = np.cumsum(ucount) - ucount
-            entry = (ttotal, tdist_s, tcol_s, uhub, ucount, ustart)
-        else:
-            entry = (0, None, None, None, None, None)
-        return self._tinv_store(("numpy", targets), entry)
+        return self._tinv_store(targets, buckets)
 
     # ------------------------------------------------------------------
     # Queries
@@ -521,26 +436,25 @@ class HubLabelIndex(QueryEngine):
     def one_to_many(self, source: int, targets) -> List[float]:
         """HL fast path: scan the source label once for the whole batch.
 
-        Dispatches on the active backend: the numpy kernel merge-joins
-        the source label against the concatenated target columns in C;
-        the pure path scans with a hub -> distance dict.  Both return
-        identical values (``tests/test_backend_parity.py``).
+        The native kernel gathers the targets' backward columns against
+        a dense hub-indexed copy of the source label in C; the pure path
+        scans with a hub -> distance dict.  Both return identical values
+        (``tests/test_backend_parity.py``).
         """
         targets = list(targets)
         if not targets:
             return []
         if backend.use_native():
             return self._one_to_many_native(source, targets)
-        if backend.use_numpy():
-            return self._one_to_many_numpy(source, targets)
         return self._one_to_many_pure(source, targets)
 
     def _one_to_many_native(self, source: int, targets: Sequence[int]) -> List[float]:
         """Native batch: the dense-gather kernel as one C call.
 
-        Same dense hub-indexed scatter/gather the numpy kernel performs
-        (and the same candidate sums the pure scan folds), compiled —
-        the kernel reads the columns through the buffer protocol.
+        The source label is scattered into a dense hub-indexed vector
+        and every target's backward label gathers through it — the same
+        candidate sums the pure scan folds, compiled; the kernel reads
+        the columns through the buffer protocol.
         Results are plain Python floats built by the extension; ``list``
         is the column constructor at the boundary.
         """
@@ -586,44 +500,6 @@ class HubLabelIndex(QueryEngine):
             out.append(best)
         return out
 
-    def _one_to_many_numpy(self, source: int, targets: Sequence[int]) -> List[float]:
-        """Vectorised batch: dense hub gather + ``minimum.reduceat``.
-
-        The source's forward label is scattered into a dense
-        hub-indexed distance vector (every other hub reads ``inf``, so
-        there is no membership test at all); the targets' backward
-        columns are gathered into one concatenated target-major run,
-        each entry becomes ``dense[hub] + dist`` in a single gather +
-        add, and ``minimum.reduceat`` over the per-target run
-        boundaries collapses the candidates to one distance per target.
-        """
-        np = backend.np
-        fhead, fhub, fdist, bhead, bhub, bdist = self._np_views()
-        tgt = np.asarray(targets, dtype=np.int64)
-        fs, fe = int(fhead[source]), int(fhead[source + 1])
-        starts = bhead[tgt]
-        lens = bhead[tgt + 1] - starts
-        total = int(lens.sum())
-        if total == 0 or fe == fs:
-            out = np.full(tgt.size, INF)
-        else:
-            dense = np.full(self.graph.n, INF)
-            dense[fhub[fs:fe]] = fdist[fs:fe]
-            offs = np.cumsum(lens) - lens  # start of each target's run
-            pos = np.arange(total, dtype=np.int64) + np.repeat(starts - offs, lens)
-            cand = dense.take(bhub[pos]) + bdist[pos]
-            # reduceat semantics force two guards: an empty run's slot
-            # reports the *next* run's first element (overwritten via the
-            # lens == 0 mask below), and an empty run at the very end
-            # would index one past the data (the appended inf sentinel
-            # absorbs it, and can only ever relax a minimum to itself).
-            # offs <= total always, and the appended sentinel makes
-            # index ``total`` (an empty trailing run) valid.
-            out = np.minimum.reduceat(np.append(cand, INF), offs)
-            out[lens == 0] = INF
-        out[tgt == source] = 0.0
-        return out.tolist()
-
     def distance_table(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> List[List[float]]:
@@ -631,17 +507,13 @@ class HubLabelIndex(QueryEngine):
 
         Work is proportional to the number of (source entry, target
         entry) pairs that share a hub instead of ``|sources| x
-        |targets|`` label scans, on both backends; the numpy kernel
-        additionally runs that work as a bucketed broadcast +
-        ``minimum.reduceat`` with no Python in the loop.
+        |targets|`` label scans, in C and in the pure scan alike.
         """
         targets = list(targets)
         if not targets:
             return [[] for _ in sources]
         if backend.use_native():
             return self._distance_table_native(list(sources), targets)
-        if backend.use_numpy():
-            return self._distance_table_numpy(list(sources), targets)
         return self._distance_table_pure(sources, targets)
 
     def _distance_table_native(
@@ -650,12 +522,12 @@ class HubLabelIndex(QueryEngine):
         """Native table: counting-sorted co-occurrence join in one C call.
 
         The kernel builds the same hub -> (column, dist) inversion the
-        other tiers use (counting sort by hub), then streams every
+        pure scan uses (counting sort by hub), then streams every
         source's forward label through the per-hub runs with a
-        scatter-min — exactly the co-occurrence pairs the pure scan and
-        the numpy ``minimum.at`` kernel visit, so answers are
-        bit-identical; rows come back as plain Python float lists and
-        ``list`` re-containers them at the boundary.
+        scatter-min — exactly the co-occurrence pairs the pure scan
+        visits, so answers are bit-identical; rows come back as plain
+        Python float lists and ``list`` re-containers them at the
+        boundary.
         """
         return list(
             _native.distance_table(
@@ -704,88 +576,6 @@ class HubLabelIndex(QueryEngine):
                     row[col] = 0.0
             table.append(row)
         return table
-
-    def _distance_table_numpy(
-        self, sources: List[int], targets: List[int]
-    ) -> List[List[float]]:
-        """Co-occurrence join + ``minimum.at`` scatter table kernel.
-
-        1. Concatenate the targets' backward labels, counting-sort the
-           entries by hub (``gstart``/``gcount`` index the per-hub runs
-           directly by hub id — node ids are dense, no ``unique``).
-        2. Concatenate the sources' forward labels (source-major) and
-           expand each source entry against its hub's target run via
-           the cumulative-offset trick — materialising exactly the hub
-           co-occurrence pairs the pure scan iterates, never the dense
-           ``entries x columns`` product.
-        3. One ``minimum.at`` scatters every candidate sum into the
-           flat table (numpy's indexed-loop fast path makes this the
-           cheapest grouping: no per-pair sort, no reduceat segments).
-
-        Sources are chunked so the pair expansion stays within
-        ``_TABLE_PAIR_BUDGET``; the scatter-min accumulates across
-        chunks, so chunk boundaries cannot change results.
-
-        The target side (concat + counting-sort + run offsets) comes
-        from the per-tuple memo (:meth:`_target_inversion_numpy`), so a
-        serving workload that reuses target sets pays it once.
-        """
-        np = backend.np
-        fhead, fhub, fdist, _, _, _ = self._np_views()
-        src = np.asarray(sources, dtype=np.int64)
-        tgt = np.asarray(targets, dtype=np.int64)
-        ncols = tgt.size
-        flat = np.full(src.size * ncols, INF)
-
-        # --- target side: memoized concat + sort by hub --------------
-        ttotal, tdist_s, tcol_s, uhub, ucount, ustart = self._target_inversion_numpy(
-            tuple(targets)
-        )
-        if ttotal:
-            # --- source side: concat, then join chunk by chunk -------
-            sstarts = fhead[src]
-            slens = fhead[src + 1] - sstarts
-            stotal = int(slens.sum())
-            if stotal:
-                soffs = np.cumsum(slens) - slens
-                spos = np.arange(stotal, dtype=np.int64) + np.repeat(
-                    sstarts - soffs, slens
-                )
-                shub = fhub[spos]
-                sdist = fdist[spos]
-                srowkey = np.repeat(np.arange(src.size, dtype=np.int64) * ncols, slens)
-                # Sparse probe of the memoized run index: source hubs
-                # absent from the target labels get cnt 0 (their base
-                # is never consumed — np.repeat with 0 repeats).
-                upos = np.searchsorted(uhub, shub)
-                upos[upos == uhub.size] = 0  # out-of-range probes
-                hit = uhub[upos] == shub
-                cnt = np.where(hit, ucount[upos], 0)
-                csum = np.cumsum(cnt)
-                base = ustart[upos]
-                lo = 0
-                while lo < stotal:
-                    # Largest entry range whose pair count fits the budget.
-                    done = csum[lo - 1] if lo else 0
-                    hi = int(
-                        np.searchsorted(csum, done + _TABLE_PAIR_BUDGET, "right")
-                    )
-                    hi = max(hi, lo + 1)
-                    ccnt = cnt[lo:hi]
-                    pairs = int(csum[hi - 1] - done)
-                    if pairs:
-                        pc = np.cumsum(ccnt) - ccnt
-                        pidx = np.arange(pairs, dtype=np.int64) + np.repeat(
-                            base[lo:hi] - pc, ccnt
-                        )
-                        cand = np.repeat(sdist[lo:hi], ccnt) + tdist_s.take(pidx)
-                        key = np.repeat(srowkey[lo:hi], ccnt) + tcol_s.take(pidx)
-                        np.minimum.at(flat, key, cand)
-                    lo = hi
-
-        table = flat.reshape(src.size, ncols)
-        table[src[:, None] == tgt[None, :]] = 0.0
-        return table.tolist()
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Parent-hub walk on both sides, then CH shortcut unpacking."""

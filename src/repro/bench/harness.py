@@ -56,9 +56,9 @@ def environment_metadata() -> Dict[str, object]:
     backend or interpreter change should be visible as one.  Since the
     native kernel tier (PR 10) the block also records whether a C
     compiler was present (a native-less run on a compiler-less box is
-    expected; on a box WITH a compiler it means the extension was never
-    built) — the extension's own version/hash ride along inside
-    :func:`repro.backend.describe`.
+    expected; on a box WITH a compiler it means ``REPRO_NATIVE=0`` or a
+    failed on-import build) — the extension's own version/hash ride
+    along inside :func:`repro.backend.describe`.
     """
     meta = backend.describe()
     compiler = next(

@@ -9,7 +9,7 @@ folds them into one table::
 
     bench   mode   backend                        cpus  key ratios
     csr     full   numpy 2.4.6                    -     best_bucket_speedup=1.703 ...
-    hl      full   native (kernels v1, numpy ...) 1     table_native_vs_numpy=...
+    hl      full   native (kernels v1, numpy ...) 1     table_native_vs_pure=...
 
 The "key ratios" column is every numeric entry of the file's
 ``headline`` block, in file order — benchmarks choose their own

@@ -40,6 +40,11 @@ adjacency::
     out_head[n+1] (int64), out_dst[m] (int64), out_w[m] (float64)
     in_head[n+1]  (int64), in_src[m] (int64), in_w[m]  (float64)
 
+Loading range-checks both triples: each head column runs from 0 to
+``m`` without decreasing, every id lies in ``[0, n)`` and every weight
+is finite and non-negative.  Inside a bundle, an index section whose
+node count differs from the graph's is damage too.
+
 Hub-label indexes (:class:`repro.baselines.hl.HubLabelIndex`) get the
 ``HL2`` section: varint streams plus exact distance encodings, decoded
 back to the int64/float64 columns a built index holds, so a loaded index
@@ -75,8 +80,9 @@ Loading checks every label structure a query walks: hubs lie in
 ``[0, n)``, parent codes stay inside their row, every row has exactly
 one root and it holds the row's own node, parent chains are acyclic,
 ``dd`` indexes stay inside the dictionary, shortcut middles lie in
-``[0, n)`` and their split relation is acyclic (``HLIDX2`` stores no
-ranks, so the middles table itself is searched).  Parent walks and
+``[0, n)`` and their split relation is acyclic, with every shortcut
+unpacking to at most ``n - 1`` edges (``HLIDX2`` stores no ranks, so
+the middles table itself is searched).  Parent walks and
 shortcut unpacking therefore terminate, and every hub index stays
 inside the kernels' ``n``-sized scratch; damage raises
 :class:`BundleCorrupted`.
@@ -130,7 +136,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
-from operator import add
+from operator import add, le
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from .. import backend
@@ -496,7 +502,7 @@ def load_index(source: Source, graph: Graph, *, mmap: bool = False) -> AHIndex:
     buffer; ``mmap=True`` memory-maps a path source.  ``graph`` must be
     the network the index was built on (used for path validation
     metadata and the node-to-cell mapping); a node-count mismatch is
-    rejected.
+    rejected as :class:`BundleCorrupted` (a :class:`ValueError`).
     """
     fh, own = _open_source(source, mmap)
     try:
@@ -516,8 +522,8 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
     """Read everything after the ``AHIDX1`` magic and rebuild the index."""
     n, h, flags, ox, oy, side = struct.unpack("<iii3d", fh.read(36))
     if n != graph.n:
-        raise ValueError(
-            f"index was built for {n} nodes but the graph has {graph.n}"
+        raise BundleCorrupted(
+            "AHIDX1", f"index was built for {n} nodes but the graph has {graph.n}"
         )
     if not 1 <= h <= _MAX_GRID_H:
         raise BundleCorrupted("AHIDX1", f"grid height {h} outside [1, {_MAX_GRID_H}]")
@@ -904,15 +910,19 @@ def _parents_first(pabs: List[int]) -> array:
     return order
 
 
-def _check_splits(middle: Dict[Tuple[int, int], int]) -> None:
-    """Reject a middles table whose shortcut splits never bottom out.
+def _check_splits(middle: Dict[Tuple[int, int], int], n: int) -> None:
+    """Reject a middles table whose shortcuts do not unpack to short paths.
 
     :func:`~repro.baselines.ch.unpack_shortcuts` splits ``(a, b)`` into
     ``(a, mid)`` and ``(mid, b)`` while a pair has a middle, which ends
     iff that split relation is acyclic.  Contraction guarantees it through
     ranks, which ``HLIDX2`` does not store, so a depth-first search checks
-    the table itself: state 1 marks a pair on the current search path, 2
-    a pair whose splits are all checked.
+    the table itself.  An acyclic table can still unpack to ``2^depth``
+    edges, so the same search counts each pair's unpacked edges in
+    post-order (a pair without a middle is one edge); a valid shortcut
+    unpacks to a simple path, at most ``n - 1`` edges.  ``state`` holds 0
+    for a pair the search has not reached, -1 for a pair on the current
+    search path and, once its splits are checked, its edge count.
     """
     state = dict.fromkeys(middle, 0)
     for start in middle:
@@ -921,16 +931,23 @@ def _check_splits(middle: Dict[Tuple[int, int], int]) -> None:
         stack = [start]
         while stack:
             key = stack[-1]
-            if state[key]:
-                state[key] = 2
-                stack.pop()
-                continue
-            state[key] = 1
             a, b = key
             mid = middle[key]
+            if state[key]:
+                if state[key] < 0:  # every split is counted: count this pair
+                    count = (state.get((a, mid)) or 1) + (state.get((mid, b)) or 1)
+                    if count > n - 1:
+                        raise BundleCorrupted(
+                            "HLIDX2",
+                            f"shortcut ({a}, {b}) unpacks to more than {n - 1} edges",
+                        )
+                    state[key] = count
+                stack.pop()
+                continue
+            state[key] = -1
             for split in ((a, mid), (mid, b)):
                 seen = state.get(split)
-                if seen == 1:
+                if seen == -1:
                     raise BundleCorrupted("HLIDX2", "shortcut middles form a cycle")
                 if seen == 0:
                     stack.append(split)
@@ -1073,8 +1090,8 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
     """Read everything after the ``HLIDX2`` magic and rebuild the index."""
     (n,) = struct.unpack("<q", _read_exact(fh, 8))
     if n != graph.n:
-        raise ValueError(
-            f"index was built for {n} nodes but the graph has {graph.n}"
+        raise BundleCorrupted(
+            "HLIDX2", f"index was built for {n} nodes but the graph has {graph.n}"
         )
     fwd = _decode_label_side(fh, n)
     bwd = _decode_label_side(fh, n)
@@ -1086,7 +1103,7 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
                 "HLIDX2", f"a shortcut-middle entry lies outside [0, {n})"
             )
     middle = dict(zip(zip(a_col, b_col), mid_col))
-    _check_splits(middle)
+    _check_splits(middle, n)
 
     index = HubLabelIndex.__new__(HubLabelIndex)
     index.graph = graph
@@ -1132,7 +1149,9 @@ def load_graph(source: Source, *, mmap: bool = False) -> Graph:
     tuples): it is ``fromfile`` into six flat arrays plus the coordinate
     columns.  From a buffer source under the numpy backend the six CSR
     columns are ``frombuffer`` views over the buffer itself — read-only
-    and zero-copy.
+    and zero-copy.  Each triple is range-checked before a search can
+    index with it (:func:`_check_csr`); damage raises
+    :class:`BundleCorrupted`.
     """
     fh, own = _open_source(source, mmap)
     try:
@@ -1154,12 +1173,36 @@ def load_graph(source: Source, *, mmap: bool = False) -> Graph:
             in_w = _read_f64_col(fh, m)
         except (struct.error, EOFError) as exc:
             raise BundleCorrupted("GCSR1", str(exc)) from exc
+        _check_csr(n, m, out_head, out_dst, out_w, "out")
+        _check_csr(n, m, in_head, in_src, in_w, "in")
     finally:
         if own:
             fh.close()
     return Graph.from_csr(
         xs, ys, out_head, out_dst, out_w, in_head, in_src, in_w
     )
+
+
+def _check_csr(n: int, m: int, head, ids, weights, side: str) -> None:
+    """Reject a CSR triple a search could not walk.
+
+    ``head`` must run from 0 to ``m`` without decreasing, every id must
+    lie in ``[0, n)`` (a negative one would silently read another node's
+    state) and every weight must be finite and non-negative.  ``side``
+    is ``"out"`` or ``"in"``.
+    """
+    heads = head.tolist()
+    if heads[0] != 0 or heads[-1] != m or not all(map(le, heads, heads[1:])):
+        raise BundleCorrupted(
+            "GCSR1", f"{side}_head does not run from 0 to {m} without decreasing"
+        )
+    ids = ids.tolist()
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        raise BundleCorrupted("GCSR1", f"{side} edges name a node outside [0, {n})")
+    if not all(0.0 <= w < _INF for w in weights.tolist()):
+        raise BundleCorrupted(
+            "GCSR1", f"{side} edges have a negative, NaN or infinite weight"
+        )
 
 
 # ----------------------------------------------------------------------

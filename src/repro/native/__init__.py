@@ -1,34 +1,54 @@
-"""repro.native — the optional C kernel tier for the HL hot path.
+"""repro.native — the C kernel tier for the HL hot path.
 
 This package is the **only** place in the repo allowed to touch compiled
 code (the ``native-boundary-discipline`` analysis rule enforces it): it
-imports the ``_hubjoin`` extension module when a build produced one and
-exposes the three hub-join kernels behind plain-Python wrappers.  Every
-caller goes through :func:`available` / the wrappers, never the
-extension module itself, so a checkout without a compiler (or a wheel
-built with the pure-build escape hatch) degrades to the numpy/pure
-tiers without any import-time failure.
+loads the ``_hubjoin`` extension module and exposes the three hub-join
+kernels behind plain-Python wrappers.  Every caller goes through
+:func:`available` / the wrappers, never the extension module itself, so
+a box without a compiler degrades to the pure-python kernels without
+any import-time failure.
+
+The extension comes from one of two places, tried in order:
+
+* a build ``setup.py`` made (``python setup.py build_ext --inplace`` or
+  an installed wheel), imported as ``repro.native._hubjoin``;
+* else a build made on first import: ``_hubjoin.c`` is compiled with
+  the flags the running interpreter was built with (sysconfig's
+  ``LDSHARED CFLAGS CCSHARED -I<INCLUDEPY>``, the same ones
+  ``setup.py`` uses) into ``__pycache__/<first 16 hex of the source's
+  sha256>/``.  The module is written under a temporary name and moved
+  into place with ``os.replace``, so concurrent processes never load a
+  half-written file, and a later import loads it without compiling.
+  With no compiler, a failed compile or an unwritable directory the
+  tier stays off and the process emits one :class:`RuntimeWarning`.
 
 The kernels operate directly on the label columns through the buffer
 protocol: int64 heads and hubs and float64 distances, the one layout
 built and loaded indexes share (any other column raises
 :class:`TypeError`).  Results come back as plain Python floats/lists;
-answers are bit-identical to the numpy and pure tiers
+answers are bit-identical to the pure-python scans
 (``tests/test_backend_parity.py``).
 
 ``REPRO_NATIVE=0`` (or ``off`` / ``disable``) skips the extension
-import entirely — the forced-import-failure tests and the compiler-less
-CI leg use it to pin the degradation path on boxes where the module
-*is* importable.
+entirely, built or not, and compiles nothing — the compiler-less CI
+legs and the degradation tests use it to pin the pure path on boxes
+where the tier *is* available.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
 import os
+import shlex
+import subprocess
+import sysconfig
+import warnings
 from typing import List, Optional, Sequence
 
 __all__ = [
+    "DISABLED",
     "available",
     "version",
     "extension_path",
@@ -38,24 +58,85 @@ __all__ = [
     "distance_table",
 ]
 
-_DISABLED = os.environ.get("REPRO_NATIVE", "").strip().lower() in (
+#: True when ``REPRO_NATIVE`` turned the tier off (nothing was loaded or
+#: compiled, and nothing warned).
+DISABLED = os.environ.get("REPRO_NATIVE", "").strip().lower() in (
     "0",
     "off",
     "disable",
     "disabled",
 )
 
-if _DISABLED:
+_HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _compile_and_load():
+    """Load ``_hubjoin`` from the source-keyed cache, compiling it first
+    when this source has never been built here."""
+    source = os.path.join(_HERE, "_hubjoin.c")
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read()).hexdigest()[:16]
+    var = sysconfig.get_config_var
+    target = os.path.join(
+        _HERE, "__pycache__", key, "_hubjoin" + var("EXT_SUFFIX")
+    )
+    if not os.path.exists(target):
+        if not var("LDSHARED"):
+            raise OSError("the interpreter records no LDSHARED compiler command")
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        partial = f"{target}.{os.getpid()}.tmp"
+        command = [
+            *shlex.split(var("LDSHARED")),
+            *shlex.split(var("CFLAGS") or ""),
+            *shlex.split(var("CCSHARED") or ""),
+            "-I" + var("INCLUDEPY"),
+            source,
+            "-o",
+            partial,
+        ]
+        try:
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            os.replace(partial, target)
+        finally:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
+    spec = importlib.util.spec_from_file_location(f"{__name__}._hubjoin", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _build_or_warn():
+    """The on-import build, or ``None`` and one warning when it fails."""
+    try:
+        return _compile_and_load()
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
+        reason = str(exc)
+        if isinstance(exc, subprocess.CalledProcessError):
+            lines = (exc.stderr or "").strip().splitlines() or ["no output"]
+            reason = f"the compiler exited with status {exc.returncode}: {lines[-1]}"
+        warnings.warn(
+            f"could not build the repro.native._hubjoin C kernels ({reason}); "
+            "hub labels run on the pure-python kernels — answers are "
+            "bit-identical, only slower.  Install a C compiler, or build "
+            "with `python setup.py build_ext --inplace`.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+
+
+if DISABLED:
     _hubjoin = None
 else:
     try:
         from . import _hubjoin  # type: ignore[attr-defined]
-    except ImportError:  # no compiled extension: the escape-hatch path
-        _hubjoin = None
+    except ImportError:  # no setup.py build: compile one on first import
+        _hubjoin = _build_or_warn()
 
 
 def available() -> bool:
-    """True when the compiled ``_hubjoin`` extension is importable."""
+    """True when the compiled ``_hubjoin`` extension is loaded."""
     return _hubjoin is not None
 
 

@@ -8,12 +8,12 @@
  * refused with TypeError.
  *
  * Bit-identity contract (the repo's standing one): every answer equals
- * the pure-python scan and the numpy kernel bit for bit.  The arithmetic
- * here is the same the other tiers perform — candidate sums are single
- * `a + b` double additions, and min over candidates is
- * order-independent for the NaN-free, non-negative values labels hold.
- * `tests/test_backend_parity.py` pins the claim under hypothesis across
- * all three tiers, on built and on loaded indexes.
+ * the pure-python scan bit for bit.  The arithmetic here is the same
+ * the scans perform — candidate sums are single `a + b` double
+ * additions, and min over candidates is order-independent for the
+ * NaN-free, non-negative values labels hold.
+ * `tests/test_backend_parity.py` pins the claim under hypothesis,
+ * native against pure, on built and on loaded indexes.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -287,10 +287,10 @@ fail:
 /*   -> [[float, ...], ...]                                           */
 /*                                                                    */
 /* Counting-sort the targets' backward entries by hub (the same       */
-/* co-occurrence inversion the numpy kernel memoizes), then stream    */
+/* hub -> targets inversion the pure scan memoizes), then stream      */
 /* each source's forward label through the per-hub runs with a        */
-/* scatter-min into the row — exactly the pairs the other tiers       */
-/* visit, never the dense |entries| x |columns| product.              */
+/* scatter-min into the row — exactly the pairs the pure scan         */
+/* visits, never the dense |entries| x |columns| product.             */
 /* ------------------------------------------------------------------ */
 static PyObject *
 hubjoin_distance_table(PyObject *self, PyObject *args)
@@ -361,8 +361,8 @@ hubjoin_distance_table(PyObject *self, PyObject *args)
     gstart = PyMem_Malloc((size_t)(n + 1) * sizeof(int64_t));
     tcol = PyMem_Malloc((size_t)(ttotal ? ttotal : 1) * sizeof(int64_t));
     tdist = PyMem_Malloc((size_t)(ttotal ? ttotal : 1) * sizeof(double));
-    flat = PyMem_Malloc((size_t)(nsrc * ntgt ? nsrc * ntgt : 1) *
-                        sizeof(double));
+    Py_ssize_t cells = nsrc * ntgt;
+    flat = PyMem_Malloc((size_t)(cells ? cells : 1) * sizeof(double));
     if (gstart == NULL || tcol == NULL || tdist == NULL || flat == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -399,7 +399,7 @@ hubjoin_distance_table(PyObject *self, PyObject *args)
         }
         gstart[0] = 0;
     }
-    for (Py_ssize_t k = 0; k < nsrc * ntgt; k++) {
+    for (Py_ssize_t k = 0; k < cells; k++) {
         flat[k] = HUGE_VAL;
     }
     for (Py_ssize_t r = 0; r < nsrc; r++) {

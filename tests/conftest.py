@@ -9,6 +9,7 @@ stays instantaneous.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -76,6 +77,22 @@ def towns_fc(towns_graph):
 def city_ah(city_graph):
     """Default AH index on the grid city."""
     return AHIndex(city_graph)
+
+
+def recrc(data):
+    """Bundle bytes ``data`` with every trailer CRC recomputed over its
+    section, so a deliberate edit reaches the decoder's own checks."""
+    from repro.core import serialize
+
+    tail = bytes(data[-serialize._TRAILER_TAIL :])
+    count, tstart = serialize._parse_trailer_tail(tail, len(data))
+    entry = serialize._TRAILER_ENTRY
+    for i in range(count):
+        at = tstart + entry.size * i
+        offset, length, _ = entry.unpack_from(data, at)
+        crc = zlib.crc32(data[offset : offset + length])
+        entry.pack_into(data, at, offset, length, crc)
+    return bytes(data)
 
 
 def random_pairs(graph, count, seed=0):

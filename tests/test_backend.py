@@ -90,7 +90,7 @@ class TestColumns:
                 assert isinstance(back, array)
                 assert back.tolist() == [4, 5, 6]
 
-    def test_np_views_share_memory(self):
+    def test_np_view_shares_memory(self):
         if not backend.HAS_NUMPY:
             pytest.skip("views need numpy")
         col = array("q", [1, 2, 3])

@@ -1,15 +1,18 @@
-"""Backend parity: numpy and pure-python must answer identically.
+"""Backend parity: every tier must answer identically.
 
 The fallback's contract (ISSUE 3) is that the backend never changes
 answers — only containers and inner-loop engines differ.  The hypothesis
 property drives every engine in ``ENGINE_FACTORIES`` over random
-perturbed graphs, building and querying each engine once per backend,
-and demands *bit-identical* distances and identical path node sequences
-(both backends execute the same float additions in the same order, so
-exact equality is the honest assertion, not an approximation).
+perturbed graphs, building and querying each engine once per container
+layer (numpy and stdlib arrays), and demands *bit-identical* distances
+and identical path node sequences (both execute the same float additions
+in the same order, so exact equality is the honest assertion, not an
+approximation).  The hub-label kernels come in two versions, native C
+and the pure-python scans; the kernel properties hold the first to the
+second.
 
 A deterministic companion pins the serialize guarantee: bundles written
-under either backend are byte-for-byte identical.
+under either container layer are byte-for-byte identical.
 """
 
 import io
@@ -19,7 +22,7 @@ import pytest
 
 from repro import backend
 
-if not backend.HAS_NUMPY:  # parity needs both backends in one process
+if not backend.HAS_NUMPY:  # parity needs both container layers in one process
     pytest.skip(
         "numpy unavailable: single-backend build, nothing to compare",
         allow_module_level=True,
@@ -125,6 +128,7 @@ def test_slow_engines_identical_across_backends(seed):
         assert p_pure == p_np, f"{name}: paths diverge between backends"
 
 
+@pytest.mark.skipif(not backend.HAS_NATIVE, reason="native tier not loaded")
 @settings(
     max_examples=10,
     deadline=None,
@@ -136,7 +140,7 @@ def test_slow_engines_identical_across_backends(seed):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
-    """The vectorised kernels against PR 2's scans on one index."""
+    """The native batch kernels against the pure scans on one index."""
     spec = _graph_spec(rows, cols, seed)
     graph = _build(spec, "numpy")
     with backend.forced("numpy"):
@@ -145,7 +149,7 @@ def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
     n = graph.n
     sources = [rng.randrange(n) for _ in range(9)]
     targets = [rng.randrange(n) for _ in range(7)] + [sources[0]]
-    with backend.forced("numpy"):
+    with backend.forced("native"):
         fast_o2m = hl.one_to_many(sources[0], targets)
         fast_table = hl.distance_table(sources, targets)
     pure_o2m = hl._one_to_many_pure(sources[0], targets)
@@ -178,8 +182,8 @@ def test_bundles_byte_identical_across_backends(seed):
             blobs[name] = buf.getvalue()
     assert blobs["pure"] == blobs["numpy"]
 
-#: Kernel tiers available in this process, fastest first.
-_TIERS = (["native"] if backend.HAS_NATIVE else []) + ["numpy", "pure"]
+#: HL kernel versions available in this process, fastest first.
+_TIERS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
 
 
 @settings(
@@ -193,13 +197,13 @@ _TIERS = (["native"] if backend.HAS_NATIVE else []) + ["numpy", "pure"]
     seed=st.integers(0, 2**31 - 1),
 )
 def test_hl_kernels_identical_across_all_tiers_and_domains(rows, cols, seed):
-    """PR 10's contract: pure / numpy / native answer bit-identically.
+    """The kernel contract: native answers bit-identically to pure.
 
     All three HL hot kernels (distance, one_to_many, distance_table) are
-    driven under every available tier, on a freshly built index AND on
-    one decoded from its HL2 bundle — the same column layout reached by
-    two provenances.  Exact ``==`` on floats is the honest assertion:
-    every tier performs the same two-term float64 additions and
+    driven natively and as the pure scans, on a freshly built index AND
+    on one decoded from its HL2 bundle — the same column layout reached
+    by two provenances.  Exact ``==`` on floats is the honest assertion:
+    both perform the same two-term float64 additions and
     order-independent mins, so any difference is a kernel bug, not
     rounding.
     """

@@ -13,7 +13,6 @@ import copy
 import io
 import struct
 import tracemalloc
-import zlib
 from array import array
 
 import pytest
@@ -29,6 +28,8 @@ from repro.core.serialize import (
 )
 from repro.datasets import grid_city
 from repro.graph import GraphBuilder
+
+from conftest import recrc
 
 BACKWARD = 1  # the direction _damaged edits by default
 
@@ -237,17 +238,31 @@ def test_cyclic_shortcut_split(indexes):
     _assert_rejected(bundle_bytes(_with_middles(hl, middle)), "middles form a cycle")
 
 
-def _recrc(data):
-    """``data`` with every trailer entry's CRC recomputed over its section."""
-    tail = bytes(data[-serialize._TRAILER_TAIL :])
-    count, tstart = serialize._parse_trailer_tail(tail, len(data))
-    entry = serialize._TRAILER_ENTRY
-    for i in range(count):
-        at = tstart + entry.size * i
-        offset, length, _ = entry.unpack_from(data, at)
-        crc = zlib.crc32(data[offset : offset + length])
-        entry.pack_into(data, at, offset, length, crc)
-    return bytes(data)
+def test_shortcut_unpacking_bounded(indexes, graph):
+    """381 acyclic middles on 25 nodes whose shortcut (0, 1) would unpack
+    to 2^20 edges: pair (a, b) with k = max(a, b) <= 20 splits at k + 1."""
+    middle = {}
+    todo = [(0, 1)]
+    while todo:
+        a, b = todo.pop()
+        k = max(a, b)
+        if k <= 20 and (a, b) not in middle:
+            middle[(a, b)] = k + 1
+            todo += [(a, k + 1), (k + 1, b)]
+    assert len(middle) == 381 and graph.n == 25
+    _assert_rejected(
+        bundle_bytes(_with_middles(indexes["dd"], middle)),
+        r"shortcut \(\d+, \d+\) unpacks to more than 24 edges",
+    )
+
+
+def test_node_count_mismatch_is_typed(indexes, graph):
+    """An ``HLIDX2`` header whose n differs from the bundle's own graph."""
+    blob = bundle_bytes(indexes["dd"])
+    (section,) = [s for s in inspect_bundle(blob) if s["magic"] == "HLIDX2"]
+    data = bytearray(blob)
+    struct.pack_into("<q", data, section["offset"] + 7, graph.n + 1)
+    _assert_rejected(recrc(data), "built for 26 nodes but the graph has 25")
 
 
 @pytest.mark.parametrize("source", ["path", "bytes", "mmap"])
@@ -258,7 +273,7 @@ def test_inflated_length_allocates_nothing(tmp_path, indexes, source):
     data = bytearray(blob)
     # magic, n, then the forward side's (enc, count) and its first length
     struct.pack_into("<q", data, section["offset"] + 7 + 8 + 9, 256 << 20)
-    data = _recrc(data)
+    data = recrc(data)
     path = tmp_path / "inflated.bundle"
     path.write_bytes(data)
     args = {

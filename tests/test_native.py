@@ -1,22 +1,30 @@
-"""repro.native — facade surface and degradation semantics (ISSUE 10).
+"""repro.native — facade surface, on-import build and degradation.
 
-Two groups:
+Three groups:
 
-* **Facade** (skipped when no extension is built): the compiled module
+* **Facade** (skipped when no extension is loaded): the compiled module
   is identified (version, path, content hash), selected as the default
   tier, and reported through ``backend.describe()``.
+* **On-import build** (subprocesses over a fresh copy of the package
+  under ``tmp_path``): the first import compiles ``_hubjoin.c`` into
+  ``__pycache__/<source hash>/``, a second import loads it without
+  running a compiler, and without a compiler the import warns once and
+  answers exactly as the native kernels do.
 * **Degradation** (always runs, via subprocesses): ``REPRO_NATIVE=0``
   disables the extension at import time, so a child interpreter is the
-  honest way to exercise "requested native, extension not importable" —
+  honest way to exercise "requested native, extension not loaded" —
   exactly one RuntimeWarning, fall back to numpy/pure, answers
-  identical.  This is the same contract the numpy tier has always had,
-  one layer down.
+  identical.
 """
 
+import hashlib
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 from textwrap import dedent
 
@@ -104,6 +112,102 @@ class TestFacade:
         assert list(native.one_to_many(*cols, graph.n, 2, targets)) == want_o2m
         got = native.distance_table(*cols, graph.n, [1, 7], targets)
         assert [list(row) for row in got] == want_tab
+
+
+# ----------------------------------------------------------------------
+# On-import build (subprocesses over a fresh copy of the package)
+# ----------------------------------------------------------------------
+_COMPILER = shlex.split(sysconfig.get_config_var("LDSHARED") or "")[:1]
+
+needs_compiler = pytest.mark.skipif(
+    not _COMPILER or shutil.which(_COMPILER[0]) is None,
+    reason="no C compiler for the on-import build",
+)
+
+_BUILD_PROBE = """
+import json, subprocess, warnings
+runs = []
+run = subprocess.run
+def spy(*args, **kwargs):
+    runs.append(args[0])
+    return run(*args, **kwargs)
+subprocess.run = spy
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro import backend, native
+from repro.baselines import HubLabelIndex
+from repro.datasets import grid_city
+hl = HubLabelIndex(grid_city(4, 4, seed=7))
+print(json.dumps({
+    "tier": backend.active(),
+    "path": native.extension_path(),
+    "compiler_runs": len(runs),
+    "warnings": [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)],
+    "answers": [
+        [hl.distance(s, t) for s, t in ((0, 15), (3, 12), (5, 5), (9, 2))],
+        hl.one_to_many(5, [0, 9, 11, 5]),
+        hl.distance_table((0, 3), (5, 9, 11)),
+    ],
+}))
+"""
+
+
+def _fresh_copy(root):
+    """A copy of ``src/repro`` holding no build, as a fresh checkout does."""
+    src = root / "src"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro",
+        src / "repro",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
+    )
+    return src
+
+
+def _probe(src, **env):
+    proc = _run(_BUILD_PROBE, PYTHONPATH=str(src), **env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@needs_compiler
+def test_fresh_import_builds_into_keyed_cache(tmp_path):
+    src = _fresh_copy(tmp_path)
+    out = _probe(src)
+    pkg = src / "repro" / "native"
+    key = hashlib.sha256((pkg / "_hubjoin.c").read_bytes()).hexdigest()[:16]
+    built = pkg / "__pycache__" / key / ("_hubjoin" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert out["tier"] == "native"
+    assert out["path"] == str(built)
+    assert out["compiler_runs"] == 1 and out["warnings"] == []
+    # the temporary file was moved into place, not left beside it
+    assert [p.name for p in built.parent.iterdir()] == [built.name]
+
+
+@needs_compiler
+def test_second_import_runs_no_compiler(tmp_path):
+    src = _fresh_copy(tmp_path)
+    first = _probe(src)
+    second = _probe(src)
+    assert first["compiler_runs"] == 1
+    assert second["compiler_runs"] == 0
+    assert second["tier"] == "native" and second["path"] == first["path"]
+    assert second["answers"] == first["answers"]
+
+
+@needs_compiler
+def test_no_compiler_degrades_with_one_warning(tmp_path):
+    if os.path.isabs(_COMPILER[0]):
+        pytest.skip("LDSHARED names its compiler by absolute path, not via PATH")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    built = _probe(_fresh_copy(tmp_path / "with-compiler"))
+    bare = _probe(_fresh_copy(tmp_path / "without"), PATH=str(empty))
+    assert built["tier"] == "native"
+    assert bare["tier"] in ("numpy", "pure-python") and bare["path"] is None
+    assert len(bare["warnings"]) == 1, bare["warnings"]
+    assert "could not build" in bare["warnings"][0]
+    assert bare["answers"] == built["answers"]
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,16 @@ import struct
 import pytest
 
 from repro.core import AHIndex, index_bytes, load_index, save_index
-from repro.core.serialize import BundleCorrupted
+from repro.core.serialize import (
+    BundleCorrupted,
+    bundle_bytes,
+    inspect_bundle,
+    load_bundle,
+)
 from repro.graph import GraphBuilder
 from repro.graph.traversal import distance_query
 
-from conftest import random_pairs
+from conftest import random_pairs, recrc
 
 
 def reweighted(graph, factor_fn):
@@ -195,6 +200,17 @@ class TestIndexValidation:
         i = next(i for i in range(stream.total) if stream.get(stream.middles, i) >= 0)
         stream.put(stream.middles, i, stream.tail(i))
         self.assert_rejected(stream, towns_graph, "not ranked below both of its ends")
+
+    def test_bundle_node_count_mismatch_is_typed(self, towns_ah, towns_graph):
+        """Inside a bundle an ``AHIDX1`` n that differs from the bundle's
+        own graph is damage, not a caller's wrong graph."""
+        blob = bundle_bytes(towns_ah)
+        (section,) = [s for s in inspect_bundle(blob) if s["magic"] == "AHIDX1"]
+        data = bytearray(blob)
+        struct.pack_into("<i", data, section["offset"] + 7, towns_graph.n + 1)
+        with pytest.raises(BundleCorrupted, match="built for") as exc_info:
+            load_bundle(recrc(data))
+        assert exc_info.value.section == "AHIDX1"
 
 
 class TestCustomization:
