@@ -1,8 +1,9 @@
 """Build script: pure-python package + the optional native kernel tier.
 
 The ``repro.native._hubjoin`` C extension is a *strictly optional*
-accelerator (the native hub-label kernel tier behind
-:mod:`repro.backend`; the pure-python kernels answer bit-identically).
+accelerator (the native tier behind :mod:`repro.backend`: the hub-label
+query kernels and the AH region search; the pure-python code answers
+bit-identically).
 Without a build here, :mod:`repro.native` compiles the same source on
 first import when a compiler is present; a module built here imports
 first.  The build therefore must never fail on a box without a working

@@ -1,4 +1,4 @@
-"""Backend selection: the HL kernel tier plus the array-container layer.
+"""Backend selection: the native kernel tier plus the array-container layer.
 
 The paper's practical thesis is that road-network oracles win by keeping
 hot state in flat, cache-friendly arrays.  The PR-1 CSR substrate and the
@@ -6,8 +6,9 @@ PR-2 hub labels realised that layout in pure CPython.  Two independent
 accelerations sit on top of it:
 
 * the **native** tier: the compiled :mod:`repro.native` kernels for the
-  three hub-label (HL) hot paths — built by ``setup.py`` or, failing
-  that, compiled on first import when a C compiler is present;
+  three hub-label (HL) hot paths and for the region search of AH's and
+  FC's level assignment — built by ``setup.py`` or, failing that,
+  compiled on first import when a C compiler is present;
 * the **numpy** container layer: the graph's flat CSR columns become
   *NumPy* arrays when ``numpy`` is importable, so reverse-CSR derivation
   and bundle I/O run as vectorised C loops instead of one CPython
@@ -23,20 +24,23 @@ Contract
   type of the flat columns and the inner-loop engine differ.  The
   hypothesis suite in ``tests/test_backend_parity.py`` pins this.
 * **Selection** happens once at import, in tier order ``native`` ->
-  ``numpy`` -> ``pure-python``: the native HL kernels when
+  ``numpy`` -> ``pure-python``: the native kernels when
   :mod:`repro.native` has its extension, else numpy containers, else
   pure.  The ``REPRO_BACKEND`` environment variable overrides
   (``native`` / ``numpy`` / ``pure``; ``native`` without the extension
   degrades with a single warning instead of failing), and :func:`forced`
   flips the active tier for a scope — which is how the parity tests run
   all paths in one process.  Under ``numpy`` and ``pure`` the HL
-  kernels are the pure-python scans.
+  kernels are the pure-python scans and the region search is the pure
+  loop.
 * The **native tier stacks on the container layer**: columns under
   ``native`` are whatever :func:`use_numpy` says (numpy arrays when the
   fast extra is installed, stdlib arrays otherwise).  ``native`` only
   redirects the HL hot-path kernels, which read the stdlib label
-  columns through the buffer protocol; every other code path behaves
-  exactly as on the container backend beneath it.
+  columns through the buffer protocol, and the level assignment's
+  region search, which reads the region graph's rows in place; every
+  other code path behaves exactly as on the container backend beneath
+  it.
 * **Columns** are ``int64`` / ``float64`` either way: ``numpy.ndarray``
   under the numpy backend, ``array('q')`` / ``array('d')`` under the pure
   one.  Both expose ``tobytes`` / ``tolist`` / slicing, and the stdlib
@@ -162,15 +166,16 @@ def use_numpy() -> bool:
     """True when the numpy *container* layer is the live code path.
 
     The native tier stacks on numpy when the fast extra is installed —
-    everything outside the three HL hot kernels (CSR packing, bundle
-    I/O) keeps vectorising — so this answers "are columns numpy
-    arrays", not "is numpy the top tier".
+    everything outside the native kernels (CSR packing, bundle I/O)
+    keeps vectorising — so this answers "are columns numpy arrays", not
+    "is numpy the top tier".
     """
     return _ACTIVE == NUMPY or (_ACTIVE == NATIVE and HAS_NUMPY)
 
 
 def use_native() -> bool:
-    """True when the native hub-join kernels are the live HL hot path."""
+    """True when the native kernels are live: the HL hot path and the
+    level assignment's region search."""
     return _ACTIVE == NATIVE
 
 

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .. import backend
+from .. import native as _native
 from ..graph.graph import Graph
 from ..spatial.grid import GridPyramid, NodeGrid
 from ..spatial.regions import Region, nonempty_regions
@@ -324,7 +326,13 @@ def _local_search(
     A terminal gets its distance but never enters the heap: it would only
     be popped to be skipped, and with non-negative weights no later
     relaxation can lower it.
+
+    Under the native tier the same search runs as one C call
+    (:func:`repro.native.local_search`) over the same rows; this loop is
+    its fallback and reference, and both return ``==`` distances.
     """
+    if backend.use_native():
+        return list(_native.local_search(adj, expand, seeds, free))
     dist = [INF] * len(adj)
     heap: List[Tuple[float, int]] = []
     for i, d0 in seeds:

@@ -31,8 +31,7 @@ saved one did, with ``elevating`` off.
 Since the graph substrate is CSR (flat parallel arrays), graphs now
 serialize as straight ``array.tofile`` dumps of those columns — *both*
 directions, so :func:`load_graph` hands the arrays to
-:meth:`Graph.from_csr` verbatim and loading skips re-deriving the reverse
-adjacency::
+:meth:`Graph.from_csr` verbatim::
 
     magic  b"GCSR1\\n"
     header: n, m (int64)
@@ -42,8 +41,10 @@ adjacency::
 
 Loading range-checks both triples: each head column runs from 0 to
 ``m`` without decreasing, every id lies in ``[0, n)`` and every weight
-is finite and non-negative.  Inside a bundle, an index section whose
-node count differs from the graph's is damage too.
+is finite and non-negative.  The reverse triple must then be exactly the
+counting-sort transpose of the forward one, the derivation every writer
+stores.  Inside a bundle, an index section whose node count differs from
+the graph's is damage too.
 
 Hub-label indexes (:class:`repro.baselines.hl.HubLabelIndex`) get the
 ``HL2`` section: varint streams plus exact distance encodings, decoded
@@ -149,7 +150,7 @@ from ..baselines.base import (
 )
 from ..baselines.ch import ContractionResult
 from ..baselines.hl import HubLabelIndex
-from ..graph.graph import Graph
+from ..graph.graph import Graph, _reverse_csr
 from ..spatial.grid import GridPyramid, NodeGrid
 from .ah import AHIndex
 
@@ -1121,21 +1122,23 @@ def save_graph(graph: Graph, sink: Union[str, BinaryIO]) -> None:
     """Write ``graph``'s CSR columns (both directions) to ``sink``.
 
     Every column is a single contiguous ``array.tofile`` block — no
-    per-edge Python objects touch the disk path.
+    per-edge Python objects touch the disk path.  The reverse triple is
+    written as the counting-sort transpose of the forward one, which
+    :func:`load_graph` checks it against.  That is the graph's own
+    reverse triple for every built graph; only :meth:`Graph.reversed` of
+    a graph whose rows are not sorted by target holds the same edges in
+    another order.
     """
     own = isinstance(sink, str)
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
+    forward = (graph.out_head, graph.out_dst, graph.out_w)
     try:
         fh.write(_GRAPH_MAGIC)
         fh.write(struct.pack("<qq", graph.n, graph.m))
         _write_col(fh, array("d", graph.xs))
         _write_col(fh, array("d", graph.ys))
-        _write_col(fh, graph.out_head)
-        _write_col(fh, graph.out_dst)
-        _write_col(fh, graph.out_w)
-        _write_col(fh, graph.in_head)
-        _write_col(fh, graph.in_src)
-        _write_col(fh, graph.in_w)
+        for col in (*forward, *_reverse_csr(graph.n, *forward)):
+            _write_col(fh, col)
     finally:
         if own:
             fh.close()
@@ -1144,14 +1147,15 @@ def save_graph(graph: Graph, sink: Union[str, BinaryIO]) -> None:
 def load_graph(source: Source, *, mmap: bool = False) -> Graph:
     """Reconstruct a :class:`Graph` from :func:`save_graph` output.
 
-    Both CSR triples come straight off the file, so the load path never
-    re-derives the reverse adjacency (and never allocates per-edge
-    tuples): it is ``fromfile`` into six flat arrays plus the coordinate
-    columns.  From a buffer source under the numpy backend the six CSR
-    columns are ``frombuffer`` views over the buffer itself — read-only
-    and zero-copy.  Each triple is range-checked before a search can
-    index with it (:func:`_check_csr`); damage raises
-    :class:`BundleCorrupted`.
+    Both CSR triples come straight off the file and the graph keeps them
+    as read (no per-edge tuples are allocated): it is ``fromfile`` into
+    six flat arrays plus the coordinate columns.  From a buffer source
+    under the numpy backend the six CSR columns are ``frombuffer`` views
+    over the buffer itself — read-only and zero-copy.  Each triple is
+    range-checked before a search can index with it
+    (:func:`_check_csr`), and the reverse triple must equal the transpose
+    re-derived from the forward one (:func:`_check_transpose`); damage
+    raises :class:`BundleCorrupted`.
     """
     fh, own = _open_source(source, mmap)
     try:
@@ -1175,6 +1179,7 @@ def load_graph(source: Source, *, mmap: bool = False) -> Graph:
             raise BundleCorrupted("GCSR1", str(exc)) from exc
         _check_csr(n, m, out_head, out_dst, out_w, "out")
         _check_csr(n, m, in_head, in_src, in_w, "in")
+        _check_transpose(n, (out_head, out_dst, out_w), (in_head, in_src, in_w))
     finally:
         if own:
             fh.close()
@@ -1203,6 +1208,23 @@ def _check_csr(n: int, m: int, head, ids, weights, side: str) -> None:
         raise BundleCorrupted(
             "GCSR1", f"{side} edges have a negative, NaN or infinite weight"
         )
+
+
+def _check_transpose(n: int, forward, reverse) -> None:
+    """Reject a reverse CSR triple that is not the forward one's transpose.
+
+    Every writer stores exactly the counting-sort transpose
+    :func:`repro.graph.graph._reverse_csr` derives, so one re-derivation
+    and a byte comparison decide it.  Without the check a swapped
+    ``in_src`` pair loaded and backward searches walked edges the
+    forward graph does not have, answering shorter than any real path.
+    """
+    derived = _reverse_csr(n, *forward)
+    for side, got, want in zip(("in_head", "in_src", "in_w"), reverse, derived):
+        if backend.col_bytes(got) != backend.col_bytes(want):
+            raise BundleCorrupted(
+                "GCSR1", f"{side} is not the transpose of the out columns"
+            )
 
 
 # ----------------------------------------------------------------------

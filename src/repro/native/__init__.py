@@ -1,12 +1,13 @@
-"""repro.native — the C kernel tier for the HL hot path.
+"""repro.native — the C kernel tier: hub-label queries and AH region search.
 
 This package is the **only** place in the repo allowed to touch compiled
 code (the ``native-boundary-discipline`` analysis rule enforces it): it
-loads the ``_hubjoin`` extension module and exposes the three hub-join
-kernels behind plain-Python wrappers.  Every caller goes through
-:func:`available` / the wrappers, never the extension module itself, so
-a box without a compiler degrades to the pure-python kernels without
-any import-time failure.
+loads the ``_hubjoin`` extension module and exposes its kernels behind
+plain-Python wrappers — the three hub-label (HL) query kernels and the
+region search of AH's and FC's level assignment.  Every caller goes
+through :func:`available` / the wrappers, never the extension module
+itself, so a box without a compiler degrades to the pure-python kernels
+without any import-time failure.
 
 The extension comes from one of two places, tried in order:
 
@@ -22,12 +23,13 @@ The extension comes from one of two places, tried in order:
   With no compiler, a failed compile or an unwritable directory the
   tier stays off and the process emits one :class:`RuntimeWarning`.
 
-The kernels operate directly on the label columns through the buffer
+The HL kernels operate directly on the label columns through the buffer
 protocol: int64 heads and hubs and float64 distances, the one layout
 built and loaded indexes share (any other column raises
-:class:`TypeError`).  Results come back as plain Python floats/lists;
-answers are bit-identical to the pure-python scans
-(``tests/test_backend_parity.py``).
+:class:`TypeError`).  The region search reads the region graph's own
+``(j, w)`` rows in place.  Results come back as plain Python
+floats/lists; answers are bit-identical to the pure-python code
+(``tests/test_backend_parity.py``, ``tests/test_native.py``).
 
 ``REPRO_NATIVE=0`` (or ``off`` / ``disable``) skips the extension
 entirely, built or not, and compiles nothing — the compiler-less CI
@@ -56,6 +58,7 @@ __all__ = [
     "distance",
     "one_to_many",
     "distance_table",
+    "local_search",
 ]
 
 #: True when ``REPRO_NATIVE`` turned the tier off (nothing was loaded or
@@ -117,9 +120,9 @@ def _build_or_warn():
             reason = f"the compiler exited with status {exc.returncode}: {lines[-1]}"
         warnings.warn(
             f"could not build the repro.native._hubjoin C kernels ({reason}); "
-            "hub labels run on the pure-python kernels — answers are "
-            "bit-identical, only slower.  Install a C compiler, or build "
-            "with `python setup.py build_ext --inplace`.",
+            "hub labels and the AH region search run on the pure-python "
+            "kernels — answers are bit-identical, only slower.  Install a "
+            "C compiler, or build with `python setup.py build_ext --inplace`.",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -207,3 +210,14 @@ def distance_table(
     return _hubjoin.distance_table(
         fhead, fhub, fdist, bhead, bhub, bdist, n, sources, targets
     )
+
+
+def local_search(adj, expand, seeds, free: int) -> List[float]:
+    """Region Dijkstra over ``(j, w)`` adjacency rows, read in place.
+
+    The compiled form of :func:`repro.core.arterial._local_search`, its
+    pure reference: same arguments, ``==`` results.  ``expand`` is one
+    byte per node; weights and seed distances are non-negative Python
+    floats or ints.
+    """
+    return _hubjoin.local_search(adj, expand, seeds, free)

@@ -1,19 +1,23 @@
-/* _hubjoin: native hub-join kernels for the HL hot path.
+/* _hubjoin: native kernels for the HL query path and the AH build.
  *
  * The three hub-label query kernels as tight C loops over the label
  * columns, reached through the buffer protocol — the module never
  * imports numpy and never copies a column.  Built and loaded indexes
  * hold one layout: int64 heads/hubs (stdlib array('q') or any 8-byte
  * integer buffer) and float64 dists (array('d')); anything else is
- * refused with TypeError.
+ * refused with TypeError.  Beside them, `local_search` is the region
+ * Dijkstra of AH's and FC's level assignment, run over the region
+ * graph's own (j, w) rows.
  *
  * Bit-identity contract (the repo's standing one): every answer equals
- * the pure-python scan bit for bit.  The arithmetic here is the same
- * the scans perform — candidate sums are single `a + b` double
+ * the pure-python code bit for bit.  The arithmetic here is the same
+ * the pure code performs — candidate sums are single `a + b` double
  * additions, and min over candidates is order-independent for the
- * NaN-free, non-negative values labels hold.
- * `tests/test_backend_parity.py` pins the claim under hypothesis,
- * native against pure, on built and on loaded indexes.
+ * NaN-free, non-negative values labels and weights hold.
+ * `tests/test_backend_parity.py` pins the claim for the HL kernels
+ * under hypothesis, native against pure, on built and on loaded
+ * indexes; `tests/test_native.py` and `tests/test_levels_reference.py`
+ * pin it for the region search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,7 +26,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define HUBJOIN_VERSION "1"
+#define HUBJOIN_VERSION "2"
 
 /* One label column: a borrowed C-contiguous buffer of 8-byte items. */
 typedef struct {
@@ -454,6 +458,226 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* local_search(adj, expand, seeds, free) -> [float, ...]             */
+/*                                                                    */
+/* The region Dijkstra of AH's level assignment and FC's arterial     */
+/* sweep; repro.core.arterial._local_search is its pure reference.    */
+/* It runs over the region graph's own rows: adj[i] is a list of      */
+/* (j, w) tuples, read in place as node i expands, with no CSR copy.  */
+/* Only nodes with a nonzero expand[i] byte, and the source `free`,   */
+/* relax their edges; every other reached node is a terminal that     */
+/* gets its distance but never enters the heap.                       */
+/*                                                                    */
+/* Bit-identity: every distance is the same left-to-right `d + w`     */
+/* double sum the pure loop forms.  With non-negative weights the     */
+/* final distances are the one fixed point of those sums, so heap     */
+/* order cannot change a value (ties still break on the node id, as   */
+/* heapq does on (d, i) tuples).  Weights and seed distances must be  */
+/* non-negative Python floats or ints, so reading them runs no Python */
+/* code; a malformed row, seed or expand raises TypeError, IndexError */
+/* or ValueError.                                                     */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    double d;
+    Py_ssize_t i;
+} hent_t;
+
+static inline int
+hent_less(const hent_t *a, const hent_t *b)
+{
+    return a->d < b->d || (a->d == b->d && a->i < b->i);
+}
+
+static void
+heap_push(hent_t *h, Py_ssize_t *len, double d, Py_ssize_t i)
+{
+    hent_t e = {d, i};
+    Py_ssize_t k = (*len)++;
+    while (k > 0) {
+        Py_ssize_t parent = (k - 1) / 2;
+        if (!hent_less(&e, &h[parent])) break;
+        h[k] = h[parent];
+        k = parent;
+    }
+    h[k] = e;
+}
+
+static hent_t
+heap_pop(hent_t *h, Py_ssize_t *len)
+{
+    hent_t top = h[0];
+    Py_ssize_t n = --(*len);
+    if (n == 0) return top;
+    hent_t last = h[n];
+    Py_ssize_t k = 0;
+    for (;;) {
+        Py_ssize_t c = 2 * k + 1;
+        if (c >= n) break;
+        if (c + 1 < n && hent_less(&h[c + 1], &h[c])) c++;
+        if (!hent_less(&h[c], &last)) break;
+        h[k] = h[c];
+        k = c;
+    }
+    h[k] = last;
+    return top;
+}
+
+/* One (node, weight) pair of a row or of the seeds: the node must lie
+ * in [0, n), the weight must be a non-negative float or int. */
+static int
+pair_unpack(PyObject *e, Py_ssize_t n, const char *what,
+            Py_ssize_t *node, double *weight)
+{
+    if (!PyTuple_Check(e) || PyTuple_GET_SIZE(e) != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s entries must be (node, weight) tuples, not %.200s",
+                     what, Py_TYPE(e)->tp_name);
+        return -1;
+    }
+    PyObject *j = PyTuple_GET_ITEM(e, 0), *w = PyTuple_GET_ITEM(e, 1);
+    if (!PyLong_Check(j)) {
+        PyErr_Format(PyExc_TypeError, "%s node must be an int, not %.200s",
+                     what, Py_TYPE(j)->tp_name);
+        return -1;
+    }
+    Py_ssize_t i = PyLong_AsSsize_t(j);
+    if (i == -1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError)) return -1;
+        PyErr_Clear(); /* reported as out of range below */
+    }
+    if (i < 0 || i >= n) {
+        PyErr_Format(PyExc_IndexError, "%s node %R out of range [0, %zd)",
+                     what, j, n);
+        return -1;
+    }
+    double x;
+    if (PyFloat_Check(w)) {
+        x = PyFloat_AS_DOUBLE(w);
+    } else if (PyLong_Check(w)) {
+        x = PyLong_AsDouble(w);
+        if (x == -1.0 && PyErr_Occurred()) return -1;
+    } else {
+        PyErr_Format(PyExc_TypeError,
+                     "%s weight must be a float or int, not %.200s",
+                     what, Py_TYPE(w)->tp_name);
+        return -1;
+    }
+    if (!(x >= 0.0)) {
+        PyErr_Format(PyExc_ValueError, "%s weight %R is negative or NaN",
+                     what, w);
+        return -1;
+    }
+    *node = i;
+    *weight = x;
+    return 0;
+}
+
+static PyObject *
+hubjoin_local_search(PyObject *self, PyObject *args)
+{
+    PyObject *adj, *expand_obj, *seeds_obj;
+    Py_ssize_t source;
+    if (!PyArg_ParseTuple(args, "OOOn", &adj, &expand_obj, &seeds_obj,
+                          &source)) {
+        return NULL;
+    }
+    if (!PyList_Check(adj) && !PyTuple_Check(adj)) {
+        PyErr_Format(PyExc_TypeError, "adj must be a list of rows, not %.200s",
+                     Py_TYPE(adj)->tp_name);
+        return NULL;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(adj);
+    Py_buffer ex;
+    if (PyObject_GetBuffer(expand_obj, &ex, PyBUF_SIMPLE) < 0) return NULL;
+    if (ex.len != n) {
+        PyErr_Format(PyExc_ValueError, "expand holds %zd flags for %zd nodes",
+                     ex.len, n);
+        PyBuffer_Release(&ex);
+        return NULL;
+    }
+    const unsigned char *expand = ex.buf;
+    PyObject *seeds = PySequence_Fast(
+        seeds_obj, "seeds must be a sequence of (node, distance) tuples");
+    if (seeds == NULL) {
+        PyBuffer_Release(&ex);
+        return NULL;
+    }
+
+    /* Nothing below runs Python code until the result is built, so the
+     * borrowed rows and entries stay put.  Each node expands at most
+     * once, so the seeds plus every row entry bound the heap. */
+    PyObject *result = NULL;
+    double *dist = NULL;
+    hent_t *heap = NULL;
+    PyObject **rows = PySequence_Fast_ITEMS(adj);
+    Py_ssize_t nseeds = PySequence_Fast_GET_SIZE(seeds), cap = nseeds, len = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (!PyList_Check(rows[i]) && !PyTuple_Check(rows[i])) {
+            PyErr_Format(PyExc_TypeError,
+                         "adj[%zd] must be a list of (node, weight) tuples, "
+                         "not %.200s", i, Py_TYPE(rows[i])->tp_name);
+            goto done;
+        }
+        cap += PySequence_Fast_GET_SIZE(rows[i]);
+    }
+    dist = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(double));
+    heap = PyMem_Malloc((size_t)(cap ? cap : 1) * sizeof(hent_t));
+    if (dist == NULL || heap == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        dist[i] = HUGE_VAL;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(seeds);
+    for (Py_ssize_t k = 0; k < nseeds; k++) {
+        Py_ssize_t i;
+        double d0;
+        if (pair_unpack(items[k], n, "seed", &i, &d0) < 0) goto done;
+        if (d0 < dist[i]) {
+            dist[i] = d0;
+            if (expand[i] || i == source) heap_push(heap, &len, d0, i);
+        }
+    }
+    while (len > 0) {
+        hent_t top = heap_pop(heap, &len);
+        double d = top.d;
+        if (d > dist[top.i]) continue;
+        PyObject *row = rows[top.i];
+        Py_ssize_t deg = PySequence_Fast_GET_SIZE(row);
+        PyObject **entries = PySequence_Fast_ITEMS(row);
+        for (Py_ssize_t k = 0; k < deg; k++) {
+            Py_ssize_t j;
+            double w;
+            if (pair_unpack(entries[k], n, "adj", &j, &w) < 0) goto done;
+            double nd = d + w;
+            if (nd < dist[j]) {
+                dist[j] = nd;
+                if (expand[j]) heap_push(heap, &len, nd, j);
+            }
+        }
+    }
+
+    result = PyList_New(n);
+    if (result == NULL) goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyFloat_FromDouble(dist[i]);
+        if (v == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, i, v);
+    }
+
+done:
+    PyMem_Free(dist);
+    PyMem_Free(heap);
+    Py_DECREF(seeds);
+    PyBuffer_Release(&ex);
+    return result;
+}
+
 static PyMethodDef hubjoin_methods[] = {
     {"distance", hubjoin_distance, METH_VARARGS,
      "distance(fhead, fhub, fdist, bhead, bhub, bdist, source, target)\n"
@@ -465,13 +689,18 @@ static PyMethodDef hubjoin_methods[] = {
     {"distance_table", hubjoin_distance_table, METH_VARARGS,
      "distance_table(fhead, fhub, fdist, bhead, bhub, bdist, n, sources, "
      "targets)\nHub co-occurrence join with a scatter-min into the table."},
+    {"local_search", hubjoin_local_search, METH_VARARGS,
+     "local_search(adj, expand, seeds, free)\n"
+     "Region Dijkstra over (j, w) adjacency rows: only expand[i] nodes "
+     "and free relax their edges."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef hubjoin_module = {
     PyModuleDef_HEAD_INIT,
     "repro.native._hubjoin",
-    "Native hub-join kernels over int64/float64 HL label columns.",
+    "Native hub-join kernels over int64/float64 HL label columns, and "
+    "the AH region search.",
     -1,
     hubjoin_methods,
 };

@@ -1,20 +1,30 @@
 """GCSR1 load checks: a CRC-valid graph section no search could walk fails typed.
 
 Each case edits one value of a saved bundle's graph section and
-recomputes the trailer CRCs, so only the decoder's range checks stand
-between the bytes and a search.  Without them an ``out_dst`` of n + 5
-loaded and the first Dijkstra over the graph raised ``IndexError``; a
-negative id would silently read another node's edges.
+recomputes the trailer CRCs, so only the decoder's checks stand between
+the bytes and a search.  Without them an ``out_dst`` of n + 5 loaded and
+the first Dijkstra over the graph raised ``IndexError``; a negative id
+would silently read another node's edges; and a reverse triple that is
+not the forward one's transpose loaded and answered 56 of 625 pairs
+shorter than any real path.
 """
 
+import io
 import math
 import struct
 
 import pytest
 
 from repro.baselines import HubLabelIndex
-from repro.core.serialize import BundleCorrupted, bundle_bytes, load_bundle
+from repro.core.serialize import (
+    BundleCorrupted,
+    bundle_bytes,
+    load_bundle,
+    load_graph,
+    save_graph,
+)
 from repro.datasets import grid_city
+from repro.graph import Graph
 
 from conftest import recrc
 
@@ -72,3 +82,33 @@ def test_damaged_column_is_typed(blob, column, index, value, detail):
 def test_pristine_bundle_loads(blob):
     graph, _ = load_bundle(blob)
     assert graph.n == 25
+
+
+def test_reverse_triple_must_be_the_transpose(blob):
+    """Two swapped ``in_src`` entries keep every id in range, yet give the
+    backward searches edges the forward graph does not have."""
+    n, m, offsets = _offsets(blob)
+    at = offsets["in_src"]
+    first, second = struct.unpack_from("<qq", blob, at)
+    assert first != second
+    data = bytearray(blob)
+    struct.pack_into("<qq", data, at, second, first)
+    with pytest.raises(BundleCorrupted, match="in_src is not the transpose") as exc_info:
+        load_bundle(recrc(data))
+    assert exc_info.value.section == "GCSR1"
+
+
+def test_reversed_graph_with_unsorted_rows_round_trips():
+    """``reversed()`` reuses the forward rows as the reverse triple; when
+    they are not sorted by target the saved reverse triple is re-derived,
+    so the loaded graph holds the same edges and passes the check."""
+    g = Graph(
+        [0.0, 1.0, 2.0],
+        [0.0, 0.0, 0.0],
+        [[(2, 1.0), (1, 2.0), (1, 3.0)], [(0, 1.0)], [(1, 1.0)]],
+    ).reversed()
+    buf = io.BytesIO()
+    save_graph(g, buf)
+    loaded = load_graph(buf.getvalue())
+    assert loaded.out == g.out
+    assert [sorted(row) for row in loaded.inn] == [sorted(row) for row in g.inn]

@@ -1,16 +1,22 @@
 """The per-region local-graph solver assigns exactly the levels of the
-solver it replaced.
+solver it replaced, under both region searches.
 
 ``levels_reference`` keeps the old region solver and ``assign_levels``
 verbatim.  Every result here must match it with ``==``, not merely
 within tolerance: the rebuild changes how each region's edges are stored
 and how often each search runs, never the sums a distance is made of.
+
+Each check runs the solver once per tier in :data:`TIERS` — the C region
+search (``repro.native.local_search``) when the extension is loaded, and
+always the pure loop it falls back to — against one reference result, so
+a single run holds both searches to the reference.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import backend
 from repro.core.arterial import long_edges, region_arterial_edges
 from repro.core.hierarchy import assign_levels, exact_levels
 from repro.datasets import towns_and_highways
@@ -19,6 +25,10 @@ from repro.spatial import GridPyramid, NodeGrid, Region
 from repro.spatial.regions import nonempty_regions
 
 import levels_reference as ref
+
+#: Tiers whose region search is held to the reference; without the
+#: extension only the pure loop runs.
+TIERS = ("native", "pure") if backend.HAS_NATIVE else ("pure",)
 
 
 def level_run(fn, graph, pyramid):
@@ -45,22 +55,25 @@ def level_run(fn, graph, pyramid):
 def test_assign_levels_matches_reference(leaf_capacity, seed, towns):
     g = towns_and_highways(towns, 4, 4, seed=seed, prune=0.15)
     pyramid = GridPyramid.from_graph(g, leaf_capacity=leaf_capacity)
-    assert level_run(assign_levels, g, pyramid) == level_run(
-        ref.assign_levels, g, pyramid
-    )
+    want = level_run(ref.assign_levels, g, pyramid)
+    for tier in TIERS:
+        with backend.forced(tier):
+            assert level_run(assign_levels, g, pyramid) == want, tier
 
 
 @pytest.mark.parametrize("name", ["city_graph", "towns_graph"])
 def test_exact_levels_matches_reference(request, name):
     g = request.getfixturevalue(name)
-    got = exact_levels(g)
     want = ref.exact_levels(g)
-    assert got.levels == want.levels
-    # exact_levels sorts each level's edges; the reference listed them in
-    # set iteration order.
-    assert got.pseudo_arterial == {
-        i: sorted(edges) for i, edges in want.pseudo_arterial.items()
-    }
+    for tier in TIERS:
+        with backend.forced(tier):
+            got = exact_levels(g)
+        assert got.levels == want.levels, tier
+        # exact_levels sorts each level's edges; the reference listed them
+        # in set iteration order.
+        assert got.pseudo_arterial == {
+            i: sorted(edges) for i, edges in want.pseudo_arterial.items()
+        }, tier
 
 
 # exact_levels above already sweeps every region of towns_graph with all
@@ -75,9 +88,13 @@ def test_region_arterial_edges_matches_reference(request, name, subset):
     for i in ng.pyramid.levels():
         fly = long_edges(g, ng, i)
         for region in nonempty_regions(ng, i):
-            got = region_arterial_edges(g, ng, region, nodes=nodes, fly_edges=fly)
             want = ref.region_arterial_edges(g, ng, region, nodes=nodes, fly_edges=fly)
-            assert got == want, region
+            for tier in TIERS:
+                with backend.forced(tier):
+                    got = region_arterial_edges(
+                        g, ng, region, nodes=nodes, fly_edges=fly
+                    )
+                assert got == want, (tier, region)
 
 
 @pytest.mark.parametrize("vertical", [True, False])
@@ -95,6 +112,8 @@ def test_edge_from_a_node_on_the_bisector(vertical):
     g = b.build()
     ng = NodeGrid(g, GridPyramid(0.0, 0.0, 8.0, 2))
     region = Region(1, 0, 0)
-    marked = region_arterial_edges(g, ng, region)
-    assert (path[2], path[3]) in marked
-    assert marked == ref.region_arterial_edges(g, ng, region)
+    for tier in TIERS:
+        with backend.forced(tier):
+            marked = region_arterial_edges(g, ng, region)
+        assert (path[2], path[3]) in marked, tier
+        assert marked == ref.region_arterial_edges(g, ng, region), tier

@@ -1,15 +1,20 @@
-"""repro.native — facade surface, on-import build and degradation.
+"""repro.native — facade surface, region search, on-import build and degradation.
 
-Three groups:
+Four groups:
 
 * **Facade** (skipped when no extension is loaded): the compiled module
   is identified (version, path, content hash), selected as the default
   tier, and reported through ``backend.describe()``.
+* **Region search** (skipped when no extension is loaded):
+  ``native.local_search`` returns exactly (``==``) what the pure
+  ``_local_search`` returns on random region graphs, and malformed rows,
+  seeds and ``expand`` flags fail typed.
 * **On-import build** (subprocesses over a fresh copy of the package
   under ``tmp_path``): the first import compiles ``_hubjoin.c`` into
   ``__pycache__/<source hash>/``, a second import loads it without
   running a compiler, and without a compiler the import warns once and
-  answers exactly as the native kernels do.
+  answers exactly as the native kernels do — hub-label queries and an
+  AH build's levels and answers alike.
 * **Degradation** (always runs, via subprocesses): ``REPRO_NATIVE=0``
   disables the extension at import time, so a child interpreter is the
   honest way to exercise "requested native, extension not loaded" —
@@ -29,8 +34,11 @@ from pathlib import Path
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import backend, native
+from repro.core.arterial import _local_search
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,7 +71,7 @@ def _run(code, **env):
 class TestFacade:
     def test_extension_identified(self):
         assert native.available()
-        assert native.version() == "1"
+        assert native.version() == "2"
         path = native.extension_path()
         assert path and path.endswith(".so")
         digest = native.extension_hash()
@@ -80,9 +88,9 @@ class TestFacade:
             desc = backend.describe()
         assert desc["tier"] == "native"
         assert desc["native_available"] is True
-        assert desc["native_version"] == "1"
+        assert desc["native_version"] == "2"
         assert desc["native_hash"] == native.extension_hash()
-        assert desc["backend"].startswith("native (kernels v1")
+        assert desc["backend"].startswith("native (kernels v2")
 
     def test_native_stacks_on_container_layer(self):
         with backend.forced("native"):
@@ -115,6 +123,81 @@ class TestFacade:
 
 
 # ----------------------------------------------------------------------
+# Region search (extension present)
+# ----------------------------------------------------------------------
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 4),
+    st.sampled_from([0.25, 0.5, 1.0]),  # sums that tie along different paths
+    st.floats(0.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def region_searches(draw):
+    """``(adj, expand, seeds, free)`` as the level assignment passes them.
+
+    Small graphs with parallel edges and unreachable nodes; any node may
+    be a terminal, the free source included.  Half the searches start at
+    one free source, the rest at an outside node's several entry edges
+    (``free`` is -1, and a seed node may repeat).
+    """
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    adj = [[] for _ in range(n)]
+    for u, v, w in draw(st.lists(st.tuples(node, node, _WEIGHTS), max_size=4 * n)):
+        adj[u].append((v, w))
+        if draw(st.booleans()):  # a parallel edge, perhaps of another weight
+            adj[u].append((v, draw(_WEIGHTS)))
+    expand = bytes(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        free = draw(node)
+        seeds = ((free, 0.0),)
+    else:
+        free = -1
+        seeds = draw(st.lists(st.tuples(node, _WEIGHTS), min_size=1, max_size=4))
+    return adj, expand, seeds, free
+
+
+@needs_native
+@settings(max_examples=400, deadline=None)
+@given(search=region_searches())
+def test_local_search_matches_pure(search):
+    with backend.forced("pure"):
+        want = _local_search(*search)
+    got = native.local_search(*search)
+    assert got == want
+    assert all(type(d) is float for d in got)
+    with backend.forced("native"):
+        assert _local_search(*search) == want
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "adj, expand, seeds, error, detail",
+    [
+        ([[(5, 1.0)], []], b"\x01\x01", [(0, 0.0)], IndexError, "out of range"),
+        ([[[1, 1.0]], []], b"\x01\x01", [(0, 0.0)], TypeError, "tuples"),
+        ([[(1, "1")], []], b"\x01\x01", [(0, 0.0)], TypeError, "float or int"),
+        ([[(1, -1.0)], []], b"\x01\x01", [(0, 0.0)], ValueError, "negative"),
+        ([None, []], b"\x01\x01", [(0, 0.0)], TypeError, "adj\\[0\\]"),
+        ([[(1, 1.0)], []], b"\x01\x01", [(2, 0.0)], IndexError, "out of range"),
+        ([[(1, 1.0)], []], b"\x01\x01", [(-1, 0.0)], IndexError, "out of range"),
+        ([[(1, 1.0)], []], b"\x01", [(0, 0.0)], ValueError, "1 flags for 2"),
+        ([[(1, 1.0)], []], [1, 1], [(0, 0.0)], TypeError, "bytes-like"),
+    ],
+    ids=[
+        "target-out-of-range", "entry-not-a-tuple", "weight-not-a-number",
+        "negative-weight", "row-not-a-list", "seed-out-of-range",
+        "negative-seed-node", "expand-too-short", "expand-not-bytes",
+    ],
+)
+def test_local_search_rejects_malformed_input(adj, expand, seeds, error, detail):
+    with pytest.raises(error, match=detail):
+        native.local_search(adj, expand, seeds, 0)
+
+
+# ----------------------------------------------------------------------
 # On-import build (subprocesses over a fresh copy of the package)
 # ----------------------------------------------------------------------
 _COMPILER = shlex.split(sysconfig.get_config_var("LDSHARED") or "")[:1]
@@ -136,8 +219,12 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     from repro import backend, native
 from repro.baselines import HubLabelIndex
-from repro.datasets import grid_city
+from repro.core import AHIndex
+from repro.datasets import grid_city, towns_and_highways
 hl = HubLabelIndex(grid_city(4, 4, seed=7))
+towns = towns_and_highways(3, 5, 5, seed=5, prune=0.15)
+ah = AHIndex(towns)
+pairs = [(s, (s * 29 + 11) % towns.n) for s in range(0, towns.n, 4)]
 print(json.dumps({
     "tier": backend.active(),
     "path": native.extension_path(),
@@ -149,6 +236,11 @@ print(json.dumps({
         hl.one_to_many(5, [0, 9, 11, 5]),
         hl.distance_table((0, 3), (5, 9, 11)),
     ],
+    "ah": {
+        "levels": ah.assignment.levels,
+        "distances": [ah.distance(s, t) for s, t in pairs],
+        "paths": [list(ah.shortest_path(s, t).nodes) for s, t in pairs],
+    },
 }))
 """
 
@@ -193,6 +285,7 @@ def test_second_import_runs_no_compiler(tmp_path):
     assert second["compiler_runs"] == 0
     assert second["tier"] == "native" and second["path"] == first["path"]
     assert second["answers"] == first["answers"]
+    assert second["ah"] == first["ah"]
 
 
 @needs_compiler
@@ -208,6 +301,9 @@ def test_no_compiler_degrades_with_one_warning(tmp_path):
     assert len(bare["warnings"]) == 1, bare["warnings"]
     assert "could not build" in bare["warnings"][0]
     assert bare["answers"] == built["answers"]
+    # Without the extension the AH build runs the pure region search.
+    assert max(built["ah"]["levels"]) >= 2
+    assert bare["ah"] == built["ah"]
 
 
 # ----------------------------------------------------------------------
