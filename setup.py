@@ -2,8 +2,8 @@
 
 The ``repro.native._hubjoin`` C extension is a *strictly optional*
 accelerator (the native tier behind :mod:`repro.backend`: the hub-label
-query kernels and the AH region search; the pure-python code answers
-bit-identically).
+query kernels, the AH region search and the AH query; the pure-python
+code answers bit-identically).
 Without a build here, :mod:`repro.native` compiles the same source on
 first import when a compiler is present; a module built here imports
 first.  The build therefore must never fail on a box without a working

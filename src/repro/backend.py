@@ -6,9 +6,10 @@ PR-2 hub labels realised that layout in pure CPython.  Two independent
 accelerations sit on top of it:
 
 * the **native** tier: the compiled :mod:`repro.native` kernels for the
-  three hub-label (HL) hot paths and for the region search of AH's and
-  FC's level assignment — built by ``setup.py`` or, failing that,
-  compiled on first import when a C compiler is present;
+  three hub-label (HL) hot paths, for the region search of AH's and
+  FC's level assignment and for AH's query search — built by
+  ``setup.py`` or, failing that, compiled on first import when a C
+  compiler is present;
 * the **numpy** container layer: the graph's flat CSR columns become
   *NumPy* arrays when ``numpy`` is importable, so reverse-CSR derivation
   and bundle I/O run as vectorised C loops instead of one CPython
@@ -31,16 +32,16 @@ Contract
   degrades with a single warning instead of failing), and :func:`forced`
   flips the active tier for a scope — which is how the parity tests run
   all paths in one process.  Under ``numpy`` and ``pure`` the HL
-  kernels are the pure-python scans and the region search is the pure
-  loop.
+  kernels are the pure-python scans and the region search and the AH
+  query are the pure loops.
 * The **native tier stacks on the container layer**: columns under
   ``native`` are whatever :func:`use_numpy` says (numpy arrays when the
   fast extra is installed, stdlib arrays otherwise).  ``native`` only
   redirects the HL hot-path kernels, which read the stdlib label
-  columns through the buffer protocol, and the level assignment's
-  region search, which reads the region graph's rows in place; every
-  other code path behaves exactly as on the container backend beneath
-  it.
+  columns through the buffer protocol, the level assignment's region
+  search, which reads the region graph's rows in place, and the AH
+  query, which reads the index's query tables in place; every other
+  code path behaves exactly as on the container backend beneath it.
 * **Columns** are ``int64`` / ``float64`` either way: ``numpy.ndarray``
   under the numpy backend, ``array('q')`` / ``array('d')`` under the pure
   one.  Both expose ``tobytes`` / ``tolist`` / slicing, and the stdlib
@@ -174,8 +175,8 @@ def use_numpy() -> bool:
 
 
 def use_native() -> bool:
-    """True when the native kernels are live: the HL hot path and the
-    level assignment's region search."""
+    """True when the native kernels are live: the HL hot path, the
+    level assignment's region search and the AH query."""
     return _ACTIVE == NATIVE
 
 

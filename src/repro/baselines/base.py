@@ -588,6 +588,16 @@ class QueryEngine(abc.ABC):
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """A shortest path from ``source`` to ``target``; None if none."""
 
+    def _check_pair(self, source: int, target: int) -> None:
+        """Raise :class:`IndexError` unless both ids name graph nodes.
+
+        A negative id would otherwise index the search tables from their
+        end and answer for another node.
+        """
+        n = self.graph.n
+        if not (0 <= source < n and 0 <= target < n):
+            raise IndexError(f"node pair ({source}, {target}) out of range [0, {n})")
+
     # ------------------------------------------------------------------
     # Batched queries
     # ------------------------------------------------------------------

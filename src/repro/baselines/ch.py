@@ -351,6 +351,7 @@ class CHEngine(QueryEngine):
         or ``(inf, None)``.  With ``want_parents=False`` the packed path
         of a reachable pair is ``[]`` (only the distance was tracked).
         """
+        self._check_pair(source, target)
         if source == target:
             return 0.0, [source]
         res = self._res

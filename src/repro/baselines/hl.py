@@ -385,6 +385,7 @@ class HubLabelIndex(QueryEngine):
                     target,
                 )
             )
+        self._check_pair(source, target)
         fhub, fdist = self.fwd_hub, self.fwd_dist
         bhub, bdist = self.bwd_hub, self.bwd_dist
         i = self.fwd_head[source]
@@ -581,6 +582,7 @@ class HubLabelIndex(QueryEngine):
         """Parent-hub walk on both sides, then CH shortcut unpacking."""
         if source == target:
             return Path((source,), 0.0)
+        self._check_pair(source, target)
         best, hub = self._meet(source, target)
         if hub < 0:
             return None

@@ -29,7 +29,9 @@ reads tables derived once per index (``_build_query_tables``): each
 node's cell in the grid of its own proximity test, the endpoint anchors
 those cells are compared with, and each node's jump list per separation
 level.  A relaxation then tests proximity with integer arithmetic, and
-a jump costs one list index.
+a jump costs one list index.  On the native tier the whole search is
+one C call (:func:`repro.native.ah_query`) over the same tables, read
+in place; the Python loop stays as its fallback and reference.
 
 Correctness notes
 -----------------
@@ -52,6 +54,8 @@ from typing import Dict, List, Optional, Tuple
 
 from heapq import heappop, heappush
 
+from .. import backend
+from .. import native as _native
 from ..baselines.base import QueryEngine
 from ..baselines.ch import contract_graph, unpack_shortcuts
 from ..graph.graph import Graph
@@ -370,6 +374,9 @@ class AHIndex(QueryEngine):
         table of the largest level ``<= j`` above its own, or ``None``
         where the node relaxes its plain upward edges.  A level without
         any jump is ``None`` as a whole.
+
+        ``_tables`` gathers all of them, with ``h`` and the upward rows,
+        into the one tuple :func:`repro.native.ah_query` reads in place.
         """
         h = self.h
         grid = self.node_grid
@@ -381,6 +388,18 @@ class AHIndex(QueryEngine):
         self._cell_y = [a[lv] for a, lv in zip(self._anchor_y, self.levels)]
         self._jumps_f = self._jump_columns(self._elev_f)
         self._jumps_b = self._jump_columns(self._elev_b)
+        self._tables = (
+            h,
+            self._res.up_out,
+            self._res.up_in,
+            self.levels,
+            self._cell_x,
+            self._cell_y,
+            self._anchor_x,
+            self._anchor_y,
+            self._jumps_f,
+            self._jumps_b,
+        )
 
     def _jump_columns(
         self, tables: Dict[int, Dict[int, List[_Jump]]]
@@ -420,7 +439,24 @@ class AHIndex(QueryEngine):
         the meeting point, shortcuts and jumps not yet expanded — or
         ``(inf, None)``.  With ``want_parents=False`` the packed path of
         a reachable pair is ``[]``.
+
+        Under the native tier the same search runs as one C call
+        (:func:`repro.native.ah_query`) over the same tables; this loop
+        is its fallback and reference, and both return ``==`` distances
+        and the same packed paths.
         """
+        if backend.use_native():
+            d, packed = _native.ah_query(
+                self._tables,
+                source,
+                target,
+                want_parents,
+                self.proximity,
+                self.stall_on_demand,
+                self.use_elevating,
+            )
+            return float(d), None if packed is None else list(packed)
+        self._check_pair(source, target)
         if source == target:
             return 0.0, [source]
         res = self._res

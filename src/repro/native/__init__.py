@@ -1,10 +1,11 @@
-"""repro.native — the C kernel tier: hub-label queries and AH region search.
+"""repro.native — the C kernel tier: HL queries, AH region search, AH queries.
 
 This package is the **only** place in the repo allowed to touch compiled
 code (the ``native-boundary-discipline`` analysis rule enforces it): it
 loads the ``_hubjoin`` extension module and exposes its kernels behind
-plain-Python wrappers — the three hub-label (HL) query kernels and the
-region search of AH's and FC's level assignment.  Every caller goes
+plain-Python wrappers — the three hub-label (HL) query kernels, the
+region search of AH's and FC's level assignment, and AH's query search
+(:func:`ah_query`).  Every caller goes
 through :func:`available` / the wrappers, never the extension module
 itself, so a box without a compiler degrades to the pure-python kernels
 without any import-time failure.
@@ -20,16 +21,22 @@ The extension comes from one of two places, tried in order:
   sha256>/``.  The module is written under a temporary name and moved
   into place with ``os.replace``, so concurrent processes never load a
   half-written file, and a later import loads it without compiling.
-  With no compiler, a failed compile or an unwritable directory the
-  tier stays off and the process emits one :class:`RuntimeWarning`.
+  Writing a new build removes the builds of earlier revisions of the
+  source from ``__pycache__``.  With no compiler, a failed compile or
+  an unwritable directory the tier stays off and the process emits one
+  :class:`RuntimeWarning`.
 
 The HL kernels operate directly on the label columns through the buffer
 protocol: int64 heads and hubs and float64 distances, the one layout
 built and loaded indexes share (any other column raises
 :class:`TypeError`).  The region search reads the region graph's own
-``(j, w)`` rows in place.  Results come back as plain Python
-floats/lists; answers are bit-identical to the pure-python code
-(``tests/test_backend_parity.py``, ``tests/test_native.py``).
+``(j, w)`` rows in place, and the AH query reads the index's query
+tables (its upward rows, levels, cells, anchors and jump columns) in
+place, so it needs no set-up, no copy and no state between calls.
+Results come back as plain Python floats/lists; answers are
+bit-identical to the pure-python code (``tests/test_backend_parity.py``,
+``tests/test_native.py``, ``tests/test_levels_reference.py``,
+``tests/test_ah_query_tables.py``).
 
 ``REPRO_NATIVE=0`` (or ``off`` / ``disable``) skips the extension
 entirely, built or not, and compiles nothing — the compiler-less CI
@@ -43,11 +50,13 @@ import contextlib
 import hashlib
 import importlib.util
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sysconfig
 import warnings
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "DISABLED",
@@ -59,6 +68,7 @@ __all__ = [
     "one_to_many",
     "distance_table",
     "local_search",
+    "ah_query",
 ]
 
 #: True when ``REPRO_NATIVE`` turned the tier off (nothing was loaded or
@@ -103,10 +113,29 @@ def _compile_and_load():
         finally:
             with contextlib.suppress(OSError):
                 os.remove(partial)
+        _prune_stale_builds(os.path.dirname(os.path.dirname(target)), key)
     spec = importlib.util.spec_from_file_location(f"{__name__}._hubjoin", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _prune_stale_builds(cache: str, key: str) -> None:
+    """Remove the builds of other ``_hubjoin.c`` revisions from the cache.
+
+    Only sibling directories named like a key (16 hex digits) go; the
+    package's own ``.pyc`` files share the directory and stay.  A build
+    another process still has loaded stays mapped until that process
+    exits, and a failed removal is left for the next new build.
+    """
+    with contextlib.suppress(OSError):
+        for entry in os.scandir(cache):
+            if (
+                entry.name != key
+                and re.fullmatch("[0-9a-f]{16}", entry.name)
+                and entry.is_dir(follow_symlinks=False)
+            ):
+                shutil.rmtree(entry.path, ignore_errors=True)
 
 
 def _build_or_warn():
@@ -120,9 +149,10 @@ def _build_or_warn():
             reason = f"the compiler exited with status {exc.returncode}: {lines[-1]}"
         warnings.warn(
             f"could not build the repro.native._hubjoin C kernels ({reason}); "
-            "hub labels and the AH region search run on the pure-python "
-            "kernels — answers are bit-identical, only slower.  Install a "
-            "C compiler, or build with `python setup.py build_ext --inplace`.",
+            "hub labels, the AH region search and AH queries run on the "
+            "pure-python kernels — answers are bit-identical, only slower.  "
+            "Install a C compiler, or build with "
+            "`python setup.py build_ext --inplace`.",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -221,3 +251,26 @@ def local_search(adj, expand, seeds, free: int) -> List[float]:
     floats or ints.
     """
     return _hubjoin.local_search(adj, expand, seeds, free)
+
+
+def ah_query(
+    tables,
+    source: int,
+    target: int,
+    want_path: bool,
+    proximity: bool,
+    stall: bool,
+    elevating: bool,
+) -> Tuple[float, Optional[List[int]]]:
+    """AH's constrained bidirectional upward search, in one call.
+
+    The compiled form of :meth:`repro.core.ah.AHIndex._query`, its pure
+    reference: ``tables`` is the index's ``_tables`` tuple, read in
+    place, and the flags are its three query toggles.  Returns
+    ``(distance, packed path)``, the packed path ``[]`` when
+    ``want_path`` is false and ``None`` when no path exists, ``==`` to
+    the pure loop's.
+    """
+    return _hubjoin.ah_query(
+        tables, source, target, want_path, proximity, stall, elevating
+    )

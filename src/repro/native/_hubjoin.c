@@ -1,4 +1,4 @@
-/* _hubjoin: native kernels for the HL query path and the AH build.
+/* _hubjoin: native kernels for the HL query path and for AH.
  *
  * The three hub-label query kernels as tight C loops over the label
  * columns, reached through the buffer protocol — the module never
@@ -7,7 +7,8 @@
  * integer buffer) and float64 dists (array('d')); anything else is
  * refused with TypeError.  Beside them, `local_search` is the region
  * Dijkstra of AH's and FC's level assignment, run over the region
- * graph's own (j, w) rows.
+ * graph's own (j, w) rows, and `ah_query` is AH's constrained
+ * bidirectional query, run over the index's own query tables.
  *
  * Bit-identity contract (the repo's standing one): every answer equals
  * the pure-python code bit for bit.  The arithmetic here is the same
@@ -17,7 +18,8 @@
  * `tests/test_backend_parity.py` pins the claim for the HL kernels
  * under hypothesis, native against pure, on built and on loaded
  * indexes; `tests/test_native.py` and `tests/test_levels_reference.py`
- * pin it for the region search.
+ * pin it for the region search, and `tests/test_native.py` and
+ * `tests/test_ah_query_tables.py` for the AH query.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -26,7 +28,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define HUBJOIN_VERSION "2"
+#define HUBJOIN_VERSION "3"
 
 /* One label column: a borrowed C-contiguous buffer of 8-byte items. */
 typedef struct {
@@ -523,28 +525,52 @@ heap_pop(hent_t *h, Py_ssize_t *len)
     return top;
 }
 
-/* One (node, weight) pair of a row or of the seeds: the node must lie
- * in [0, n), the weight must be a non-negative float or int. */
-static int
-pair_unpack(PyObject *e, Py_ssize_t n, const char *what,
-            Py_ssize_t *node, double *weight)
+/* The value of an exact int of at most one internal digit, read
+ * without a call: the common case of every node id, level and cell the
+ * searches read (on DE it saves about a tenth of an AH query's time).
+ * 0 leaves the int to the general conversion. */
+static inline int
+compact_int(PyObject *o, int64_t *out)
 {
-    if (!PyTuple_Check(e) || PyTuple_GET_SIZE(e) != 2) {
+    if (!PyLong_CheckExact(o)) return 0;
+#if PY_VERSION_HEX >= 0x030C0000
+    if (!PyUnstable_Long_IsCompact((PyLongObject *)o)) return 0;
+    *out = PyUnstable_Long_CompactValue((PyLongObject *)o);
+#else
+    Py_ssize_t size = Py_SIZE(o);
+    if (size < -1 || size > 1) return 0;
+    *out = size ? size * (int64_t)((PyLongObject *)o)->ob_digit[0] : 0;
+#endif
+    return 1;
+}
+
+/* One entry of a row or of the seeds: a tuple of `size` items that
+ * starts (node, weight, ...).  The node must lie in [0, n), the weight
+ * must be a non-negative float or int. */
+static int
+entry_unpack(PyObject *e, Py_ssize_t size, const char *shape, Py_ssize_t n,
+             const char *what, Py_ssize_t *node, double *weight)
+{
+    if (!PyTuple_Check(e) || PyTuple_GET_SIZE(e) != size) {
         PyErr_Format(PyExc_TypeError,
-                     "%s entries must be (node, weight) tuples, not %.200s",
-                     what, Py_TYPE(e)->tp_name);
+                     "%s entries must be %s tuples, not %.200s",
+                     what, shape, Py_TYPE(e)->tp_name);
         return -1;
     }
     PyObject *j = PyTuple_GET_ITEM(e, 0), *w = PyTuple_GET_ITEM(e, 1);
-    if (!PyLong_Check(j)) {
-        PyErr_Format(PyExc_TypeError, "%s node must be an int, not %.200s",
-                     what, Py_TYPE(j)->tp_name);
-        return -1;
-    }
-    Py_ssize_t i = PyLong_AsSsize_t(j);
-    if (i == -1 && PyErr_Occurred()) {
-        if (!PyErr_ExceptionMatches(PyExc_OverflowError)) return -1;
-        PyErr_Clear(); /* reported as out of range below */
+    int64_t i;
+    if (!compact_int(j, &i)) {
+        if (!PyLong_Check(j)) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s node must be an int, not %.200s",
+                         what, Py_TYPE(j)->tp_name);
+            return -1;
+        }
+        i = PyLong_AsSsize_t(j);
+        if (i == -1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError)) return -1;
+            PyErr_Clear(); /* reported as out of range below */
+        }
     }
     if (i < 0 || i >= n) {
         PyErr_Format(PyExc_IndexError, "%s node %R out of range [0, %zd)",
@@ -568,10 +594,12 @@ pair_unpack(PyObject *e, Py_ssize_t n, const char *what,
                      what, w);
         return -1;
     }
-    *node = i;
+    *node = (Py_ssize_t)i;
     *weight = x;
     return 0;
 }
+
+#define PAIR "(node, weight)"
 
 static PyObject *
 hubjoin_local_search(PyObject *self, PyObject *args)
@@ -634,7 +662,7 @@ hubjoin_local_search(PyObject *self, PyObject *args)
     for (Py_ssize_t k = 0; k < nseeds; k++) {
         Py_ssize_t i;
         double d0;
-        if (pair_unpack(items[k], n, "seed", &i, &d0) < 0) goto done;
+        if (entry_unpack(items[k], 2, PAIR, n, "seed", &i, &d0) < 0) goto done;
         if (d0 < dist[i]) {
             dist[i] = d0;
             if (expand[i] || i == source) heap_push(heap, &len, d0, i);
@@ -650,7 +678,7 @@ hubjoin_local_search(PyObject *self, PyObject *args)
         for (Py_ssize_t k = 0; k < deg; k++) {
             Py_ssize_t j;
             double w;
-            if (pair_unpack(entries[k], n, "adj", &j, &w) < 0) goto done;
+            if (entry_unpack(entries[k], 2, PAIR, n, "adj", &j, &w) < 0) goto done;
             double nd = d + w;
             if (nd < dist[j]) {
                 dist[j] = nd;
@@ -678,6 +706,694 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* ah_query(tables, source, target, want_path, proximity, stall,      */
+/*          elevating) -> (float, list | None)                        */
+/*                                                                    */
+/* AH's query; repro.core.ah.AHIndex._query is its pure reference.    */
+/* It runs the bidirectional upward search under the rank constraint, */
+/* with the proximity test, stall-on-demand and the elevating jumps   */
+/* of the pair's separation level, over the tables the index derives  */
+/* once and gathers into one tuple, read in place:                    */
+/*   (h, up_out, up_in, levels, cell_x, cell_y, anchor_x, anchor_y,   */
+/*    jumps_f, jumps_b)                                               */
+/* The three flags are the index's query toggles, read per query as   */
+/* the pure loop reads them.                                          */
+/*                                                                    */
+/* It mirrors that loop statement for statement: heap order on        */
+/* (d, node) as heapq orders the tuples (no two entries are equal, so */
+/* every min-heap pops them alike), peeks that include stale entries, */
+/* the `best <= top` stop before each pop, strict `<` updates, and    */
+/* the meet test before the stall test and the relaxations.  So the   */
+/* distance is == and the packed path (node ids through the meeting   */
+/* node, jump chains spliced in as the pure reconstruction splices    */
+/* them, shortcuts still packed) is the same list.                    */
+/*                                                                    */
+/* Per-call state is a hash map keyed by node id plus two heaps, all  */
+/* sized by the nodes the search touches: stack buffers that grow on  */
+/* demand, never an O(n) array, pre-pass or clearing, and nothing     */
+/* kept between calls.  Only the rows the search reads are checked:   */
+/* a malformed row, entry, level, cell, anchor list or jump chain     */
+/* raises TypeError, IndexError or ValueError.                        */
+/* ------------------------------------------------------------------ */
+#define AH_SLOTS_LOG2 7
+#define AH_SLOTS (1 << AH_SLOTS_LOG2)  /* initial map slots */
+#define AH_HEAP 64      /* initial entries per heap */
+#define AH_PATH 256     /* initial packed-path entries */
+#define TRIPLE "(node, weight, middle)"
+#define JUMP "(node, weight, chain)"
+
+/* Side 0 is the forward search, side 1 the backward one. */
+typedef struct {
+    double dist[2];
+    Py_ssize_t parent[2];
+    PyObject *chain[2];   /* the jump chain that reached the node, or NULL */
+    char seen[2];
+} ahnode_t;
+
+typedef struct {
+    Py_ssize_t *keys;     /* node + 1; 0 marks a free slot */
+    ahnode_t *vals;
+    Py_ssize_t cap, used;
+    int shift;            /* 64 - log2(cap) */
+    Py_ssize_t keys0[AH_SLOTS];
+    ahnode_t vals0[AH_SLOTS];
+} ahmap_t;
+
+typedef struct {
+    hent_t *items;
+    Py_ssize_t len, cap;
+    hent_t items0[AH_HEAP];
+} ahheap_t;
+
+typedef struct {
+    Py_ssize_t n;
+    PyObject **rows[2];    /* up_out and up_in rows */
+    PyObject **levels, **cell_x, **cell_y;
+    PyObject *anchor[2][2];  /* [side][axis]: the endpoint's anchor list */
+    PyObject **jumps[2];   /* the separation level's jump column, or NULL */
+    int proximity;
+    ahmap_t map;
+    ahheap_t heap[2];
+} ahq_t;
+
+/* Double a buffer's capacity; it starts in `inline_buf`. */
+static int
+buf_grow(void **items, Py_ssize_t *cap, void *inline_buf, size_t itemsize)
+{
+    size_t size = (size_t)*cap * itemsize;
+    void *p;
+    if (*items == inline_buf) {
+        p = PyMem_Malloc(2 * size);
+        if (p != NULL) memcpy(p, *items, size);
+    } else {
+        p = PyMem_Realloc(*items, 2 * size);
+    }
+    if (p == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *items = p;
+    *cap *= 2;
+    return 0;
+}
+
+/* The slot holding `node`, or the free slot where it would go. */
+static inline Py_ssize_t
+ahmap_probe(const ahmap_t *m, Py_ssize_t node)
+{
+    Py_ssize_t k =
+        (Py_ssize_t)(((uint64_t)node * 0x9E3779B97F4A7C15ull) >> m->shift);
+    while (m->keys[k] != 0 && m->keys[k] != node + 1) {
+        k = (k + 1) & (m->cap - 1);
+    }
+    return k;
+}
+
+static inline ahnode_t *
+ahmap_find(const ahmap_t *m, Py_ssize_t node)
+{
+    Py_ssize_t k = ahmap_probe(m, node);
+    return m->keys[k] != 0 ? &m->vals[k] : NULL;
+}
+
+/* A fresh entry for `node`, which the map does not hold yet; the map
+ * stays at most half full. */
+static ahnode_t *
+ahmap_add(ahmap_t *m, Py_ssize_t node)
+{
+    if (2 * (m->used + 1) > m->cap) {
+        Py_ssize_t cap = 2 * m->cap;
+        Py_ssize_t *keys = PyMem_Calloc((size_t)cap, sizeof(Py_ssize_t));
+        ahnode_t *vals = PyMem_Malloc((size_t)cap * sizeof(ahnode_t));
+        if (keys == NULL || vals == NULL) {
+            PyMem_Free(keys);
+            PyMem_Free(vals);
+            PyErr_NoMemory();
+            return NULL;
+        }
+        Py_ssize_t *old_keys = m->keys, old_cap = m->cap;
+        ahnode_t *old_vals = m->vals;
+        m->keys = keys;
+        m->vals = vals;
+        m->cap = cap;
+        m->shift--;
+        for (Py_ssize_t k = 0; k < old_cap; k++) {
+            if (old_keys[k] != 0) {
+                Py_ssize_t at = ahmap_probe(m, old_keys[k] - 1);
+                keys[at] = old_keys[k];
+                vals[at] = old_vals[k];
+            }
+        }
+        if (old_keys != m->keys0) {
+            PyMem_Free(old_keys);
+            PyMem_Free(old_vals);
+        }
+    }
+    Py_ssize_t at = ahmap_probe(m, node);
+    m->keys[at] = node + 1;
+    m->used++;
+    ahnode_t *x = &m->vals[at];
+    x->seen[0] = x->seen[1] = 0;
+    return x;
+}
+
+static int
+ahheap_push(ahheap_t *h, double d, Py_ssize_t i)
+{
+    if (h->len == h->cap &&
+        buf_grow((void **)&h->items, &h->cap, h->items0, sizeof(hent_t)) < 0) {
+        return -1;
+    }
+    heap_push(h->items, &h->len, d, i);
+    return 0;
+}
+
+/* A Python int out of a table, as int64. */
+static int
+read_int(PyObject *o, const char *what, int64_t *out)
+{
+    if (compact_int(o, out)) return 0;
+    if (!PyLong_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.200s",
+                     what, Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    long long x = PyLong_AsLongLong(o);
+    if (x == -1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_Format(PyExc_ValueError, "%s %R does not fit in 64 bits",
+                         what, o);
+        }
+        return -1;
+    }
+    *out = x;
+    return 0;
+}
+
+/* Entry `at` of an anchor list. */
+static int
+anchor_at(PyObject *anchors, int64_t at, int64_t *out)
+{
+    if (at < 0 || at >= PyList_GET_SIZE(anchors)) {
+        PyErr_Format(PyExc_IndexError,
+                     "level %lld outside an anchor list of %zd entries",
+                     (long long)at, PyList_GET_SIZE(anchors));
+        return -1;
+    }
+    return read_int(PyList_GET_ITEM(anchors, at), "anchor", out);
+}
+
+/* |a - b| <= 2, exactly, for any two int64 values. */
+static inline int
+within2(int64_t a, int64_t b)
+{
+    return a >= b ? (uint64_t)a - (uint64_t)b <= 2
+                  : (uint64_t)b - (uint64_t)a <= 2;
+}
+
+/* Row `u` of a per-node table: a list or tuple of entries. */
+static int
+row_items(PyObject *row, const char *table, Py_ssize_t u,
+          PyObject ***items, Py_ssize_t *len)
+{
+    if (!PyList_Check(row) && !PyTuple_Check(row)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s[%zd] must be a list of entries, not %.200s",
+                     table, u, Py_TYPE(row)->tp_name);
+        return -1;
+    }
+    *items = PySequence_Fast_ITEMS(row);
+    *len = PySequence_Fast_GET_SIZE(row);
+    return 0;
+}
+
+/* The proximity test of node v on side s: its own cell lies within two
+ * cells of the side's anchor at shift levels[v], on both axes.
+ * 1 passes, 0 fails, -1 raised. */
+static int
+ah_near(const ahq_t *q, int s, Py_ssize_t v)
+{
+    int64_t lv, c, a;
+    if (read_int(q->levels[v], "level", &lv) < 0 ||
+        read_int(q->cell_x[v], "cell", &c) < 0 ||
+        anchor_at(q->anchor[s][0], lv, &a) < 0) {
+        return -1;
+    }
+    if (!within2(c, a)) return 0;
+    if (read_int(q->cell_y[v], "cell", &c) < 0 ||
+        anchor_at(q->anchor[s][1], lv, &a) < 0) {
+        return -1;
+    }
+    return within2(c, a);
+}
+
+/* Relax u -> v on side s at distance nd: `if (visit[v] != c or nd <
+ * dist[v]) and (not proximity or <v passes>)`, then record v's
+ * distance, its predecessor and the jump chain (NULL for an edge). */
+static int
+ah_relax(ahq_t *q, int s, Py_ssize_t u, Py_ssize_t v, double nd,
+         PyObject *chain)
+{
+    ahnode_t *x = ahmap_find(&q->map, v);
+    if (x != NULL && x->seen[s] && !(nd < x->dist[s])) return 0;
+    if (q->proximity) {
+        int near = ah_near(q, s, v);
+        if (near <= 0) return near;
+    }
+    if (x == NULL && (x = ahmap_add(&q->map, v)) == NULL) return -1;
+    x->seen[s] = 1;
+    x->dist[s] = nd;
+    x->parent[s] = u;
+    x->chain[s] = chain;
+    return ahheap_push(&q->heap[s], nd, v);
+}
+
+/* Stall-on-demand: some neighbour over a reverse edge already reaches
+ * u on side s by less than d.  1 stalls, 0 does not, -1 raised. */
+static int
+ah_stalled(const ahq_t *q, int s, Py_ssize_t u, double d)
+{
+    PyObject **entries;
+    Py_ssize_t deg;
+    if (row_items(q->rows[1 - s][u], s ? "up_out" : "up_in", u,
+                  &entries, &deg) < 0) {
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < deg; k++) {
+        Py_ssize_t v;
+        double w;
+        if (entry_unpack(entries[k], 3, TRIPLE, q->n, "up", &v, &w) < 0) {
+            return -1;
+        }
+        const ahnode_t *x = ahmap_find(&q->map, v);
+        if (x != NULL && x->seen[s] && x->dist[s] + w < d) return 1;
+    }
+    return 0;
+}
+
+/* Expand u on side s: its jump list when the separation level's column
+ * holds one, else its upward edges. */
+static int
+ah_expand(ahq_t *q, int s, Py_ssize_t u, double d)
+{
+    PyObject *jump = q->jumps[s] != NULL ? q->jumps[s][u] : Py_None;
+    PyObject **entries;
+    Py_ssize_t deg;
+    if (jump == Py_None) {
+        if (row_items(q->rows[s][u], s ? "up_in" : "up_out", u,
+                      &entries, &deg) < 0) {
+            return -1;
+        }
+        for (Py_ssize_t k = 0; k < deg; k++) {
+            Py_ssize_t v;
+            double w;
+            if (entry_unpack(entries[k], 3, TRIPLE, q->n, "up", &v, &w) < 0 ||
+                ah_relax(q, s, u, v, d + w, NULL) < 0) {
+                return -1;
+            }
+        }
+        return 0;
+    }
+    if (row_items(jump, "jumps", u, &entries, &deg) < 0) return -1;
+    for (Py_ssize_t k = 0; k < deg; k++) {
+        Py_ssize_t v;
+        double w;
+        if (entry_unpack(entries[k], 3, JUMP, q->n, "jump", &v, &w) < 0) {
+            return -1;
+        }
+        /* The chain is checked only if the packed path splices it in. */
+        if (ah_relax(q, s, u, v, d + w, PyTuple_GET_ITEM(entries[k], 2)) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+typedef struct {
+    Py_ssize_t *items;
+    Py_ssize_t len, cap;
+    Py_ssize_t items0[AH_PATH];
+} ahpath_t;
+
+static int
+path_add(ahpath_t *p, Py_ssize_t node)
+{
+    if (p->len == p->cap &&
+        buf_grow((void **)&p->items, &p->cap, p->items0,
+                 sizeof(Py_ssize_t)) < 0) {
+        return -1;
+    }
+    p->items[p->len++] = node;
+    return 0;
+}
+
+/* Node k of a jump chain. */
+static int
+chain_node(PyObject *chain, Py_ssize_t k, Py_ssize_t n, Py_ssize_t *node)
+{
+    int64_t x;
+    if (read_int(PyTuple_GET_ITEM(chain, k), "chain node", &x) < 0) return -1;
+    if (x < 0 || x >= n) {
+        PyErr_Format(PyExc_IndexError, "chain node %lld out of range [0, %zd)",
+                     (long long)x, n);
+        return -1;
+    }
+    *node = (Py_ssize_t)x;
+    return 0;
+}
+
+/* Splice in a jump chain that must run first .. last: all but its
+ * first node, reversed on the forward side (the pure loop's p[:0:-1],
+ * since that walk runs from the meeting node back) and in order on the
+ * backward side (p[1:]). */
+static int
+path_add_chain(ahpath_t *p, PyObject *chain, Py_ssize_t first,
+               Py_ssize_t last, int backward, Py_ssize_t n)
+{
+    Py_ssize_t len = PyTuple_Check(chain) ? PyTuple_GET_SIZE(chain) : 0, a, b;
+    if (len < 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "jump chain must be a tuple of at least two nodes, "
+                     "not %.200s", Py_TYPE(chain)->tp_name);
+        return -1;
+    }
+    if (chain_node(chain, 0, n, &a) < 0 ||
+        chain_node(chain, len - 1, n, &b) < 0) {
+        return -1;
+    }
+    if (a != first || b != last) {
+        PyErr_Format(PyExc_ValueError,
+                     "jump chain %zd .. %zd runs %zd .. %zd",
+                     first, last, a, b);
+        return -1;
+    }
+    for (Py_ssize_t i = 1; i < len; i++) {
+        Py_ssize_t x;
+        if (chain_node(chain, backward ? i : len - i, n, &x) < 0 ||
+            path_add(p, x) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Side s's predecessor entry of x; each walk step lands on a node the
+ * search settled earlier, so a walk takes fewer steps than the map has
+ * entries. */
+static const ahnode_t *
+ah_step(const ahq_t *q, int s, Py_ssize_t x, Py_ssize_t *steps)
+{
+    const ahnode_t *e = ahmap_find(&q->map, x);
+    if (e == NULL || !e->seen[s] || ++*steps > q->map.used) {
+        PyErr_SetString(PyExc_ValueError, "parent pointers do not lead back");
+        return NULL;
+    }
+    return e;
+}
+
+/* The packed path source .. meet .. target, as the pure loop builds it. */
+static int
+ah_packed(const ahq_t *q, Py_ssize_t source, Py_ssize_t target,
+          Py_ssize_t meet, ahpath_t *p)
+{
+    Py_ssize_t x = meet, steps = 0;
+    while (x != source) {
+        const ahnode_t *e = ah_step(q, 0, x, &steps);
+        if (e == NULL) return -1;
+        if (e->chain[0] != NULL) {  /* runs parent .. x */
+            if (path_add_chain(p, e->chain[0], e->parent[0], x, 0, q->n) < 0) {
+                return -1;
+            }
+        } else if (path_add(p, x) < 0) {
+            return -1;
+        }
+        x = e->parent[0];
+    }
+    if (path_add(p, source) < 0) return -1;
+    for (Py_ssize_t i = 0, j = p->len - 1; i < j; i++, j--) {
+        Py_ssize_t t = p->items[i];
+        p->items[i] = p->items[j];
+        p->items[j] = t;
+    }
+    x = meet;
+    steps = 0;
+    while (x != target) {
+        const ahnode_t *e = ah_step(q, 1, x, &steps);
+        if (e == NULL) return -1;
+        if (e->chain[1] != NULL) {  /* runs x .. parent */
+            if (path_add_chain(p, e->chain[1], x, e->parent[1], 1, q->n) < 0) {
+                return -1;
+            }
+        } else if (path_add(p, e->parent[1]) < 0) {
+            return -1;
+        }
+        x = e->parent[1];
+    }
+    return 0;
+}
+
+/* A list of n node ids; NULL (raised) on failure. */
+static PyObject *
+node_list(const Py_ssize_t *nodes, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    if (out == NULL) return NULL;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *v = PyLong_FromSsize_t(nodes[k]);
+        if (v == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, k, v);
+    }
+    return out;
+}
+
+/* The tables tuple's per-node columns: lists of n entries each. */
+static const char *const ah_columns[] = {
+    "up_out", "up_in", "levels", "cell_x", "cell_y", "anchor_x", "anchor_y",
+};
+
+/* The (distance, packed) result; steals `packed`. */
+static PyObject *
+ah_result(double d, PyObject *packed)
+{
+    if (packed == NULL) return NULL;
+    PyObject *dist = PyFloat_FromDouble(d);
+    PyObject *out = dist != NULL ? PyTuple_New(2) : NULL;
+    if (out == NULL) {
+        Py_XDECREF(dist);
+        Py_DECREF(packed);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(out, 0, dist);
+    PyTuple_SET_ITEM(out, 1, packed);
+    return out;
+}
+
+static PyObject *
+hubjoin_ah_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "ah_query takes 7 arguments, not %zd",
+                     nargs);
+        return NULL;
+    }
+    PyObject *tables = args[0];
+    if (!PyTuple_Check(tables)) {
+        PyErr_Format(PyExc_TypeError, "tables must be a tuple, not %.200s",
+                     Py_TYPE(tables)->tp_name);
+        return NULL;
+    }
+    /* Ids beyond Py_ssize_t clip to its ends and fail the range check. */
+    Py_ssize_t source = PyNumber_AsSsize_t(args[1], NULL);
+    if (source == -1 && PyErr_Occurred()) return NULL;
+    Py_ssize_t target = PyNumber_AsSsize_t(args[2], NULL);
+    if (target == -1 && PyErr_Occurred()) return NULL;
+    int flag[4];  /* want_path, proximity, stall, elevating */
+    for (int k = 0; k < 4; k++) {
+        if ((flag[k] = PyObject_IsTrue(args[3 + k])) < 0) return NULL;
+    }
+    int want_path = flag[0], proximity = flag[1], stall = flag[2];
+    int elevating = flag[3];
+    if (PyTuple_GET_SIZE(tables) != 10) {
+        PyErr_Format(PyExc_ValueError, "tables must hold 10 entries, not %zd",
+                     PyTuple_GET_SIZE(tables));
+        return NULL;
+    }
+    PyObject **t = &PyTuple_GET_ITEM(tables, 0);
+    int64_t h;
+    if (read_int(t[0], "h", &h) < 0) return NULL;
+    if (h < 0) {
+        PyErr_Format(PyExc_ValueError, "h must not be negative, got %lld",
+                     (long long)h);
+        return NULL;
+    }
+    PyObject *cols[7];
+    Py_ssize_t n = -1;
+    for (int c = 0; c < 7; c++) {
+        cols[c] = t[1 + c];
+        if (!PyList_Check(cols[c])) {
+            PyErr_Format(PyExc_TypeError, "%s must be a list, not %.200s",
+                         ah_columns[c], Py_TYPE(cols[c])->tp_name);
+            return NULL;
+        }
+        if (n < 0) n = PyList_GET_SIZE(cols[c]);
+        if (PyList_GET_SIZE(cols[c]) != n) {
+            PyErr_Format(PyExc_ValueError, "%s holds %zd entries for %zd nodes",
+                         ah_columns[c], PyList_GET_SIZE(cols[c]), n);
+            return NULL;
+        }
+    }
+    if (source < 0 || source >= n || target < 0 || target >= n) {
+        PyErr_Format(PyExc_IndexError,
+                     "node pair (%zd, %zd) out of range [0, %zd)",
+                     source, target, n);
+        return NULL;
+    }
+    if (source == target) {
+        return ah_result(0.0, node_list(&source, 1));
+    }
+
+    ahq_t q;
+    q.n = n;
+    q.rows[0] = PySequence_Fast_ITEMS(cols[0]);
+    q.rows[1] = PySequence_Fast_ITEMS(cols[1]);
+    q.levels = PySequence_Fast_ITEMS(cols[2]);
+    q.cell_x = PySequence_Fast_ITEMS(cols[3]);
+    q.cell_y = PySequence_Fast_ITEMS(cols[4]);
+    Py_ssize_t ends[2] = {source, target};
+    for (int s = 0; s < 2; s++) {
+        for (int axis = 0; axis < 2; axis++) {
+            PyObject *a = PyList_GET_ITEM(cols[5 + axis], ends[s]);
+            if (!PyList_Check(a)) {
+                PyErr_Format(PyExc_TypeError,
+                             "%s[%zd] must be a list, not %.200s",
+                             ah_columns[5 + axis], ends[s],
+                             Py_TYPE(a)->tp_name);
+                return NULL;
+            }
+            q.anchor[s][axis] = a;
+        }
+    }
+    q.jumps[0] = q.jumps[1] = NULL;
+    if (elevating) {
+        /* The separation level, as ah._separating_level finds it: count
+         * down from h while the endpoints' anchors at shift j - 1 lie
+         * within two cells of each other on both axes. */
+        int64_t j = h;
+        while (j > 0) {
+            int64_t a, b, c, d;
+            if (anchor_at(q.anchor[0][0], j - 1, &a) < 0 ||
+                anchor_at(q.anchor[1][0], j - 1, &b) < 0) {
+                return NULL;
+            }
+            if (!within2(a, b)) break;
+            if (anchor_at(q.anchor[0][1], j - 1, &c) < 0 ||
+                anchor_at(q.anchor[1][1], j - 1, &d) < 0) {
+                return NULL;
+            }
+            if (!within2(c, d)) break;
+            j--;
+        }
+        for (int s = 0; s < 2; s++) {
+            PyObject *columns = t[8 + s], *column;
+            if (!PyList_Check(columns)) {
+                PyErr_Format(PyExc_TypeError, "jumps must be a list, not %.200s",
+                             Py_TYPE(columns)->tp_name);
+                return NULL;
+            }
+            if (j >= PyList_GET_SIZE(columns)) {
+                PyErr_Format(PyExc_IndexError,
+                             "separation level %lld outside %zd jump columns",
+                             (long long)j, PyList_GET_SIZE(columns));
+                return NULL;
+            }
+            column = PyList_GET_ITEM(columns, j);
+            if (column == Py_None) continue;
+            if (!PyList_Check(column) || PyList_GET_SIZE(column) != n) {
+                PyErr_Format(PyExc_ValueError,
+                             "jump column %lld must be None or a list of %zd "
+                             "entries", (long long)j, n);
+                return NULL;
+            }
+            q.jumps[s] = PySequence_Fast_ITEMS(column);
+        }
+    }
+    q.proximity = proximity;
+    q.map.keys = q.map.keys0;
+    q.map.vals = q.map.vals0;
+    q.map.cap = AH_SLOTS;
+    q.map.used = 0;
+    q.map.shift = 64 - AH_SLOTS_LOG2;
+    memset(q.map.keys0, 0, sizeof q.map.keys0);
+    for (int s = 0; s < 2; s++) {
+        q.heap[s].items = q.heap[s].items0;
+        q.heap[s].len = 0;
+        q.heap[s].cap = AH_HEAP;
+    }
+    ahpath_t path;
+    path.items = path.items0;
+    path.len = 0;
+    path.cap = AH_PATH;
+
+    /* Nothing below runs Python code until the result is built, so the
+     * borrowed rows, entries and chains stay put. */
+    PyObject *result = NULL;
+    double best = HUGE_VAL;
+    Py_ssize_t best_node = -1;
+    for (int s = 0; s < 2; s++) {
+        ahnode_t *x = ahmap_add(&q.map, ends[s]);
+        x->seen[s] = 1;
+        x->dist[s] = 0.0;
+        x->parent[s] = -1;
+        x->chain[s] = NULL;
+        heap_push(q.heap[s].items, &q.heap[s].len, 0.0, ends[s]);
+    }
+    while (q.heap[0].len || q.heap[1].len) {
+        double top_f = q.heap[0].len ? q.heap[0].items[0].d : HUGE_VAL;
+        double top_b = q.heap[1].len ? q.heap[1].items[0].d : HUGE_VAL;
+        int s = top_f <= top_b ? 0 : 1;
+        if (best <= (s ? top_b : top_f)) break;
+        hent_t top = heap_pop(q.heap[s].items, &q.heap[s].len);
+        double d = top.d;
+        Py_ssize_t u = top.i;
+        const ahnode_t *x = ahmap_find(&q.map, u);  /* pushed, so held */
+        if (d > x->dist[s]) continue;
+        if (x->seen[1 - s] && d + x->dist[1 - s] < best) {
+            best = d + x->dist[1 - s];
+            best_node = u;
+        }
+        if (stall) {
+            int stalled = ah_stalled(&q, s, u, d);
+            if (stalled < 0) goto done;
+            if (stalled) continue;
+        }
+        if (ah_expand(&q, s, u, d) < 0) goto done;
+    }
+
+    if (best_node < 0) {
+        Py_INCREF(Py_None);
+        result = ah_result(best, Py_None);
+    } else if (!want_path) {
+        result = ah_result(best, PyList_New(0));
+    } else if (ah_packed(&q, source, target, best_node, &path) == 0) {
+        result = ah_result(best, node_list(path.items, path.len));
+    }
+
+done:
+    if (q.map.keys != q.map.keys0) {
+        PyMem_Free(q.map.keys);
+        PyMem_Free(q.map.vals);
+    }
+    for (int s = 0; s < 2; s++) {
+        if (q.heap[s].items != q.heap[s].items0) PyMem_Free(q.heap[s].items);
+    }
+    if (path.items != path.items0) PyMem_Free(path.items);
+    return result;
+}
+
 static PyMethodDef hubjoin_methods[] = {
     {"distance", hubjoin_distance, METH_VARARGS,
      "distance(fhead, fhub, fdist, bhead, bhub, bdist, source, target)\n"
@@ -693,14 +1409,18 @@ static PyMethodDef hubjoin_methods[] = {
      "local_search(adj, expand, seeds, free)\n"
      "Region Dijkstra over (j, w) adjacency rows: only expand[i] nodes "
      "and free relax their edges."},
+    {"ah_query", (PyCFunction)(void (*)(void))hubjoin_ah_query, METH_FASTCALL,
+     "ah_query(tables, source, target, want_path, proximity, stall, "
+     "elevating)\nAH's constrained bidirectional upward search over the "
+     "index's query tables: (distance, packed path or [] or None)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef hubjoin_module = {
     PyModuleDef_HEAD_INIT,
     "repro.native._hubjoin",
-    "Native hub-join kernels over int64/float64 HL label columns, and "
-    "the AH region search.",
+    "Native hub-join kernels over int64/float64 HL label columns, the "
+    "AH region search and the AH query.",
     -1,
     hubjoin_methods,
 };

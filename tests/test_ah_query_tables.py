@@ -5,6 +5,11 @@ tables verbatim.  Every configuration here must match it with ``==``
 distances and identical path node tuples, not merely within tolerance:
 the tables change how the loop looks things up, never the order in
 which it relaxes edges.
+
+Each check asks every tier in :data:`TIERS` — the C query
+(``repro.native.ah_query``) when the extension is loaded, and always the
+pure loop it falls back to — so a single run holds both to the
+reference.
 """
 
 import io
@@ -14,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import backend
 from repro.core import AHIndex, load_index, save_index
 from repro.core.ah import _separating_level
 from repro.datasets import dataset, grid_city, towns_and_highways
@@ -32,16 +38,24 @@ TOGGLES = {
 }
 
 
+#: Tiers whose AH query is held to the reference; without the extension
+#: only the pure loop runs.
+TIERS = ("native", "pure") if backend.HAS_NATIVE else ("pure",)
+
+
 def assert_matches_reference(index, pairs):
     for s, t in pairs:
-        assert index.distance(s, t) == reference_distance(index, s, t), (s, t)
-        got = index.shortest_path(s, t)
+        want_d = reference_distance(index, s, t)
         want = reference_path(index, s, t)
-        if want is None:
-            assert got is None, (s, t)
-        else:
-            assert got.nodes == want.nodes, (s, t)
-            assert got.length == want.length, (s, t)
+        for tier in TIERS:
+            with backend.forced(tier):
+                assert index.distance(s, t) == want_d, (s, t, tier)
+                got = index.shortest_path(s, t)
+            if want is None:
+                assert got is None, (s, t, tier)
+            else:
+                assert got.nodes == want.nodes, (s, t, tier)
+                assert got.length == want.length, (s, t, tier)
 
 
 def random_towns(seed):

@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro import backend
 from repro.baselines import (
     ALTEngine,
     AStarEngine,
     BidirectionalEngine,
     CHEngine,
     DijkstraEngine,
+    HubLabelIndex,
     SILCEngine,
     max_speed,
     select_landmarks_farthest,
 )
-from repro.datasets import grid_city
+from repro.core import AHIndex
+from repro.datasets import grid_city, towns_and_highways
 from repro.graph.traversal import distance_query
 
 from conftest import assert_engine_matches_dijkstra, random_pairs
@@ -41,6 +44,34 @@ def test_engine_self_query(name, factory, city_graph):
     assert engine.distance(7, 7) == 0.0
     path = engine.shortest_path(7, 7)
     assert path is not None and path.nodes[0] == 7 and path.length == 0.0
+
+
+@pytest.fixture(scope="module")
+def id_check_indexes():
+    """AH, CH and HL over one 48-node network: node 47 is the one a -1
+    id would wrap around to."""
+    graph = towns_and_highways(3, 4, 4, seed=1, prune=0.15)
+    return {"AH": AHIndex(graph), "CH": CHEngine(graph), "HL": HubLabelIndex(graph)}
+
+
+@pytest.mark.parametrize("tier", ["native", "pure"])
+@pytest.mark.parametrize("name", ["AH", "CH", "HL"])
+def test_out_of_range_node_raises(name, tier, id_check_indexes):
+    """A node id outside ``[0, n)`` raises on every engine and tier,
+    instead of answering for the node a negative index wraps to."""
+    if tier == "native" and not backend.HAS_NATIVE:
+        pytest.skip("C extension not built")
+    engine = id_check_indexes[name]
+    n = engine.graph.n
+    with backend.forced(tier):
+        for source, target in ((-1, 3), (3, -1), (n, 3), (3, n)):
+            with pytest.raises(IndexError):
+                engine.distance(source, target)
+            with pytest.raises(IndexError):
+                engine.shortest_path(source, target)
+        if name != "HL":  # HL answers any source == target pair with 0
+            with pytest.raises(IndexError):
+                engine.distance(-1, -1)
 
 
 @pytest.mark.parametrize("name,factory", ENGINE_FACTORIES)

@@ -1,6 +1,6 @@
-"""repro.native — facade surface, region search, on-import build and degradation.
+"""repro.native — facade surface, region search, AH query, on-import build and degradation.
 
-Four groups:
+Five groups:
 
 * **Facade** (skipped when no extension is loaded): the compiled module
   is identified (version, path, content hash), selected as the default
@@ -9,12 +9,18 @@ Four groups:
   ``native.local_search`` returns exactly (``==``) what the pure
   ``_local_search`` returns on random region graphs, and malformed rows,
   seeds and ``expand`` flags fail typed.
+* **AH query** (skipped when no extension is loaded):
+  ``native.ah_query`` returns exactly (``==``) the distance and packed
+  path of the pure ``AHIndex._query`` loop on random indexes, tied
+  weights included, ``_query`` dispatches to it, and malformed tables
+  fail typed.
 * **On-import build** (subprocesses over a fresh copy of the package
   under ``tmp_path``): the first import compiles ``_hubjoin.c`` into
-  ``__pycache__/<source hash>/``, a second import loads it without
-  running a compiler, and without a compiler the import warns once and
-  answers exactly as the native kernels do — hub-label queries and an
-  AH build's levels and answers alike.
+  ``__pycache__/<source hash>/`` and removes the builds of other source
+  revisions, a second import loads it without running a compiler, and
+  without a compiler the import warns once and answers exactly as the
+  native kernels do — hub-label queries and an elevating AH index's
+  levels and answers alike.
 * **Degradation** (always runs, via subprocesses): ``REPRO_NATIVE=0``
   disables the extension at import time, so a child interpreter is the
   honest way to exercise "requested native, extension not loaded" —
@@ -25,6 +31,8 @@ Four groups:
 import hashlib
 import json
 import os
+import py_compile
+import random
 import shlex
 import shutil
 import subprocess
@@ -38,7 +46,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import backend, native
+from repro.core import AHIndex
 from repro.core.arterial import _local_search
+from repro.datasets import towns_and_highways
+from repro.graph import GraphBuilder
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,7 +82,7 @@ def _run(code, **env):
 class TestFacade:
     def test_extension_identified(self):
         assert native.available()
-        assert native.version() == "2"
+        assert native.version() == "3"
         path = native.extension_path()
         assert path and path.endswith(".so")
         digest = native.extension_hash()
@@ -88,9 +99,9 @@ class TestFacade:
             desc = backend.describe()
         assert desc["tier"] == "native"
         assert desc["native_available"] is True
-        assert desc["native_version"] == "2"
+        assert desc["native_version"] == "3"
         assert desc["native_hash"] == native.extension_hash()
-        assert desc["backend"].startswith("native (kernels v2")
+        assert desc["backend"].startswith("native (kernels v3")
 
     def test_native_stacks_on_container_layer(self):
         with backend.forced("native"):
@@ -198,6 +209,190 @@ def test_local_search_rejects_malformed_input(adj, expand, seeds, error, detail)
 
 
 # ----------------------------------------------------------------------
+# AH query (extension present)
+# ----------------------------------------------------------------------
+def _whole_weights(graph):
+    """``graph`` with every weight rounded to a few whole units, so many
+    sums tie and the ``(d, node)`` heap order decides the search."""
+    b = GraphBuilder()
+    for u in graph.nodes():
+        b.add_node(*graph.coord(u))
+    for u, v, w in graph.edges():
+        b.add_edge(u, v, float(max(1, round(w / 50.0))))
+    return b.build()
+
+
+@needs_native
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    tied=st.booleans(),
+    proximity=st.booleans(),
+    stall=st.booleans(),
+    elevating=st.booleans(),
+)
+def test_ah_query_matches_pure(seed, tied, proximity, stall, elevating):
+    graph = towns_and_highways(3, 4, 4, seed=seed, prune=0.15)
+    if tied:
+        graph = _whole_weights(graph)
+    ah = AHIndex(
+        graph, proximity=proximity, stall_on_demand=stall, elevating=elevating
+    )
+    rng = random.Random(seed)
+    for _ in range(40):
+        s, t = rng.randrange(graph.n), rng.randrange(graph.n)
+        for want_path in (False, True):
+            with backend.forced("pure"):
+                want = ah._query(s, t, want_path)
+            got = native.ah_query(
+                ah._tables, s, t, want_path, proximity, stall, elevating
+            )
+            assert got == want, (s, t, want_path)
+            assert type(got[0]) is float
+        with backend.forced("pure"):
+            pure = ah.shortest_path(s, t)
+        with backend.forced("native"):
+            compiled = ah.shortest_path(s, t)
+        assert (compiled and compiled.nodes) == (pure and pure.nodes), (s, t)
+
+
+@needs_native
+def test_query_dispatches_to_native(monkeypatch):
+    ah = AHIndex(towns_and_highways(3, 4, 4, seed=1, prune=0.15), elevating=True)
+    calls = []
+    real = native.ah_query
+
+    def spy(tables, source, target, want_path, *flags):
+        calls.append((source, target, want_path))
+        return real(tables, source, target, want_path, *flags)
+
+    monkeypatch.setattr(native, "ah_query", spy)
+    with backend.forced("native"):
+        d = ah.distance(0, 47)
+        path = ah.shortest_path(0, 47)
+    assert calls == [(0, 47, False), (0, 47, True)]
+    with backend.forced("pure"):
+        assert ah.distance(0, 47) == d
+        assert ah.shortest_path(0, 47).nodes == path.nodes
+    assert len(calls) == 2
+
+
+def _tiny_tables(**changes):
+    """A valid two-node index, as ``AHIndex._tables`` lays it out: node 0
+    (level 0) has one upward edge of weight 1 to node 1 (level 1), and
+    the two lie ten finest cells apart, so they separate at level 1,
+    where node 0 jumps straight to node 1."""
+    tables = {
+        "h": 1,
+        "up_out": [[(1, 1.0, None)], []],
+        "up_in": [[], [(0, 1.0, None)]],
+        "levels": [0, 1],
+        "cell_x": [0, 0],
+        "cell_y": [0, 0],
+        "anchor_x": [[0, 0], [10, 0]],
+        "anchor_y": [[0, 0], [0, 0]],
+        "jumps_f": [None, [[(1, 1.0, (0, 1))], None]],
+        "jumps_b": [None, None],
+    }
+    tables.update(changes)
+    return tuple(tables.values())
+
+
+@needs_native
+@pytest.mark.parametrize("elevating", [False, True])
+def test_ah_query_tiny_tables(elevating):
+    """The table layout the malformed cases below start from is sound."""
+    tables = _tiny_tables()
+    assert native.ah_query(tables, 0, 1, True, True, False, elevating) == (
+        1.0,
+        [0, 1],
+    )
+    assert native.ah_query(tables, 1, 0, True, True, True, elevating) == (
+        float("inf"),
+        None,
+    )
+    assert native.ah_query(tables, 1, 1, False, True, False, elevating) == (
+        0.0,
+        [1],
+    )
+
+
+def _flat_tables(n, up_out, up_in):
+    """Tables for an ``n``-node index on one level, searched without the
+    proximity test or jumps."""
+    return (
+        1, up_out, up_in, [0] * n, [0] * n, [0] * n,
+        [[0, 0]] * n, [[0, 0]] * n, [None, None], [None, None],
+    )
+
+
+@needs_native
+def test_ah_query_grows_past_its_stack_buffers():
+    """Searches that touch hundreds of nodes grow the map, the heap and
+    the packed path beyond their first buffers and still answer."""
+    n = 300
+    # A star: the source's 299 edges fill the map and the forward heap.
+    star = _flat_tables(
+        n, [[(v, float(v), None) for v in range(1, n)]] + [[] for _ in range(1, n)],
+        [[] for _ in range(n)],
+    )
+    assert native.ah_query(star, 0, n - 1, True, False, False, False) == (
+        float(n - 1),
+        [0, n - 1],
+    )
+    # A chain: the packed path holds all 300 nodes.
+    chain = _flat_tables(
+        n, [[(u + 1, 1.0, None)] for u in range(n - 1)] + [[]],
+        [[] for _ in range(n)],
+    )
+    assert native.ah_query(chain, 0, n - 1, True, False, False, False) == (
+        float(n - 1),
+        list(range(n)),
+    )
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "changes, source, flags, error, detail",
+    [
+        ({"up_out": [None, []]}, 0, (), TypeError, "up_out\\[0\\]"),
+        ({"up_out": [[(1, 1.0)], []]}, 0, (), TypeError, "tuples"),
+        ({"up_out": [[(2, 1.0, None)], []]}, 0, (), IndexError, "out of range"),
+        ({"up_out": [[(1, "1", None)], []]}, 0, (), TypeError, "float or int"),
+        ({"up_out": [[(1, -1.0, None)], []]}, 0, (), ValueError, "negative"),
+        ({"up_out": [[(1, float("nan"), None)], []]}, 0, (), ValueError, "NaN"),
+        ({"levels": [0, "1"]}, 0, (), TypeError, "level must be an int"),
+        ({"anchor_x": [[0], [10, 0]]}, 0, (), IndexError, "anchor list"),
+        ({"up_in": [None, []]}, 0, ("stall",), TypeError, "up_in\\[0\\]"),
+        (
+            {"jumps_f": [None, [[(1, 1.0, [0, 1])], None]]},
+            0, ("elevating",), TypeError, "jump chain",
+        ),
+        (
+            {"jumps_f": [None, [[(1, 1.0, (1, 0))], None]]},
+            0, ("elevating",), ValueError, "runs 1 .. 0",
+        ),
+        ({"levels": [0]}, 0, (), ValueError, "levels holds 1 entries"),
+        ({}, -1, (), IndexError, "out of range"),
+        ({}, 2, (), IndexError, "out of range"),
+    ],
+    ids=[
+        "row-not-a-list", "entry-not-a-triple", "node-out-of-range",
+        "weight-not-a-number", "negative-weight", "nan-weight",
+        "level-not-an-int", "short-anchor-list", "stall-row-not-a-list",
+        "chain-not-a-tuple", "chain-wrong-ends", "column-too-short",
+        "negative-source", "source-out-of-range",
+    ],
+)
+def test_ah_query_rejects_malformed_tables(changes, source, flags, error, detail):
+    with pytest.raises(error, match=detail):
+        native.ah_query(
+            _tiny_tables(**changes), source, 1, True, True,
+            "stall" in flags, "elevating" in flags,
+        )
+
+
+# ----------------------------------------------------------------------
 # On-import build (subprocesses over a fresh copy of the package)
 # ----------------------------------------------------------------------
 _COMPILER = shlex.split(sysconfig.get_config_var("LDSHARED") or "")[:1]
@@ -223,7 +418,7 @@ from repro.core import AHIndex
 from repro.datasets import grid_city, towns_and_highways
 hl = HubLabelIndex(grid_city(4, 4, seed=7))
 towns = towns_and_highways(3, 5, 5, seed=5, prune=0.15)
-ah = AHIndex(towns)
+ah = AHIndex(towns, elevating=True)
 pairs = [(s, (s * 29 + 11) % towns.n) for s in range(0, towns.n, 4)]
 print(json.dumps({
     "tier": backend.active(),
@@ -274,6 +469,27 @@ def test_fresh_import_builds_into_keyed_cache(tmp_path):
     assert out["compiler_runs"] == 1 and out["warnings"] == []
     # the temporary file was moved into place, not left beside it
     assert [p.name for p in built.parent.iterdir()] == [built.name]
+
+
+@needs_compiler
+def test_new_build_prunes_stale_builds(tmp_path):
+    src = _fresh_copy(tmp_path)
+    cache = src / "repro" / "native" / "__pycache__"
+    stale = cache / "0123456789abcdef"
+    stale.mkdir(parents=True)
+    (stale / ("_hubjoin" + sysconfig.get_config_var("EXT_SUFFIX"))).write_bytes(b"")
+    other = cache / "not-a-build-key"
+    other.mkdir()
+    keyed_file = cache / "fedcba9876543210"
+    keyed_file.write_bytes(b"")
+    # the package's own bytecode shares the directory
+    bytecode = Path(py_compile.compile(str(cache.parent / "__init__.py")))
+    out = _probe(src)
+    assert out["tier"] == "native" and out["compiler_runs"] == 1
+    left = sorted(p.name for p in cache.iterdir())
+    assert not stale.exists()
+    assert Path(out["path"]).parent.name in left
+    assert {other.name, keyed_file.name, bytecode.name} <= set(left), left
 
 
 @needs_compiler
