@@ -258,18 +258,18 @@ def _naive_label_io_s(hl, repeats=7):
 
 
 def _bench_bundle_io(graph, repeats=7):
-    """Save/load a full HL bundle per backend — the serialize fast path.
+    """Save/load a full HL bundle per tier — the serialize fast path.
 
     Flat sections move as whole-column ``tobytes`` blocks either way, so
-    both backends are timed side by side (the backend dimension); bytes
-    are asserted identical first, because a fast divergent format would
-    be a bug, not a win.  The embedded per-entry ``struct`` baseline
+    both tiers are timed side by side (the tier dimension); bytes are
+    asserted identical first, because a fast divergent format would be
+    a bug, not a win.  The embedded per-entry ``struct`` baseline
     shows what whole-column I/O buys over packing one value at a time.
     """
     hl = HubLabelIndex(graph)
     blobs = {}
     timings = {}
-    names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure-python"]
+    names = (["native"] if backend.HAS_NATIVE else []) + ["pure-python"]
     for name in names:
         with backend.forced(name):
             buf = io.BytesIO()
@@ -291,7 +291,7 @@ def _bench_bundle_io(graph, repeats=7):
             }
     assert len(set(blobs.values())) == 1, "bundle bytes differ across backends"
     naive_save_s, naive_load_s = _naive_label_io_s(hl, repeats=3)
-    flat = timings["numpy" if backend.HAS_NUMPY else "pure-python"]
+    flat = timings[names[0]]
     return {
         "what": "HL bundle (graph + labels + middles) via BytesIO",
         "bytes": len(next(iter(blobs.values()))),

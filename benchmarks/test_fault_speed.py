@@ -268,7 +268,7 @@ def run_benchmark():
     blob, batches, reference, result = build_and_verify()
     cpus = visible_cpus()
     backends = {}
-    names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+    names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
             steady_lat, steady_stats = _steady_run(blob, batches, reference)
@@ -327,7 +327,7 @@ def run_check():
         dispatches=12, batch=16
     )
     checks = {}
-    names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+    names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
             # kill + stall + corrupt in one scripted plan, healed exactly

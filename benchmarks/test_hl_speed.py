@@ -8,8 +8,8 @@ kernel versions: the native C kernels against the pure-python label
 scans, interleaved in one process, on a 100x100
 ``distance_table`` and a 1x1000 ``one_to_many`` batch, plus the
 base-class Dijkstra fallback for scale.  Results go to ``BENCH_hl.json``
-at the repo root with full environment metadata (tier, numpy version,
-CPython, platform) so the trajectory stays interpretable.  The committed
+at the repo root with full environment metadata (tier, native kernel
+version, CPython, platform) so the trajectory stays interpretable.  The committed
 file predates the deletion of the numpy HL kernels, so its ``numpy``
 lanes and ratios are history.
 

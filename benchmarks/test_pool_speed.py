@@ -219,7 +219,7 @@ def run_benchmark():
     hl, blob, scripts, reference, requests, result = build_and_verify()
     cpus = visible_cpus()
     backends = {}
-    names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+    names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
             backends[backend.active()] = bench_serving(
@@ -263,7 +263,7 @@ def run_check(workers=2):
         clients=200, rounds=2
     )
     checks = {}
-    names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+    names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
             _, flat, stats = _pool_run(blob, scripts, workers)
@@ -324,10 +324,11 @@ def test_pool_speed():
     assert pipe["reply_pipe_bytes_per_sub_batch"] <= ceiling, pipe
     assert pipe["request_pipe_bytes_per_sub_batch"] <= ceiling, pipe
     assert pipe["no_leaked_segments"]
-    if result["visible_cpus"] >= POOL_WORKERS and backend.HAS_NUMPY:
+    if result["visible_cpus"] >= POOL_WORKERS:
         # Deliberately conservative floor (the committed BENCH_pool.json
-        # carries the real quiet-machine numbers).
-        assert result["serving"]["numpy"]["pool_vs_single_speedup"] >= 1.5
+        # carries the real quiet-machine numbers), on the pure lane,
+        # whose HL kernels are the ones it was first set on.
+        assert result["serving"]["pure-python"]["pool_vs_single_speedup"] >= 1.5
 
 
 if __name__ == "__main__":

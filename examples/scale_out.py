@@ -8,8 +8,8 @@ One Python process tops out at one core (and one GIL).  This demo shows
 the PR 5 worker tier taking the same serving stack past that:
 
 1. an index is built once and **serialized to a bundle** — the shared
-   substrate every worker boots from (here an mmap'd file, which every
-   replica decodes into its own label columns);
+   substrate every worker boots from (here a file, which every replica
+   decodes into its own columns);
 2. a :class:`repro.serve.WorkerPool` spawns worker processes, each
    loading its own engine replica from the bundle, and the familiar
    :class:`repro.serve.Server` dispatches coalesced batches across them
@@ -76,7 +76,7 @@ def main() -> None:
     graph = towns_and_highways(6, seed=7)
     print(f"network: {graph.n} nodes / {graph.m} edges")
     # Which kernel tier answers every batch below (native C kernels when
-    # the extension is built, numpy, or the pure-python scans) — workers
+    # the extension is built, else the pure-python scans) — workers
     # inherit the same tier through the bundle boot.
     print(f"backend: {backend.describe()['backend']}")
 

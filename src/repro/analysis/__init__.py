@@ -13,8 +13,7 @@ in every file, at CI time::
 Rules (one per contract; ``--explain`` has the full story):
 
 =====================  ==========================================================
-backend-purity         numpy only behind repro.backend; scalars cross via
-                       float()/int()/.tolist()
+backend-purity         no numpy import under src/
 exact-accumulation     no builtin sum()/``+=`` folds over float distance columns
 workspace-discipline   acquire()/release() pair lexically, release in finally
 asyncio-discipline     no blocking calls / locks held across await in coroutines

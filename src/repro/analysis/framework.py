@@ -16,7 +16,7 @@ Mechanics
   yields them sorted by id.
 * **Dispatch** — every rule carries a ``paths`` predicate over the
   repo-relative posix path, so e.g. ``bench-honesty`` only ever sees
-  ``benchmarks/`` and ``backend-purity`` skips ``backend.py`` itself.
+  ``benchmarks/`` and ``backend-purity`` only ``src/``.
 * **Suppressions** — a finding whose flagged source line carries
   ``# repro: allow[rule-id]`` (comma-separated ids allowed) is dropped
   and counted; suppressions are deliberate, greppable, and reviewed.

@@ -1,147 +1,69 @@
-"""backend-purity: numpy stays behind :mod:`repro.backend`.
+"""backend-purity: nothing under ``src/`` imports numpy.
 
-Two checks:
-
-* No ``import numpy`` (or ``from numpy import ...``) anywhere under
-  ``src/`` except ``repro/backend.py`` — the one module allowed to know
-  whether the fast extra is installed.  A stray import anywhere else
-  breaks the numpy-free deployment leg outright.
-* Inside ``baselines/``, ``graph/`` and ``core/``, a function that
-  reaches for the numpy module (``np = backend.np`` / ``backend.np`` /
-  ``backend.np_view*``) is a *kernel region*: values it returns must
-  cross back to the caller as plain Python scalars/lists.  Returning a
-  bare subscript (``return out[0]``) or a reducing ndarray method call
-  (``return col.sum()``) leaks ``np.float64``/``np.int64`` objects into
-  answer paths, where they compare equal but hash, repr, and serialize
-  differently from the pure backend's floats — wrap with ``float()`` /
-  ``int()`` / ``.tolist()``.
+Every flat column is a stdlib ``array`` and every hot loop is either C
+(:mod:`repro.native`) or the pure-python reference, so the package has
+no optional numpy layer left.  An ``import numpy`` (or ``from numpy
+import ...``) anywhere under ``src/``, ``repro/backend.py`` included,
+would bring back a second container type and break installs without
+numpy outright.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator
 
-from ..framework import (
-    Finding,
-    ModuleContext,
-    Rule,
-    dotted_name,
-    own_nodes,
-    register,
-)
+from ..framework import Finding, ModuleContext, Rule, register
 
 RULE_ID = "backend-purity"
 
-#: ndarray methods whose bare return would leak a numpy scalar/array.
-_REDUCING_ATTRS = {"sum", "min", "max", "prod", "mean", "dot", "argmin", "argmax", "item"}
-
-#: Directories whose functions form kernel regions for the scalar check.
-_KERNEL_DIRS = ("/baselines/", "/graph/", "/core/")
-
-
-def _is_backend_module(rel: str) -> bool:
-    return rel.endswith("backend.py") and "/repro/" in "/" + rel
+_HINT = (
+    "use stdlib array('q') / array('d') columns; hot loops belong in "
+    "repro.native with a pure-python reference"
+)
 
 
-def _flag_imports(ctx: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy" or alias.name.startswith("numpy."):
-                    yield ctx.finding(
-                        RULE_ID,
-                        node,
-                        f"direct `import {alias.name}` outside repro.backend",
-                        "route numpy through repro.backend (backend.np, "
-                        "backend.np_view*) so the pure-python leg keeps working",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            if mod == "numpy" or mod.startswith("numpy."):
-                yield ctx.finding(
-                    RULE_ID,
-                    node,
-                    f"direct `from {mod} import ...` outside repro.backend",
-                    "route numpy through repro.backend (backend.np, "
-                    "backend.np_view*) so the pure-python leg keeps working",
-                )
-
-
-def _is_numpy_region(func: ast.AST) -> bool:
-    """True when the function's body reaches for the numpy module."""
-    for node in ast.walk(func):
-        name = dotted_name(node) if isinstance(node, ast.Attribute) else ""
-        if name in ("backend.np",) or name.startswith("backend.np_view"):
-            return True
-    return False
-
-
-def _flag_scalar_leaks(ctx: ModuleContext) -> Iterator[Finding]:
-    rel = "/" + ctx.rel
-    if not any(d in rel for d in _KERNEL_DIRS):
-        return
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not _is_numpy_region(func):
-            continue
-        for node in own_nodes(func):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            value = node.value
-            if isinstance(value, ast.Subscript):
-                yield ctx.finding(
-                    RULE_ID,
-                    node,
-                    "numpy kernel returns a bare subscript — a numpy "
-                    "scalar would escape the backend boundary",
-                    "wrap the scalar: return float(x[i]) / int(x[i])",
-                )
-            elif (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr in _REDUCING_ATTRS
-            ):
-                yield ctx.finding(
-                    RULE_ID,
-                    node,
-                    f"numpy kernel returns `.{value.func.attr}()` directly — "
-                    "a numpy scalar would escape the backend boundary",
-                    "coerce at the return point: float(...), int(...), "
-                    "or .tolist() for columns",
-                )
+def _is_numpy(module: str) -> bool:
+    return module == "numpy" or module.startswith("numpy.")
 
 
 def _check(ctx: ModuleContext) -> Iterator[Finding]:
-    if not _is_backend_module(ctx.rel):
-        yield from _flag_imports(ctx)
-    yield from _flag_scalar_leaks(ctx)
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_numpy(alias.name):
+                    yield ctx.finding(
+                        RULE_ID, node, f"`import {alias.name}` under src/", _HINT
+                    )
+        elif isinstance(node, ast.ImportFrom) and _is_numpy(node.module or ""):
+            yield ctx.finding(
+                RULE_ID, node, f"`from {node.module} import ...` under src/", _HINT
+            )
 
 
 register(
     Rule(
         id=RULE_ID,
-        title="numpy only behind repro.backend; scalars cross via float()/int()/tolist()",
+        title="no numpy import under src/",
         contract=(
-            "Answers are bit-identical with and without numpy; the pure "
-            "leg must import cleanly and hot loops must never see numpy "
-            "scalar types."
+            "The package runs on the standard library plus its optional C "
+            "extension; every column is one container type, the stdlib "
+            "array."
         ),
         rationale=(
-            "PR 3 introduced the backend-selection layer: numpy is an "
-            "optional accelerator, never a dependency.  One stray "
-            "`import numpy` breaks the numpy-free CI leg; one leaked "
-            "np.float64 flows into dict keys, reprs, and pickles that "
-            "then differ between backends even though values compare "
-            "equal.  Every engine return point therefore coerces with "
-            "float()/int()/.tolist() (see repro/baselines/hl.py)."
+            "numpy was once an optional container layer for the graph "
+            "columns; once every hot loop ran in C over stdlib arrays, "
+            "that layer won nothing end to end and was deleted.  One "
+            "stray `import numpy` would make numpy a dependency again and "
+            "give the graph columns a second container type whose scalars "
+            "hash, repr and pickle differently from Python floats."
         ),
         motivated_by=(
-            "PR 3 (repro.backend) and tests/test_backend_parity.py — the "
-            "bit-parity hypothesis suite this rule generalises to every file"
+            "The deletion of the numpy container layer and "
+            "tests/test_backend_parity.py, which holds the native tier to "
+            "the pure one"
         ),
         check=_check,
-        paths=lambda rel: rel.endswith(".py") and not rel.startswith("benchmarks"),
+        paths=lambda rel: rel.endswith(".py") and rel.startswith("src/"),
     )
 )

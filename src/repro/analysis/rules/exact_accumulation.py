@@ -1,12 +1,11 @@
 """exact-accumulation: float distance/weight columns sum exactly once.
 
-Builtin ``sum()`` adds left-to-right; ``ndarray.sum`` adds pairwise.
-Over float64 distance columns the two differ in the last ulp, which is
-enough to break the "backend never changes answers" contract (PR 3's
-``total_weight`` bug).  ``backend.col_sum`` (``math.fsum`` over a
-C-converted list) is exactly rounded on both backends, so any
-accumulation over distance/weight-named floats must go through it (or
-``math.fsum`` directly).
+Builtin ``sum()`` adds left-to-right, so its result depends on the
+order of the terms: two code paths that fold the same float64 distances
+in different orders differ in the last ulp, which is enough to break
+the "the tier never changes answers" contract.  ``math.fsum`` is
+exactly rounded whatever the order (``Graph.total_weight`` uses it), so
+any accumulation over distance/weight-named floats must go through it.
 
 Two shapes are flagged in ``src/``:
 
@@ -33,8 +32,8 @@ from ..framework import Finding, ModuleContext, Rule, register
 RULE_ID = "exact-accumulation"
 
 _HINT = (
-    "accumulate with backend.col_sum(col) or math.fsum(values) — "
-    "exactly rounded, identical on both backends"
+    "accumulate with math.fsum(values) — exactly rounded, independent "
+    "of summation order"
 )
 
 
@@ -111,8 +110,8 @@ def _check(ctx: ModuleContext) -> Iterator[Finding]:
                     RULE_ID,
                     node,
                     "builtin sum() over a distance/weight column — "
-                    "left-to-right float addition diverges from the numpy "
-                    "backend in the last ulp",
+                    "left-to-right float addition depends on the order of "
+                    "the terms in the last ulp",
                     _HINT,
                 )
         elif isinstance(node, ast.For) and _column_like_iter(node.iter):
@@ -129,8 +128,8 @@ def _check(ctx: ModuleContext) -> Iterator[Finding]:
                             RULE_ID,
                             sub,
                             "`+=` fold of a distance/weight column in a "
-                            "loop — left-to-right float addition diverges "
-                            "from the numpy backend in the last ulp",
+                            "loop — left-to-right float addition depends "
+                            "on the order of the terms in the last ulp",
                             _HINT,
                         )
 
@@ -141,25 +140,23 @@ register(
         title="no builtin sum()/+= folds over float distance columns",
         contract=(
             "Float accumulations over distances/weights are exactly "
-            "rounded (math.fsum / backend.col_sum), so both backends "
-            "produce the same float."
+            "rounded (math.fsum), so every tier and every summation order "
+            "produces the same float."
         ),
         rationale=(
-            "numpy sums pairwise, builtin sum() folds left-to-right; on "
-            "float64 distance columns they differ in the last ulp and "
-            "the difference surfaces as a backend-parity failure "
-            "thousands of hypothesis examples later.  PR 3's post-review "
-            "fix rerouted Graph.total_weight through math.fsum for "
-            "exactly this reason; the rule makes the convention "
+            "Builtin sum() folds left-to-right, and any other order (a "
+            "pairwise sum, a C loop, a regrouped batch) differs from it in "
+            "the last ulp on float64 distance columns; the difference "
+            "surfaces as a tier-parity failure thousands of hypothesis "
+            "examples later.  Graph.total_weight sums through math.fsum "
+            "for exactly this reason; the rule makes the convention "
             "mechanical for every future accumulation."
         ),
         motivated_by=(
-            "PR 3 post-review col_sum fix (repro/backend.py col_sum "
-            "docstring) and tests/test_backend_parity.py"
+            "Graph.total_weight (repro/graph/graph.py) and "
+            "tests/test_backend_parity.py"
         ),
         check=_check,
-        paths=lambda rel: rel.endswith(".py")
-        and rel.startswith("src/")
-        and not rel.endswith("backend.py"),
+        paths=lambda rel: rel.endswith(".py") and rel.startswith("src/"),
     )
 )

@@ -4,9 +4,8 @@ The native kernel tier (PR 10) adds a third way for answers to go
 wrong: a stray ``ctypes`` load or a direct import of the compiled
 ``_hubjoin`` module bypasses the facade that keeps compiler-less
 deployments working, and a native kernel result returned without
-re-containering can leak extension-owned objects into answer paths the
-same way bare numpy scalars used to.  Two checks, mirroring
-``backend-purity``'s split:
+re-containering can leak extension-owned objects into answer paths.
+Two checks:
 
 * **Load discipline** — importing ``ctypes`` / ``cffi`` or any compiled
   ``native._*`` module (``from repro.native import _hubjoin``,
@@ -17,10 +16,9 @@ same way bare numpy scalars used to.  Two checks, mirroring
   ``core/``, a function that calls the facade's kernels
   (``native.distance`` / ``_native.distance_table`` / ...) is a
   *native kernel region*: values it returns must cross back through the
-  same ``float()`` / ``int()`` / ``list()`` constructors (or
-  ``.tolist()``) the backend-purity rule already demands of numpy
-  kernels.  Returning the kernel call bare, or a bare subscript of its
-  result, is flagged.
+  ``float()`` / ``int()`` / ``list()`` constructors (or ``.tolist()``).
+  Returning the kernel call bare, or a bare subscript of its result, is
+  flagged.
 """
 
 from __future__ import annotations
@@ -196,9 +194,8 @@ register(
             "that expect plain Python floats and lists."
         ),
         motivated_by=(
-            "PR 10 (repro.native) and the backend-purity rule it mirrors — "
-            "tests/test_backend_parity.py pins the native/pure bit-identity "
-            "this discipline protects"
+            "repro.native's facade — tests/test_backend_parity.py pins "
+            "the native/pure bit-identity this discipline protects"
         ),
         check=_check,
         paths=lambda rel: rel.endswith(".py"),

@@ -47,10 +47,7 @@ come in two bit-identical versions, picked per call:
   batches, inverted hub buckets for tables), kept as the reference the
   parity tests hold the C kernels to and as the fallback on boxes
   without a compiler, with ``REPRO_NATIVE=0`` or under a forced
-  ``numpy`` / ``pure`` tier.
-
-The label columns are stdlib ``array``\\ s on every tier; numpy never
-touches them.
+  ``pure`` tier.
 
 A built index and one loaded from an ``HLIDX2`` section
 (:mod:`repro.core.serialize`) hold the same column layout: ``array('q')``
@@ -371,6 +368,7 @@ class HubLabelIndex(QueryEngine):
         the same columns.
         """
         if source == target:
+            self._check_pair(source, target)
             return 0.0
         if backend.use_native():
             return float(
@@ -480,6 +478,8 @@ class HubLabelIndex(QueryEngine):
         call); every target then costs one pass over its backward label
         with O(1) dict probes — no merge pointer per pair, no search.
         """
+        self._check_ids("source", (source,))
+        self._check_ids("target", targets)
         src: Dict[int, float] = {}
         fhub, fdist = self.fwd_hub, self.fwd_dist
         for i in range(self.fwd_head[source], self.fwd_head[source + 1]):
@@ -510,11 +510,11 @@ class HubLabelIndex(QueryEngine):
         entry) pairs that share a hub instead of ``|sources| x
         |targets|`` label scans, in C and in the pure scan alike.
         """
-        targets = list(targets)
+        sources, targets = list(sources), list(targets)
         if not targets:
             return [[] for _ in sources]
         if backend.use_native():
-            return self._distance_table_native(list(sources), targets)
+            return self._distance_table_native(sources, targets)
         return self._distance_table_pure(sources, targets)
 
     def _distance_table_native(
@@ -556,6 +556,8 @@ class HubLabelIndex(QueryEngine):
         plain additions — no per-pair merge pointers, no hashing in the
         inner loop.
         """
+        self._check_ids("source", sources)
+        self._check_ids("target", targets)
         buckets = self._target_inversion_pure(tuple(targets))
         fhead, fhub, fdist = self.fwd_head, self.fwd_hub, self.fwd_dist
         ncols = len(targets)
@@ -578,11 +580,20 @@ class HubLabelIndex(QueryEngine):
             table.append(row)
         return table
 
+    def _check_ids(self, what: str, ids: Sequence[int]) -> None:
+        """Raise :class:`IndexError` for the first id outside ``[0, n)``,
+        as the native batch kernels do; a negative id would otherwise
+        read another node's label slice."""
+        n = self.graph.n
+        for u in ids:
+            if not 0 <= u < n:
+                raise IndexError(f"{what} {u} out of range")
+
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Parent-hub walk on both sides, then CH shortcut unpacking."""
+        self._check_pair(source, target)
         if source == target:
             return Path((source,), 0.0)
-        self._check_pair(source, target)
         best, hub = self._meet(source, target)
         if hub < 0:
             return None

@@ -98,9 +98,9 @@ class BuildRecord:
     m: int
     build_seconds: float
     index_size: int
-    #: Array backend active during the build ("numpy" / "pure-python") —
-    #: the new benchmark dimension; numpy-vs-pure records sit side by
-    #: side in the BENCH JSONs, distinguished by this field.
+    #: Kernel tier active during the build ("native" / "pure-python");
+    #: records of both tiers sit side by side in the BENCH JSONs,
+    #: distinguished by this field.
     backend: str = field(default_factory=backend.active)
 
 

@@ -8,8 +8,8 @@ folds them into one table::
     python -m repro.bench --summary
 
     bench   mode   backend                        cpus  key ratios
-    csr     full   numpy 2.4.6                    -     best_bucket_speedup=1.703 ...
-    hl      full   native (kernels v1, numpy ...) 1     table_native_vs_pure=...
+    csr     full   pure-python                    -     best_bucket_speedup=1.703 ...
+    hl      full   native (kernels v3)            1     table_native_vs_pure=...
 
 The "key ratios" column is every numeric entry of the file's
 ``headline`` block, in file order — benchmarks choose their own

@@ -109,23 +109,22 @@ decoders are wrapped into :class:`BundleCorrupted` too, so callers need
 exactly one except clause.
 
 All flat sections move as whole-column ``tobytes`` blocks (loaded back
-with ``frombuffer`` under the numpy backend) — no per-entry ``struct``
-packing anywhere on the fast paths, and the same bytes regardless of
-which :mod:`repro.backend` produced the columns, so bundles are
-byte-identical and freely interchangeable between backends.
+with ``frombytes``) — no per-entry ``struct`` packing anywhere on the
+fast paths, and the same bytes regardless of which :mod:`repro.backend`
+tier produced the columns, so bundles are byte-identical and freely
+interchangeable between tiers.
 
 Buffer sources (the worker-tier substrate)
 ------------------------------------------
-Every loader also accepts an in-memory buffer (``bytes`` / ``bytearray``
-/ ``memoryview``) or, via ``mmap=True``, a path to memory-map — the two
-transports a multi-process serving tier boots engine replicas from
-(:mod:`repro.serve.pool`).  Under the numpy backend the ``GCSR1`` graph
-columns come up as ``numpy.frombuffer`` views straight over the buffer,
-zero-copy; everything else, the hub labels included, is decoded into
-columns private to the loading process.  A length field larger than the
-bytes left in a seekable source raises before anything is read, so an
-inflated length allocates nothing.  :func:`bundle_bytes` is the matching
-writer-side helper (one in-memory bundle to hand a worker over a pipe).
+Every loader accepts a path, an open binary file or an in-memory buffer
+(``bytes`` / ``bytearray`` / ``memoryview``) — a multi-process serving
+tier boots engine replicas from a path or from bytes
+(:mod:`repro.serve.pool`).  Every column, the graph's and the hub
+labels' alike, is copied into arrays private to the loading process.  A
+length field larger than the bytes left in a seekable source raises
+before anything is read, so an inflated length allocates nothing.
+:func:`bundle_bytes` is the matching writer-side helper (one in-memory
+bundle to hand a worker over a pipe).
 """
 
 from __future__ import annotations
@@ -140,7 +139,6 @@ from itertools import accumulate
 from operator import add, le
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
-from .. import backend
 from ..baselines.base import (
     CrashRequest,
     DistanceRequest,
@@ -266,20 +264,15 @@ class _CrcWriter:
 # ----------------------------------------------------------------------
 # Every flat section moves through ``col.tobytes()`` / ``fh.read`` as one
 # contiguous block: no per-entry ``struct`` packing, works with any
-# file-like object (``array.tofile`` needed a real file under numpy), and
-# — because stdlib arrays and numpy arrays serialise int64/float64 to the
-# same little-endian bytes — the on-disk format is *backend-invariant*:
-# bundles written under either backend are byte-identical
+# file-like object, and the on-disk format is *tier-invariant*: bundles
+# written under either tier are byte-identical
 # (``tests/test_backend_parity.py`` pins this).
 class _BufferReader:
     """File-like ``read()`` over a bytes-like object, serving zero-copy slices.
 
     Every ``read`` returns a ``memoryview`` window into the underlying
-    buffer instead of a fresh ``bytes`` copy, which is what makes the
-    graph columns' buffer/mmap loads zero-copy under numpy:
-    ``numpy.frombuffer`` views the window, and the views keep the
-    buffer (and an mmap behind it) alive for as long as the loaded
-    columns live.
+    buffer instead of a fresh ``bytes`` copy, so a column read from a
+    buffer source is copied once, by ``frombytes``, not twice.
     """
 
     __slots__ = ("_mv", "_pos")
@@ -313,27 +306,12 @@ class _BufferReader:
 Source = Union[str, bytes, bytearray, memoryview, BinaryIO]
 
 
-def _open_source(source: Source, use_mmap: bool = False):
-    """Normalise a loader source to ``(file_like, owns_handle)``.
-
-    ``use_mmap=True`` (paths only) memory-maps the file read-only and
-    reads through a :class:`_BufferReader`, so columns loaded as views
-    (the graph's, under numpy) view the mapping directly.  The mapping
-    is kept alive by those views and reclaimed by GC; the file
-    descriptor is closed as soon as the map exists.
-    """
+def _open_source(source: Source):
+    """Normalise a loader source to ``(file_like, owns_handle)``."""
     if isinstance(source, (bytes, bytearray, memoryview)):
         return _BufferReader(source), False
     if isinstance(source, str):
-        if use_mmap:
-            import mmap as _mmap
-
-            with open(source, "rb") as f:
-                mapped = _mmap.mmap(f.fileno(), 0, access=_mmap.ACCESS_READ)
-            return _BufferReader(mapped), False
         return open(source, "rb"), True
-    if use_mmap:
-        raise ValueError("mmap=True requires a filesystem path source")
     return source, False
 
 
@@ -366,31 +344,15 @@ def _write_col(fh: BinaryIO, col) -> None:
     fh.write(col.tobytes())
 
 
-def _read_i64_col(fh, count: int):
-    """An int64 column of the *active* backend, straight off the bytes."""
-    return backend.index_col_from_bytes(_read_exact(fh, 8 * count))
-
-
-def _read_f64_col(fh, count: int):
-    """A float64 column of the *active* backend, straight off the bytes."""
-    return backend.float_col_from_bytes(_read_exact(fh, 8 * count))
-
-
-def _read_d_array(fh, count: int) -> array:
-    """A stdlib ``array('d')`` straight off the bytes.
+def _read_array(fh, typecode: str, count: int) -> array:
+    """``count`` items of a stdlib ``array(typecode)`` straight off the bytes.
 
     Filled via ``frombytes`` rather than the ``array(typecode, buf)``
     constructor: the constructor treats a ``memoryview`` as an iterable
     of byte values and would silently build garbage from buffer sources.
     """
-    out = array("d")
-    out.frombytes(_read_exact(fh, 8 * count))
-    return out
-
-
-def _read_i32_array(fh, count: int) -> array:
-    out = array("i")
-    out.frombytes(_read_exact(fh, 4 * count))
+    out = array(typecode)
+    out.frombytes(_read_exact(fh, out.itemsize * count))
     return out
 
 
@@ -424,7 +386,7 @@ def _read_adjacency(
     from the end).  Weights must be finite and non-negative: a negative
     one loads as a distance no path has.
     """
-    counts = _read_i32_array(fh, n)
+    counts = _read_array(fh, "i", n)
     (total,) = struct.unpack("<q", _read_exact(fh, 8))
     if counts and min(counts) < 0:
         raise BundleCorrupted("AHIDX1", f"{name} has a negative edge count")
@@ -435,9 +397,9 @@ def _read_adjacency(
         )
     # tolist() up front so the tuple-building loop below handles plain
     # Python ints/floats only (one C conversion pass per column).
-    targets = _read_i32_array(fh, total).tolist()
-    weights = _read_d_array(fh, total).tolist()
-    middles = _read_i32_array(fh, total).tolist()
+    targets = _read_array(fh, "i", total).tolist()
+    weights = _read_array(fh, "d", total).tolist()
+    middles = _read_array(fh, "i", total).tolist()
     if total and (min(targets) < 0 or max(targets) >= n):
         raise BundleCorrupted("AHIDX1", f"{name} has a target outside [0, {n})")
     if total and (min(middles) < -1 or max(middles) >= n):
@@ -496,16 +458,16 @@ def save_index(index: AHIndex, sink: Union[str, BinaryIO]) -> None:
             fh.close()
 
 
-def load_index(source: Source, graph: Graph, *, mmap: bool = False) -> AHIndex:
+def load_index(source: Source, graph: Graph) -> AHIndex:
     """Reconstruct a queryable :class:`AHIndex` from ``source``.
 
     ``source`` may be a path, an open binary file, or an in-memory
-    buffer; ``mmap=True`` memory-maps a path source.  ``graph`` must be
-    the network the index was built on (used for path validation
-    metadata and the node-to-cell mapping); a node-count mismatch is
-    rejected as :class:`BundleCorrupted` (a :class:`ValueError`).
+    buffer.  ``graph`` must be the network the index was built on (used
+    for path validation metadata and the node-to-cell mapping); a
+    node-count mismatch is rejected as :class:`BundleCorrupted` (a
+    :class:`ValueError`).
     """
-    fh, own = _open_source(source, mmap)
+    fh, own = _open_source(source)
     try:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -528,10 +490,10 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
         )
     if not 1 <= h <= _MAX_GRID_H:
         raise BundleCorrupted("AHIDX1", f"grid height {h} outside [1, {_MAX_GRID_H}]")
-    levels = _read_i32_array(fh, n)
+    levels = _read_array(fh, "i", n)
     if n and (min(levels) < 0 or max(levels) > h):
         raise BundleCorrupted("AHIDX1", f"a node level lies outside [0, {h}]")
-    rank = _read_i32_array(fh, n)
+    rank = _read_array(fh, "i", n)
     up_out = _read_adjacency(fh, n, "up_out")
     up_in = _read_adjacency(fh, n, "up_in")
     # Contraction ranks every middle strictly below both ends of its
@@ -654,9 +616,7 @@ def save_hl_index(index: HubLabelIndex, sink: Union[str, BinaryIO]) -> None:
             fh.close()
 
 
-def load_hl_index(
-    source: Source, graph: Graph, *, mmap: bool = False
-) -> HubLabelIndex:
+def load_hl_index(source: Source, graph: Graph) -> HubLabelIndex:
     """Reconstruct a queryable :class:`HubLabelIndex` from ``source``.
 
     The loaded index answers distance *and* path queries without any
@@ -664,7 +624,7 @@ def load_hl_index(
     the file, decoded into the same int64/float64 columns a built index
     holds.
     """
-    fh, own = _open_source(source, mmap)
+    fh, own = _open_source(source)
     try:
         if fh.read(len(_HL2_MAGIC)) != _HL2_MAGIC:
             raise ValueError("not a hub-label index file (bad magic)")
@@ -681,11 +641,11 @@ def load_hl_index(
 # HL2: compact hub-label sections (varint streams + delta-dict dists)
 # ----------------------------------------------------------------------
 # Encode and decode are deliberately pure-Python loops over plain ints
-# and floats: both backends therefore produce (and accept) the exact
-# same bytes, preserving serialize's backend-invariance guarantee.  The
+# and floats: both tiers therefore produce (and accept) the exact
+# same bytes, preserving serialize's tier-invariance guarantee.  The
 # loops touch each label entry a constant number of times — tens of
 # milliseconds at the repo's benchmark scales, amortised over a bundle
-# that is ~3-4x smaller on disk, over every pipe, and in every mmap.
+# that is ~3-4x smaller on disk and over every pipe.
 def _uvarint_append(out: bytearray, value: int) -> None:
     while value > 0x7F:
         out.append((value & 0x7F) | 0x80)
@@ -864,12 +824,12 @@ def _decode_label_side(fh, n: int) -> Tuple[array, array, array, array]:
     order = _parents_first(pabs)
 
     if enc == _DIST_I4:
-        dist = array("d", _read_i32_array(fh, count))
+        dist = array("d", _read_array(fh, "i", count))
     elif enc == _DIST_F8:
-        dist = _read_d_array(fh, count)
+        dist = _read_array(fh, "d", count)
     else:
         (dsize,) = struct.unpack("<q", _read_exact(fh, 8))
-        values = _read_d_array(fh, dsize).tolist()
+        values = _read_array(fh, "d", dsize).tolist()
         codes = _uvarint_decode(_read_blob(fh))
         if len(codes) != count:
             raise BundleCorrupted(
@@ -962,7 +922,7 @@ def _check_splits(middle: Dict[Tuple[int, int], int], n: int) -> None:
 # planner sub-batch into one flat block, ships it through a
 # shared-memory lane, and the worker reconstructs exact values.
 # Pure-Python loops over plain ints/floats keep the bytes identical
-# under both backends.
+# under both tiers.
 
 #: Request kind codes in the REQCOL block (order is part of the format).
 _REQ_DISTANCE, _REQ_ONE_TO_MANY, _REQ_TABLE, _REQ_CRASH = 0, 1, 2, 3
@@ -1060,7 +1020,11 @@ def unpack_requests(blob) -> List[Request]:
     end = pos + nids * width
     if end > len(buf):
         raise ValueError("REQCOL id column truncated")
-    ids = backend.ids_from_bytes(buf[pos:end], width)
+    # Plain Python ints out of the little-endian int32/int64 column
+    # (frombytes for the reason _read_array gives).
+    ids = array("i" if width == 4 else "q")
+    ids.frombytes(buf[pos:end])
+    ids = ids.tolist()
     out: List[Request] = []
     mpos = 0
     ipos = 0
@@ -1097,7 +1061,9 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
     fwd = _decode_label_side(fh, n)
     bwd = _decode_label_side(fh, n)
     (mcount,) = struct.unpack("<q", _read_exact(fh, 8))
-    a_col, b_col, mid_col = (_read_i32_array(fh, mcount).tolist() for _ in range(3))
+    a_col, b_col, mid_col = (
+        _read_array(fh, "i", mcount).tolist() for _ in range(3)
+    )
     for col in (a_col, b_col, mid_col):
         if col and (min(col) < 0 or max(col) >= n):
             raise BundleCorrupted(
@@ -1144,20 +1110,18 @@ def save_graph(graph: Graph, sink: Union[str, BinaryIO]) -> None:
             fh.close()
 
 
-def load_graph(source: Source, *, mmap: bool = False) -> Graph:
+def load_graph(source: Source) -> Graph:
     """Reconstruct a :class:`Graph` from :func:`save_graph` output.
 
     Both CSR triples come straight off the file and the graph keeps them
-    as read (no per-edge tuples are allocated): it is ``fromfile`` into
-    six flat arrays plus the coordinate columns.  From a buffer source
-    under the numpy backend the six CSR columns are ``frombuffer`` views
-    over the buffer itself — read-only and zero-copy.  Each triple is
+    as read (no per-edge tuples are allocated): it is ``frombytes`` into
+    six flat arrays plus the coordinate columns.  Each triple is
     range-checked before a search can index with it
     (:func:`_check_csr`), and the reverse triple must equal the transpose
     re-derived from the forward one (:func:`_check_transpose`); damage
     raises :class:`BundleCorrupted`.
     """
-    fh, own = _open_source(source, mmap)
+    fh, own = _open_source(source)
     try:
         magic = fh.read(len(_GRAPH_MAGIC))
         if magic != _GRAPH_MAGIC:
@@ -1165,16 +1129,16 @@ def load_graph(source: Source, *, mmap: bool = False) -> Graph:
         try:
             n, m = struct.unpack("<qq", _read_exact(fh, 16))
             # Coordinates stay plain Python lists (Graph.coord hands them
-            # out directly); the six CSR columns come up in the active
-            # backend's container with zero re-derivation.
-            xs = _read_d_array(fh, n).tolist()
-            ys = _read_d_array(fh, n).tolist()
-            out_head = _read_i64_col(fh, n + 1)
-            out_dst = _read_i64_col(fh, m)
-            out_w = _read_f64_col(fh, m)
-            in_head = _read_i64_col(fh, n + 1)
-            in_src = _read_i64_col(fh, m)
-            in_w = _read_f64_col(fh, m)
+            # out directly); the six CSR columns come up as arrays with
+            # zero re-derivation.
+            xs = _read_array(fh, "d", n).tolist()
+            ys = _read_array(fh, "d", n).tolist()
+            out_head = _read_array(fh, "q", n + 1)
+            out_dst = _read_array(fh, "q", m)
+            out_w = _read_array(fh, "d", m)
+            in_head = _read_array(fh, "q", n + 1)
+            in_src = _read_array(fh, "q", m)
+            in_w = _read_array(fh, "d", m)
         except (struct.error, EOFError) as exc:
             raise BundleCorrupted("GCSR1", str(exc)) from exc
         _check_csr(n, m, out_head, out_dst, out_w, "out")
@@ -1221,7 +1185,7 @@ def _check_transpose(n: int, forward, reverse) -> None:
     """
     derived = _reverse_csr(n, *forward)
     for side, got, want in zip(("in_head", "in_src", "in_w"), reverse, derived):
-        if backend.col_bytes(got) != backend.col_bytes(want):
+        if got.tobytes() != want.tobytes():
             raise BundleCorrupted(
                 "GCSR1", f"{side} is not the transpose of the out columns"
             )
@@ -1343,21 +1307,17 @@ def _verify_crc_trailer(fh) -> None:
         fh.seek(pos)
 
 
-def load_bundle(
-    source: Source, *, mmap: bool = False
-) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
+def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
     """Load a ``(graph, index)`` pair written by :func:`save_bundle`.
 
     The index section's magic selects the loader, so callers get back
     whichever engine the bundle was saved with (``AHIDX1`` and
     ``HLIDX2`` magics are deliberately the same length).
 
-    ``source`` may also be an in-memory buffer (``bytes`` /
-    ``bytearray`` / ``memoryview``) or, with ``mmap=True``, a path to
-    memory-map — the worker-tier boot paths: a worker process hands
-    this either the bundle blob it received over a pipe or the shared
-    bundle path.  Under numpy the graph's CSR columns view that buffer
-    in place; the index is decoded into columns of its own.
+    ``source`` may be a path, an open binary file or an in-memory buffer
+    (``bytes`` / ``bytearray`` / ``memoryview``) — the worker-tier boot
+    paths: a worker process hands this either the bundle blob it
+    received over a pipe or the shared bundle path.
 
     The ``BCRC1`` trailer's section CRCs are checked before decoding: a
     torn or bit-flipped bundle raises :class:`BundleCorrupted` naming
@@ -1366,7 +1326,7 @@ def load_bundle(
     first so it is verified too.  Decode-time ``struct.error`` /
     ``EOFError`` are wrapped into :class:`BundleCorrupted` as well.
     """
-    fh, own = _open_source(source, mmap)
+    fh, own = _open_source(source)
     try:
         if not fh.seekable():
             fh = _BufferReader(fh.read())
@@ -1414,7 +1374,7 @@ def inspect_bundle(source: Source) -> List[dict]:
     block.  Backs ``python -m repro.serialize --inspect`` and the
     footprint benchmarks.
     """
-    fh, own = _open_source(source, False)
+    fh, own = _open_source(source)
     try:
         data = bytes(fh.read(-1))
     finally:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Tuple
 
-from .. import backend
 from .graph import Graph
 
 __all__ = ["GraphBuilder"]
@@ -114,25 +113,9 @@ class GraphBuilder:
         Edges were validated on :meth:`add_edge`, so this packs them
         straight into the CSR columns — one sorted pass, no intermediate
         per-node lists — and hands the columns to :meth:`Graph.from_csr`.
-        Under the numpy backend the sort is a C lexsort over the endpoint
-        columns and the row pointers come from a histogram, so no Python
-        tuple comparisons happen per edge.
         """
         n = self.node_count
         m = len(self._edges)
-        if backend.use_numpy():
-            np = backend.np
-            endpoints = np.fromiter(
-                self._edges.keys(), dtype=np.dtype((np.int64, 2)), count=m
-            ).reshape(m, 2)
-            wts_col = np.fromiter(self._edges.values(), dtype=np.float64, count=m)
-            us, vs = endpoints[:, 0], endpoints[:, 1]
-            order = np.lexsort((vs, us))  # sort by (u, v), v minor
-            head = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(us, minlength=n), out=head[1:])
-            return Graph.from_csr(
-                list(self._xs), list(self._ys), head, vs[order], wts_col[order]
-            )
         head = array("q", bytes(8 * (n + 1)))
         dst = array("q", bytes(8 * m))
         wts = array("d", bytes(8 * m))

@@ -16,21 +16,17 @@ Design notes
   by target.  Flat columns cost ~16 bytes per edge per direction, versus
   ~100+ for a list of tuples, and serialize to disk as single contiguous
   blocks (:mod:`repro.core.serialize`).
-* The six columns are ``int64`` / ``float64`` either way, but their
-  *container* follows :mod:`repro.backend`: ``numpy.ndarray`` under the
-  numpy backend (so reverse-CSR derivation, builder packing and bundle
-  I/O vectorise), ``array('q')`` / ``array('d')`` under the pure one.
-  Both index like lists, so every scalar code path is shared.
+* The six columns are stdlib ``array('q')`` (int64) / ``array('d')``
+  (float64) on every :mod:`repro.backend` tier.
 * Both directions are stored because the bidirectional searches used by
   FC, AH and CH traverse forward edges from the source and reverse edges
   from the target.
 * CPython iterates a list of ``(v, w)`` tuples faster than it indexes
-  flat columns (of either container), so :attr:`out` / :attr:`inn`
-  expose the classic adjacency lists as *views derived from the CSR
-  columns*, materialised lazily (one C-speed ``tolist`` per column) and
-  cached.  Hot query loops iterate those views and therefore see plain
-  Python ints/floats regardless of backend; everything that stores,
-  ships, or transforms a graph works on the flat columns.
+  flat columns, so :attr:`out` / :attr:`inn` expose the classic
+  adjacency lists as *views derived from the CSR columns*, materialised
+  lazily (one C-speed ``tolist`` per column) and cached.  Hot query
+  loops iterate those views; everything that stores, ships, or
+  transforms a graph works on the flat columns.
 * Parallel edges are collapsed at build time (the minimum weight wins) so
   that ``(u, v)`` uniquely identifies an edge; the arterial-edge machinery
   of the paper identifies edges by their endpoints.
@@ -38,35 +34,28 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .. import backend
-
 __all__ = ["Graph"]
+
+
+def _as_col(col, typecode: str) -> array:
+    """``col`` as an ``array(typecode)``: itself when it already is one
+    (no copy), else one converting copy of any sequence."""
+    if isinstance(col, array) and col.typecode == typecode:
+        return col
+    return array(typecode, col)
 
 
 def _reverse_csr(n: int, head, dst, wts):
     """Derive the reverse CSR from the forward CSR in O(n + m).
 
     Rows of the result are ordered by source node, matching the builder's
-    ordering of the forward rows by target.  Under the numpy backend this
-    is a histogram + stable argsort (all C); the pure path is the same
-    counting sort spelled as two scalar passes — no dictionaries, no
-    per-edge tuples either way.
+    ordering of the forward rows by target.  A counting sort spelled as
+    two scalar passes — no dictionaries, no per-edge tuples.
     """
-    if backend.use_numpy():
-        np = backend.np
-        dst_v = backend.np_view_i64(dst)
-        rhead = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst_v, minlength=n), out=rhead[1:])
-        # Stable sort by target preserves the ascending-source order of
-        # the forward rows inside each target's run.
-        order = np.argsort(dst_v, kind="stable")
-        src_of_edge = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(backend.np_view_i64(head))
-        )
-        return rhead, src_of_edge[order], backend.np_view_f64(wts)[order]
     m = len(dst)
     rhead = array("q", bytes(8 * (n + 1)))
     for v in dst:
@@ -156,20 +145,16 @@ class Graph:
     ) -> None:
         self.xs = xs
         self.ys = ys
-        # Normalise the columns to the active backend's container (a
-        # no-op when they already match, one memcpy otherwise), so a
-        # graph's storage is always consistent with repro.backend.active()
-        # at construction time.
-        self.out_head = backend.as_index_col(out_head)
-        self.out_dst = backend.as_index_col(out_dst)
-        self.out_w = backend.as_float_col(out_w)
+        self.out_head = _as_col(out_head, "q")
+        self.out_dst = _as_col(out_dst, "q")
+        self.out_w = _as_col(out_w, "d")
         if in_head is None:
             in_head, in_src, in_w = _reverse_csr(
                 len(xs), self.out_head, self.out_dst, self.out_w
             )
-        self.in_head = backend.as_index_col(in_head)
-        self.in_src = backend.as_index_col(in_src)
-        self.in_w = backend.as_float_col(in_w)
+        self.in_head = _as_col(in_head, "q")
+        self.in_src = _as_col(in_src, "q")
+        self.in_w = _as_col(in_w, "d")
         self._out: List[List[Tuple[int, float]]] = None
         self._inn: List[List[Tuple[int, float]]] = None
         self._weight: Dict[Tuple[int, int], float] = None
@@ -191,10 +176,11 @@ class Graph:
 
         The fast construction path used by :class:`GraphBuilder`,
         :func:`Graph.reversed` and :mod:`repro.core.serialize`.  Columns
-        may be stdlib ``array``\\ s or numpy arrays; they are normalised
-        to the active backend's container.  When the reverse triple is
-        omitted it is derived by counting sort; when given (e.g. loaded
-        from disk) it is trusted as-is and no re-derivation happens.
+        that already are ``array('q')`` / ``array('d')`` are kept as
+        they are; any other sequence is copied into one.  When the
+        reverse triple is omitted it is derived by counting sort; when
+        given (e.g. loaded from disk) it is trusted as-is and no
+        re-derivation happens.
         """
         g = cls.__new__(cls)
         g._init_from_csr(
@@ -224,8 +210,7 @@ class Graph:
         view = self._out
         if view is None:
             # tolist() converts each column to plain Python ints/floats in
-            # one C pass — the hot loops must never see numpy scalars,
-            # whose boxed arithmetic is several times slower.
+            # one C pass.
             head = self.out_head.tolist()
             dst = self.out_dst.tolist()
             wts = self.out_w.tolist()
@@ -263,8 +248,7 @@ class Graph:
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Yield every directed edge as ``(u, v, w)`` straight off CSR.
 
-        The columns are converted once via ``tolist`` so callers see
-        plain Python ints/floats on both backends.
+        The columns are converted once via ``tolist``.
         """
         head = self.out_head.tolist()
         dst = self.out_dst.tolist()
@@ -360,8 +344,12 @@ class Graph:
         )
 
     def total_weight(self) -> float:
-        """Sum of all edge weights; handy for perturbation bookkeeping."""
-        return backend.col_sum(self.out_w)
+        """Sum of all edge weights; handy for perturbation bookkeeping.
+
+        ``math.fsum`` is exactly rounded, so the result does not depend
+        on summation order (builtin ``sum`` folds left to right).
+        """
+        return math.fsum(self.out_w.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"

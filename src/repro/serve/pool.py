@@ -5,11 +5,9 @@ planner batch still executes on one core.  This module scales past that
 with a **process pool over a shared bundle substrate**:
 
 * Each worker process boots its own engine replica from the serialized
-  bundle (:func:`repro.core.serialize.load_bundle`) — either from an
-  mmap'd bundle *path* or from bundle *bytes* shipped once over the
-  worker's pipe.  Under numpy the graph's CSR columns are zero-copy
-  views over that buffer; each worker decodes the hub labels into
-  columns of its own.
+  bundle (:func:`repro.core.serialize.load_bundle`) — either from a
+  bundle *path* or from bundle *bytes* shipped once over the worker's
+  pipe — and decodes it into columns of its own.
 * The dispatcher (:meth:`WorkerPool.execute`) splits one planner batch
   into per-worker sub-batches and merges the replies positionally.
   Splitting is **group-preserving**: requests are first grouped exactly
@@ -362,11 +360,7 @@ def _worker_main(conn, spec: dict) -> None:
         from ..baselines.base import QueryPlanner
         from ..core.serialize import load_bundle
 
-        path = spec.get("bundle_path")
-        if path is not None:
-            graph, engine = load_bundle(path, mmap=True)
-        else:
-            graph, engine = load_bundle(spec["bundle"])
+        graph, engine = load_bundle(spec["bundle"])
         planner = QueryPlanner(engine)
         lane = _attach_lane(spec["lane"])
         req_lane = _attach_lane(spec["req_lane"])
@@ -654,7 +648,7 @@ class WorkerPool:
     Parameters
     ----------
     bundle:
-        What workers boot from — a bundle *path* (each worker mmaps it)
+        What workers boot from — a bundle *path* (each worker reads it)
         or bundle *bytes* (shipped over each worker's pipe at spawn).
     workers:
         Replica count.
@@ -704,12 +698,11 @@ class WorkerPool:
         fast path.
 
     Workers start with ``fork`` where the platform offers it, else
-    ``spawn``, and run the array backend active in the constructing
+    ``spawn``, and run the kernel tier active in the constructing
     process, so a ``backend.forced`` scope around the constructor
     propagates.  Each worker gets one shared-memory reply lane and one
     request lane of :data:`_LANE_BYTES` each; a platform without
-    ``multiprocessing.shared_memory`` fails construction.  A path
-    bundle is mmap'd by every worker.
+    ``multiprocessing.shared_memory`` fails construction.
 
     ``execute`` is the whole query surface: one heterogeneous request
     batch in, positionally aligned results out, bit-identical to the
@@ -762,8 +755,8 @@ class WorkerPool:
         self._fault_plan = fault_plan
         spec: Dict[str, object] = {"backend": backend.active()}
         if isinstance(bundle, str):
-            spec["bundle_path"] = bundle
-            self.transport = "mmap-path"
+            spec["bundle"] = bundle
+            self.transport = "path"
         elif isinstance(bundle, (bytes, bytearray, memoryview)):
             spec["bundle"] = bytes(bundle)
             self.transport = "pipe-bytes"
@@ -1366,11 +1359,7 @@ class WorkerPool:
             from ..baselines.base import QueryPlanner
             from ..core.serialize import load_bundle
 
-            path = self._spec.get("bundle_path")
-            if path is not None:
-                _, engine = load_bundle(path, mmap=True)
-            else:
-                _, engine = load_bundle(self._spec["bundle"])
+            _, engine = load_bundle(self._spec["bundle"])
             self._fb_planner = QueryPlanner(engine)
         return self._fb_planner.execute(reqs)
 

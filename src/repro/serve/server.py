@@ -43,8 +43,8 @@ rejection counts, and the planner's kernel/cache counters (cache hit
 rate included when a :class:`~repro.baselines.base.DistanceCache` is
 attached).
 
-The compute itself is synchronous CPython/numpy and runs in one of
-**three tiers**:
+The compute itself is synchronous (CPython or the native kernels) and
+runs in one of **three tiers**:
 
 * **inline** (default): batches run on the event loop — simplest, and
   correct for CPU-bound kernels (the loop would be compute-bound either

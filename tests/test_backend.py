@@ -1,20 +1,24 @@
-"""Unit tests for :mod:`repro.backend` (selection, columns, metadata)."""
+"""Unit tests for :mod:`repro.backend` (selection, metadata) and the one
+column container every tier shares."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
 from repro import backend
+from repro.core import serialize
+from repro.graph.graph import Graph, _as_col
 
 
 class TestSelection:
     def test_active_is_canonical(self):
-        assert backend.active() in (backend.NATIVE, backend.NUMPY, backend.PURE)
-
-    def test_numpy_is_default_when_available(self):
-        if backend.HAS_NUMPY:
-            with backend.forced("numpy"):
-                assert backend.use_numpy()
+        assert backend.active() in (backend.NATIVE, backend.PURE)
 
     def test_forced_restores_previous(self):
         before = backend.active()
@@ -32,115 +36,63 @@ class TestSelection:
     def test_aliases(self):
         with backend.forced("python"):
             assert backend.active() == backend.PURE
-        if backend.HAS_NUMPY:
-            with backend.forced("fast"):
-                assert backend.active() == backend.NUMPY
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             backend.force_backend("fortran")
 
     def test_force_numpy_without_numpy(self):
-        if not backend.HAS_NUMPY:
-            with pytest.raises(RuntimeError):
-                backend.force_backend("numpy")
+        # numpy is no tier: its old names are as unknown as any other.
+        for name in ("numpy", "np", "fast"):
+            with pytest.raises(ValueError):
+                backend.force_backend(name)
 
 
 class TestColumns:
-    @pytest.mark.parametrize("name", ["pure"] + (["numpy"] if backend.HAS_NUMPY else []))
-    def test_constructors_round_trip(self, name):
-        with backend.forced(name):
-            idx = backend.index_col([3, 1, 2])
-            flt = backend.float_col([0.5, 1.5])
-            assert list(idx) == [3, 1, 2]
-            assert list(flt) == [0.5, 1.5]
-            assert list(backend.index_zeros(3)) == [0, 0, 0]
-            assert list(backend.float_zeros(2)) == [0.0, 0.0]
-
-    @pytest.mark.parametrize("name", ["pure"] + (["numpy"] if backend.HAS_NUMPY else []))
-    def test_bytes_round_trip(self, name):
-        with backend.forced(name):
-            idx = backend.index_col([7, -1, 2**40])
-            flt = backend.float_col([1.25, float("inf")])
-            assert list(backend.index_col_from_bytes(backend.col_bytes(idx))) == list(idx)
-            assert list(backend.float_col_from_bytes(backend.col_bytes(flt))) == list(flt)
-
-    def test_bytes_identical_across_backends(self):
-        if not backend.HAS_NUMPY:
-            pytest.skip("needs numpy to compare the two containers")
-        values = [0, 1, -5, 2**50]
-        with backend.forced("numpy"):
-            np_bytes = backend.col_bytes(backend.index_col(values))
-        with backend.forced("pure"):
-            pure_bytes = backend.col_bytes(backend.index_col(values))
-        assert np_bytes == pure_bytes
+    def test_bytes_round_trip(self):
+        """serialize's column reader rebuilds int64/float64 columns from
+        a memoryview window, where ``array(typecode, buf)`` would read
+        one element per byte."""
+        idx = array("q", [7, -1, 2**40])
+        flt = array("d", [1.25, float("inf")])
+        buf = serialize._BufferReader(idx.tobytes() + flt.tobytes())
+        assert serialize._read_array(buf, "q", 3) == idx
+        assert serialize._read_array(buf, "d", 2) == flt
 
     def test_as_cols_normalise_cross_container(self):
         src = array("q", [4, 5, 6])
-        with backend.forced("pure"):
-            same = backend.as_index_col(src)
-            assert same is src  # already the right container: no copy
-        if backend.HAS_NUMPY:
-            with backend.forced("numpy"):
-                converted = backend.as_index_col(src)
-                assert isinstance(converted, backend.np.ndarray)
-                assert converted.tolist() == [4, 5, 6]
-            with backend.forced("pure"):
-                back = backend.as_index_col(converted)
-                assert isinstance(back, array)
-                assert back.tolist() == [4, 5, 6]
-
-    def test_np_view_shares_memory(self):
-        if not backend.HAS_NUMPY:
-            pytest.skip("views need numpy")
-        col = array("q", [1, 2, 3])
-        view = backend.np_view_i64(col)
-        assert view.tolist() == [1, 2, 3]
-        col[0] = 9
-        assert view[0] == 9  # zero-copy: same buffer
-
-    def test_col_sum(self):
-        assert backend.col_sum(array("d", [1.5, 2.5])) == 4.0
-        if backend.HAS_NUMPY:
-            assert backend.col_sum(backend.np.asarray([1.5, 2.5])) == 4.0
-
-    def test_col_sum_identical_across_containers(self):
-        # The parity contract covers reductions too: same float out of
-        # either container, regardless of summation-order quirks.
-        if not backend.HAS_NUMPY:
-            pytest.skip("needs both containers")
-        import random
-
-        values = [random.Random(9).uniform(0.1, 1e9) for _ in range(10001)]
-        assert backend.col_sum(array("d", values)) == backend.col_sum(
-            backend.np.asarray(values)
-        )
+        assert _as_col(src, "q") is src  # already the right container: no copy
+        converted = _as_col([4, 5, 6], "q")
+        assert isinstance(converted, array) and converted.typecode == "q"
+        assert converted == src
+        wts = array("d", [0.5])
+        assert _as_col(wts, "d") is wts
+        assert _as_col([0.5], "d") == wts
 
 
 class TestDescribe:
     def test_metadata_keys(self):
         meta = backend.describe()
-        assert set(meta) >= {"backend", "numpy_available", "python", "platform"}
+        assert set(meta) >= {
+            "backend", "tier", "native_available", "python", "platform"
+        }
+        assert "numpy_available" not in meta
         with backend.forced("pure"):
             assert backend.describe()["backend"] == "pure-python"
-        if backend.HAS_NUMPY:
-            with backend.forced("numpy"):
-                assert backend.describe()["backend"].startswith("numpy ")
 
 
 class TestGraphStorage:
     def test_columns_follow_active_backend(self):
         from repro.datasets import grid_city
 
-        with backend.forced("pure"):
-            g = grid_city(3, 3, seed=1)
-            assert isinstance(g.out_head, array)
-        if backend.HAS_NUMPY:
-            with backend.forced("numpy"):
-                g2 = grid_city(3, 3, seed=1)
-                assert isinstance(g2.out_head, backend.np.ndarray)
-                assert g2.out_head.dtype == backend.np.int64
-                assert g2.out_w.dtype == backend.np.float64
+        tiers = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
+        for tier in tiers:
+            with backend.forced(tier):
+                g = grid_city(3, 3, seed=1)
+            for col in (g.out_head, g.out_dst, g.in_head, g.in_src):
+                assert isinstance(col, array) and col.typecode == "q"
+            for col in (g.out_w, g.in_w):
+                assert isinstance(col, array) and col.typecode == "d"
 
     def test_adjacency_views_hold_plain_python_scalars(self):
         from repro.datasets import grid_city
@@ -149,3 +101,48 @@ class TestGraphStorage:
         v, w = g.out[0][0]
         assert type(v) is int
         assert type(w) is float
+
+    def test_total_weight_is_exactly_rounded(self):
+        # Left to right, 1e16 + 1.0 + 1.0 rounds to 1e16 twice; fsum
+        # keeps both ones.
+        weights = [1e16, 1.0, 1.0]
+        out = [[(i + 1, w)] for i, w in enumerate(weights)] + [[]]
+        g = Graph([0.0] * 4, [0.0] * 4, out)
+        assert sum(weights) == 1e16
+        assert g.total_weight() == math.fsum(weights) == 1e16 + 2.0
+
+
+_NO_NUMPY_PROBE = """
+import json, sys
+from repro import backend
+from repro.baselines import HubLabelIndex
+from repro.core import AHIndex
+from repro.core.serialize import bundle_bytes, load_bundle
+from repro.datasets import grid_city
+
+graph = grid_city(4, 4, seed=1)
+for index in (HubLabelIndex(graph), AHIndex(graph, elevating=True)):
+    _, loaded = load_bundle(bundle_bytes(index))
+    for s, t in ((0, 15), (3, 12), (5, 5)):
+        assert loaded.distance(s, t) == index.distance(s, t)
+    assert loaded.shortest_path(0, 15).nodes == index.shortest_path(0, 15).nodes
+print(json.dumps({"tier": backend.active(), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_package_never_imports_numpy():
+    """Building, querying and round-tripping HL and AH bundles leaves
+    numpy unimported, whether or not it is installed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["tier"] == backend.active()
+    assert out["numpy"] is False

@@ -1,39 +1,32 @@
-"""Backend parity: every tier must answer identically.
+"""Tier parity: the native tier must answer exactly as the pure one.
 
-The fallback's contract (ISSUE 3) is that the backend never changes
-answers — only containers and inner-loop engines differ.  The hypothesis
-property drives every engine in ``ENGINE_FACTORIES`` over random
-perturbed graphs, building and querying each engine once per container
-layer (numpy and stdlib arrays), and demands *bit-identical* distances
-and identical path node sequences (both execute the same float additions
-in the same order, so exact equality is the honest assertion, not an
-approximation).  The hub-label kernels come in two versions, native C
-and the pure-python scans; the kernel properties hold the first to the
-second.
+The tier never changes answers — only the inner-loop engine differs.
+The hypothesis properties drive every engine in ``ENGINE_FACTORIES``
+over random perturbed graphs, building and querying each engine once
+per tier (so AH's native query and the native region search of AH's and
+FC's level assignment run against their pure loops), and demand
+*bit-identical* distances and identical path node sequences (both
+execute the same float additions in the same order, so exact equality
+is the honest assertion, not an approximation).  The hub-label kernel
+properties hold the native C kernels to the pure-python scans.
 
-A deterministic companion pins the serialize guarantee: bundles written
-under either container layer are byte-for-byte identical.
+A companion property pins the serialize guarantee: AH and HL bundles
+built on either tier are byte-for-byte identical.
+
+Without the extension only the pure side runs: every property still
+builds, queries and serializes, with nothing to compare against.
 """
 
 import io
 import random
 
-import pytest
-
-from repro import backend
-
-if not backend.HAS_NUMPY:  # parity needs both container layers in one process
-    pytest.skip(
-        "numpy unavailable: single-backend build, nothing to compare",
-        allow_module_level=True,
-    )
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import backend
 from repro.baselines import HubLabelIndex
 from repro.bench.harness import ENGINE_FACTORIES
-from repro.core import perturb_weights
+from repro.core import AHIndex, perturb_weights
 from repro.core.serialize import load_bundle, save_bundle
 from repro.datasets import grid_city
 from repro.graph.builder import GraphBuilder
@@ -47,6 +40,9 @@ _FAST = ("Dijkstra", "BiDijkstra", "A*", "ALT", "CH", "HL", "TNR")
 _SLOW = ("SILC", "FC", "AH")
 assert set(_FAST) | set(_SLOW) == set(ENGINE_FACTORIES)
 
+#: Tiers available in this process; pure last, as the reference.
+_TIERS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
+
 
 def _graph_spec(rows, cols, seed):
     """A random perturbed road network, as a backend-neutral edge list."""
@@ -59,10 +55,10 @@ def _graph_spec(rows, cols, seed):
     )
 
 
-def _build(spec, backend_name):
-    """Rebuild the spec'd graph with storage of the given backend."""
+def _build(spec, tier):
+    """Rebuild the spec'd graph under the given tier."""
     xs, ys, edges = spec
-    with backend.forced(backend_name):
+    with backend.forced(tier):
         b = GraphBuilder()
         for x, y in zip(xs, ys):
             b.add_node(x, y)
@@ -76,9 +72,9 @@ def _pairs(n, seed, count=12):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
-def _engine_answers(name, graph, pairs, backend_name):
-    """Distances + path node sequences, computed under one backend."""
-    with backend.forced(backend_name):
+def _engine_answers(name, graph, pairs, tier):
+    """Distances + path node sequences, built and computed under one tier."""
+    with backend.forced(tier):
         engine = ENGINE_FACTORIES[name](graph)
         distances = [engine.distance(s, t) for s, t in pairs]
         paths = []
@@ -99,15 +95,22 @@ def _engine_answers(name, graph, pairs, backend_name):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_fast_engines_identical_across_backends(rows, cols, seed):
-    spec = _graph_spec(rows, cols, seed)
-    g_pure = _build(spec, "pure")
-    g_np = _build(spec, "numpy")
+    _assert_engines_identical(_FAST, _graph_spec(rows, cols, seed), seed)
+
+
+def _assert_engines_identical(names, spec, seed):
+    """Every named engine, built and queried per tier, answers as pure."""
+    graphs = {tier: _build(spec, tier) for tier in _TIERS}
     pairs = _pairs(len(spec[0]), seed)
-    for name in _FAST:
-        d_pure, p_pure = _engine_answers(name, g_pure, pairs, "pure")
-        d_np, p_np = _engine_answers(name, g_np, pairs, "numpy")
-        assert d_pure == d_np, f"{name}: distances diverge between backends"
-        assert p_pure == p_np, f"{name}: paths diverge between backends"
+    for name in names:
+        answers = {
+            tier: _engine_answers(name, graphs[tier], pairs, tier)
+            for tier in _TIERS
+        }
+        d_pure, p_pure = answers["pure"]
+        for tier, (d, p) in answers.items():
+            assert d == d_pure, f"{name}: distances diverge on {tier}"
+            assert p == p_pure, f"{name}: paths diverge on {tier}"
 
 
 @settings(
@@ -117,18 +120,9 @@ def test_fast_engines_identical_across_backends(rows, cols, seed):
 )
 @given(seed=st.integers(0, 2**31 - 1))
 def test_slow_engines_identical_across_backends(seed):
-    spec = _graph_spec(3, 3, seed)
-    g_pure = _build(spec, "pure")
-    g_np = _build(spec, "numpy")
-    pairs = _pairs(len(spec[0]), seed)
-    for name in _SLOW:
-        d_pure, p_pure = _engine_answers(name, g_pure, pairs, "pure")
-        d_np, p_np = _engine_answers(name, g_np, pairs, "numpy")
-        assert d_pure == d_np, f"{name}: distances diverge between backends"
-        assert p_pure == p_np, f"{name}: paths diverge between backends"
+    _assert_engines_identical(_SLOW, _graph_spec(3, 3, seed), seed)
 
 
-@pytest.mark.skipif(not backend.HAS_NATIVE, reason="native tier not loaded")
 @settings(
     max_examples=10,
     deadline=None,
@@ -140,22 +134,19 @@ def test_slow_engines_identical_across_backends(seed):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
-    """The native batch kernels against the pure scans on one index."""
-    spec = _graph_spec(rows, cols, seed)
-    graph = _build(spec, "numpy")
-    with backend.forced("numpy"):
-        hl = HubLabelIndex(graph)
+    """Each tier's batch kernels against the pure scans on one index."""
+    graph = _build(_graph_spec(rows, cols, seed), "pure")
+    hl = HubLabelIndex(graph)
     rng = random.Random(seed)
     n = graph.n
     sources = [rng.randrange(n) for _ in range(9)]
     targets = [rng.randrange(n) for _ in range(7)] + [sources[0]]
-    with backend.forced("native"):
-        fast_o2m = hl.one_to_many(sources[0], targets)
-        fast_table = hl.distance_table(sources, targets)
     pure_o2m = hl._one_to_many_pure(sources[0], targets)
     pure_table = hl._distance_table_pure(sources, targets)
-    assert fast_o2m == pure_o2m
-    assert fast_table == pure_table
+    for tier in _TIERS:
+        with backend.forced(tier):
+            assert hl.one_to_many(sources[0], targets) == pure_o2m, tier
+            assert hl.distance_table(sources, targets) == pure_table, tier
 
 
 @settings(
@@ -165,25 +156,23 @@ def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
 )
 @given(seed=st.integers(0, 2**31 - 1))
 def test_bundles_byte_identical_across_backends(seed):
-    """serialize's backend-invariance guarantee, property-tested.
+    """serialize's tier-invariance guarantee, property-tested.
 
-    HL2 bundles must hold the same bytes no matter which backend built
-    the index — the varint/delta encoders run the same pure loops either
-    way.
+    AH and HL2 bundles must hold the same bytes whichever tier built the
+    index: AH's levels come from the native or the pure region search,
+    and the varint/delta encoders run the same pure loops either way.
     """
     spec = _graph_spec(3, 4, seed)
     blobs = {}
-    for name in ("pure", "numpy"):
-        graph = _build(spec, name)
-        with backend.forced(name):
-            hl = HubLabelIndex(graph)
-            buf = io.BytesIO()
-            save_bundle(hl, buf)
-            blobs[name] = buf.getvalue()
-    assert blobs["pure"] == blobs["numpy"]
-
-#: HL kernel versions available in this process, fastest first.
-_TIERS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
+    for tier in _TIERS:
+        graph = _build(spec, tier)
+        with backend.forced(tier):
+            for index in (HubLabelIndex(graph), AHIndex(graph, elevating=True)):
+                buf = io.BytesIO()
+                save_bundle(index, buf)
+                blobs.setdefault(type(index).__name__, {})[tier] = buf.getvalue()
+    for name, by_tier in blobs.items():
+        assert len(set(by_tier.values())) == 1, f"{name} bundles differ by tier"
 
 
 @settings(
@@ -207,14 +196,12 @@ def test_hl_kernels_identical_across_all_tiers_and_domains(rows, cols, seed):
     order-independent mins, so any difference is a kernel bug, not
     rounding.
     """
-    spec = _graph_spec(rows, cols, seed)
-    graph = _build(spec, "numpy")
-    with backend.forced("numpy"):
-        hl_built = HubLabelIndex(graph)
-        buf = io.BytesIO()
-        save_bundle(hl_built, buf)
-        buf.seek(0)
-        _, hl_loaded = load_bundle(buf)
+    graph = _build(_graph_spec(rows, cols, seed), "pure")
+    hl_built = HubLabelIndex(graph)
+    buf = io.BytesIO()
+    save_bundle(hl_built, buf)
+    buf.seek(0)
+    _, hl_loaded = load_bundle(buf)
     rng = random.Random(seed)
     n = graph.n
     pairs = _pairs(n, seed, count=8)

@@ -64,14 +64,31 @@ def test_out_of_range_node_raises(name, tier, id_check_indexes):
     engine = id_check_indexes[name]
     n = engine.graph.n
     with backend.forced(tier):
-        for source, target in ((-1, 3), (3, -1), (n, 3), (3, n)):
+        for source, target in ((-1, 3), (3, -1), (n, 3), (3, n), (-1, -1), (n, n)):
             with pytest.raises(IndexError):
                 engine.distance(source, target)
             with pytest.raises(IndexError):
                 engine.shortest_path(source, target)
-        if name != "HL":  # HL answers any source == target pair with 0
-            with pytest.raises(IndexError):
-                engine.distance(-1, -1)
+
+
+@pytest.mark.parametrize("tier", ["native", "pure"])
+def test_out_of_range_node_raises_in_hl_batch_kernels(tier, id_check_indexes):
+    """HL's batch kernels raise for an id outside ``[0, n)`` on both
+    tiers, instead of answering ``inf`` from a wrapped label slice."""
+    if tier == "native" and not backend.HAS_NATIVE:
+        pytest.skip("C extension not built")
+    hl = id_check_indexes["HL"]
+    n = hl.graph.n
+    with backend.forced(tier):
+        for bad in (-1, n):
+            with pytest.raises(IndexError, match=f"source {bad} out of range"):
+                hl.one_to_many(bad, (3,))
+            with pytest.raises(IndexError, match=f"target {bad} out of range"):
+                hl.one_to_many(0, (3, bad))
+            with pytest.raises(IndexError, match=f"source {bad} out of range"):
+                hl.distance_table((0, bad), (3,))
+            with pytest.raises(IndexError, match=f"target {bad} out of range"):
+                hl.distance_table((0,), (bad, 3))
 
 
 @pytest.mark.parametrize("name,factory", ENGINE_FACTORIES)

@@ -58,8 +58,8 @@ from repro.serve import (
 )
 from repro.serve import faults
 
-#: Backends the chaos properties run under (both when numpy exists).
-BACKENDS = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+#: Tiers the chaos properties run under (native when it is loaded).
+BACKENDS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
 
 
 @pytest.fixture(scope="module")
@@ -493,13 +493,11 @@ def test_flipped_bundle_names_the_failing_section(tmp_path, blob):
         load_bundle(flip)
     assert exc_info.value.section in ("GCSR1", "HLIDX2", "AHIDX1")
     assert "CRC mismatch" in exc_info.value.detail
-    # bytes and mmap sources fail identically
+    # a bytes source fails identically
     with open(flip, "rb") as fh:
         damaged = fh.read()
     with pytest.raises(BundleCorrupted):
         load_bundle(damaged)
-    with pytest.raises(BundleCorrupted):
-        load_bundle(flip, mmap=True)
 
 
 def test_worker_boot_from_damaged_bundle_fails_typed(tmp_path, blob):

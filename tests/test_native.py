@@ -24,8 +24,7 @@ Five groups:
 * **Degradation** (always runs, via subprocesses): ``REPRO_NATIVE=0``
   disables the extension at import time, so a child interpreter is the
   honest way to exercise "requested native, extension not loaded" —
-  exactly one RuntimeWarning, fall back to numpy/pure, answers
-  identical.
+  exactly one RuntimeWarning, fall back to pure, answers identical.
 """
 
 import hashlib
@@ -104,12 +103,17 @@ class TestFacade:
         assert desc["backend"].startswith("native (kernels v3")
 
     def test_native_stacks_on_container_layer(self):
+        # One container under both tiers: a graph built under native
+        # holds the same stdlib arrays as one built under pure.
+        from repro.datasets import grid_city
+
         with backend.forced("native"):
             assert backend.use_native()
-            # Containers keep vectorising when numpy exists underneath.
-            assert backend.use_numpy() == backend.HAS_NUMPY
+            graph = grid_city(3, 3, seed=1)
         with backend.forced("pure"):
             assert not backend.use_native()
+            assert grid_city(3, 3, seed=1).out_head == graph.out_head
+        assert graph.out_head.typecode == "q" and graph.out_w.typecode == "d"
 
     def test_kernel_wrappers_match_pure_scans(self):
         from repro.baselines import HubLabelIndex
@@ -513,7 +517,7 @@ def test_no_compiler_degrades_with_one_warning(tmp_path):
     built = _probe(_fresh_copy(tmp_path / "with-compiler"))
     bare = _probe(_fresh_copy(tmp_path / "without"), PATH=str(empty))
     assert built["tier"] == "native"
-    assert bare["tier"] in ("numpy", "pure-python") and bare["path"] is None
+    assert bare["tier"] == "pure-python" and bare["path"] is None
     assert len(bare["warnings"]) == 1, bare["warnings"]
     assert "could not build" in bare["warnings"][0]
     assert bare["answers"] == built["answers"]
@@ -546,7 +550,7 @@ def test_disabled_extension_is_invisible_without_request():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["has_native"] is False
-    assert out["active"] in ("numpy", "pure-python")
+    assert out["active"] == "pure-python"
     assert out["warnings"] == []
 
 
@@ -555,7 +559,7 @@ def test_requested_native_degrades_with_single_warning():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["has_native"] is False
-    assert out["active"] in ("numpy", "pure-python")
+    assert out["active"] == "pure-python"
     assert len(out["warnings"]) == 1
     message = out["warnings"][0]
     assert "REPRO_BACKEND=native" in message

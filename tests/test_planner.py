@@ -258,10 +258,10 @@ class TestDistanceCacheConcurrency:
 
 class TestTargetInversionMemo:
     def test_memo_hit_on_repeated_target_tuple(self, hl):
-        # The memo backs the numpy/pure table kernels; the native C kernel
+        # The memo backs the pure table kernel; the native C kernel
         # builds its inversion internally, so pin the memo behaviour under
-        # a container tier explicitly.
-        with backend.forced("numpy" if backend.HAS_NUMPY else "pure"):
+        # the pure tier explicitly.
+        with backend.forced("pure"):
             hl.clear_target_inversions()
             pool = (1, 4, 9, 16)
             first = hl.distance_table((0, 2), pool)
@@ -273,7 +273,7 @@ class TestTargetInversionMemo:
         assert second == [hl.one_to_many(s, pool) for s in (3, 5)]
 
     def test_memo_eviction_bound(self, hl):
-        with backend.forced("numpy" if backend.HAS_NUMPY else "pure"):
+        with backend.forced("pure"):
             hl.clear_target_inversions()
             for i in range(hl._tinv_max + 5):
                 hl.distance_table((0,), (i, i + 1))

@@ -9,9 +9,8 @@ Five load-bearing properties:
   and its in-flight sub-batch retried (transparent) or failed cleanly
   (poisonous batch) — never hung, never poisoning batch-mates, never
   shrinking the pool.
-* **Buffer/mmap serialization**: bundles load from bytes and mmap'd
-  paths with zero-copy label columns, answer identically, and re-save
-  byte-identically.
+* **Buffer/path serialization**: bundles load from bytes and from
+  paths, answer identically, and re-save byte-identically.
 * **Lane lifecycle**: oversized replies and requests ride the pipe
   in-band, the rings wrap, lanes survive worker crash + respawn with a
   reply in flight, and ``close`` unlinks every segment — nothing
@@ -53,12 +52,8 @@ from repro.serve.pool import CrashRequest, plan_split
 
 INF = float("inf")
 
-#: Backends the parity properties run under (all available kernel tiers).
-BACKENDS = (
-    (["native"] if backend.HAS_NATIVE else [])
-    + (["numpy"] if backend.HAS_NUMPY else [])
-    + ["pure"]
-)
+#: Tiers the parity properties run under (all available kernel tiers).
+BACKENDS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
 
 
 @pytest.fixture(scope="module")
@@ -565,7 +560,7 @@ def test_server_close_pool_flag(blob):
 
 
 # ----------------------------------------------------------------------
-# Buffer / mmap serialization
+# Buffer / path serialization
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
 def test_bundle_loads_compact(hl, blob, name):
@@ -587,15 +582,13 @@ def test_bundle_loads_compact(hl, blob, name):
         assert buf.getvalue() == blob
 
 
-def test_bundle_loads_from_mmap(tmp_path, hl, blob):
+def test_bundle_loads_from_path(tmp_path, hl, blob):
     path = str(tmp_path / "hl2.bundle")
     with open(path, "wb") as fh:
         fh.write(blob)
-    g2, hl2 = load_bundle(path, mmap=True)  # decoded, not zero-copy
+    g2, hl2 = load_bundle(path)
     assert hl2.distance(4, 31) == hl.distance(4, 31)
     assert hl2.one_to_many(0, (8, 16, 24)) == hl.one_to_many(0, (8, 16, 24))
-    with pytest.raises(ValueError):
-        load_bundle(io.BytesIO(blob), mmap=True)  # mmap needs a path
 
 
 def test_bundle_file_load_still_serves_tables(hl, blob, tmp_path):
@@ -610,10 +603,10 @@ def test_bundle_file_load_still_serves_tables(hl, blob, tmp_path):
     assert hl2.distance_table((9, 2, 6), targets) == hl.distance_table(
         (9, 2, 6), targets
     )
-    # The memo lives in the numpy/pure table kernels; the native C kernel
-    # rebuilds its inversion internally, so pin the memo under a container
+    # The memo lives in the pure table kernel; the native C kernel
+    # rebuilds its inversion internally, so pin the memo under the pure
     # tier explicitly.
-    with backend.forced("numpy" if backend.HAS_NUMPY else "pure"):
+    with backend.forced("pure"):
         hl2.clear_target_inversions()
         hl2.distance_table((9, 2, 6), targets)
         assert hl2.target_inversion_stats()["misses"] >= 1

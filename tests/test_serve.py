@@ -31,8 +31,8 @@ from repro.serve import (
 
 INF = float("inf")
 
-#: Backends the coalescer property runs under (both when numpy exists).
-BACKENDS = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
+#: Tiers the coalescer property runs under (native when it is loaded).
+BACKENDS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
 
 
 @pytest.fixture(scope="module")
