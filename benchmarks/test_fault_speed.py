@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -47,7 +48,7 @@ from repro.bench.harness import (
     environment_metadata,
     episode_percentiles,
 )
-from repro.core.serialize import bundle_bytes
+from repro.core.serialize import save_bundle
 from repro.datasets import dataset
 from repro.serve import CircuitBreaker, FaultPlan, WorkerPool
 from repro.serve import faults
@@ -114,8 +115,8 @@ def _timed_run(pool, batches, reference, pace_s=0.0):
     return latencies
 
 
-def _steady_run(blob, batches, reference, pace_s=0.0, **pool_kwargs):
-    with WorkerPool(blob, workers=WORKERS, **pool_kwargs) as pool:
+def _steady_run(bundle, batches, reference, pace_s=0.0, **pool_kwargs):
+    with WorkerPool(bundle, workers=WORKERS, **pool_kwargs) as pool:
         latencies = _timed_run(pool, batches, reference, pace_s)
         stats = pool.stats()
     return latencies, stats
@@ -133,13 +134,13 @@ def _assert_no_leaked_lanes(names):
         raise AssertionError(f"lane {name} outlived its pool")
 
 
-def bench_kill_episode(blob, batches, reference, steady):
+def bench_kill_episode(bundle, batches, reference, steady):
     """Latency through scripted kill-one-worker outages, vs steady."""
     plan = FaultPlan.scripted(
         {(d, d % WORKERS): faults.kill() for d in KILL_AT}
     )
     latencies, stats = _steady_run(
-        blob, batches, reference, fault_plan=plan
+        bundle, batches, reference, fault_plan=plan
     )
     assert plan.injected == len(KILL_AT), plan
     res = stats["resilience"]
@@ -163,7 +164,7 @@ def bench_kill_episode(blob, batches, reference, steady):
     }
 
 
-def bench_straggler_tail(blob, batches, reference, steady):
+def bench_straggler_tail(bundle, batches, reference, steady):
     """Stalled-worker tail with and without hedged re-dispatch."""
     out = {}
     for label, kwargs in (
@@ -181,7 +182,7 @@ def bench_straggler_tail(blob, batches, reference, steady):
             {(d, 1): faults.stall(STALL_S) for d in STALL_AT}
         )
         latencies, stats = _steady_run(
-            blob, batches, reference, pace_s=PACE_S, fault_plan=plan, **kwargs
+            bundle, batches, reference, pace_s=PACE_S, fault_plan=plan, **kwargs
         )
         assert plan.injected == len(STALL_AT), plan
         h = stats["resilience"]["hedge"]
@@ -217,12 +218,12 @@ def bench_straggler_tail(blob, batches, reference, steady):
     }
 
 
-def bench_breaker_degraded(blob, batches, reference, steady_latencies):
+def bench_breaker_degraded(bundle, batches, reference, steady_latencies):
     """Throughput with every slot quarantined (planner fallback) vs pool."""
     breaker = CircuitBreaker(
         WORKERS, threshold=1, cooldown_s=3600.0, cooldown_cap_s=7200.0
     )
-    with WorkerPool(blob, workers=WORKERS, breaker=breaker) as pool:
+    with WorkerPool(bundle, workers=WORKERS, breaker=breaker) as pool:
         for slot in range(WORKERS):
             breaker.record_failure(slot)
         latencies = _timed_run(pool, batches, reference)
@@ -242,10 +243,13 @@ def bench_breaker_degraded(blob, batches, reference, steady_latencies):
     }
 
 
-def build_and_verify(dispatches=DISPATCHES, batch=BATCH):
+def build_and_verify(bundle_dir, dispatches=DISPATCHES, batch=BATCH):
+    """Build the index and save its bundle under ``bundle_dir``, the
+    path every pool boots from."""
     graph = dataset(DATASET)
     hl = HubLabelIndex(graph)
-    blob = bundle_bytes(hl)
+    bundle = os.path.join(bundle_dir, f"{DATASET}.bundle")
+    save_bundle(hl, bundle)
     batches = build_workload(graph, dispatches, batch)
     reference = reference_answers(hl, batches)
     result = {
@@ -261,29 +265,33 @@ def build_and_verify(dispatches=DISPATCHES, batch=BATCH):
             "endpoints, served one dispatch at a time",
         },
     }
-    return blob, batches, reference, result
+    return bundle, batches, reference, result
 
 
 def run_benchmark():
-    blob, batches, reference, result = build_and_verify()
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_benchmark(*build_and_verify(tmp))
+
+
+def _run_benchmark(bundle, batches, reference, result):
     cpus = visible_cpus()
     backends = {}
     names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
-            steady_lat, steady_stats = _steady_run(blob, batches, reference)
+            steady_lat, steady_stats = _steady_run(bundle, batches, reference)
             assert steady_stats["respawns"] == 0, steady_stats
             steady = episode_percentiles(steady_lat)
             backends[backend.active()] = {
                 "steady": steady,
                 "kill_episode": bench_kill_episode(
-                    blob, batches, reference, steady
+                    bundle, batches, reference, steady
                 ),
                 "straggler": bench_straggler_tail(
-                    blob, batches, reference, steady
+                    bundle, batches, reference, steady
                 ),
                 "breaker_degraded": bench_breaker_degraded(
-                    blob, batches, reference, steady_lat
+                    bundle, batches, reference, steady_lat
                 ),
             }
     headline = {
@@ -323,9 +331,11 @@ def run_benchmark():
 
 def run_check():
     """CI mode: every scenario exercised, counters verified — no timing."""
-    blob, batches, reference, result = build_and_verify(
-        dispatches=12, batch=16
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_check(*build_and_verify(tmp, dispatches=12, batch=16))
+
+
+def _run_check(bundle, batches, reference, result):
     checks = {}
     names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
@@ -340,7 +350,7 @@ def run_check():
                 }
             )
             pool = WorkerPool(
-                blob, workers=WORKERS, recv_timeout_s=0.25, fault_plan=plan
+                bundle, workers=WORKERS, recv_timeout_s=0.25, fault_plan=plan
             )
             lanes = pool.lane_names()
             try:
@@ -371,7 +381,7 @@ def run_check():
     breaker = CircuitBreaker(
         WORKERS, threshold=1, cooldown_s=3600.0, cooldown_cap_s=7200.0
     )
-    with WorkerPool(blob, workers=WORKERS, breaker=breaker) as pool:
+    with WorkerPool(bundle, workers=WORKERS, breaker=breaker) as pool:
         for slot in range(WORKERS):
             breaker.record_failure(slot)
         for batch, want in zip(batches[:4], reference[:4]):

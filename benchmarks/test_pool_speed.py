@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -80,9 +81,9 @@ def _single_process_run(hl, scripts):
     return seconds, _served_flat(per_client), stats
 
 
-def _pool_run(blob, scripts, workers):
+def _pool_run(bundle, scripts, workers):
     """One cold-cache pool-served run; fresh pool (fresh shared cache)."""
-    pool = WorkerPool(blob, workers=workers, cache=DistanceCache(1 << 16))
+    pool = WorkerPool(bundle, workers=workers, cache=DistanceCache(1 << 16))
     lanes = pool.lane_names()
     try:
         seconds, per_client, stats = run_closed_loop(
@@ -107,7 +108,7 @@ def _assert_no_leaked_lanes(names):
         raise AssertionError(f"lane {name} outlived its pool")
 
 
-def bench_pipe_bytes(blob, scripts, reference, workers=POOL_WORKERS):
+def bench_pipe_bytes(bundle, scripts, reference, workers=POOL_WORKERS):
     """Pipe bytes per dispatched sub-batch on the served workload.
 
     Parity-asserted against the per-query reference first.  Byte counts
@@ -115,7 +116,7 @@ def bench_pipe_bytes(blob, scripts, reference, workers=POOL_WORKERS):
     CRC failures are asserted here, hard, in every mode; ``_pool_run``
     has already checked that no lane segment outlived the pool.
     """
-    _, flat, stats = _pool_run(blob, scripts, workers)
+    _, flat, stats = _pool_run(bundle, scripts, workers)
     assert flat == reference, "pool served != per-query calls"
     tier = stats["pool"]
     reply, request = tier["reply_path"], tier["request_path"]
@@ -140,7 +141,7 @@ def bench_pipe_bytes(blob, scripts, reference, workers=POOL_WORKERS):
     return out
 
 
-def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
+def bench_serving(hl, bundle, scripts, reference, requests, workers=POOL_WORKERS):
     """Pool vs single-process closed loop, best-of-``REPEATS`` each."""
     single_s = INF
     single_stats = None
@@ -153,7 +154,7 @@ def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
     pool_s = INF
     pool_stats = None
     for _ in range(REPEATS):
-        seconds, flat, stats = _pool_run(blob, scripts, workers)
+        seconds, flat, stats = _pool_run(bundle, scripts, workers)
         assert flat == reference, "pool served != per-query calls"
         if seconds < pool_s:
             pool_s, pool_stats = seconds, stats
@@ -182,7 +183,6 @@ def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
         "dispatch": {
             "dispatches": tier["dispatches"],
             "mean_imbalance": tier["mean_dispatch_imbalance"],
-            "transport": tier["transport"],
             "per_worker_batches": [w["batches"] for w in tier["per_worker"]],
             "per_worker_busy_s": [w["busy_s"] for w in tier["per_worker"]],
         },
@@ -190,10 +190,15 @@ def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
     }
 
 
-def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
+def build_and_verify(bundle_dir, clients=CLIENTS, rounds=ROUNDS):
+    """Build the index and save its bundle under ``bundle_dir``, the
+    path every pool boots from."""
     graph = dataset(DATASET)
     hl = HubLabelIndex(graph)
     blob = bundle_bytes(hl)
+    bundle = os.path.join(bundle_dir, f"{DATASET}.bundle")
+    with open(bundle, "wb") as fh:
+        fh.write(blob)
     scripts = build_workload(graph, clients=clients, rounds=rounds)
     reference = sequential_reference(hl, scripts)
     result = {
@@ -212,20 +217,24 @@ def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
             "order pools, pareto endpoints)",
         },
     }
-    return hl, blob, scripts, reference, clients * rounds, result
+    return hl, bundle, scripts, reference, clients * rounds, result
 
 
 def run_benchmark():
-    hl, blob, scripts, reference, requests, result = build_and_verify()
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_benchmark(*build_and_verify(tmp))
+
+
+def _run_benchmark(hl, bundle, scripts, reference, requests, result):
     cpus = visible_cpus()
     backends = {}
     names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
             backends[backend.active()] = bench_serving(
-                hl, blob, scripts, reference, requests
+                hl, bundle, scripts, reference, requests
             )
-    pipe = bench_pipe_bytes(blob, scripts, reference)
+    pipe = bench_pipe_bytes(bundle, scripts, reference)
     headline = {
         "note": "pool = Server over a %d-worker WorkerPool (bundle-booted "
         "replicas, group-preserving dispatch, shared dispatcher cache); "
@@ -259,14 +268,18 @@ def run_benchmark():
 
 def run_check(workers=2):
     """CI mode: parity + structure only — no timing, no flake."""
-    hl, blob, scripts, reference, requests, result = build_and_verify(
-        clients=200, rounds=2
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_check(
+            workers, *build_and_verify(tmp, clients=200, rounds=2)
+        )
+
+
+def _run_check(workers, hl, bundle, scripts, reference, requests, result):
     checks = {}
     names = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
     for name in names:
         with backend.forced(name):
-            _, flat, stats = _pool_run(blob, scripts, workers)
+            _, flat, stats = _pool_run(bundle, scripts, workers)
             assert flat == reference, f"{name}: pool served != per-query calls"
             tier = stats["pool"]
             per_worker = [w["batches"] for w in tier["per_worker"]]
@@ -285,7 +298,7 @@ def run_check(workers=2):
     # Parity + the hard pipe-byte ceilings (byte counts are
     # deterministic, so check mode gates them too).
     result["pipe_bytes"] = bench_pipe_bytes(
-        blob, scripts, reference, workers=workers
+        bundle, scripts, reference, workers=workers
     )
     result["mode"] = (
         "check (parity + structure + pipe-byte ceilings; timings omitted)"

@@ -27,6 +27,8 @@ each defense earning its keep:
 5. a torn bundle file is refused up front with a typed
    :class:`~repro.core.serialize.BundleCorrupted` naming the damaged
    section, instead of booting a worker on garbage.
+
+Every pool boots from one bundle file saved to a temporary directory.
 """
 
 import os
@@ -35,7 +37,7 @@ import time
 
 from repro.baselines import HubLabelIndex
 from repro.baselines.base import QueryPlanner
-from repro.core.serialize import BundleCorrupted, bundle_bytes, load_bundle
+from repro.core.serialize import BundleCorrupted, load_bundle, save_bundle
 from repro.datasets import towns_and_highways
 from repro.serve import CircuitBreaker, DistanceRequest, FaultPlan, WorkerPool
 from repro.serve import faults
@@ -46,12 +48,18 @@ WORKERS = 2
 def main() -> None:
     graph = towns_and_highways(6, seed=7)
     index = HubLabelIndex(graph)
-    blob = bundle_bytes(index)
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "demo.bundle")
+        save_bundle(index, bundle)
+        outage_tour(graph, index, bundle)
+
+
+def outage_tour(graph, index, bundle: str) -> None:
     planner = QueryPlanner(index)
     reqs = [DistanceRequest(i, graph.n - 1 - i) for i in range(24)]
     want = planner.execute(reqs)
-    print(f"network: {graph.n} nodes / {graph.m} edges; "
-          f"bundle: {len(blob)} bytes (CRC trailer included)")
+    print(f"network: {graph.n} nodes / {graph.m} edges; bundle: "
+          f"{os.path.getsize(bundle)} bytes (CRC trailer included)")
 
     print("\n[1] script the outage: kill, stall, corrupt — by (dispatch, slot)")
     plan = FaultPlan.scripted({
@@ -62,7 +70,7 @@ def main() -> None:
     print(f"   {len(plan)} faults scheduled; same schedule every run")
 
     print("\n[2] the pool heals all three; every answer parity-checked")
-    pool = WorkerPool(blob, workers=WORKERS, recv_timeout_s=0.25,
+    pool = WorkerPool(bundle, workers=WORKERS, recv_timeout_s=0.25,
                       fault_plan=plan)
     try:
         for dispatch in range(3):
@@ -80,7 +88,7 @@ def main() -> None:
 
     print("\n[3] hedging: race an idle replica against a straggler")
     plan = FaultPlan.scripted({(0, 1): faults.stall(0.5)})
-    pool = WorkerPool(blob, workers=WORKERS, hedge_after_s=0.05,
+    pool = WorkerPool(bundle, workers=WORKERS, hedge_after_s=0.05,
                       hedge_grace_s=5.0, fault_plan=plan)
     try:
         t0 = time.perf_counter()
@@ -100,7 +108,7 @@ def main() -> None:
 
     print("\n[4] breaker open everywhere: degraded planner fallback, then recovery")
     breaker = CircuitBreaker(WORKERS, threshold=1, cooldown_s=0.5)
-    pool = WorkerPool(blob, workers=WORKERS, breaker=breaker)
+    pool = WorkerPool(bundle, workers=WORKERS, breaker=breaker)
     try:
         for slot in range(WORKERS):
             breaker.record_failure(slot)   # trip every slot open
@@ -117,17 +125,14 @@ def main() -> None:
         pool.close()
 
     print("\n[5] a torn bundle is refused, typed, before any worker boots")
-    path = os.path.join(tempfile.mkdtemp(), "demo.bundle")
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    torn = faults.flipped_copy(path, path + ".torn")
+    torn = faults.flipped_copy(bundle, bundle + ".torn")
     try:
         load_bundle(torn)
         raise SystemExit("torn bundle loaded?!")
     except BundleCorrupted as exc:
         print(f"   BundleCorrupted: section={exc.section!r}: {exc.detail}")
     print("   (the pristine bundle still loads and answers identically)")
-    _, engine = load_bundle(path)
+    _, engine = load_bundle(bundle)
     assert QueryPlanner(engine).execute(reqs) == want
     print("\nevery fault detected, typed, healed — zero wrong answers")
 

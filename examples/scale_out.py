@@ -27,6 +27,7 @@ anywhere), it just can't outrun the one core it shares.
 import asyncio
 import os
 import random
+import shutil
 import signal
 import tempfile
 import time
@@ -88,7 +89,8 @@ def main() -> None:
     caps = index.batch_capabilities()
     print(f"   batch kernels: one_to_many={caps.one_to_many}, "
           f"distance_table={caps.distance_table}")
-    bundle_path = os.path.join(tempfile.mkdtemp(), "demo.bundle")
+    bundle_dir = tempfile.mkdtemp()
+    bundle_path = os.path.join(bundle_dir, "demo.bundle")
     save_bundle(index, bundle_path)
     print(f"   bundle: {os.path.getsize(bundle_path)} bytes -> {bundle_path}")
 
@@ -131,6 +133,7 @@ def main() -> None:
               f"respawns={stats2['pool']['respawns']}, clients saw nothing")
     finally:
         pool.close()
+        shutil.rmtree(bundle_dir)
 
 
 if __name__ == "__main__":

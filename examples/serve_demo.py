@@ -21,7 +21,8 @@ drives a skewed closed-loop load to show what the front-end buys:
    of melting down.
 
 Everything the server returns is bit-identical to a direct engine call
-— the coalescing is invisible in results, visible only in throughput.
+— the coalescing is invisible in results, visible only in throughput;
+the demo asserts it for every served answer.
 """
 
 import asyncio
@@ -42,16 +43,18 @@ ROUNDS = 4
 
 async def client_session(server, rng, graph, order_pool, results):
     """One closed-loop client: ETA rows to the shared order pool, plus
-    point checks between hot nodes — awaiting each answer first."""
+    point checks between hot nodes — awaiting each answer first.  Each
+    answer is recorded with the direct engine call it must equal."""
+    index = server.engine
     for _ in range(ROUNDS):
         if rng.random() < 0.7:
             driver = rng.randrange(graph.n)
             etas = await server.one_to_many(driver, order_pool)
-            results.append(min(e for e in etas))
+            results.append((index.one_to_many, (driver, order_pool), etas))
         else:
             # Hot station pairs: the skewed point traffic the cache absorbs.
             a, b = rng.randrange(16), rng.randrange(16)
-            results.append(await server.distance(a, b))
+            results.append((index.distance, (a, b), await server.distance(a, b)))
 
 
 async def main_async() -> None:
@@ -71,6 +74,9 @@ async def main_async() -> None:
             )
         )
         elapsed = time.perf_counter() - t0
+        assert all(call(*args) == served for call, args, served in results), (
+            "a served answer differs from the direct engine call"
+        )
         stats = server.stats()
         planner = stats["planner"]
         print(
@@ -87,7 +93,8 @@ async def main_async() -> None:
             f"{planner['kernel_distance']} direct + "
             f"{planner['coalesced_point_queries']} coalesced point queries"
         )
-        print(f"cache: {planner['cache']['hit_rate']:.0%} hit rate\n")
+        print(f"cache: {planner['cache']['hit_rate']:.0%} hit rate")
+        print(f"verified: all {len(results)} served answers == direct engine calls\n")
 
         # --- deadlines: queued work past its deadline is shed, not run ---
         try:

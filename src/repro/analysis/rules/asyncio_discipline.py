@@ -117,17 +117,16 @@ register(
         rationale=(
             "PR 4's coalescing Server and PR 5's pool tier multiplex "
             "thousands of clients over one event loop; the design "
-            "carefully routes every blocking operation (planner "
-            "execution, pool dispatch, pipe reads) through executors.  "
+            "carefully routes every blocking operation (pool dispatch, "
+            "pipe reads) through the pool's dispatch thread.  "
             "One stray time.sleep or pipe recv() in a coroutine turns "
             "p99 latency into the blocking call's duration for every "
             "concurrent client — invisible in unit tests, catastrophic "
             "under load."
         ),
         motivated_by=(
-            "PR 4 serve tier (repro/serve/server.py off-loop executor "
-            "design, tests/test_serve.py) and PR 5's always-off-loop "
-            "pool dispatch"
+            "PR 4 serve tier (repro/serve/server.py, tests/test_serve.py) "
+            "and PR 5's always-off-loop pool dispatch"
         ),
         check=_check,
         paths=lambda rel: rel.endswith(".py") and rel.startswith("src/"),

@@ -48,8 +48,9 @@ through, and it obeys three rules that callers may rely on:
    the cache under one lock acquisition (:meth:`DistanceCache.
    lookup_many`), and all freshly computed values are stored back under
    one more (:meth:`DistanceCache.store_many`).  Batched requests
-   bypass the cache, matching :meth:`QueryEngine.enable_distance_cache`
-   semantics.
+   bypass the cache: they amortise per-source work already, and
+   flooding the LRU with one table's pairs would evict the hot point
+   pairs the cache exists for.
 
 ``QueryPlanner.stats()`` reports how a workload actually decomposed
 (requests by kind, groups formed, kernel invocations, cache hits), which
@@ -90,20 +91,20 @@ class DistanceCache:
     are immutable once built), so caching is free accuracy-wise; what it
     buys is the skewed traffic a real service sees — hot station pairs,
     repeated ETA checks — where even a ~2 µs hub-label query loses to a
-    dict hit.  The cache is **opt-in** per engine instance
-    (:meth:`QueryEngine.enable_distance_cache`) because uniformly random
+    dict hit.  The cache is **opt-in**: pass one to a
+    :class:`QueryPlanner`, a :class:`~repro.serve.Server` or a
+    :class:`~repro.serve.pool.WorkerPool`, because uniformly random
     workloads, like most benchmarks, would only pay the bookkeeping.
 
     ``hits`` / ``misses`` are exposed (and in :meth:`stats`) so a
     serving layer can monitor whether the cache is earning its memory.
 
     The cache is **thread- and task-safe**: every operation (including
-    the counter updates) runs under one internal lock, so serving
-    workers, a :class:`QueryPlanner` and direct ``distance`` calls can
-    share a single instance without corrupting the OrderedDict or the
-    hit/miss statistics.  Batch traffic should prefer the bulk
-    :meth:`lookup_many` / :meth:`store_many`, which take the lock once
-    per batch instead of once per pair.
+    the counter updates) runs under one internal lock, so a pool's
+    dispatch thread and its callers' threads can share a single
+    instance without corrupting the OrderedDict or the hit/miss
+    statistics.  Lookups and stores go in bulk (:meth:`lookup_many` /
+    :meth:`store_many`), one lock acquisition per batch.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_data", "_lock")
@@ -121,34 +122,11 @@ class DistanceCache:
         with self._lock:
             return len(self._data)
 
-    def lookup(self, key):
-        """The cached value, refreshed as most-recent; None on miss.
-
-        Distances are floats (``inf`` included), never None, so None is
-        an unambiguous miss marker.
-        """
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def store(self, key, value) -> None:
-        """Insert a freshly computed value, evicting the oldest entry."""
-        with self._lock:
-            data = self._data
-            data[key] = value
-            if len(data) > self.maxsize:
-                data.popitem(last=False)
-
     def lookup_many(self, keys: Sequence) -> List[Optional[float]]:
-        """Bulk :meth:`lookup`: one lock acquisition for the whole batch.
+        """Cached values aligned with ``keys``, hits refreshed as most-recent.
 
-        Returns a list aligned with ``keys`` (None marks a miss); the
-        hit/miss counters advance exactly as per-key lookups would.
+        None marks a miss: distances are floats (``inf`` included), never
+        None.  Each key advances the hit or miss counter by one.
         """
         out: List[Optional[float]] = []
         with self._lock:
@@ -167,7 +145,8 @@ class DistanceCache:
         return out
 
     def store_many(self, items: Iterable[Tuple[object, float]]) -> None:
-        """Bulk :meth:`store` under one lock acquisition."""
+        """Insert freshly computed ``(key, value)`` pairs, evicting the
+        least recently used entries past ``maxsize``."""
         with self._lock:
             data = self._data
             maxsize = self.maxsize
@@ -323,26 +302,20 @@ class QueryPlanner:
         Any :class:`QueryEngine`; capabilities are read once here.
     cache:
         Optional shared :class:`DistanceCache` consulted (per group)
-        for point requests.  Defaults to the engine's active
-        ``distance_cache`` if one is enabled, else no caching.
-    min_group:
-        Smallest shared-source point group worth folding into one
-        ``one_to_many`` (and smallest same-target group worth folding
-        into one table).  Below it the direct per-request call runs.
+        for point requests; None (the default) caches nothing.
+
+    A group of two or more requests is folded into one kernel call; a
+    singleton runs the direct per-request call (rule 2).
     """
 
     def __init__(
         self,
         engine: "QueryEngine",
         cache: Optional[DistanceCache] = None,
-        min_group: int = 2,
     ) -> None:
-        if min_group < 2:
-            raise ValueError(f"min_group must be >= 2, got {min_group}")
         self.engine = engine
         self.capabilities = engine.batch_capabilities()
-        self.cache = cache if cache is not None else engine.distance_cache
-        self.min_group = min_group
+        self.cache = cache
         self._counters: Dict[str, int] = {
             "batches": 0,
             "requests_distance": 0,
@@ -422,15 +395,10 @@ class QueryPlanner:
         caps = self.capabilities
         engine = self.engine
         distance = engine.distance
-        if cache is not None and cache is engine.distance_cache:
-            # The planner consults this cache per group itself; use the
-            # unwrapped method so misses don't pay (and don't count) a
-            # second per-call lookup inside the engine's wrapper.
-            distance = getattr(distance, "__wrapped__", distance)
         fresh: List[Tuple[Tuple[int, int], float]] = []
         keep = fresh.append if cache is not None else (lambda pair: None)
         for s, group in by_source.items():
-            if caps.exact_point_coalescing and len(group) >= self.min_group:
+            if caps.exact_point_coalescing and len(group) >= 2:
                 row = engine.one_to_many(s, [t for _, t in group])
                 c["kernel_one_to_many"] += 1
                 c["coalesced_point_queries"] += len(group)
@@ -458,7 +426,7 @@ class QueryPlanner:
         for i, req in o2m:
             by_targets.setdefault(req.targets, []).append((i, req.source))
         for targets, group in by_targets.items():
-            if self.capabilities.native_batching and len(group) >= self.min_group:
+            if self.capabilities.native_batching and len(group) >= 2:
                 table = engine.distance_table([s for _, s in group], targets)
                 c["kernel_distance_table"] += 1
                 c["merged_one_to_many"] += len(group)
@@ -481,7 +449,7 @@ class QueryPlanner:
         for i, req in tables:
             by_targets.setdefault(req.targets, []).append((i, req))
         for targets, group in by_targets.items():
-            if self.capabilities.native_batching and len(group) >= self.min_group:
+            if self.capabilities.native_batching and len(group) >= 2:
                 all_sources: List[int] = []
                 for _, req in group:
                     all_sources.extend(req.sources)
@@ -529,53 +497,6 @@ class QueryEngine(abc.ABC):
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-
-    # ------------------------------------------------------------------
-    # Opt-in result caching (ROADMAP: "Result caching")
-    # ------------------------------------------------------------------
-    def enable_distance_cache(self, maxsize: int = 65536) -> DistanceCache:
-        """Wrap :meth:`distance` in a bounded LRU; returns the cache.
-
-        The wrapper shadows the engine's ``distance`` on *this instance*
-        only — the class and every other instance are untouched, and
-        :meth:`disable_distance_cache` restores the direct method.
-        Re-enabling replaces the previous cache (fresh counters).
-        Batched queries (:meth:`one_to_many` / :meth:`distance_table`)
-        deliberately bypass the cache: they amortise per-source work
-        already, and flooding the LRU with one table's pairs would evict
-        the hot point-query pairs the cache exists for.
-        """
-        self.disable_distance_cache()
-        cache = DistanceCache(maxsize)
-        inner = self.distance  # the subclass's bound method
-        lookup, store = cache.lookup, cache.store
-
-        def cached_distance(source: int, target: int) -> float:
-            key = (source, target)
-            value = lookup(key)
-            if value is None:
-                value = inner(source, target)
-                store(key, value)
-            return value
-
-        # Let layers that manage this same cache themselves (QueryPlanner
-        # consults it per *group*) reach the uncached method instead of
-        # paying a second per-call lookup under the wrapper.
-        cached_distance.__wrapped__ = inner  # type: ignore[attr-defined]
-        self.distance = cached_distance  # type: ignore[method-assign]
-        self._distance_cache = cache
-        return cache
-
-    def disable_distance_cache(self) -> None:
-        """Remove the cache wrapper (no-op when none is active)."""
-        if getattr(self, "_distance_cache", None) is not None:
-            del self.distance  # uncovers the class's method
-            self._distance_cache = None
-
-    @property
-    def distance_cache(self) -> Optional[DistanceCache]:
-        """The active :class:`DistanceCache`, or None."""
-        return getattr(self, "_distance_cache", None)
 
     # ------------------------------------------------------------------
     # Queries

@@ -558,12 +558,8 @@ def index_bytes(index: Union[AHIndex, HubLabelIndex]) -> int:
 
 
 def bundle_bytes(index: Union[AHIndex, HubLabelIndex]) -> bytes:
-    """The full :func:`save_bundle` image as one in-memory ``bytes``.
-
-    The transport :mod:`repro.serve.pool` ships to worker processes: one
-    serialization in the parent, then each worker boots its replica via
-    ``load_bundle(blob)``.
-    """
+    """The full :func:`save_bundle` image as one in-memory ``bytes``
+    (``load_bundle(blob)`` reads it back)."""
     buf = io.BytesIO()
     save_bundle(index, buf)
     return buf.getvalue()
@@ -1001,53 +997,63 @@ def unpack_requests(blob) -> List[Request]:
     reconstructed requests group, hash, and execute exactly like the
     originals — :func:`pack_requests` then this is the identity on the
     three planner request types (a subclass comes back as its base).
+    Any other block raises :class:`ValueError`: every count must match
+    the bytes it frames, and every kind, meta count and id must be
+    consumed.
     """
     buf = memoryview(blob)
-    width = buf[0]
-    if width not in (4, 8):
-        raise ValueError(f"bad REQCOL width {width}")
-    pos = 1
-    (nreq,) = struct.unpack_from("<q", buf, pos)
-    pos += 8
-    kinds = bytes(buf[pos : pos + nreq])
-    pos += nreq
-    (nmeta,) = struct.unpack_from("<q", buf, pos)
-    pos += 8
-    counts = _uvarint_decode(buf[pos : pos + nmeta])
-    pos += nmeta
-    (nids,) = struct.unpack_from("<q", buf, pos)
-    pos += 8
-    end = pos + nids * width
-    if end > len(buf):
-        raise ValueError("REQCOL id column truncated")
-    # Plain Python ints out of the little-endian int32/int64 column
-    # (frombytes for the reason _read_array gives).
-    ids = array("i" if width == 4 else "q")
-    ids.frombytes(buf[pos:end])
-    ids = ids.tolist()
-    out: List[Request] = []
-    mpos = 0
-    ipos = 0
-    for code in kinds:
-        if code == _REQ_DISTANCE:
-            out.append(DistanceRequest(ids[ipos], ids[ipos + 1]))
-            ipos += 2
-        elif code == _REQ_ONE_TO_MANY:
-            k = counts[mpos]
-            mpos += 1
-            out.append(OneToManyRequest(ids[ipos], ids[ipos + 1 : ipos + 1 + k]))
-            ipos += 1 + k
-        elif code == _REQ_TABLE:
-            ns, nt = counts[mpos], counts[mpos + 1]
-            mpos += 2
-            out.append(
-                TableRequest(ids[ipos : ipos + ns], ids[ipos + ns : ipos + ns + nt])
-            )
-            ipos += ns + nt
-        elif code == _REQ_CRASH:
-            out.append(CrashRequest())
-        else:
-            raise ValueError(f"unknown REQCOL request kind {code}")
+    try:
+        width = buf[0]
+        if width not in (4, 8):
+            raise ValueError(f"bad REQCOL width {width}")
+        (nreq,) = struct.unpack_from("<q", buf, 1)
+        kinds = bytes(buf[9 : 9 + nreq])
+        pos = 9 + len(kinds)
+        (nmeta,) = struct.unpack_from("<q", buf, pos)
+        meta = buf[pos + 8 : pos + 8 + nmeta]
+        pos += 8 + len(meta)
+        (nids,) = struct.unpack_from("<q", buf, pos)
+        pos += 8
+        if (len(kinds), len(meta), len(buf) - pos) != (nreq, nmeta, nids * width):
+            raise ValueError("REQCOL section counts do not match the block")
+        counts = _uvarint_decode(meta)
+        # Plain Python ints out of the little-endian int32/int64 column
+        # (frombytes for the reason _read_array gives).
+        ids = array("i" if width == 4 else "q")
+        ids.frombytes(buf[pos:])
+        ids = ids.tolist()
+        out: List[Request] = []
+        mpos = 0
+        ipos = 0
+        for code in kinds:
+            if code == _REQ_DISTANCE:
+                out.append(DistanceRequest(ids[ipos], ids[ipos + 1]))
+                ipos += 2
+            elif code == _REQ_ONE_TO_MANY:
+                k = counts[mpos]
+                mpos += 1
+                out.append(OneToManyRequest(ids[ipos], ids[ipos + 1 : ipos + 1 + k]))
+                ipos += 1 + k
+            elif code == _REQ_TABLE:
+                ns, nt = counts[mpos], counts[mpos + 1]
+                mpos += 2
+                out.append(
+                    TableRequest(ids[ipos : ipos + ns], ids[ipos + ns : ipos + ns + nt])
+                )
+                ipos += ns + nt
+            elif code == _REQ_CRASH:
+                out.append(CrashRequest())
+            else:
+                raise ValueError(f"unknown REQCOL request kind {code}")
+    except (IndexError, struct.error, EOFError) as exc:
+        raise ValueError(f"truncated REQCOL block ({exc})") from None
+    # ``ipos`` advances by the declared counts, so a short slice above
+    # leaves it past the id column's end.
+    if (ipos, mpos) != (len(ids), len(counts)):
+        raise ValueError(
+            f"REQCOL requests consume {ipos} of {len(ids)} ids and "
+            f"{mpos} of {len(counts)} meta counts"
+        )
     return out
 
 
@@ -1314,10 +1320,9 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
     whichever engine the bundle was saved with (``AHIDX1`` and
     ``HLIDX2`` magics are deliberately the same length).
 
-    ``source`` may be a path, an open binary file or an in-memory buffer
-    (``bytes`` / ``bytearray`` / ``memoryview``) — the worker-tier boot
-    paths: a worker process hands this either the bundle blob it
-    received over a pipe or the shared bundle path.
+    ``source`` may be a path (what worker-tier processes boot from), an
+    open binary file or an in-memory buffer (``bytes`` / ``bytearray`` /
+    ``memoryview``).
 
     The ``BCRC1`` trailer's section CRCs are checked before decoding: a
     torn or bit-flipped bundle raises :class:`BundleCorrupted` naming

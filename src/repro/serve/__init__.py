@@ -17,16 +17,16 @@ serving client needs only this package::
     async with Server(engine, cache=True) as server:
         d = await server.distance(3, 999)
 
-Scaling past one core, :mod:`repro.serve.pool` adds the multi-process
-worker tier: a :class:`WorkerPool` of engine replicas booted from a
-shared serialized bundle, pluggable into the same :class:`Server`::
+A server runs each batch inline on the event loop, or, scaling past one
+core, on the multi-process worker tier of :mod:`repro.serve.pool`: a
+:class:`WorkerPool` of engine replicas, each booted from the path of one
+serialized bundle file, pluggable into the same :class:`Server`::
 
     from repro.serve import Server, WorkerPool
 
-    pool = WorkerPool("nh.bundle", workers=4, cache=True)
-    async with Server(None, pool=pool) as server:
-        d = await server.distance(3, 999)
-    pool.close()
+    with WorkerPool("nh.bundle", workers=4, cache=True) as pool:
+        async with Server(None, pool=pool) as server:
+            d = await server.distance(3, 999)
 
 See ``examples/serve_demo.py`` / ``examples/scale_out.py`` for the full
 tour and ``benchmarks/test_serve_speed.py`` /

@@ -5,9 +5,8 @@ planner batch still executes on one core.  This module scales past that
 with a **process pool over a shared bundle substrate**:
 
 * Each worker process boots its own engine replica from the serialized
-  bundle (:func:`repro.core.serialize.load_bundle`) — either from a
-  bundle *path* or from bundle *bytes* shipped once over the worker's
-  pipe — and decodes it into columns of its own.
+  bundle file (:func:`repro.core.serialize.load_bundle` on the bundle
+  *path*) and decodes it into columns of its own.
 * The dispatcher (:meth:`WorkerPool.execute`) splits one planner batch
   into per-worker sub-batches and merges the replies positionally.
   Splitting is **group-preserving**: requests are first grouped exactly
@@ -59,7 +58,7 @@ are always drained so pipes never desynchronise, and the pool ends the
 dispatch with a full complement of live workers.
 
 Everything here is synchronous; :class:`repro.serve.Server` wires a
-pool in as its third execution tier by dispatching off-loop (the event
+pool in as its second execution tier by dispatching off-loop (the event
 loop keeps accepting submissions while workers compute).
 """
 
@@ -193,8 +192,9 @@ class WorkerStalled(WorkerCrashed):
 
 class ReplyCorrupted(WorkerCrashed):
     """A reply payload failed its CRC32 check (torn shared-memory
-    write, truncated frame).  Handled like a crash: the sub-batch is
-    retried on a respawned worker rather than unpacked into garbage."""
+    write, truncated frame) or does not hold one float64 per expected
+    answer.  Handled like a crash: the sub-batch is retried on a
+    respawned worker rather than unpacked into garbage."""
 
 
 class RequestCorrupted(ReplyCorrupted):
@@ -320,7 +320,24 @@ def _pack_results(requests: Sequence[Request], results: Sequence) -> bytes:
     return out.tobytes()
 
 
+def _answer_count(req: Request) -> int:
+    """How many float64 answers ``req`` contributes to a reply column."""
+    if isinstance(req, DistanceRequest):
+        return 1
+    if isinstance(req, OneToManyRequest):
+        return len(req.targets)
+    return len(req.sources) * len(req.targets)
+
+
 def _unpack_results(requests: Sequence[Request], blob) -> List[object]:
+    """Inverse of :func:`_pack_results`; a reply that does not hold
+    exactly one float64 per expected answer raises
+    :class:`ReplyCorrupted`."""
+    expected = 8 * sum(_answer_count(req) for req in requests)
+    if len(blob) != expected:
+        raise ReplyCorrupted(
+            f"reply holds {len(blob)} bytes; its requests expect {expected}"
+        )
     flat = memoryview(blob).cast("d")
     results: List[object] = []
     pos = 0
@@ -648,8 +665,8 @@ class WorkerPool:
     Parameters
     ----------
     bundle:
-        What workers boot from — a bundle *path* (each worker reads it)
-        or bundle *bytes* (shipped over each worker's pipe at spawn).
+        Path of the bundle file every worker (and every respawn) boots
+        from; anything else raises :class:`TypeError`.
     workers:
         Replica count.
     cache:
@@ -660,8 +677,9 @@ class WorkerPool:
     max_retries:
         How many times a crashed sub-batch is retried on a fresh worker
         before its requests are failed with :class:`WorkerCrashed`.
-        Retries pause per :class:`~repro.serve.health.BackoffPolicy`
-        (capped exponential, deterministic jitter; first retry free).
+        Retries pause per the default
+        :class:`~repro.serve.health.BackoffPolicy` (capped exponential,
+        deterministic jitter; first retry free).
     recv_timeout_s:
         Per-dispatch watchdog on every worker reply.  A worker that
         sends nothing within this budget — dead *or* stuck-but-alive —
@@ -681,9 +699,6 @@ class WorkerPool:
         sits out subsequent dispatches until its duplicate reply is
         drained — and bit-compared against the winner — by the next
         ``execute``'s sweep, or until the grace expires.
-    backoff:
-        The retry pacing policy (default
-        ``BackoffPolicy(base_s=0.02, cap_s=0.5)``).
     breaker:
         Per-worker :class:`~repro.serve.health.CircuitBreaker`
         (default: threshold 5, cooldown 1s doubling to 30s).  A slot
@@ -721,7 +736,6 @@ class WorkerPool:
         recv_timeout_s: float = 30.0,
         hedge_after_s: Optional[float] = None,
         hedge_grace_s: float = 1.0,
-        backoff: Optional[BackoffPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         fault_plan=None,
     ) -> None:
@@ -748,23 +762,16 @@ class WorkerPool:
         self.recv_timeout_s = recv_timeout_s
         self.hedge_after_s = hedge_after_s
         self.hedge_grace_s = hedge_grace_s
-        self._backoff = backoff if backoff is not None else BackoffPolicy()
+        self._backoff = BackoffPolicy()
         self._breaker = (
             breaker if breaker is not None else CircuitBreaker(workers)
         )
         self._fault_plan = fault_plan
-        spec: Dict[str, object] = {"backend": backend.active()}
-        if isinstance(bundle, str):
-            spec["bundle"] = bundle
-            self.transport = "path"
-        elif isinstance(bundle, (bytes, bytearray, memoryview)):
-            spec["bundle"] = bytes(bundle)
-            self.transport = "pipe-bytes"
-        else:
+        if not isinstance(bundle, str):
             raise TypeError(
-                "bundle must be a path or bytes; got "
-                f"{type(bundle).__name__!r}"
+                f"bundle must be a str path; got {type(bundle).__name__!r}"
             )
+        spec: Dict[str, object] = {"backend": backend.active(), "bundle": bundle}
         #: Base worker spec, kept for the all-quarantined planner fallback.
         self._spec = spec
         # Shared-memory lanes: one reply ring and one request ring per
@@ -780,7 +787,7 @@ class WorkerPool:
             for _ in range(workers):
                 self._lanes.append(_Lane(_LANE_BYTES))
                 self._req_lanes.append(_Lane(_LANE_BYTES))
-                wspec = dict(spec)  # shallow: the bundle blob is shared
+                wspec = dict(spec)
                 wspec["lane"] = self._lanes[-1].cfg
                 wspec["req_lane"] = self._req_lanes[-1].cfg
                 self._handles.append(WorkerHandle(wspec))
@@ -896,9 +903,11 @@ class WorkerPool:
         return msg, clean
 
     # ------------------------------------------------------------------
-    def _reply_payload(self, w: int, reply) -> Tuple[object, float]:
-        """``(blob, busy_s)`` from either reply form, with byte accounting
-        and CRC verification.
+    def _reply_results(
+        self, w: int, reply, reqs: List[Request]
+    ) -> Tuple[List[object], float]:
+        """``(answers, busy_s)`` from either reply form, with byte
+        accounting, CRC verification and the length check.
 
         ``("okl", offset, nbytes, crc, busy)`` control frames resolve to
         a zero-copy window over worker ``w``'s lane (only the tiny
@@ -906,35 +915,42 @@ class WorkerPool:
         ``pipe_bytes``); ``("ok", blob, crc, busy)`` replies did not fit
         the lane, charge the full packed payload and count as oversized.
         Either way the payload's CRC32 must match the one the worker
-        computed before writing — a torn lane write or truncated frame
-        raises :class:`ReplyCorrupted` (retried like a crash) instead of
-        unpacking garbage floats.
+        computed before writing, and the payload must hold one float64
+        per answer ``reqs`` expects — a torn lane write, a truncated
+        frame or a reply of the wrong length raises
+        :class:`ReplyCorrupted` (retried like a crash) instead of
+        unpacking garbage floats.  The unpack counts as merge time.
         """
-        if reply[0] == "okl":
+        lane = reply[0] == "okl"
+        if lane:
             _, offset, nbytes, crc, busy = reply
-            view = self._lanes[w].view(offset, nbytes)
-            if zlib.crc32(view) != crc:
+            payload = self._lanes[w].view(offset, nbytes)
+        else:
+            _, payload, crc, busy = reply
+        try:
+            if zlib.crc32(payload) != crc:
                 self._crc_failures += 1
-                # Release before raising: the traceback would otherwise
-                # keep this frame (and the exported view) alive in the
-                # caller's typed-failure result.
-                view.release()
                 raise ReplyCorrupted(
-                    f"worker {w} lane reply failed CRC32 "
-                    f"({nbytes} bytes at ring offset {offset})"
+                    f"worker {w} {'lane' if lane else 'pipe'} reply failed "
+                    f"CRC32 ({len(payload)} bytes)"
                 )
-            self._reply_pipe_bytes += len(pickle.dumps(reply))
-            self._reply_shm_bytes += nbytes
-            return view, busy
-        _, blob, crc, busy = reply
-        if zlib.crc32(blob) != crc:
-            self._crc_failures += 1
-            raise ReplyCorrupted(
-                f"worker {w} pipe reply failed CRC32 ({len(blob)} bytes)"
-            )
-        self._reply_pipe_bytes += len(blob)
-        self._oversized_replies += 1
-        return blob, busy
+            if lane:
+                self._reply_pipe_bytes += len(pickle.dumps(reply))
+                self._reply_shm_bytes += nbytes
+            else:
+                self._reply_pipe_bytes += len(payload)
+                self._oversized_replies += 1
+            t_merge = time.perf_counter()
+            answers = _unpack_results(reqs, payload)
+            self._merge_s += time.perf_counter() - t_merge
+            return answers, busy
+        finally:
+            # Release the lane window before the next send, and before
+            # any raise: the traceback would otherwise keep this frame
+            # (and the exported view) alive in the caller's typed-failure
+            # result.
+            if lane:
+                payload.release()
 
     def _reply_blob(self, w: int, reply) -> bytes:
         """Raw payload bytes of a reply (hedge parity peek; no accounting)."""
@@ -1069,13 +1085,11 @@ class WorkerPool:
             for slot, sub, clean, sent in dispatched:
                 reqs = [r for _, r in sub]
                 try:
-                    blob, busy_s, aslot = self._collect_sub(
+                    sub_results, busy_s, aslot = self._collect_sub(
                         slot, reqs, clean, sent, busy_slots
                     )
                     busy_slots.discard(slot)
                     t_merge = time.perf_counter()
-                    sub_results = _unpack_results(reqs, blob)
-                    del blob  # release the lane window before the next send
                     stats = self._wstats[aslot]
                     stats["batches"] += 1
                     stats["requests"] += len(reqs)
@@ -1125,11 +1139,11 @@ class WorkerPool:
         clean: tuple,
         sent: bool,
         busy_slots: Set[int],
-    ) -> Tuple[object, float, int]:
-        """Resolve one dispatched sub-batch to ``(payload, busy_s, slot)``.
+    ) -> Tuple[List[object], float, int]:
+        """Resolve one dispatched sub-batch to ``(answers, busy_s, slot)``.
 
         The happy path is a watchdog-bounded (possibly hedged) recv plus
-        CRC verification; any :class:`WorkerCrashed` flavour — death,
+        reply verification; any :class:`WorkerCrashed` flavour — death,
         stall, corrupted reply — is recorded against the slot's breaker
         and falls through to the backoff retry loop.  Only
         :class:`HedgeMismatch` is terminal: divergent replicas mean
@@ -1138,9 +1152,9 @@ class WorkerPool:
         if sent:
             try:
                 reply, aslot = self._await_reply(slot, clean, busy_slots)
-                blob, busy_s = self._reply_payload(aslot, reply)
+                answers, busy_s = self._reply_results(aslot, reply, reqs)
                 self._breaker.record_success(slot)
-                return blob, busy_s, aslot
+                return answers, busy_s, aslot
             except HedgeMismatch:
                 raise
             except WorkerCrashed as exc:
@@ -1148,14 +1162,9 @@ class WorkerPool:
                 cause: Optional[WorkerCrashed] = exc
         else:
             cause = None
-        blob, busy_s = self._retry_sub(slot, reqs, clean, cause=cause)
-        # Break the frame <-> traceback cycle: ``cause``'s traceback
-        # references this frame, which now holds a live lane view in
-        # ``blob`` — left to the cyclic GC, that view would keep the
-        # lane's buffer exported past pool.close().
-        del cause
+        answers, busy_s = self._retry_sub(slot, reqs, clean, cause=cause)
         self._breaker.record_success(slot)
-        return blob, busy_s, slot
+        return answers, busy_s, slot
 
     def _note_fault(self, slot: int, exc: BaseException) -> None:
         self._breaker.record_failure(slot)
@@ -1308,7 +1317,7 @@ class WorkerPool:
         reqs: List[Request],
         clean: tuple,
         cause: Optional[WorkerCrashed] = None,
-    ) -> Tuple[object, float]:
+    ) -> Tuple[List[object], float]:
         """Respawn worker ``slot`` and re-run its sub-batch, bounded.
 
         Pacing follows the backoff policy (first retry free, then
@@ -1332,7 +1341,7 @@ class WorkerPool:
                 # request lane itself is what broke.
                 handle.send(clean)
                 reply = handle.recv(self.recv_timeout_s)
-                return self._reply_payload(slot, reply)
+                return self._reply_results(slot, reply, reqs)
             except WorkerCrashed as exc:
                 self._note_fault(slot, exc)
                 cause = exc
@@ -1389,7 +1398,6 @@ class WorkerPool:
             )
         out = {
             "workers": len(self._handles),
-            "transport": self.transport,
             "reply_path": {
                 "pipe_bytes": self._reply_pipe_bytes,
                 "shm_bytes": self._reply_shm_bytes,

@@ -44,16 +44,11 @@ rate included when a :class:`~repro.baselines.base.DistanceCache` is
 attached).
 
 The compute itself is synchronous (CPython or the native kernels) and
-runs in one of **three tiers**:
+runs in one of **two tiers**:
 
 * **inline** (default): batches run on the event loop — simplest, and
   correct for CPU-bound kernels (the loop would be compute-bound either
   way).
-* **executor**: passing an ``executor`` (e.g. ``concurrent.futures.
-  ThreadPoolExecutor(1)``) moves planner execution off-loop so the loop
-  keeps accepting submissions while a batch computes; the shared
-  :class:`DistanceCache` and the HL inversion memo are lock-guarded
-  precisely so that worker threads and the event loop can share them.
 * **pool**: passing a :class:`~repro.serve.pool.WorkerPool` shards each
   coalesced batch across N worker *processes*, each serving an engine
   replica booted from the shared bundle — the tier that scales past one
@@ -135,27 +130,14 @@ class Server:
     max_queue, overflow:
         Backpressure policy: queue bound, and whether a full queue makes
         ``submit`` wait (default) or raise :class:`ServerOverloaded`.
-    executor:
-        Optional ``concurrent.futures`` executor; batches run there via
-        ``run_in_executor`` instead of inline on the event loop.  In
-        pool mode this executor (or an internally created one-thread
-        executor) carries the dispatch calls.
-    planner:
-        A preconfigured :class:`QueryPlanner` to serve through (its own
-        cache included).  Mutually exclusive with ``cache`` — passing
-        both would silently serve without the cache you asked for, so
-        it raises instead.
     pool:
         A :class:`~repro.serve.pool.WorkerPool` to execute batches on —
         the multi-process tier.  ``engine`` may then be ``None`` (the
         pool's bundle already holds the graph; request validation uses
-        the pool's node count).  Mutually exclusive with ``cache`` /
-        ``planner`` — the pool's own shared cache fills that role
-        (``WorkerPool(..., cache=...)``).
-    close_pool:
-        When true, :meth:`close` also closes the pool.  Default False:
-        a pool is typically shared (and possibly reused across servers),
-        so its lifecycle stays with whoever built it.
+        the pool's node count).  Mutually exclusive with ``cache`` — the
+        pool's own shared cache fills that role
+        (``WorkerPool(..., cache=...)``).  The server never closes the
+        pool: its lifecycle stays with whoever built it.
 
     A server binds to the event loop it first runs under — create and
     use it inside one ``asyncio.run``.  ``async with Server(...)`` is
@@ -171,10 +153,7 @@ class Server:
         max_batch: int = 1024,
         max_queue: int = 65536,
         overflow: str = "wait",
-        executor=None,
-        planner: Optional[QueryPlanner] = None,
         pool: Optional[WorkerPool] = None,
-        close_pool: bool = False,
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
@@ -184,11 +163,7 @@ class Server:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
         if overflow not in ("wait", "reject"):
             raise ValueError(f'overflow must be "wait" or "reject", got {overflow!r}')
-        if planner is not None and cache is not None:
-            raise ValueError(
-                "pass either planner= (with its own cache) or cache=, not both"
-            )
-        if pool is not None and (cache is not None or planner is not None):
+        if pool is not None and cache is not None:
             raise ValueError(
                 "in pool mode the WorkerPool owns batch execution and the "
                 "shared cache — pass cache= to WorkerPool, not to Server"
@@ -199,8 +174,7 @@ class Server:
             cache = DistanceCache()
         self.engine = engine
         self.pool = pool
-        self.close_pool = close_pool
-        self._own_executor = None
+        self._dispatch = None
         if pool is not None:
             self.planner = None
             self._n = pool.n
@@ -209,23 +183,18 @@ class Server:
                     f"engine graph has {engine.graph.n} nodes but the pool's "
                     f"bundle has {pool.n}"
                 )
-            if executor is None:
-                # Dispatch must leave the event loop free — that is the
-                # point of the pool tier — so it always runs on a thread.
-                executor = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-pool-dispatch"
-                )
-                self._own_executor = executor
-        else:
-            self.planner = (
-                planner if planner is not None else QueryPlanner(engine, cache=cache)
+            # Dispatch must leave the event loop free — that is the
+            # point of the pool tier — so it always runs on a thread.
+            self._dispatch = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-pool-dispatch"
             )
+        else:
+            self.planner = QueryPlanner(engine, cache=cache)
             self._n = engine.graph.n
         self.window_s = window_s
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.overflow = overflow
-        self.executor = executor
         self._pending: Deque[_Item] = deque()
         self._capacity_waiters: Deque[asyncio.Future] = deque()
         self._wake: Optional[asyncio.Event] = None
@@ -272,10 +241,8 @@ class Server:
             await self._task
         # Anyone still parked on backpressure can only fail now.
         self._release_capacity_waiters()
-        if self._own_executor is not None:
-            self._own_executor.shutdown(wait=True)
-        if self.close_pool and self.pool is not None:
-            self.pool.close()
+        if self._dispatch is not None:
+            self._dispatch.shutdown(wait=True)
 
     async def __aenter__(self) -> "Server":
         return await self.start()
@@ -430,14 +397,10 @@ class Server:
                     # off-loop.  return_exceptions=True so one crashed
                     # sub-batch fails only its own futures below.
                     results = await loop.run_in_executor(
-                        self.executor,
+                        self._dispatch,
                         partial(
                             self.pool.execute, requests, return_exceptions=True
                         ),
-                    )
-                elif self.executor is not None:
-                    results = await loop.run_in_executor(
-                        self.executor, self.planner.execute, requests
                     )
                 else:
                     results = self.planner.execute(requests)
@@ -472,7 +435,7 @@ class Server:
                         self._completed += 1
                         item.future.set_result(result)
                 else:
-                    # Cancelled mid-batch (possible in executor mode):
+                    # Cancelled mid-batch (possible in pool mode):
                     # account for it so every *admitted* request lands in
                     # exactly one of completed / expired / cancelled /
                     # still-queued.  (rejected and expired-at-the-door
@@ -501,20 +464,13 @@ class Server:
         8: 3}`` reads: 40 singleton batches, 3 batches of 5-8).
         """
         mean_batch = self._coalesced / self._batches if self._batches else 0.0
-        if self.pool is not None:
-            tier = "pool"
-        elif self.executor is not None:
-            tier = "executor"
-        else:
-            tier = "inline"
         out = {
             "policy": {
-                "tier": tier,
+                "tier": "inline" if self.pool is None else "pool",
                 "window_s": self.window_s,
                 "max_batch": self.max_batch,
                 "max_queue": self.max_queue,
                 "overflow": self.overflow,
-                "executor": type(self.executor).__name__ if self.executor else None,
             },
             "submitted": self._submitted,
             "completed": self._completed,

@@ -79,6 +79,15 @@ def city_ah(city_graph):
     return AHIndex(city_graph)
 
 
+@pytest.fixture(scope="module")
+def bundle_path(blob, tmp_path_factory):
+    """The requesting module's ``blob`` fixture saved as a bundle file:
+    the path its worker pools boot from."""
+    path = tmp_path_factory.mktemp("bundle") / "hl.bundle"
+    path.write_bytes(blob)
+    return str(path)
+
+
 def recrc(data):
     """Bundle bytes ``data`` with every trailer CRC recomputed over its
     section, so a deliberate edit reaches the decoder's own checks."""

@@ -1,8 +1,20 @@
-"""Tests for the opt-in LRU distance cache (ROADMAP "Result caching")."""
+"""Tests for the opt-in LRU distance cache (ROADMAP "Result caching").
+
+A cache takes effect where it is passed: a :class:`QueryPlanner` (and so
+a ``Server``) or a ``WorkerPool``.  These tests drive it through the
+planner, the one in-process cache path.
+"""
 
 import pytest
 
-from repro.baselines import DijkstraEngine, DistanceCache, HubLabelIndex
+from repro.baselines import (
+    DijkstraEngine,
+    DistanceCache,
+    DistanceRequest,
+    HubLabelIndex,
+    OneToManyRequest,
+    QueryPlanner,
+)
 from repro.datasets import grid_city
 from repro.graph.traversal import distance_query
 
@@ -17,20 +29,17 @@ def graph():
 class TestDistanceCacheUnit:
     def test_lru_eviction_order(self):
         cache = DistanceCache(maxsize=2)
-        cache.store((0, 1), 1.0)
-        cache.store((0, 2), 2.0)
-        assert cache.lookup((0, 1)) == 1.0  # refreshes (0, 1)
-        cache.store((0, 3), 3.0)  # evicts (0, 2), the LRU entry
-        assert cache.lookup((0, 2)) is None
-        assert cache.lookup((0, 1)) == 1.0
-        assert cache.lookup((0, 3)) == 3.0
+        cache.store_many([((0, 1), 1.0), ((0, 2), 2.0)])
+        assert cache.lookup_many([(0, 1)]) == [1.0]  # refreshes (0, 1)
+        cache.store_many([((0, 3), 3.0)])  # evicts (0, 2), the LRU entry
+        assert cache.lookup_many([(0, 2), (0, 1), (0, 3)]) == [None, 1.0, 3.0]
         assert len(cache) == 2
 
     def test_counters_and_stats(self):
         cache = DistanceCache(maxsize=8)
-        assert cache.lookup((1, 2)) is None
-        cache.store((1, 2), 5.0)
-        assert cache.lookup((1, 2)) == 5.0
+        assert cache.lookup_many([(1, 2)]) == [None]
+        cache.store_many([((1, 2), 5.0)])
+        assert cache.lookup_many([(1, 2)]) == [5.0]
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
@@ -48,17 +57,19 @@ class TestDistanceCacheUnit:
 
 
 class TestEngineIntegration:
+    """An engine's point queries cached through ``QueryPlanner(cache=)``."""
+
     def test_answers_unchanged_and_counted(self, graph):
         engine = DijkstraEngine(graph)
-        cache = engine.enable_distance_cache(maxsize=64)
+        cache = DistanceCache(maxsize=64)
+        planner = QueryPlanner(engine, cache=cache)
         pairs = [(0, graph.n - 1), (3, 17), (0, graph.n - 1), (3, 17)]
         for s, t in pairs:
-            assert engine.distance(s, t) == pytest.approx(
-                distance_query(graph, s, t)
-            )
+            [got] = planner.execute([DistanceRequest(s, t)])
+            assert got == pytest.approx(distance_query(graph, s, t))
         assert cache.hits == 2
         assert cache.misses == 2
-        assert engine.distance_cache is cache
+        assert planner.stats()["cache"] == cache.stats()
 
     def test_caches_infinity(self, graph):
         # An unreachable pair must be cached too (inf is a real answer).
@@ -70,54 +81,40 @@ class TestEngineIntegration:
         b.add_node(2.0, 0.0)
         b.add_edge(0, 1, 1.0)
         g = b.build()
-        engine = DijkstraEngine(g)
-        cache = engine.enable_distance_cache()
-        assert engine.distance(0, 2) == INF
-        assert engine.distance(0, 2) == INF
+        cache = DistanceCache()
+        planner = QueryPlanner(DijkstraEngine(g), cache=cache)
+        assert planner.execute([DistanceRequest(0, 2)]) == [INF]
+        assert planner.execute([DistanceRequest(0, 2)]) == [INF]
         assert cache.hits == 1 and cache.misses == 1
 
     def test_bounded_size(self, graph):
-        engine = DijkstraEngine(graph)
-        cache = engine.enable_distance_cache(maxsize=4)
+        cache = DistanceCache(maxsize=4)
+        planner = QueryPlanner(DijkstraEngine(graph), cache=cache)
         for t in range(10):
-            engine.distance(0, t)
+            planner.execute([DistanceRequest(0, t)])
         assert len(cache) == 4
-
-    def test_disable_restores_method(self, graph):
-        engine = DijkstraEngine(graph)
-        engine.enable_distance_cache()
-        engine.disable_distance_cache()
-        assert engine.distance_cache is None
-        assert engine.distance.__func__ is DijkstraEngine.distance
-        # idempotent
-        engine.disable_distance_cache()
-
-    def test_reenable_resets(self, graph):
-        engine = DijkstraEngine(graph)
-        first = engine.enable_distance_cache(maxsize=8)
-        engine.distance(0, 5)
-        second = engine.enable_distance_cache(maxsize=16)
-        assert second is not first
-        assert second.misses == 0 and len(second) == 0
-        assert engine.distance(0, 5) == pytest.approx(
-            distance_query(graph, 0, 5)
-        )
-        assert second.misses == 1
 
     def test_works_on_hub_labels(self, graph):
         hl = HubLabelIndex(graph)
-        cache = hl.enable_distance_cache(maxsize=32)
+        cache = DistanceCache(maxsize=32)
+        planner = QueryPlanner(hl, cache=cache)
         want = distance_query(graph, 2, graph.n - 3)
-        assert hl.distance(2, graph.n - 3) == pytest.approx(want)
-        assert hl.distance(2, graph.n - 3) == pytest.approx(want)
+        for _ in range(2):
+            [got] = planner.execute([DistanceRequest(2, graph.n - 3)])
+            assert got == pytest.approx(want)
         assert cache.stats()["hit_rate"] == 0.5
-        # Batched surface bypasses (and is not polluted by) the cache.
-        hl.one_to_many(0, [1, 2, 3])
-        assert cache.misses == 1
+        # Batched requests bypass (and do not pollute) the cache.
+        planner.execute([OneToManyRequest(0, [1, 2, 3])])
+        assert cache.misses == 1 and len(cache) == 1
 
     def test_other_instances_unaffected(self, graph):
-        cached = DijkstraEngine(graph)
-        plain = DijkstraEngine(graph)
-        cached.enable_distance_cache()
-        assert plain.distance_cache is None
-        assert plain.distance.__func__ is DijkstraEngine.distance
+        # A cache belongs to the planner it is passed to: another planner
+        # over the same engine caches nothing, and the engine's own
+        # distance method is never wrapped.
+        engine = DijkstraEngine(graph)
+        cached = QueryPlanner(engine, cache=DistanceCache())
+        plain = QueryPlanner(engine)
+        cached.execute([DistanceRequest(0, 5)])
+        assert plain.cache is None
+        assert "cache" not in plain.stats()
+        assert engine.distance.__func__ is DijkstraEngine.distance

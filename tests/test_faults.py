@@ -229,9 +229,9 @@ def test_breaker_consecutive_counting_resets_on_success():
     ],
     ids=["kill", "corrupt", "truncate", "req_corrupt", "req_truncate"],
 )
-def test_injected_fault_heals_via_retry(blob, reqs, want, action):
+def test_injected_fault_heals_via_retry(bundle_path, reqs, want, action):
     plan = FaultPlan.scripted({(0, 0): dict(action)})
-    with WorkerPool(blob, workers=2, fault_plan=plan) as pool:
+    with WorkerPool(bundle_path, workers=2, fault_plan=plan) as pool:
         shm = _shm_names(pool)
         assert pool.execute(reqs) == want  # healed, planner-exact
         assert plan.injected == 1 and len(plan) == 0
@@ -246,19 +246,19 @@ def test_injected_fault_heals_via_retry(blob, reqs, want, action):
     _assert_no_leaks(pool, shm)
 
 
-def test_stall_trips_watchdog_and_heals(blob, reqs, want):
+def test_stall_trips_watchdog_and_heals(bundle_path, reqs, want):
     plan = FaultPlan.scripted({(0, 0): faults.stall(1.0)})
     with WorkerPool(
-        blob, workers=2, recv_timeout_s=0.2, fault_plan=plan
+        bundle_path, workers=2, recv_timeout_s=0.2, fault_plan=plan
     ) as pool:
         assert pool.execute(reqs) == want  # retried clean after expiry
         assert pool.stats()["resilience"]["watchdog_timeouts"] >= 1
 
 
-def test_exhausted_stall_fails_typed_as_worker_stalled(blob, hl):
+def test_exhausted_stall_fails_typed_as_worker_stalled(bundle_path, hl):
     plan = FaultPlan.scripted({(0, 0): faults.stall(5.0)})
     with WorkerPool(
-        blob, workers=1, max_retries=0, recv_timeout_s=0.2, fault_plan=plan
+        bundle_path, workers=1, max_retries=0, recv_timeout_s=0.2, fault_plan=plan
     ) as pool:
         with pytest.raises(WorkerStalled):
             pool.execute([DistanceRequest(0, 1)])
@@ -275,10 +275,10 @@ def test_failure_types_are_worker_crashed_subclasses():
     assert issubclass(RequestCorrupted, ReplyCorrupted)
 
 
-def test_sigstopped_worker_is_detected_and_replaced(blob, reqs, want):
+def test_sigstopped_worker_is_detected_and_replaced(bundle_path, reqs, want):
     """A real SIGSTOP (not a scripted sleep): stalled-but-alive, the
     case EOF detection can never see — only the recv watchdog can."""
-    with WorkerPool(blob, workers=2, recv_timeout_s=0.3) as pool:
+    with WorkerPool(bundle_path, workers=2, recv_timeout_s=0.3) as pool:
         victim = pool.handles[0].pid
         os.kill(victim, signal.SIGSTOP)
         try:
@@ -292,19 +292,19 @@ def test_sigstopped_worker_is_detected_and_replaced(blob, reqs, want):
         assert pool.handles[0].pid != victim  # replaced, not waited on
 
 
-def test_corrupt_reply_is_typed_when_retries_exhausted(blob):
+def test_corrupt_reply_is_typed_when_retries_exhausted(bundle_path):
     plan = FaultPlan.scripted(
         {(0, 0): faults.corrupt(), (1, 0): faults.corrupt()}
     )
-    with WorkerPool(blob, workers=1, max_retries=0, fault_plan=plan) as pool:
+    with WorkerPool(bundle_path, workers=1, max_retries=0, fault_plan=plan) as pool:
         with pytest.raises(ReplyCorrupted):
             pool.execute([DistanceRequest(0, 1)])
         assert pool.stats()["reply_path"]["crc_failures"] >= 1
 
 
-def test_corrupt_request_is_typed_when_retries_exhausted(blob, hl):
+def test_corrupt_request_is_typed_when_retries_exhausted(bundle_path, hl):
     plan = FaultPlan.scripted({(0, 0): faults.req_corrupt()})
-    with WorkerPool(blob, workers=1, max_retries=0, fault_plan=plan) as pool:
+    with WorkerPool(bundle_path, workers=1, max_retries=0, fault_plan=plan) as pool:
         with pytest.raises(RequestCorrupted):
             pool.execute([DistanceRequest(0, 1)])
         stats = pool.stats()
@@ -318,7 +318,7 @@ def test_corrupt_request_is_typed_when_retries_exhausted(blob, hl):
 # ----------------------------------------------------------------------
 # Hedging: first answer wins, duplicates bit-compared
 # ----------------------------------------------------------------------
-def test_hedge_first_answer_wins_with_parity(blob, hl):
+def test_hedge_first_answer_wins_with_parity(bundle_path, hl):
     reqs = [DistanceRequest(i, 35 - i) for i in range(8)]
     want = QueryPlanner(hl).execute(reqs)
     # Stall slot 1: slot 0 finishes its own sub-batch, goes idle, and
@@ -328,7 +328,7 @@ def test_hedge_first_answer_wins_with_parity(blob, hl):
     # a later dispatch's sweep, inside the grace window.
     plan = FaultPlan.scripted({(0, 1): faults.stall(0.4)})
     with WorkerPool(
-        blob,
+        bundle_path,
         workers=2,
         hedge_after_s=0.05,
         hedge_grace_s=5.0,
@@ -350,7 +350,7 @@ def test_hedge_first_answer_wins_with_parity(blob, hl):
         assert pool.execute(reqs) == want  # no desync afterwards
 
 
-def test_worker_planner_stats_resolves_hedge_loser(blob, hl):
+def test_worker_planner_stats_resolves_hedge_loser(bundle_path, hl):
     """Per-worker planner stats taken while a hedge loser is still in
     flight must not read the duplicate's reply as a stats reply: the
     loser is drained (and bit-compared) first, and the pipes stay in
@@ -359,7 +359,7 @@ def test_worker_planner_stats_resolves_hedge_loser(blob, hl):
     want = QueryPlanner(hl).execute(reqs)
     plan = FaultPlan.scripted({(0, 1): faults.stall(0.4)})
     with WorkerPool(
-        blob,
+        bundle_path,
         workers=2,
         hedge_after_s=0.05,
         hedge_grace_s=5.0,
@@ -378,11 +378,11 @@ def test_worker_planner_stats_resolves_hedge_loser(blob, hl):
         assert h["draining"] == 0
 
 
-def test_worker_planner_stats_bounded_by_recv_timeout(blob, reqs, want):
+def test_worker_planner_stats_bounded_by_recv_timeout(bundle_path, reqs, want):
     """A stalled worker fails the stats call typed within the pool's
     watchdog and is replaced, so its late reply cannot desync the next
     dispatch."""
-    with WorkerPool(blob, workers=2, recv_timeout_s=0.3) as pool:
+    with WorkerPool(bundle_path, workers=2, recv_timeout_s=0.3) as pool:
         victim = pool.handles[0].pid
         os.kill(victim, signal.SIGSTOP)
         try:
@@ -400,8 +400,8 @@ def test_worker_planner_stats_bounded_by_recv_timeout(blob, reqs, want):
         assert all("kernel_distance" in s for s in pool.worker_planner_stats())
 
 
-def test_hedge_off_by_default(blob, reqs, want):
-    with WorkerPool(blob, workers=2) as pool:
+def test_hedge_off_by_default(bundle_path, reqs, want):
+    with WorkerPool(bundle_path, workers=2) as pool:
         assert pool.hedge_after_s is None
         assert pool.execute(reqs) == want
         assert pool.stats()["resilience"]["hedge"]["hedges"] == 0
@@ -410,7 +410,7 @@ def test_hedge_off_by_default(blob, reqs, want):
 # ----------------------------------------------------------------------
 # Breaker quarantine -> degraded single-process fallback -> recovery
 # ----------------------------------------------------------------------
-def test_all_quarantined_degrades_to_planner_fallback(blob, reqs, want):
+def test_all_quarantined_degrades_to_planner_fallback(bundle_path, reqs, want):
     now = [0.0]
     breaker = CircuitBreaker(
         2,
@@ -419,7 +419,7 @@ def test_all_quarantined_degrades_to_planner_fallback(blob, reqs, want):
         cooldown_cap_s=7200.0,
         clock=lambda: now[0],
     )
-    with WorkerPool(blob, workers=2, max_retries=0, breaker=breaker) as pool:
+    with WorkerPool(bundle_path, workers=2, max_retries=0, breaker=breaker) as pool:
         for slot in range(2):
             breaker.record_failure(slot)  # quarantine everyone
         assert breaker.open_slots() == [0, 1]
@@ -435,7 +435,7 @@ def test_all_quarantined_degrades_to_planner_fallback(blob, reqs, want):
         assert per_slot[1]["state"] == "closed"
 
 
-def test_repeated_crashes_trip_the_breaker(blob, hl):
+def test_repeated_crashes_trip_the_breaker(bundle_path, hl):
     plan = FaultPlan.scripted({(d, 0): faults.kill() for d in range(6)})
     now = [0.0]
     breaker = CircuitBreaker(
@@ -446,7 +446,7 @@ def test_repeated_crashes_trip_the_breaker(blob, hl):
         clock=lambda: now[0],
     )
     with WorkerPool(
-        blob, workers=1, max_retries=0, breaker=breaker, fault_plan=plan
+        bundle_path, workers=1, max_retries=0, breaker=breaker, fault_plan=plan
     ) as pool:
         for _ in range(2):
             with pytest.raises(WorkerCrashed):
@@ -521,7 +521,7 @@ def test_worker_boot_from_damaged_bundle_fails_typed(tmp_path, blob):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_chaos_schedule_full_contract(graph, hl, blob, name, seed):
+def test_chaos_schedule_full_contract(graph, hl, bundle_path, name, seed):
     """Random schedules over every fault kind (kill/stall, reply and
     request corrupt/truncate): survivors bit-exact, casualties typed,
     pool consistent, nothing leaked."""
@@ -535,7 +535,7 @@ def test_chaos_schedule_full_contract(graph, hl, blob, name, seed):
     with backend.forced(name):
         want = QueryPlanner(hl).execute(reqs)
         pool = WorkerPool(
-            blob, workers=2, recv_timeout_s=0.25, fault_plan=plan
+            bundle_path, workers=2, recv_timeout_s=0.25, fault_plan=plan
         )
         try:
             shm = _shm_names(pool)
@@ -562,7 +562,7 @@ def test_chaos_schedule_full_contract(graph, hl, blob, name, seed):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_request_chaos_never_wrong_answer(graph, hl, blob, seed):
+def test_request_chaos_never_wrong_answer(graph, hl, bundle_path, seed):
     """Random request-lane damage: every answer exact or typed, never
     silently wrong, and the lane keeps serving after every heal."""
     node = graph.n - 1
@@ -577,7 +577,7 @@ def test_request_chaos_never_wrong_answer(graph, hl, blob, seed):
     )
     scheduled = len(plan)
     want = QueryPlanner(hl).execute(reqs)
-    pool = WorkerPool(blob, workers=2, recv_timeout_s=0.25, fault_plan=plan)
+    pool = WorkerPool(bundle_path, workers=2, recv_timeout_s=0.25, fault_plan=plan)
     try:
         shm = _shm_names(pool)
         for _ in range(3):

@@ -8,6 +8,7 @@ the shared :class:`DistanceCache`.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -101,10 +102,6 @@ class TestPlannerParity:
         with pytest.raises(TypeError):
             QueryPlanner(hl).execute([("distance", 0, 1)])
 
-    def test_min_group_validation(self, hl):
-        with pytest.raises(ValueError):
-            QueryPlanner(hl, min_group=1)
-
 
 class TestPlannerGrouping:
     def test_shared_source_points_coalesce_on_hl(self, hl):
@@ -186,18 +183,6 @@ class TestPlannerCacheDiscipline:
         planner.execute(reqs)
         assert cache.misses == 3 and cache.hits == 3
 
-    def test_engine_wrapper_cache_not_double_counted(self, graph):
-        # When the engine's enable_distance_cache cache is also the
-        # planner's, misses must pay exactly one lookup + one store.
-        dj = DijkstraEngine(graph)
-        cache = dj.enable_distance_cache(maxsize=64)
-        planner = QueryPlanner(dj)
-        assert planner.cache is cache
-        planner.execute([DistanceRequest(0, 9)])
-        assert cache.misses == 1 and cache.hits == 0
-        assert dj.distance(0, 9) == planner.execute([DistanceRequest(0, 9)])[0]
-        assert cache.hits == 2  # one via the wrapper, one via the planner
-
     def test_batched_requests_bypass_cache(self, hl):
         cache = DistanceCache(256)
         planner = QueryPlanner(hl, cache=cache)
@@ -216,16 +201,14 @@ class TestDistanceCacheConcurrency:
 
     def test_lookup_many_refreshes_recency(self):
         cache = DistanceCache(maxsize=2)
-        cache.store((0, 1), 1.0)
-        cache.store((0, 2), 2.0)
+        cache.store_many([((0, 1), 1.0), ((0, 2), 2.0)])
         cache.lookup_many([(0, 1)])  # (0, 1) becomes most-recent
-        cache.store((0, 3), 3.0)  # evicts (0, 2)
-        assert cache.lookup((0, 2)) is None
-        assert cache.lookup((0, 1)) == 1.0
+        cache.store_many([((0, 3), 3.0)])  # evicts (0, 2)
+        assert cache.lookup_many([(0, 2), (0, 1)]) == [None, 1.0]
 
     def test_threaded_hammer_keeps_counters_consistent(self):
-        # The satellite requirement: serving workers and the planner
-        # share one instance.  8 threads interleave scalar and bulk
+        # A pool's dispatch thread and its callers' threads share one
+        # instance.  8 threads interleave single-key and batched
         # lookups/stores; under the lock, hits + misses must equal the
         # exact number of lookups issued and the LRU bound must hold.
         cache = DistanceCache(maxsize=64)
@@ -238,8 +221,8 @@ class TestDistanceCacheConcurrency:
             barrier.wait()
             for i in range(lookups_per_thread // 2):
                 key = (seed, rng.randrange(32))
-                if cache.lookup(key) is None:
-                    cache.store(key, float(i))
+                if cache.lookup_many([key]) == [None]:
+                    cache.store_many([(key, float(i))])
             keys = [(seed, rng.randrange(32)) for _ in range(lookups_per_thread // 2)]
             found = cache.lookup_many(keys)
             cache.store_many(
@@ -271,6 +254,44 @@ class TestTargetInversionMemo:
         # And the memoized inversion must not change answers.
         assert first == [hl.one_to_many(s, pool) for s in (0, 2)]
         assert second == [hl.one_to_many(s, pool) for s in (3, 5)]
+
+    def test_memo_shared_across_threads(self, hl):
+        # The memo's lock lets threads share one index: 4 threads run
+        # the pure table kernel over shared and distinct target tuples.
+        # Answers must equal the single-threaded ones, and every call
+        # must count exactly one memo hit or miss.
+        shared = (1, 4, 9, 16)
+        jobs = [
+            [((s, s + 1), shared if k % 2 else (s, 10 + k // 2, 48)) for k in range(40)]
+            for s in range(4)
+        ]
+        with backend.forced("pure"):
+            want = [[hl.distance_table(*job) for job in jobs_] for jobs_ in jobs]
+            hl.clear_target_inversions()
+            got = [None] * len(jobs)
+            barrier = threading.Barrier(len(jobs))
+
+            def worker(i):
+                barrier.wait()
+                got[i] = [hl.distance_table(*job) for job in jobs[i]]
+
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            stats = hl.target_inversion_stats()
+        assert got == want
+        assert stats["hits"] + stats["misses"] == sum(len(j) for j in jobs)
+        assert stats["hits"] > 0
 
     def test_memo_eviction_bound(self, hl):
         with backend.forced("pure"):

@@ -10,7 +10,8 @@ Five load-bearing properties:
   (poisonous batch) — never hung, never poisoning batch-mates, never
   shrinking the pool.
 * **Buffer/path serialization**: bundles load from bytes and from
-  paths, answer identically, and re-save byte-identically.
+  paths, answer identically, and re-save byte-identically; pools boot
+  from a bundle path only.
 * **Lane lifecycle**: oversized replies and requests ride the pipe
   in-band, the rings wrap, lanes survive worker crash + respawn with a
   reply in flight, and ``close`` unlinks every segment — nothing
@@ -24,6 +25,8 @@ import asyncio
 import io
 import os
 import signal
+import struct
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +49,7 @@ from repro.core.serialize import (
     unpack_requests,
 )
 from repro.datasets import grid_city
-from repro.serve import Server, WorkerCrashed, WorkerPool
+from repro.serve import ReplyCorrupted, Server, WorkerCrashed, WorkerPool
 from repro.serve import pool as pool_module
 from repro.serve.pool import CrashRequest, plan_split
 
@@ -72,12 +75,12 @@ def blob(hl):
 
 
 @pytest.fixture(scope="module")
-def pools(blob):
+def pools(bundle_path):
     """One 2-worker pool per backend, shared across the module's tests."""
     out = {}
     for name in BACKENDS:
         with backend.forced(name):
-            out[backend.active()] = WorkerPool(blob, workers=2)
+            out[backend.active()] = WorkerPool(bundle_path, workers=2)
     yield out
     for pool in out.values():
         pool.close()
@@ -144,9 +147,9 @@ def test_pool_results_are_plain_floats(hl, pools):
     assert out[1][2] == 0.0  # self-distance survives the trip
 
 
-def test_pool_shared_cache_hits(blob, hl):
+def test_pool_shared_cache_hits(bundle_path, hl):
     reqs = [DistanceRequest(i, 35 - i) for i in range(12)]
-    with WorkerPool(blob, workers=2, cache=DistanceCache(256)) as pool:
+    with WorkerPool(bundle_path, workers=2, cache=DistanceCache(256)) as pool:
         first = pool.execute(reqs)
         second = pool.execute(reqs)
         assert first == second == QueryPlanner(hl).execute(reqs)
@@ -154,8 +157,8 @@ def test_pool_shared_cache_hits(blob, hl):
         assert stats["hits"] >= len(reqs)  # the whole second batch
 
 
-def test_pool_empty_and_closed(blob):
-    pool = WorkerPool(blob, workers=2)
+def test_pool_empty_and_closed(bundle_path):
+    pool = WorkerPool(bundle_path, workers=2)
     assert pool.execute([]) == []
     pool.close()
     pool.close()  # idempotent
@@ -163,10 +166,47 @@ def test_pool_empty_and_closed(blob):
         pool.execute([DistanceRequest(0, 1)])
 
 
-def test_pool_rejects_bad_bundle(hl):
-    for bad in (12345, hl):  # neither a path nor bytes
+def test_pool_rejects_bad_bundle(hl, blob):
+    for bad in (12345, hl, blob, bytearray(blob), memoryview(blob)):  # not a path
         with pytest.raises(TypeError):
             WorkerPool(bad)
+
+
+# ----------------------------------------------------------------------
+# Reply decoding: one float64 per expected answer, no more, no less
+# ----------------------------------------------------------------------
+_REPLY_REQS = [
+    OneToManyRequest(0, [1, 2, 3]),
+    DistanceRequest(4, 5),
+    TableRequest([1], [2, 3]),
+]
+_REPLY = array("d", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [_REPLY[:-16], _REPLY + bytes(16), _REPLY[:-3]],
+    ids=["16-bytes-short", "16-bytes-extra", "not-a-multiple-of-8"],
+)
+def test_unpack_results_rejects_wrong_length(reply):
+    with pytest.raises(ReplyCorrupted):
+        pool_module._unpack_results(_REPLY_REQS, reply)
+
+
+def test_wrong_length_reply_takes_the_retry_path(bundle_path, monkeypatch):
+    """Workers fork from this process, so they inherit a packer that
+    appends 16 bytes to every reply: each reply fails its length check,
+    is retried like a CRC failure, and the sub-batch ends typed."""
+    if pool_module._default_context_name() != "fork":
+        pytest.skip("workers inherit the patched packer only under fork")
+    pack = pool_module._pack_results
+    monkeypatch.setattr(
+        pool_module, "_pack_results", lambda reqs, res: pack(reqs, res) + bytes(16)
+    )
+    with WorkerPool(bundle_path, workers=1, max_retries=1) as pool:
+        [out] = pool.execute([DistanceRequest(0, 7)], return_exceptions=True)
+        assert isinstance(out, ReplyCorrupted)
+        assert pool.stats()["resilience"]["retry"]["attempts"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -207,10 +247,10 @@ def test_plan_split_chunks_dominant_group():
 # ----------------------------------------------------------------------
 # Crash containment
 # ----------------------------------------------------------------------
-def test_worker_killed_idle_is_respawned_transparently(blob, hl):
+def test_worker_killed_idle_is_respawned_transparently(bundle_path, hl):
     reqs = [DistanceRequest(i, i + 20) for i in range(10)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         victim = pool.handles[0].pid
         os.kill(victim, signal.SIGKILL)
         assert pool.execute(reqs) == want  # retried, never hung
@@ -220,7 +260,7 @@ def test_worker_killed_idle_is_respawned_transparently(blob, hl):
         assert all(h.process.is_alive() for h in pool.handles)
 
 
-def test_worker_crash_mid_batch_fails_cleanly(blob, hl):
+def test_worker_crash_mid_batch_fails_cleanly(bundle_path, hl):
     """The unit test the ISSUE asks for: a worker dies *mid-batch*.
 
     ``CrashRequest`` makes its worker ``os._exit`` while the sub-batch
@@ -233,7 +273,7 @@ def test_worker_crash_mid_batch_fails_cleanly(blob, hl):
     """
     good = [DistanceRequest(i, i + 9) for i in range(8)]
     want = QueryPlanner(hl).execute(good)
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         mixed = list(good)
         mixed.insert(3, CrashRequest())
         out = pool.execute(mixed, return_exceptions=True)
@@ -263,25 +303,25 @@ def _attach_by_name(name):
     seg.close()
 
 
-def test_oversized_reply_falls_back_to_pipe(blob, hl, monkeypatch):
+def test_oversized_reply_falls_back_to_pipe(bundle_path, hl, monkeypatch):
     """Replies that outgrow the lane ride the pipe and stay correct."""
     monkeypatch.setattr(pool_module, "_LANE_BYTES", 64)
     reqs = [TableRequest(tuple(range(8)), tuple(range(8, 24)))] + [
         DistanceRequest(i, i + 12) for i in range(6)
     ]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         assert pool.execute(reqs) == want
         stats = pool.stats()["reply_path"]
         assert stats["oversized_replies"] >= 1
 
 
-def test_reply_lane_ring_wraps(blob, hl, monkeypatch):
+def test_reply_lane_ring_wraps(bundle_path, hl, monkeypatch):
     """A lane smaller than the batch stream forces the ring to wrap."""
     monkeypatch.setattr(pool_module, "_LANE_BYTES", 256)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=1) as pool:
+    with WorkerPool(bundle_path, workers=1) as pool:
         for _ in range(6):  # cumulative replies >> lane size
             assert pool.execute(reqs) == want
         stats = pool.stats()["reply_path"]
@@ -289,11 +329,11 @@ def test_reply_lane_ring_wraps(blob, hl, monkeypatch):
         assert stats["oversized_replies"] == 0
 
 
-def test_reply_lane_survives_crash_with_reply_in_flight(blob, hl):
+def test_reply_lane_survives_crash_with_reply_in_flight(bundle_path, hl):
     """Deterministic mid-batch kill; the respawned worker re-attaches."""
     good = [DistanceRequest(i, i + 9) for i in range(8)]
     want = QueryPlanner(hl).execute(good)
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         mixed = list(good)
         mixed.insert(3, CrashRequest())
         out = pool.execute(mixed, return_exceptions=True)
@@ -305,9 +345,9 @@ def test_reply_lane_survives_crash_with_reply_in_flight(blob, hl):
         assert all(h.process.is_alive() for h in pool.handles)
 
 
-def test_reply_lanes_unlinked_on_close(blob):
+def test_reply_lanes_unlinked_on_close(bundle_path):
     """No /dev/shm segment outlives the pool."""
-    pool = WorkerPool(blob, workers=2)
+    pool = WorkerPool(bundle_path, workers=2)
     names = [lane.name for lane in pool._lanes]
     assert len(names) == 2  # one lane per worker
     pool.execute([DistanceRequest(0, 1)])
@@ -318,9 +358,9 @@ def test_reply_lanes_unlinked_on_close(blob):
     pool.close()  # idempotent — a second close must not re-unlink
 
 
-def test_reply_lanes_unlinked_when_worker_already_dead(blob):
+def test_reply_lanes_unlinked_when_worker_already_dead(bundle_path):
     """Killing a worker before close still leaves no segments behind."""
-    pool = WorkerPool(blob, workers=2)
+    pool = WorkerPool(bundle_path, workers=2)
     names = [lane.name for lane in pool._lanes]
     os.kill(pool.handles[0].pid, signal.SIGKILL)
     pool.handles[0].process.join(timeout=10)
@@ -393,24 +433,66 @@ def test_reqcol_round_trips_every_wire_kind(reqs):
     assert blob[0] == (4 if all(v < 2**31 for v in ids) else 8)
 
 
-def test_oversized_request_falls_back_to_packed_pipe(blob, hl, monkeypatch):
+def _reqcol(kinds, meta, ids, *, nreq=None, nids=None, tail=b""):
+    """A hand-built REQCOL block (width 4); counts default to the truth."""
+    return (
+        bytes([4])
+        + struct.pack("<q", len(kinds) if nreq is None else nreq)
+        + bytes(kinds)
+        + struct.pack("<q", len(meta))
+        + bytes(meta)
+        + struct.pack("<q", len(ids) if nids is None else nids)
+        + array("i", ids).tobytes()
+        + tail
+    )
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        _reqcol([1], [9], [0, 5]),  # one-to-many claims 9 targets, has 1
+        _reqcol([0], [], [1, 2, 3]),  # distance over 3 ids
+        _reqcol([0], [4], [1, 2]),  # meta count nobody consumes
+        _reqcol([0], [], [1, 2], tail=b"\0"),  # bytes past the id column
+        _reqcol([0], [], [1, 2], nreq=50),  # more kinds than bytes
+        _reqcol([0], [], [1, 2], nreq=-1),
+        _reqcol([0], [], [1]),  # too few ids
+        _reqcol([0], [], [1, 2], nids=-2),
+        _reqcol([2], [1], [0, 1]),  # table without its target count
+        _reqcol([1], [0x80], [0, 1]),  # meta ends mid-uvarint
+        b"",
+    ],
+    ids=[
+        "o2m-meta-past-ids", "distance-extra-id", "unconsumed-meta",
+        "trailing-bytes", "nreq-past-block", "negative-nreq", "too-few-ids",
+        "negative-nids", "table-meta-short", "meta-mid-uvarint", "empty",
+    ],
+)
+def test_reqcol_rejects_malformed_blocks(block):
+    """Every malformed block fails as ValueError, which the worker
+    reports as RequestCorrupted — never as requests it did not send."""
+    with pytest.raises(ValueError):
+        unpack_requests(block)
+
+
+def test_oversized_request_falls_back_to_packed_pipe(bundle_path, hl, monkeypatch):
     """Batches that outgrow the request ring ride the pipe, packed."""
     monkeypatch.setattr(pool_module, "_LANE_BYTES", 64)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         assert pool.execute(reqs) == want
         stats = pool.stats()["request_path"]
         assert stats["oversized_batches"] >= 1
         assert stats["shm_bytes"] == 0  # nothing fit the 64-byte ring
 
 
-def test_request_ring_wraps(blob, hl, monkeypatch):
+def test_request_ring_wraps(bundle_path, hl, monkeypatch):
     """A request ring smaller than the stream forces a wrap."""
     monkeypatch.setattr(pool_module, "_LANE_BYTES", 256)
     reqs = [DistanceRequest(i, 35 - i) for i in range(20)]
     want = QueryPlanner(hl).execute(reqs)
-    with WorkerPool(blob, workers=1) as pool:
+    with WorkerPool(bundle_path, workers=1) as pool:
         for _ in range(6):  # cumulative request bytes >> ring size
             assert pool.execute(reqs) == want
         stats = pool.stats()["request_path"]
@@ -418,7 +500,7 @@ def test_request_ring_wraps(blob, hl, monkeypatch):
         assert stats["oversized_batches"] == 0
 
 
-def test_unpackable_request_kind_rides_pickled_fallback(blob, hl):
+def test_unpackable_request_kind_rides_pickled_fallback(bundle_path, hl):
     """A request subclass packs as its base kind: it rides the request
     lane (there is no pickled fallback) and is answered exactly like
     the base kind."""
@@ -432,16 +514,16 @@ def test_unpackable_request_kind_rides_pickled_fallback(blob, hl):
         OneToManyRequest(3, (1, 2, 30)),
         TableRequest((0, 4), (5, 6)),
     ]
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         assert pool.execute(tagged) == QueryPlanner(hl).execute(base)
         stats = pool.stats()["request_path"]
         assert stats["shm_bytes"] > 0 and stats["oversized_batches"] == 0
 
 
-def test_unknown_request_kind_raises_before_dispatch(blob):
+def test_unknown_request_kind_raises_before_dispatch(bundle_path):
     """A request the wire format cannot carry is refused up front: no
     sub-batch is sent, so no worker is touched."""
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         before = pool.stats()
         for batch in ([object()], [DistanceRequest(0, 1), object()]):
             with pytest.raises(TypeError):
@@ -452,9 +534,9 @@ def test_unknown_request_kind_raises_before_dispatch(blob):
         assert after["request_path"] == before["request_path"]
 
 
-def test_request_lanes_unlinked_on_close(blob):
+def test_request_lanes_unlinked_on_close(bundle_path):
     """Neither reply nor request segments outlive the pool."""
-    pool = WorkerPool(blob, workers=2)
+    pool = WorkerPool(bundle_path, workers=2)
     names = pool.lane_names()
     assert len(names) == 4  # reply + request lane per worker
     pool.execute([DistanceRequest(0, 1)])
@@ -493,7 +575,7 @@ def test_server_pool_tier_serves_and_reports(graph, hl, pools):
     assert tier["dispatches"] >= 1
 
 
-def test_dispatch_stats_pinned_and_surfaced(blob, hl):
+def test_dispatch_stats_pinned_and_surfaced(bundle_path, hl):
     """stats()["dispatch"] keys are pinned and reach Server.stats()."""
     reqs = [DistanceRequest(i, i + 7) for i in range(10)]
 
@@ -502,7 +584,7 @@ def test_dispatch_stats_pinned_and_surfaced(blob, hl):
             await asyncio.gather(*(server.submit(r) for r in reqs))
             return server.stats()
 
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         pool.execute(reqs)
         d = pool.stats()["dispatch"]
         assert set(d) == {"pack_s", "send_s", "compute_s", "merge_s"}
@@ -512,7 +594,7 @@ def test_dispatch_stats_pinned_and_surfaced(blob, hl):
         assert set(surfaced) == set(d)
 
 
-def test_server_pool_transparent_crash_recovery(hl, blob):
+def test_server_pool_transparent_crash_recovery(hl, bundle_path):
     """A worker killed between batches never surfaces to clients."""
     reqs = [DistanceRequest(i, i + 11) for i in range(12)]
     want = [_direct(hl, r) for r in reqs]
@@ -524,7 +606,7 @@ def test_server_pool_transparent_crash_recovery(hl, blob):
             second = await asyncio.gather(*(server.submit(r) for r in reqs))
         return first, second
 
-    with WorkerPool(blob, workers=2) as pool:
+    with WorkerPool(bundle_path, workers=2) as pool:
         first, second = asyncio.run(main(pool))
         assert first == want and second == want
         assert pool.stats()["respawns"] >= 1
@@ -534,8 +616,6 @@ def test_server_pool_mode_validation(hl, pools):
     pool = pools[backend.active()]
     with pytest.raises(ValueError):
         Server(None, pool=pool, cache=DistanceCache())
-    with pytest.raises(ValueError):
-        Server(hl, pool=pool, planner=QueryPlanner(hl))
     with pytest.raises(ValueError):
         Server(None)  # no engine and no pool
 
@@ -547,14 +627,16 @@ def test_server_pool_mode_validation(hl, pools):
         asyncio.run(submit_unknown())
 
 
-def test_server_close_pool_flag(blob):
-    pool = WorkerPool(blob, workers=2)
+def test_server_close_leaves_pool_open(bundle_path, hl):
+    """Whoever builds a pool closes it: a server's close never does."""
+    with WorkerPool(bundle_path, workers=2) as pool:
 
-    async def main():
-        async with Server(None, pool=pool, close_pool=True) as server:
-            await server.submit(DistanceRequest(0, 1))
+        async def main():
+            async with Server(None, pool=pool) as server:
+                await server.submit(DistanceRequest(0, 1))
 
-    asyncio.run(main())
+        asyncio.run(main())
+        assert pool.execute([DistanceRequest(0, 1)]) == [hl.distance(0, 1)]
     with pytest.raises(RuntimeError):
         pool.execute([DistanceRequest(0, 1)])
 

@@ -4,12 +4,11 @@ The load-bearing property is the coalescer's exactness: *any*
 interleaving of concurrent ``submit()`` calls, under any batching
 policy, must return bit-identical results to direct engine calls — on
 both backends.  Hypothesis drives that; deterministic companions pin
-deadline expiry, backpressure (wait and reject), lifecycle, and the
-executor (off-loop) mode that exercises the cache lock across threads.
+deadline expiry, backpressure (wait and reject), lifecycle and the
+stats surface.
 """
 
 import asyncio
-import concurrent.futures
 import random
 
 import pytest
@@ -324,35 +323,6 @@ class TestLifecycle:
         got = asyncio.run(main())
         assert got == [hl.distance(i, 20) for i in range(8)]
 
-    def test_planner_and_cache_are_mutually_exclusive(self, hl):
-        from repro.baselines import QueryPlanner
-
-        with pytest.raises(ValueError, match="not both"):
-            Server(hl, planner=QueryPlanner(hl), cache=DistanceCache(16))
-
-
-class TestExecutorMode:
-    def test_off_loop_execution_matches_inline(self, hl):
-        """A worker thread runs the planner; the lock-guarded cache and
-        inversion memo are shared across threads without corruption."""
-        pairs = [(i % 36, (i * 3) % 36) for i in range(60)]
-        pool = (1, 9, 17)
-        want_d = [hl.distance(s, t) for s, t in pairs]
-        want_r = hl.one_to_many(4, pool)
-
-        async def main(executor):
-            async with Server(hl, cache=DistanceCache(512), executor=executor) as server:
-                got_d = await asyncio.gather(
-                    *(server.distance(s, t) for s, t in pairs)
-                )
-                got_r = await server.one_to_many(4, pool)
-                return got_d, got_r
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool_exec:
-            got_d, got_r = asyncio.run(main(pool_exec))
-        assert got_d == want_d
-        assert got_r == want_r
-
 
 class TestStatsSurface:
     def test_histogram_and_depth_accounting(self, hl):
@@ -371,3 +341,10 @@ class TestStatsSurface:
         assert stats["queue_depth"] == 0
         assert stats["peak_queue_depth"] >= 16
         assert stats["planner"]["engine"] == "HL"
+        assert stats["policy"] == {
+            "tier": "inline",
+            "window_s": 0.0,
+            "max_batch": 1024,
+            "max_queue": 65536,
+            "overflow": "wait",
+        }
