@@ -38,11 +38,13 @@ through, and it obeys three rules that callers may rely on:
    with per-source ``one_to_many`` (the backend-parity property).
 2. **Grouping is structural.**  Point requests are grouped by shared
    source and answered by one ``one_to_many`` per group (when rule 1
-   allows); ``one_to_many`` and table requests are grouped by identical
-   target tuples and answered by one ``distance_table`` per group (when
-   the engine batches natively).  Singleton groups fall back to the
-   direct call — coalescing must never make a lone query slower than
-   the method it replaces.
+   allows).  Rows (``one_to_many`` requests) and tables are grouped
+   together by identical target tuple: when the engine batches
+   natively, every tuple shared by two or more of them is answered by
+   one ``distance_table`` over their concatenated sources, a row taking
+   its row of the result and a table its slice.  Singleton groups fall
+   back to the direct call — coalescing must never make a lone query
+   slower than the method it replaces.
 3. **The cache is consulted per group, not per call.**  When a
    :class:`DistanceCache` is attached, all point lookups of a batch hit
    the cache under one lock acquisition (:meth:`DistanceCache.
@@ -55,6 +57,11 @@ through, and it obeys three rules that callers may rely on:
 ``QueryPlanner.stats()`` reports how a workload actually decomposed
 (requests by kind, groups formed, kernel invocations, cache hits), which
 is what the serving layer surfaces per server.
+
+Request ids are integers: the request types normalise every node id
+with :func:`operator.index`, so an ``int``, a ``bool`` or any
+``__index__`` type is accepted and a float or a string raises
+:class:`TypeError` at construction, before anything is queued.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ import abc
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
@@ -196,8 +204,8 @@ class DistanceRequest(Request):
     kind = "distance"
 
     def __init__(self, source: int, target: int) -> None:
-        self.source = int(source)
-        self.target = int(target)
+        self.source = index(source)
+        self.target = index(target)
 
     def __repr__(self) -> str:
         return f"DistanceRequest({self.source}, {self.target})"
@@ -215,8 +223,8 @@ class OneToManyRequest(Request):
     kind = "one_to_many"
 
     def __init__(self, source: int, targets: Iterable[int]) -> None:
-        self.source = int(source)
-        self.targets = tuple(int(t) for t in targets)
+        self.source = index(source)
+        self.targets = tuple(map(index, targets))
 
     def __repr__(self) -> str:
         return f"OneToManyRequest({self.source}, <{len(self.targets)} targets>)"
@@ -229,8 +237,8 @@ class TableRequest(Request):
     kind = "table"
 
     def __init__(self, sources: Iterable[int], targets: Iterable[int]) -> None:
-        self.sources = tuple(int(s) for s in sources)
-        self.targets = tuple(int(t) for t in targets)
+        self.sources = tuple(map(index, sources))
+        self.targets = tuple(map(index, targets))
 
     def __repr__(self) -> str:
         return (
@@ -342,15 +350,16 @@ class QueryPlanner:
         requests = list(requests)
         results: List[object] = [None] * len(requests)
         point: List[Tuple[int, int, int]] = []
-        o2m: List[Tuple[int, OneToManyRequest]] = []
-        tables: List[Tuple[int, TableRequest]] = []
+        batched: List[Tuple[int, Request]] = []
+        rows = 0
         for i, req in enumerate(requests):
             if isinstance(req, DistanceRequest):
                 point.append((i, req.source, req.target))
             elif isinstance(req, OneToManyRequest):
-                o2m.append((i, req))
+                batched.append((i, req))
+                rows += 1
             elif isinstance(req, TableRequest):
-                tables.append((i, req))
+                batched.append((i, req))
             else:
                 raise TypeError(
                     f"unknown request type {type(req).__name__!r}; expected "
@@ -359,14 +368,12 @@ class QueryPlanner:
         c = self._counters
         c["batches"] += 1
         c["requests_distance"] += len(point)
-        c["requests_one_to_many"] += len(o2m)
-        c["requests_table"] += len(tables)
+        c["requests_one_to_many"] += rows
+        c["requests_table"] += len(batched) - rows
         if point:
             self._run_point(point, results)
-        if o2m:
-            self._run_one_to_many(o2m, results)
-        if tables:
-            self._run_tables(tables, results)
+        if batched:
+            self._run_batched(batched, results)
         return results
 
     # ------------------------------------------------------------------
@@ -414,56 +421,58 @@ class QueryPlanner:
         if fresh:
             cache.store_many(fresh)
 
-    def _run_one_to_many(
-        self, o2m: List[Tuple[int, OneToManyRequest]], results: List[object]
+    def _run_batched(
+        self, batched: List[Tuple[int, Request]], results: List[object]
     ) -> None:
-        """Fold same-target rows into one table on natively-batching engines."""
-        c = self._counters
-        engine = self.engine
-        by_targets: "OrderedDict[Tuple[int, ...], List[Tuple[int, int]]]" = (
-            OrderedDict()
-        )
-        for i, req in o2m:
-            by_targets.setdefault(req.targets, []).append((i, req.source))
-        for targets, group in by_targets.items():
-            if self.capabilities.native_batching and len(group) >= 2:
-                table = engine.distance_table([s for _, s in group], targets)
-                c["kernel_distance_table"] += 1
-                c["merged_one_to_many"] += len(group)
-                for (i, _), row in zip(group, table):
-                    results[i] = row
-            else:
-                for i, s in group:
-                    results[i] = engine.one_to_many(s, targets)
-                    c["kernel_one_to_many"] += 1
+        """One table call per shared target tuple; rows and tables slice it.
 
-    def _run_tables(
-        self, tables: List[Tuple[int, TableRequest]], results: List[object]
-    ) -> None:
-        """Concatenate same-target tables into one kernel call, slice back."""
+        Rows and tables are grouped together by target tuple.  On a
+        natively batching engine a tuple shared by two or more of them
+        gets one ``distance_table`` over their sources in batch order:
+        a row takes its row of the result and a table its slice.  Any
+        other group runs each request's direct call.
+        """
         c = self._counters
         engine = self.engine
-        by_targets: "OrderedDict[Tuple[int, ...], List[Tuple[int, TableRequest]]]" = (
-            OrderedDict()
-        )
-        for i, req in tables:
-            by_targets.setdefault(req.targets, []).append((i, req))
+        by_targets: Dict[Tuple[int, ...], List[Tuple[int, Request]]] = {}
+        for item in batched:
+            targets = item[1].targets
+            group = by_targets.get(targets)
+            if group is None:
+                by_targets[targets] = [item]
+            else:
+                group.append(item)
+        merge = self.capabilities.native_batching
         for targets, group in by_targets.items():
-            if self.capabilities.native_batching and len(group) >= 2:
-                all_sources: List[int] = []
+            if merge and len(group) >= 2:
+                sources: List[int] = []
                 for _, req in group:
-                    all_sources.extend(req.sources)
-                table = engine.distance_table(all_sources, targets)
-                c["kernel_distance_table"] += 1
-                c["merged_tables"] += len(group)
-                row = 0
+                    if isinstance(req, OneToManyRequest):
+                        sources.append(req.source)
+                    else:
+                        sources.extend(req.sources)
+                table = engine.distance_table(sources, targets)
+                at = rows = 0
                 for i, req in group:
-                    results[i] = table[row : row + len(req.sources)]
-                    row += len(req.sources)
+                    if isinstance(req, OneToManyRequest):
+                        results[i] = table[at]
+                        at += 1
+                        rows += 1
+                    else:
+                        end = at + len(req.sources)
+                        results[i] = table[at:end]
+                        at = end
+                c["kernel_distance_table"] += 1
+                c["merged_one_to_many"] += rows
+                c["merged_tables"] += len(group) - rows
             else:
                 for i, req in group:
-                    results[i] = engine.distance_table(req.sources, targets)
-                    c["kernel_distance_table"] += 1
+                    if isinstance(req, OneToManyRequest):
+                        results[i] = engine.one_to_many(req.source, targets)
+                        c["kernel_one_to_many"] += 1
+                    else:
+                        results[i] = engine.distance_table(req.sources, targets)
+                        c["kernel_distance_table"] += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

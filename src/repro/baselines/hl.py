@@ -41,13 +41,23 @@ come in two bit-identical versions, picked per call:
 
 * **native** (:func:`repro.backend.use_native`, the default wherever
   :mod:`repro.native` could load or build its C extension): each kernel
-  is one C call straight over the int64/float64 label columns through
-  the buffer protocol.
+  runs in C straight over the int64/float64 label columns through the
+  buffer protocol — ``distance`` and ``one_to_many`` as one call, the
+  table as a join over a hub-inversion handle.
 * **pure-python**: the original scans (merge-join, source-label dict for
   batches, inverted hub buckets for tables), kept as the reference the
   parity tests hold the C kernels to and as the fallback on boxes
   without a compiler, with ``REPRO_NATIVE=0`` or under a forced
   ``pure`` tier.
+
+A table's target side — the targets' backward entries inverted by hub —
+depends only on the target tuple, and serving traffic repeats its target
+tuples (dispatch keeps asking about the same open orders).  Each index
+therefore memoizes the inversion per target tuple in a small LRU that
+serves both tiers: the pure tier keeps its hub buckets there and the
+native tier its :func:`repro.native.table_inversion` handle, under
+separate keys.  A repeated tuple costs no inversion work on either tier;
+:meth:`HubLabelIndex.target_inversion_stats` counts the hits.
 
 A built index and one loaded from an ``HLIDX2`` section
 (:mod:`repro.core.serialize`) hold the same column layout: ``array('q')``
@@ -78,10 +88,10 @@ __all__ = ["HubLabelIndex"]
 INF = float("inf")
 
 #: Distinct target tuples whose hub->targets inversion is memoized per
-#: index (ROADMAP "batched-table headroom": serving workloads reuse
-#: target sets — dispatch keeps asking about the same open orders).
-#: Each entry is O(total backward-label entries of its targets), so the
-#: bound keeps a long-lived server from accumulating dead target sets.
+#: index, pure and native entries together.  A pure entry is O(total
+#: backward-label entries of its targets); a native one adds n + 1 run
+#: starts.  The bound keeps a long-lived server from accumulating dead
+#: target sets.
 _TARGET_INVERSION_CACHE_MAX = 8
 
 
@@ -219,9 +229,10 @@ class HubLabelIndex(QueryEngine):
         a bundle-loaded replica carries the same runtime state as a
         freshly built index.
         """
-        # Target-side inversion memo for the pure table scan: target
-        # tuple -> hub buckets.  Labels are immutable, so entries never
-        # go stale; a small LRU bound caps the memory.
+        # Target-side inversion memo for both table kernels:
+        # (tier, target tuple) -> pure hub buckets or a native handle.
+        # Labels are immutable, so entries never go stale; a small LRU
+        # bound caps the memory.
         self._tinv: "OrderedDict" = OrderedDict()
         self._tinv_lock = threading.Lock()
         self._tinv_hits = 0
@@ -348,7 +359,8 @@ class HubLabelIndex(QueryEngine):
         self, targets: Tuple[int, ...]
     ) -> Dict[int, List[Tuple[int, float]]]:
         """Hub -> [(column, dist)] buckets over ``targets``, memoized."""
-        entry = self._tinv_lookup(targets)
+        key = ("pure", targets)
+        entry = self._tinv_lookup(key)
         if entry is not None:
             return entry
         buckets: Dict[int, List[Tuple[int, float]]] = {}
@@ -356,7 +368,7 @@ class HubLabelIndex(QueryEngine):
         for col, t in enumerate(targets):
             for k in range(bhead[t], bhead[t + 1]):
                 buckets.setdefault(bhub[k], []).append((col, bdist[k]))
-        return self._tinv_store(targets, buckets)
+        return self._tinv_store(key, buckets)
 
     # ------------------------------------------------------------------
     # Queries
@@ -478,8 +490,8 @@ class HubLabelIndex(QueryEngine):
         call); every target then costs one pass over its backward label
         with O(1) dict probes — no merge pointer per pair, no search.
         """
-        self._check_ids("source", (source,))
         self._check_ids("target", targets)
+        self._check_ids("source", (source,))
         src: Dict[int, float] = {}
         fhub, fdist = self.fwd_hub, self.fwd_dist
         for i in range(self.fwd_head[source], self.fwd_head[source + 1]):
@@ -510,7 +522,7 @@ class HubLabelIndex(QueryEngine):
         entry) pairs that share a hub instead of ``|sources| x
         |targets|`` label scans, in C and in the pure scan alike.
         """
-        sources, targets = list(sources), list(targets)
+        sources, targets = list(sources), tuple(targets)
         if not targets:
             return [[] for _ in sources]
         if backend.use_native():
@@ -518,29 +530,33 @@ class HubLabelIndex(QueryEngine):
         return self._distance_table_pure(sources, targets)
 
     def _distance_table_native(
-        self, sources: List[int], targets: List[int]
+        self, sources: List[int], targets: Tuple[int, ...]
     ) -> List[List[float]]:
-        """Native table: counting-sorted co-occurrence join in one C call.
+        """Native table: a memoized hub inversion, then one C join.
 
-        The kernel builds the same hub -> (column, dist) inversion the
-        pure scan uses (counting sort by hub), then streams every
-        source's forward label through the per-hub runs with a
+        The inversion handle holds the same hub -> (column, dist) runs
+        the pure scan buckets (counting sort by hub) and comes from the
+        memo when this target tuple was seen before; the join streams
+        every source's forward label through its runs with a
         scatter-min — exactly the co-occurrence pairs the pure scan
-        visits, so answers are bit-identical; rows come back as plain
-        Python float lists and ``list`` re-containers them at the
-        boundary.
+        visits, so answers are bit-identical.  The local ``handle``
+        keeps the runs alive through the join even if another thread
+        evicts them from the memo.  Rows come back as plain Python float
+        lists and ``list`` re-containers them at the boundary.
         """
+        n = self.graph.n
+        key = ("native", targets)
+        handle = self._tinv_lookup(key)
+        if handle is None:
+            handle = self._tinv_store(
+                key,
+                _native.table_inversion(
+                    self.bwd_head, self.bwd_hub, self.bwd_dist, n, targets
+                ),
+            )
         return list(
             _native.distance_table(
-                self.fwd_head,
-                self.fwd_hub,
-                self.fwd_dist,
-                self.bwd_head,
-                self.bwd_hub,
-                self.bwd_dist,
-                self.graph.n,
-                sources,
-                targets,
+                self.fwd_head, self.fwd_hub, self.fwd_dist, n, sources, handle
             )
         )
 
@@ -556,8 +572,8 @@ class HubLabelIndex(QueryEngine):
         plain additions — no per-pair merge pointers, no hashing in the
         inner loop.
         """
-        self._check_ids("source", sources)
         self._check_ids("target", targets)
+        self._check_ids("source", sources)
         buckets = self._target_inversion_pure(tuple(targets))
         fhead, fhub, fdist = self.fwd_head, self.fwd_hub, self.fwd_dist
         ncols = len(targets)
@@ -583,7 +599,10 @@ class HubLabelIndex(QueryEngine):
     def _check_ids(self, what: str, ids: Sequence[int]) -> None:
         """Raise :class:`IndexError` for the first id outside ``[0, n)``,
         as the native batch kernels do; a negative id would otherwise
-        read another node's label slice."""
+        read another node's label slice.  Both tiers check the targets
+        before the sources (the native table reads its targets when it
+        builds their inversion), so a call with both wrong raises the
+        same error on either tier."""
         n = self.graph.n
         for u in ids:
             if not 0 <= u < n:

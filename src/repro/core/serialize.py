@@ -130,6 +130,7 @@ bundle to hand a worker over a pipe).
 from __future__ import annotations
 
 import io
+import os
 import struct
 import sys
 import zlib
@@ -302,15 +303,16 @@ class _BufferReader:
         return self._pos
 
 
-#: Loader sources: a path, an open binary file, or an in-memory buffer.
-Source = Union[str, bytes, bytearray, memoryview, BinaryIO]
+#: Loader sources: a path (``str`` or ``os.PathLike``), an open binary
+#: file, or an in-memory buffer.
+Source = Union[str, os.PathLike, bytes, bytearray, memoryview, BinaryIO]
 
 
 def _open_source(source: Source):
     """Normalise a loader source to ``(file_like, owns_handle)``."""
     if isinstance(source, (bytes, bytearray, memoryview)):
         return _BufferReader(source), False
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         return open(source, "rb"), True
     return source, False
 
@@ -426,10 +428,10 @@ def _read_adjacency(
     return adjacency
 
 
-def save_index(index: AHIndex, sink: Union[str, BinaryIO]) -> None:
+def save_index(index: AHIndex, sink: Union[str, os.PathLike, BinaryIO]) -> None:
     """Write the query-time state of ``index`` to ``sink``."""
     fh: BinaryIO
-    own = isinstance(sink, str)
+    own = isinstance(sink, (str, os.PathLike))
     fh = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
         res = index._res
@@ -461,8 +463,9 @@ def save_index(index: AHIndex, sink: Union[str, BinaryIO]) -> None:
 def load_index(source: Source, graph: Graph) -> AHIndex:
     """Reconstruct a queryable :class:`AHIndex` from ``source``.
 
-    ``source`` may be a path, an open binary file, or an in-memory
-    buffer.  ``graph`` must be the network the index was built on (used
+    ``source`` may be a path (``str`` or ``os.PathLike``), an open
+    binary file, or an in-memory buffer.  ``graph`` must be the network
+    the index was built on (used
     for path validation metadata and the node-to-cell mapping); a
     node-count mismatch is rejected as :class:`BundleCorrupted` (a
     :class:`ValueError`).
@@ -565,7 +568,7 @@ def bundle_bytes(index: Union[AHIndex, HubLabelIndex]) -> bytes:
     return buf.getvalue()
 
 
-def save_hl_index(index: HubLabelIndex, sink: Union[str, BinaryIO]) -> None:
+def save_hl_index(index: HubLabelIndex, sink: Union[str, os.PathLike, BinaryIO]) -> None:
     """Write a hub-label index's query-time state to ``sink``.
 
     Writes the ``HL2`` section (see the module docstring's exactness
@@ -578,7 +581,7 @@ def save_hl_index(index: HubLabelIndex, sink: Union[str, BinaryIO]) -> None:
         raise ValueError(
             f"HLIDX2 stores node ids as int32; {index.graph.n} nodes do not fit"
         )
-    own = isinstance(sink, str)
+    own = isinstance(sink, (str, os.PathLike))
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
         fh.write(_HL2_MAGIC)
@@ -1090,7 +1093,7 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
 # ----------------------------------------------------------------------
 # Graph CSR serialization
 # ----------------------------------------------------------------------
-def save_graph(graph: Graph, sink: Union[str, BinaryIO]) -> None:
+def save_graph(graph: Graph, sink: Union[str, os.PathLike, BinaryIO]) -> None:
     """Write ``graph``'s CSR columns (both directions) to ``sink``.
 
     Every column is a single contiguous ``array.tofile`` block — no
@@ -1101,7 +1104,7 @@ def save_graph(graph: Graph, sink: Union[str, BinaryIO]) -> None:
     a graph whose rows are not sorted by target holds the same edges in
     another order.
     """
-    own = isinstance(sink, str)
+    own = isinstance(sink, (str, os.PathLike))
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     forward = (graph.out_head, graph.out_dst, graph.out_w)
     try:
@@ -1201,7 +1204,7 @@ def _check_transpose(n: int, forward, reverse) -> None:
 # Bundles: one file holding the graph and its index
 # ----------------------------------------------------------------------
 def save_bundle(
-    index: Union[AHIndex, HubLabelIndex], sink: Union[str, BinaryIO]
+    index: Union[AHIndex, HubLabelIndex], sink: Union[str, os.PathLike, BinaryIO]
 ) -> None:
     """Write ``index``'s graph followed by the index itself.
 
@@ -1213,7 +1216,7 @@ def save_bundle(
     section — follows, so :func:`load_bundle` can verify integrity
     before decoding.
     """
-    own = isinstance(sink, str)
+    own = isinstance(sink, (str, os.PathLike))
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
         w = _CrcWriter(fh)
@@ -1320,9 +1323,9 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
     whichever engine the bundle was saved with (``AHIDX1`` and
     ``HLIDX2`` magics are deliberately the same length).
 
-    ``source`` may be a path (what worker-tier processes boot from), an
-    open binary file or an in-memory buffer (``bytes`` / ``bytearray`` /
-    ``memoryview``).
+    ``source`` may be a path, ``str`` or ``os.PathLike`` (what
+    worker-tier processes boot from), an open binary file or an
+    in-memory buffer (``bytes`` / ``bytearray`` / ``memoryview``).
 
     The ``BCRC1`` trailer's section CRCs are checked before decoding: a
     torn or bit-flipped bundle raises :class:`BundleCorrupted` naming

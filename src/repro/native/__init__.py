@@ -29,7 +29,11 @@ The extension comes from one of two places, tried in order:
 The HL kernels operate directly on the label columns through the buffer
 protocol: int64 heads and hubs and float64 distances, the one layout
 built and loaded indexes share (any other column raises
-:class:`TypeError`).  The region search reads the region graph's own
+:class:`TypeError`).  The table kernel is two calls:
+:func:`table_inversion` counting-sorts a target tuple's backward entries
+by hub into an opaque handle, and :func:`distance_table` joins sources
+against it, so a caller that keeps the handle (``HubLabelIndex`` does,
+per target tuple) builds it once.  The region search reads the region graph's own
 ``(j, w)`` rows in place, and the AH query reads the index's query
 tables (its upward rows, levels, cells, anchors and jump columns) in
 place, so it needs no set-up, no copy and no state between calls.
@@ -66,6 +70,7 @@ __all__ = [
     "extension_hash",
     "distance",
     "one_to_many",
+    "table_inversion",
     "distance_table",
     "local_search",
     "ah_query",
@@ -225,21 +230,27 @@ def one_to_many(
     )
 
 
+def table_inversion(bhead, bhub, bdist, n: int, targets: Sequence[int]):
+    """The targets' backward entries counting-sorted by hub, as an
+    opaque handle for :func:`distance_table`.
+
+    The handle owns its runs and records ``n`` and the target count;
+    building it is the table kernel's O(n) set-up, so a caller that
+    keeps it pays that set-up once per target tuple.
+    """
+    return _hubjoin.table_inversion(bhead, bhub, bdist, n, targets)
+
+
 def distance_table(
-    fhead,
-    fhub,
-    fdist,
-    bhead,
-    bhub,
-    bdist,
-    n: int,
-    sources: Sequence[int],
-    targets: Sequence[int],
+    fhead, fhub, fdist, n: int, sources: Sequence[int], handle
 ) -> List[List[float]]:
-    """Hub co-occurrence join + scatter-min into the full table."""
-    return _hubjoin.distance_table(
-        fhead, fhub, fdist, bhead, bhub, bdist, n, sources, targets
-    )
+    """Hub co-occurrence join + scatter-min into the full table.
+
+    ``handle`` comes from :func:`table_inversion`; anything else raises
+    :class:`TypeError`, and a handle built for another ``n``
+    :class:`ValueError`.
+    """
+    return _hubjoin.distance_table(fhead, fhub, fdist, n, sources, handle)
 
 
 def local_search(adj, expand, seeds, free: int) -> List[float]:

@@ -2,7 +2,10 @@
  *
  * The three hub-label query kernels as tight C loops over the label
  * columns, reached through the buffer protocol — the module never
- * imports numpy and never copies a column.  Built and loaded indexes
+ * imports numpy and never copies a column.  The table kernel comes in
+ * two calls: `table_inversion` builds a target tuple's hub runs once,
+ * as an opaque handle the caller may keep, and `distance_table` joins
+ * sources against a handle.  Built and loaded indexes
  * hold one layout: int64 heads/hubs (stdlib array('q') or any 8-byte
  * integer buffer) and float64 dists (array('d')); anything else is
  * refused with TypeError.  Beside them, `local_search` is the region
@@ -28,7 +31,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define HUBJOIN_VERSION "3"
+#define HUBJOIN_VERSION "4"
 
 /* One label column: a borrowed C-contiguous buffer of 8-byte items. */
 typedef struct {
@@ -76,49 +79,65 @@ col_d(const col_t *c, Py_ssize_t k)
     return ((const double *)c->view.buf)[k];
 }
 
-/* The six query-time columns every kernel takes, in hl.py's order. */
+/* One label direction's query-time columns: head, hub, dist. */
 typedef struct {
-    col_t fhead, fhub, fdist, bhead, bhub, bdist;
-    int acquired;
-} labels_t;
+    col_t head, hub, dist;
+} side_t;
+
+static const char *const fwd_names[3] = {"fwd_head", "fwd_hub", "fwd_dist"};
+static const char *const bwd_names[3] = {"bwd_head", "bwd_hub", "bwd_dist"};
 
 static void
-labels_release(labels_t *L)
+side_release(side_t *S)
 {
-    if (!L->acquired) return;
-    PyBuffer_Release(&L->fhead.view);
-    PyBuffer_Release(&L->fhub.view);
-    PyBuffer_Release(&L->fdist.view);
-    PyBuffer_Release(&L->bhead.view);
-    PyBuffer_Release(&L->bhub.view);
-    PyBuffer_Release(&L->bdist.view);
-    L->acquired = 0;
+    PyBuffer_Release(&S->head.view);
+    PyBuffer_Release(&S->hub.view);
+    PyBuffer_Release(&S->dist.view);
 }
 
+/* Acquire one direction's (head, hub, dist) columns, named `names`. */
 static int
-labels_acquire(PyObject *const objs[6], labels_t *L)
+side_acquire(PyObject *const objs[3], const char *const names[3], side_t *S)
 {
-    col_t *cols[6] = {&L->fhead, &L->fhub, &L->fdist,
-                      &L->bhead, &L->bhub, &L->bdist};
-    static const char *names[6] = {"fwd_head", "fwd_hub", "fwd_dist",
-                                   "bwd_head", "bwd_hub", "bwd_dist"};
-    L->acquired = 0;
-    for (int i = 0; i < 6; i++) {
-        if (col_acquire(objs[i], cols[i], names[i], i % 3 == 2) < 0) {
+    col_t *cols[3] = {&S->head, &S->hub, &S->dist};
+    for (int i = 0; i < 3; i++) {
+        if (col_acquire(objs[i], cols[i], names[i], i == 2) < 0) {
             for (int j = 0; j < i; j++) {
                 PyBuffer_Release(&cols[j]->view);
             }
             return -1;
         }
     }
-    L->acquired = 1;
-    if (L->fhub.len != L->fdist.len || L->bhub.len != L->bdist.len) {
-        labels_release(L);
+    if (S->hub.len != S->dist.len) {
+        side_release(S);
         PyErr_SetString(PyExc_ValueError,
                         "hub and dist columns differ in length");
         return -1;
     }
     return 0;
+}
+
+/* Both directions, in hl.py's order: fwd head, hub, dist, then bwd. */
+typedef struct {
+    side_t f, b;
+} labels_t;
+
+static int
+labels_acquire(PyObject *const objs[6], labels_t *L)
+{
+    if (side_acquire(objs, fwd_names, &L->f) < 0) return -1;
+    if (side_acquire(objs + 3, bwd_names, &L->b) < 0) {
+        side_release(&L->f);
+        return -1;
+    }
+    return 0;
+}
+
+static void
+labels_release(labels_t *L)
+{
+    side_release(&L->f);
+    side_release(&L->b);
 }
 
 /* Validated label slice [lo, hi) for node u out of a head column. */
@@ -142,6 +161,39 @@ node_slice(const col_t *head, const col_t *hub, int64_t u, const char *what,
     return 0;
 }
 
+/* A sequence of node ids in [0, n) as a new PyMem int64 array of
+ * `*count` entries; an id out of range raises IndexError naming `what`
+ * ("source" / "target"), a non-sequence TypeError with `seqmsg`. */
+static int64_t *
+ids_read(PyObject *obj, long long n, const char *what, const char *seqmsg,
+         Py_ssize_t *count)
+{
+    PyObject *seq = PySequence_Fast(obj, seqmsg);
+    if (seq == NULL) return NULL;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    int64_t *ids = PyMem_Malloc((size_t)(len ? len : 1) * sizeof(int64_t));
+    if (ids == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t k = 0; k < len; k++) {
+        long long u = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, k));
+        if (u == -1 && PyErr_Occurred()) goto fail;
+        if (u < 0 || u >= n) {
+            PyErr_Format(PyExc_IndexError, "%s %lld out of range", what, u);
+            goto fail;
+        }
+        ids[k] = u;
+    }
+    Py_DECREF(seq);
+    *count = len;
+    return ids;
+fail:
+    PyMem_Free(ids);
+    Py_DECREF(seq);
+    return NULL;
+}
+
 /* ------------------------------------------------------------------ */
 /* distance(fhead, fhub, fdist, bhead, bhub, bdist, source, target)   */
 /* ------------------------------------------------------------------ */
@@ -159,17 +211,17 @@ hubjoin_distance(PyObject *self, PyObject *args)
     labels_t L;
     if (labels_acquire(objs, &L) < 0) return NULL;
     Py_ssize_t i, iend, j, jend;
-    if (node_slice(&L.fhead, &L.fhub, source, "source", &i, &iend) < 0 ||
-        node_slice(&L.bhead, &L.bhub, target, "target", &j, &jend) < 0) {
+    if (node_slice(&L.f.head, &L.f.hub, source, "source", &i, &iend) < 0 ||
+        node_slice(&L.b.head, &L.b.hub, target, "target", &j, &jend) < 0) {
         labels_release(&L);
         return NULL;
     }
     double best = HUGE_VAL;
     while (i < iend && j < jend) {
-        int64_t a = col_i(&L.fhub, i);
-        int64_t b = col_i(&L.bhub, j);
+        int64_t a = col_i(&L.f.hub, i);
+        int64_t b = col_i(&L.b.hub, j);
         if (a == b) {
-            double d = col_d(&L.fdist, i) + col_d(&L.bdist, j);
+            double d = col_d(&L.f.dist, i) + col_d(&L.b.dist, j);
             if (d < best) best = d;
             i++;
             j++;
@@ -199,36 +251,22 @@ hubjoin_one_to_many(PyObject *self, PyObject *args)
     }
     labels_t L;
     if (labels_acquire(objs, &L) < 0) return NULL;
-    PyObject *seq = PySequence_Fast(targets_obj, "targets must be a sequence");
-    if (seq == NULL) {
-        labels_release(&L);
-        return NULL;
-    }
-    Py_ssize_t ntargets = PySequence_Fast_GET_SIZE(seq);
-    int64_t *tgt = PyMem_Malloc((size_t)(ntargets ? ntargets : 1) *
-                                sizeof(int64_t));
-    double *out = PyMem_Malloc((size_t)(ntargets ? ntargets : 1) *
-                               sizeof(double));
-    double *dense = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (tgt == NULL || out == NULL || dense == NULL) {
+    Py_ssize_t ntargets = 0;
+    double *out = NULL, *dense = NULL;
+    int64_t *tgt = ids_read(targets_obj, n, "target",
+                            "targets must be a sequence", &ntargets);
+    if (tgt == NULL) goto fail;
+    out = PyMem_Malloc((size_t)(ntargets ? ntargets : 1) * sizeof(double));
+    dense = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    if (out == NULL || dense == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    for (Py_ssize_t k = 0; k < ntargets; k++) {
-        long long t = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, k));
-        if (t == -1 && PyErr_Occurred()) goto fail;
-        if (t < 0 || t >= n) {
-            PyErr_Format(PyExc_IndexError, "target %lld out of range",
-                         (long long)t);
-            goto fail;
-        }
-        tgt[k] = t;
-    }
     Py_ssize_t fs, fe;
-    if (node_slice(&L.fhead, &L.fhub, source, "source", &fs, &fe) < 0) {
+    if (node_slice(&L.f.head, &L.f.hub, source, "source", &fs, &fe) < 0) {
         goto fail;
     }
-    if (L.bhead.len != n + 1) {
+    if (L.b.head.len != n + 1) {
         PyErr_SetString(PyExc_ValueError,
                         "bwd_head length does not match node count");
         goto fail;
@@ -238,9 +276,9 @@ hubjoin_one_to_many(PyObject *self, PyObject *args)
         dense[u] = HUGE_VAL;
     }
     for (Py_ssize_t k = fs; k < fe; k++) {
-        int64_t h = col_i(&L.fhub, k);
+        int64_t h = col_i(&L.f.hub, k);
         if (h >= 0 && h < n) {
-            dense[h] = col_d(&L.fdist, k);
+            dense[h] = col_d(&L.f.dist, k);
         }
     }
     for (Py_ssize_t k = 0; k < ntargets; k++) {
@@ -249,13 +287,15 @@ hubjoin_one_to_many(PyObject *self, PyObject *args)
             out[k] = 0.0;
             continue;
         }
-        Py_ssize_t lo = (Py_ssize_t)col_i(&L.bhead, t);
-        Py_ssize_t hi = (Py_ssize_t)col_i(&L.bhead, t + 1);
+        Py_ssize_t lo = (Py_ssize_t)col_i(&L.b.head, t);
+        Py_ssize_t hi = (Py_ssize_t)col_i(&L.b.head, t + 1);
         if (lo < 0) lo = 0;
-        if (hi > L.bhub.len) hi = L.bhub.len;
+        if (hi > L.b.hub.len) hi = L.b.hub.len;
         double best = HUGE_VAL;
         for (Py_ssize_t j = lo; j < hi; j++) {
-            double d = dense[col_i(&L.bhub, j)] + col_d(&L.bdist, j);
+            int64_t h = col_i(&L.b.hub, j);
+            if (h < 0 || h >= n) continue; /* not a hub: no dense slot */
+            double d = dense[h] + col_d(&L.b.dist, j);
             if (d < best) best = d;
         }
         out[k] = best;
@@ -275,7 +315,6 @@ hubjoin_one_to_many(PyObject *self, PyObject *args)
         PyMem_Free(tgt);
         PyMem_Free(out);
         PyMem_Free(dense);
-        Py_DECREF(seq);
         labels_release(&L);
         return result;
     }
@@ -283,138 +322,212 @@ fail:
     PyMem_Free(tgt);
     PyMem_Free(out);
     PyMem_Free(dense);
-    Py_DECREF(seq);
     labels_release(&L);
     return NULL;
 }
 
 /* ------------------------------------------------------------------ */
-/* distance_table(fhead, ..., bdist, n, sources, targets)             */
-/*   -> [[float, ...], ...]                                           */
+/* table_inversion(bhead, bhub, bdist, n, targets) -> handle          */
 /*                                                                    */
-/* Counting-sort the targets' backward entries by hub (the same       */
-/* hub -> targets inversion the pure scan memoizes), then stream      */
-/* each source's forward label through the per-hub runs with a        */
-/* scatter-min into the row — exactly the pairs the pure scan         */
-/* visits, never the dense |entries| x |columns| product.             */
+/* Counting-sort the targets' backward entries by hub: the same       */
+/* hub -> (column, dist) inversion the pure scan memoizes.  The runs  */
+/* live in an opaque capsule that distance_table below reads; hl.py   */
+/* keeps it in the index's inversion memo, so a repeated target tuple */
+/* pays none of the O(n) set-up (zeroing, prefix sum, rewind).  The   */
+/* runs are never written after this call returns, so any number of  */
+/* joins may read one handle at once.                                 */
 /* ------------------------------------------------------------------ */
-static PyObject *
-hubjoin_distance_table(PyObject *self, PyObject *args)
+#define TINV_NAME "repro.native._hubjoin.table_inversion"
+
+typedef struct {
+    Py_ssize_t n;     /* node count the runs index: gstart has n + 1 slots */
+    Py_ssize_t ntgt;  /* target count, the width of a table row */
+    int64_t *tgt;     /* the target ids, for the source == target cells */
+    int64_t *gstart;  /* hub h's run is [gstart[h], gstart[h + 1]) */
+    int64_t *tcol;    /* each run entry's target column */
+    double *tdist;    /* each run entry's backward distance */
+} tinv_t;
+
+static void
+tinv_free(tinv_t *T)
 {
-    PyObject *objs[6], *sources_obj, *targets_obj;
+    PyMem_Free(T->tgt);
+    PyMem_Free(T->gstart);
+    PyMem_Free(T->tcol);
+    PyMem_Free(T->tdist);
+    PyMem_Free(T);
+}
+
+static void
+tinv_capsule_free(PyObject *capsule)
+{
+    tinv_free(PyCapsule_GetPointer(capsule, TINV_NAME));
+}
+
+static PyObject *
+hubjoin_table_inversion(PyObject *self, PyObject *args)
+{
+    PyObject *objs[3], *targets_obj;
     long long n;
-    if (!PyArg_ParseTuple(args, "OOOOOOLOO",
-                          &objs[0], &objs[1], &objs[2],
-                          &objs[3], &objs[4], &objs[5],
-                          &n, &sources_obj, &targets_obj)) {
+    if (!PyArg_ParseTuple(args, "OOOLO", &objs[0], &objs[1], &objs[2],
+                          &n, &targets_obj)) {
         return NULL;
     }
-    labels_t L;
-    if (labels_acquire(objs, &L) < 0) return NULL;
-
-    PyObject *sseq = NULL, *tseq = NULL, *result = NULL;
-    int64_t *src = NULL, *tgt = NULL, *gstart = NULL;
-    int64_t *tcol = NULL;
-    double *tdist = NULL, *flat = NULL;
-
-    sseq = PySequence_Fast(sources_obj, "sources must be a sequence");
-    if (sseq == NULL) goto done;
-    tseq = PySequence_Fast(targets_obj, "targets must be a sequence");
-    if (tseq == NULL) goto done;
-    Py_ssize_t nsrc = PySequence_Fast_GET_SIZE(sseq);
-    Py_ssize_t ntgt = PySequence_Fast_GET_SIZE(tseq);
-
-    src = PyMem_Malloc((size_t)(nsrc ? nsrc : 1) * sizeof(int64_t));
-    tgt = PyMem_Malloc((size_t)(ntgt ? ntgt : 1) * sizeof(int64_t));
-    if (src == NULL || tgt == NULL) {
+    side_t B;
+    if (side_acquire(objs, bwd_names, &B) < 0) return NULL;
+    PyObject *capsule = NULL;
+    tinv_t *T = PyMem_Calloc(1, sizeof(tinv_t));
+    if (T == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t k = 0; k < nsrc; k++) {
-        long long u = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(sseq, k));
-        if (u == -1 && PyErr_Occurred()) goto done;
-        if (u < 0 || u >= n) {
-            PyErr_Format(PyExc_IndexError, "source %lld out of range",
-                         (long long)u);
-            goto done;
-        }
-        src[k] = u;
-    }
-    for (Py_ssize_t k = 0; k < ntgt; k++) {
-        long long t = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(tseq, k));
-        if (t == -1 && PyErr_Occurred()) goto done;
-        if (t < 0 || t >= n) {
-            PyErr_Format(PyExc_IndexError, "target %lld out of range",
-                         (long long)t);
-            goto done;
-        }
-        tgt[k] = t;
-    }
-    if (L.fhead.len != n + 1 || L.bhead.len != n + 1) {
+    T->tgt = ids_read(targets_obj, n, "target", "targets must be a sequence",
+                      &T->ntgt);
+    if (T->tgt == NULL) goto done;
+    if (B.head.len != n + 1) {
         PyErr_SetString(PyExc_ValueError,
                         "head column length does not match node count");
         goto done;
     }
-
-    /* Total backward entries over the target columns. */
-    Py_ssize_t ttotal = 0;
-    for (Py_ssize_t k = 0; k < ntgt; k++) {
-        ttotal += (Py_ssize_t)(col_i(&L.bhead, tgt[k] + 1) -
-                               col_i(&L.bhead, tgt[k]));
+    /* Every slice and hub is checked before a run is written, so the
+     * join can trust the runs without a bound check per entry. */
+    Py_ssize_t total = 0;
+    for (Py_ssize_t k = 0; k < T->ntgt; k++) {
+        Py_ssize_t lo, hi;
+        if (node_slice(&B.head, &B.hub, T->tgt[k], "target", &lo, &hi) < 0) {
+            goto done;
+        }
+        for (Py_ssize_t j = lo; j < hi; j++) {
+            int64_t h = col_i(&B.hub, j);
+            if (h < 0 || h >= n) {
+                PyErr_Format(PyExc_ValueError,
+                             "corrupt bwd_hub column at target %lld",
+                             (long long)T->tgt[k]);
+                goto done;
+            }
+        }
+        total += hi - lo;
     }
-    /* gstart: per-hub run start (n + 1 slots); tcol/tdist: entries
-     * counting-sorted by hub.  All scratch is transient per call. */
-    gstart = PyMem_Malloc((size_t)(n + 1) * sizeof(int64_t));
-    tcol = PyMem_Malloc((size_t)(ttotal ? ttotal : 1) * sizeof(int64_t));
-    tdist = PyMem_Malloc((size_t)(ttotal ? ttotal : 1) * sizeof(double));
-    Py_ssize_t cells = nsrc * ntgt;
-    flat = PyMem_Malloc((size_t)(cells ? cells : 1) * sizeof(double));
-    if (gstart == NULL || tcol == NULL || tdist == NULL || flat == NULL) {
+    T->n = (Py_ssize_t)n;
+    T->gstart = PyMem_Calloc((size_t)n + 1, sizeof(int64_t));
+    T->tcol = PyMem_Malloc((size_t)(total ? total : 1) * sizeof(int64_t));
+    T->tdist = PyMem_Malloc((size_t)(total ? total : 1) * sizeof(double));
+    if (T->gstart == NULL || T->tcol == NULL || T->tdist == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-
+    int64_t *gstart = T->gstart;
     Py_BEGIN_ALLOW_THREADS
-    memset(gstart, 0, (size_t)(n + 1) * sizeof(int64_t));
-    for (Py_ssize_t k = 0; k < ntgt; k++) {
-        Py_ssize_t lo = (Py_ssize_t)col_i(&L.bhead, tgt[k]);
-        Py_ssize_t hi = (Py_ssize_t)col_i(&L.bhead, tgt[k] + 1);
+    for (Py_ssize_t k = 0; k < T->ntgt; k++) {
+        Py_ssize_t lo = (Py_ssize_t)col_i(&B.head, T->tgt[k]);
+        Py_ssize_t hi = (Py_ssize_t)col_i(&B.head, T->tgt[k] + 1);
         for (Py_ssize_t j = lo; j < hi; j++) {
-            gstart[col_i(&L.bhub, j) + 1]++;
+            gstart[col_i(&B.hub, j) + 1]++;
         }
     }
     for (Py_ssize_t h = 0; h < n; h++) {
         gstart[h + 1] += gstart[h];
     }
-    {
-        /* Fill runs; gstart temporarily advances to run ends, then is
-         * rewound by one whole pass (gstart[h] ends at start of h+1,
-         * so shift down). */
-        for (Py_ssize_t k = 0; k < ntgt; k++) {
-            Py_ssize_t lo = (Py_ssize_t)col_i(&L.bhead, tgt[k]);
-            Py_ssize_t hi = (Py_ssize_t)col_i(&L.bhead, tgt[k] + 1);
-            for (Py_ssize_t j = lo; j < hi; j++) {
-                int64_t h = col_i(&L.bhub, j);
-                int64_t at = gstart[h]++;
-                tcol[at] = k;
-                tdist[at] = col_d(&L.bdist, j);
-            }
+    /* Fill the runs; gstart[h] advances to the end of h's run, which
+     * is the start of h + 1's, so one pass shifting down rewinds it. */
+    for (Py_ssize_t k = 0; k < T->ntgt; k++) {
+        Py_ssize_t lo = (Py_ssize_t)col_i(&B.head, T->tgt[k]);
+        Py_ssize_t hi = (Py_ssize_t)col_i(&B.head, T->tgt[k] + 1);
+        for (Py_ssize_t j = lo; j < hi; j++) {
+            int64_t at = gstart[col_i(&B.hub, j)]++;
+            T->tcol[at] = k;
+            T->tdist[at] = col_d(&B.dist, j);
         }
-        for (Py_ssize_t h = n; h > 0; h--) {
-            gstart[h] = gstart[h - 1];
-        }
-        gstart[0] = 0;
     }
+    for (Py_ssize_t h = n; h > 0; h--) {
+        gstart[h] = gstart[h - 1];
+    }
+    gstart[0] = 0;
+    Py_END_ALLOW_THREADS
+    capsule = PyCapsule_New(T, TINV_NAME, tinv_capsule_free);
+    if (capsule != NULL) T = NULL; /* the capsule owns the runs now */
+done:
+    if (T != NULL) tinv_free(T);
+    side_release(&B);
+    return capsule;
+}
+
+/* ------------------------------------------------------------------ */
+/* distance_table(fhead, fhub, fdist, n, sources, handle)             */
+/*   -> [[float, ...], ...]                                           */
+/*                                                                    */
+/* Stream each source's forward label through the handle's per-hub    */
+/* runs with a scatter-min into the row: exactly the pairs the pure   */
+/* scan visits, never the dense |entries| x |columns| product.  The   */
+/* handle is checked in O(1): its type, and the node count it was     */
+/* built for.                                                         */
+/* ------------------------------------------------------------------ */
+static PyObject *
+hubjoin_distance_table(PyObject *self, PyObject *args)
+{
+    PyObject *objs[3], *sources_obj, *handle;
+    long long n;
+    if (!PyArg_ParseTuple(args, "OOOLOO", &objs[0], &objs[1], &objs[2],
+                          &n, &sources_obj, &handle)) {
+        return NULL;
+    }
+    if (!PyCapsule_IsValid(handle, TINV_NAME)) {
+        PyErr_Format(PyExc_TypeError,
+                     "handle must come from table_inversion, got '%.200s'",
+                     Py_TYPE(handle)->tp_name);
+        return NULL;
+    }
+    const tinv_t *T = PyCapsule_GetPointer(handle, TINV_NAME);
+    if (T->n != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "handle was built for %zd nodes, not %lld", T->n, n);
+        return NULL;
+    }
+    side_t F;
+    if (side_acquire(objs, fwd_names, &F) < 0) return NULL;
+
+    PyObject *result = NULL;
+    double *flat = NULL;
+    Py_ssize_t nsrc = 0, ntgt = T->ntgt;
+    int64_t *src = ids_read(sources_obj, n, "source",
+                            "sources must be a sequence", &nsrc);
+    if (src == NULL) goto done;
+    if (F.head.len != n + 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "head column length does not match node count");
+        goto done;
+    }
+    for (Py_ssize_t r = 0; r < nsrc; r++) {
+        Py_ssize_t lo, hi;
+        if (node_slice(&F.head, &F.hub, src[r], "source", &lo, &hi) < 0) {
+            goto done;
+        }
+    }
+    Py_ssize_t cells = nsrc * ntgt;
+    flat = PyMem_Malloc((size_t)(cells ? cells : 1) * sizeof(double));
+    if (flat == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* The argument tuple already holds the handle; this reference is
+     * the join's own, so the runs outlive any memo eviction racing it
+     * while the GIL is released. */
+    Py_INCREF(handle);
+    Py_BEGIN_ALLOW_THREADS
+    const int64_t *gstart = T->gstart, *tcol = T->tcol;
+    const double *tdist = T->tdist;
     for (Py_ssize_t k = 0; k < cells; k++) {
         flat[k] = HUGE_VAL;
     }
     for (Py_ssize_t r = 0; r < nsrc; r++) {
         double *row = flat + r * ntgt;
-        Py_ssize_t lo = (Py_ssize_t)col_i(&L.fhead, src[r]);
-        Py_ssize_t hi = (Py_ssize_t)col_i(&L.fhead, src[r] + 1);
+        Py_ssize_t lo = (Py_ssize_t)col_i(&F.head, src[r]);
+        Py_ssize_t hi = (Py_ssize_t)col_i(&F.head, src[r] + 1);
         for (Py_ssize_t i = lo; i < hi; i++) {
-            int64_t h = col_i(&L.fhub, i);
-            double d = col_d(&L.fdist, i);
+            int64_t h = col_i(&F.hub, i);
+            if (h < 0 || h >= n) continue;
+            double d = col_d(&F.dist, i);
             Py_ssize_t ge = (Py_ssize_t)gstart[h + 1];
             for (Py_ssize_t g = (Py_ssize_t)gstart[h]; g < ge; g++) {
                 double cand = d + tdist[g];
@@ -422,10 +535,11 @@ hubjoin_distance_table(PyObject *self, PyObject *args)
             }
         }
         for (Py_ssize_t c = 0; c < ntgt; c++) {
-            if (tgt[c] == src[r]) row[c] = 0.0;
+            if (T->tgt[c] == src[r]) row[c] = 0.0;
         }
     }
     Py_END_ALLOW_THREADS
+    Py_DECREF(handle);
 
     result = PyList_New(nsrc);
     if (result == NULL) goto done;
@@ -449,14 +563,8 @@ hubjoin_distance_table(PyObject *self, PyObject *args)
 
 done:
     PyMem_Free(src);
-    PyMem_Free(tgt);
-    PyMem_Free(gstart);
-    PyMem_Free(tcol);
-    PyMem_Free(tdist);
     PyMem_Free(flat);
-    Py_XDECREF(sseq);
-    Py_XDECREF(tseq);
-    labels_release(&L);
+    side_release(&F);
     return result;
 }
 
@@ -1402,9 +1510,13 @@ static PyMethodDef hubjoin_methods[] = {
      "one_to_many(fhead, fhub, fdist, bhead, bhub, bdist, n, source, "
      "targets)\nDense hub-indexed gather over the targets' backward "
      "columns."},
+    {"table_inversion", hubjoin_table_inversion, METH_VARARGS,
+     "table_inversion(bhead, bhub, bdist, n, targets)\nThe targets' "
+     "backward entries counting-sorted by hub, as an opaque handle."},
     {"distance_table", hubjoin_distance_table, METH_VARARGS,
-     "distance_table(fhead, fhub, fdist, bhead, bhub, bdist, n, sources, "
-     "targets)\nHub co-occurrence join with a scatter-min into the table."},
+     "distance_table(fhead, fhub, fdist, n, sources, handle)\nHub "
+     "co-occurrence join over a table_inversion handle with a scatter-min "
+     "into the table."},
     {"local_search", hubjoin_local_search, METH_VARARGS,
      "local_search(adj, expand, seeds, free)\n"
      "Region Dijkstra over (j, w) adjacency rows: only expand[i] nodes "

@@ -666,7 +666,8 @@ class WorkerPool:
     ----------
     bundle:
         Path of the bundle file every worker (and every respawn) boots
-        from; anything else raises :class:`TypeError`.
+        from, a ``str`` or an ``os.PathLike`` (kept as its ``str``);
+        anything else raises :class:`TypeError`.
     workers:
         Replica count.
     cache:
@@ -767,9 +768,12 @@ class WorkerPool:
             breaker if breaker is not None else CircuitBreaker(workers)
         )
         self._fault_plan = fault_plan
+        if isinstance(bundle, os.PathLike):
+            bundle = os.fspath(bundle)
         if not isinstance(bundle, str):
             raise TypeError(
-                f"bundle must be a str path; got {type(bundle).__name__!r}"
+                "bundle must be a str or os.PathLike path; got "
+                f"{type(bundle).__name__!r}"
             )
         spec: Dict[str, object] = {"backend": backend.active(), "bundle": bundle}
         #: Base worker spec, kept for the all-quarantined planner fallback.

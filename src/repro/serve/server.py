@@ -103,6 +103,12 @@ class DeadlineExpired(asyncio.TimeoutError):
     """Set on a request whose deadline passed while it was still queued."""
 
 
+def _ids_in_range(ids, n: int) -> bool:
+    """True when every id of a request's int tuple lies in ``[0, n)``:
+    one ``min`` and one ``max``, not a Python step per id."""
+    return not ids or (min(ids) >= 0 and max(ids) < n)
+
+
 class _Item:
     __slots__ = ("request", "future", "deadline")
 
@@ -266,12 +272,10 @@ class Server:
         if isinstance(request, DistanceRequest):
             ok = 0 <= request.source < n and 0 <= request.target < n
         elif isinstance(request, OneToManyRequest):
-            ok = 0 <= request.source < n and all(
-                0 <= t < n for t in request.targets
-            )
+            ok = 0 <= request.source < n and _ids_in_range(request.targets, n)
         elif isinstance(request, TableRequest):
-            ok = all(0 <= s < n for s in request.sources) and all(
-                0 <= t < n for t in request.targets
+            ok = _ids_in_range(request.sources, n) and _ids_in_range(
+                request.targets, n
             )
         else:
             raise TypeError(

@@ -89,6 +89,12 @@ def test_out_of_range_node_raises_in_hl_batch_kernels(tier, id_check_indexes):
                 hl.distance_table((0, bad), (3,))
             with pytest.raises(IndexError, match=f"target {bad} out of range"):
                 hl.distance_table((0,), (bad, 3))
+            # With a wrong source and a wrong target, both tiers name
+            # the target: the native table inverts its targets first.
+            with pytest.raises(IndexError, match=f"target {bad} out of range"):
+                hl.one_to_many(bad, (3, bad))
+            with pytest.raises(IndexError, match=f"target {bad} out of range"):
+                hl.distance_table((0, bad), (bad, 3))
 
 
 @pytest.mark.parametrize("name,factory", ENGINE_FACTORIES)

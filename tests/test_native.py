@@ -1,10 +1,14 @@
-"""repro.native — facade surface, region search, AH query, on-import build and degradation.
+"""repro.native — facade surface, table kernels, region search, AH query, on-import build and degradation.
 
-Five groups:
+Six groups:
 
 * **Facade** (skipped when no extension is loaded): the compiled module
   is identified (version, path, content hash), selected as the default
   tier, and reported through ``backend.describe()``.
+* **Split table kernels** (skipped when no extension is loaded):
+  ``table_inversion`` and the ``distance_table`` join reject malformed
+  columns, ids and sequences typed, and the join refuses anything but a
+  handle built for its own node count.
 * **Region search** (skipped when no extension is loaded):
   ``native.local_search`` returns exactly (``==``) what the pure
   ``_local_search`` returns on random region graphs, and malformed rows,
@@ -27,6 +31,7 @@ Five groups:
   exactly one RuntimeWarning, fall back to pure, answers identical.
 """
 
+import datetime
 import hashlib
 import json
 import os
@@ -37,6 +42,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 from pathlib import Path
 from textwrap import dedent
 
@@ -81,7 +87,7 @@ def _run(code, **env):
 class TestFacade:
     def test_extension_identified(self):
         assert native.available()
-        assert native.version() == "3"
+        assert native.version() == "4"
         path = native.extension_path()
         assert path and path.endswith(".so")
         digest = native.extension_hash()
@@ -98,9 +104,9 @@ class TestFacade:
             desc = backend.describe()
         assert desc["tier"] == "native"
         assert desc["native_available"] is True
-        assert desc["native_version"] == "3"
+        assert desc["native_version"] == "4"
         assert desc["native_hash"] == native.extension_hash()
-        assert desc["backend"].startswith("native (kernels v3")
+        assert desc["backend"].startswith("native (kernels v4")
 
     def test_native_stacks_on_container_layer(self):
         # One container under both tiers: a graph built under native
@@ -133,8 +139,148 @@ class TestFacade:
             want_dist = hl.distance(2, 9)
         assert float(native.distance(*cols, 2, 9)) == want_dist
         assert list(native.one_to_many(*cols, graph.n, 2, targets)) == want_o2m
-        got = native.distance_table(*cols, graph.n, [1, 7], targets)
-        assert [list(row) for row in got] == want_tab
+        handle = native.table_inversion(*cols[3:], graph.n, targets)
+        for _ in range(2):  # a handle serves any number of joins
+            got = native.distance_table(*cols[:3], graph.n, [1, 7], handle)
+            assert [list(row) for row in got] == want_tab
+        assert native.distance_table(*cols[:3], graph.n, [], handle) == []
+
+
+# ----------------------------------------------------------------------
+# Split table kernels (extension present)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tiny_hl():
+    from repro.baselines import HubLabelIndex
+    from repro.datasets import grid_city
+
+    return HubLabelIndex(grid_city(3, 3, seed=2))
+
+
+def _table_args(hl, **changes):
+    """Fresh copies of the table kernels' arguments, with ``changes``."""
+    args = {
+        "fhead": array("q", hl.fwd_head),
+        "fhub": array("q", hl.fwd_hub),
+        "fdist": array("d", hl.fwd_dist),
+        "bhead": array("q", hl.bwd_head),
+        "bhub": array("q", hl.bwd_hub),
+        "bdist": array("d", hl.bwd_dist),
+        "n": hl.graph.n,
+        "sources": [0, 4],
+        "targets": [2, 7],
+    }
+    for name, change in changes.items():
+        args[name] = change(args[name]) if callable(change) else change
+    return args
+
+
+def _invert(a):
+    return native.table_inversion(a["bhead"], a["bhub"], a["bdist"], a["n"], a["targets"])
+
+
+def _join(a, handle):
+    return native.distance_table(a["fhead"], a["fhub"], a["fdist"], a["n"], a["sources"], handle)
+
+
+def _patched(col, at, value):
+    col[at] = value
+    return col
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "changes, error, detail",
+    [
+        ({"bhead": list}, TypeError, "bytes-like"),
+        ({"bhub": lambda c: array("i", c)}, TypeError, "bwd_hub: expected a flat int64"),
+        ({"bdist": lambda c: array("f", c)}, TypeError, "bwd_dist: expected a flat float64"),
+        ({"bdist": lambda c: c[:-1]}, ValueError, "differ in length"),
+        ({"n": 10}, ValueError, "does not match node count"),
+        ({"targets": [2, 9]}, IndexError, "target 9 out of range"),
+        ({"targets": [-1]}, IndexError, "target -1 out of range"),
+        ({"targets": 5}, TypeError, "targets must be a sequence"),
+        ({"targets": [1.5]}, TypeError, "integer"),
+        ({"bhub": lambda c: _patched(c, 0, 9), "targets": [0]}, ValueError, "corrupt bwd_hub"),
+        ({"bhead": lambda c: _patched(c, 3, -1)}, ValueError, "corrupt head column"),
+    ],
+    ids=[
+        "column-not-a-buffer", "hub-not-int64", "dist-not-float64",
+        "hub-dist-lengths", "head-length", "target-out-of-range",
+        "negative-target", "targets-not-a-sequence", "target-not-an-int",
+        "hub-out-of-range", "head-decreasing",
+    ],
+)
+def test_table_inversion_rejects_malformed_input(tiny_hl, changes, error, detail):
+    with pytest.raises(error, match=detail):
+        _invert(_table_args(tiny_hl, **changes))
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "changes, error, detail",
+    [
+        ({"fhead": list}, TypeError, "bytes-like"),
+        ({"fhub": lambda c: array("i", c)}, TypeError, "fwd_hub: expected a flat int64"),
+        ({"fdist": lambda c: c[:-1]}, ValueError, "differ in length"),
+        ({"fhead": lambda c: c[:-1]}, ValueError, "does not match node count"),
+        ({"sources": [0, 9]}, IndexError, "source 9 out of range"),
+        ({"sources": [-1]}, IndexError, "source -1 out of range"),
+        ({"sources": 5}, TypeError, "sources must be a sequence"),
+        ({"sources": ["0"]}, TypeError, "integer"),
+        ({"fhead": lambda c: _patched(c, 1, 10**6)}, ValueError, "corrupt head column"),
+    ],
+    ids=[
+        "column-not-a-buffer", "hub-not-int64", "hub-dist-lengths",
+        "head-length", "source-out-of-range", "negative-source",
+        "sources-not-a-sequence", "source-not-an-int", "head-past-hubs",
+    ],
+)
+def test_distance_table_join_rejects_malformed_input(tiny_hl, changes, error, detail):
+    handle = _invert(_table_args(tiny_hl))
+    with pytest.raises(error, match=detail):
+        _join(_table_args(tiny_hl, **changes), handle)
+
+
+@needs_native
+def test_one_to_many_skips_backward_hubs_outside_the_graph(tiny_hl):
+    """A backward hub id outside ``[0, n)`` has no slot in the dense
+    source vector: the gather skips it instead of reading far past the
+    vector and crashing the interpreter."""
+    a = _table_args(tiny_hl)
+    want = native.one_to_many(
+        a["fhead"], a["fhub"], a["fdist"], a["bhead"], a["bhub"], a["bdist"], a["n"], 0, [2]
+    )
+    for bad in (10**12, -(10**12), a["n"]):
+        bhub = _patched(array("q", tiny_hl.bwd_hub), tiny_hl.bwd_head[2], bad)
+        got = native.one_to_many(
+            a["fhead"], a["fhub"], a["fdist"], a["bhead"], bhub, a["bdist"], a["n"], 0, [2]
+        )
+        assert len(got) == 1 and got[0] >= want[0]
+
+
+@needs_native
+def test_join_refuses_a_handle_built_for_another_n(tiny_hl):
+    """The join checks the handle's node count in O(1) instead of
+    reading runs sized for another graph."""
+    from repro.baselines import HubLabelIndex
+    from repro.datasets import grid_city
+
+    other = HubLabelIndex(grid_city(4, 4, seed=2))
+    handle = _invert(_table_args(other, targets=[2, 15]))
+    with pytest.raises(ValueError, match="built for 16 nodes, not 9"):
+        _join(_table_args(tiny_hl), handle)
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "handle",
+    [None, 0, "handle", b"\x00" * 64, [2, 7], object(), datetime.datetime_CAPI],
+    ids=["none", "int", "str", "bytes", "list", "object", "foreign-capsule"],
+)
+def test_join_refuses_anything_but_a_handle(tiny_hl, handle):
+    with pytest.raises(TypeError, match="handle must come from table_inversion"):
+        _join(_table_args(tiny_hl), handle)
 
 
 # ----------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 The planner contract (module docstring of :mod:`repro.baselines.base`)
 promises bit-identical answers to direct engine calls under any
-grouping; these tests pin that per engine, plus the grouping decisions
-themselves (who may coalesce, who must not) and the thread-safety of
-the shared :class:`DistanceCache`.
+grouping; these tests pin that per engine and tier (a hypothesis
+property over batches whose rows and tables share target tuples), plus
+the grouping decisions themselves (who may coalesce, who must not), the
+request types' integer ids, the hub-label target-inversion memo on both
+tiers, and the thread-safety of the shared :class:`DistanceCache`.
 """
 
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import backend
 from repro.baselines import (
@@ -28,6 +33,13 @@ from repro.baselines import (
 from repro.datasets import grid_city
 
 INF = float("inf")
+
+#: Kernel tiers available here; the properties run under each.
+TIERS = (["native"] if backend.HAS_NATIVE else []) + ["pure"]
+
+needs_native = pytest.mark.skipif(
+    not backend.HAS_NATIVE, reason="C extension not built"
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +166,33 @@ class TestPlannerGrouping:
         assert second == hl.distance_table((5, 6, 7), pool)
         assert planner.stats()["kernel_distance_table"] == 1
 
+    def test_rows_and_tables_sharing_targets_share_one_call(self, hl):
+        planner = QueryPlanner(hl)
+        pool = (2, 8, 11)
+        reqs = [
+            OneToManyRequest(4, pool),
+            TableRequest((0, 1), pool),
+            DistanceRequest(3, 5),
+            OneToManyRequest(8, pool),
+            TableRequest((), pool),
+        ]
+        got = planner.execute(reqs)
+        assert got == [_direct(hl, req) for req in reqs]
+        stats = planner.stats()
+        assert stats["kernel_distance_table"] == 1
+        assert stats["kernel_one_to_many"] == 0
+        assert stats["merged_one_to_many"] == 2
+        assert stats["merged_tables"] == 2
+
+    def test_lone_row_and_lone_table_keep_direct_calls(self, hl):
+        planner = QueryPlanner(hl)
+        reqs = [OneToManyRequest(4, (2, 8)), TableRequest((0, 1), (3, 9))]
+        assert planner.execute(reqs) == [_direct(hl, req) for req in reqs]
+        stats = planner.stats()
+        assert stats["kernel_one_to_many"] == 1
+        assert stats["kernel_distance_table"] == 1
+        assert stats["merged_one_to_many"] == stats["merged_tables"] == 0
+
     def test_base_engines_skip_table_merging(self, graph):
         # The fallback distance_table is one search per source anyway;
         # merging would buy nothing, so the planner answers per request.
@@ -171,6 +210,98 @@ class TestPlannerGrouping:
         assert dj.exact_point_coalescing and not dj.native_batching
         hl_caps = HubLabelIndex(graph).batch_capabilities()
         assert hl_caps.native_batching and hl_caps.exact_point_coalescing
+
+
+@st.composite
+def shared_target_batches(draw, n):
+    """Batches mixing points, rows and tables on 1-3 target tuples.
+
+    The tuples may be empty or repeat a node; sources come mostly from
+    a few low ids and from the tuples' own nodes, so repeated sources
+    and ``source == target`` cells are common.
+    """
+    node = st.integers(0, n - 1)
+    tuples = draw(
+        st.lists(
+            st.one_of(st.just(()), st.lists(node, min_size=1, max_size=6).map(tuple)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    named = sorted({t for targets in tuples for t in targets}) or [0]
+    source = st.one_of(st.integers(0, 3), st.sampled_from(named), node)
+    targets = st.sampled_from(tuples)
+    request = st.one_of(
+        st.builds(DistanceRequest, source, st.one_of(source, node)),
+        st.builds(OneToManyRequest, source, targets),
+        st.builds(TableRequest, st.lists(source, max_size=4), targets),
+    )
+    return draw(st.lists(request, min_size=1, max_size=16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_planner_matches_direct_calls_on_shared_target_tuples(graph, hl, data):
+    """On both tiers every answer is ``==`` the direct engine call, and
+    each target tuple shared by two or more rows and tables costs one
+    ``distance_table`` call.  A lone table keeps its own direct call,
+    which the planner counts as a table call too."""
+    requests = data.draw(shared_target_batches(graph.n))
+    users = Counter(r.targets for r in requests if not isinstance(r, DistanceRequest))
+    shared = sum(1 for count in users.values() if count >= 2)
+    lone_tables = sum(
+        1 for r in requests if isinstance(r, TableRequest) and users[r.targets] == 1
+    )
+    for tier in TIERS:
+        with backend.forced(tier):
+            planner = QueryPlanner(hl)
+            got = planner.execute(requests)
+            want = [_direct(hl, req) for req in requests]
+        assert got == want, tier
+        assert planner.stats()["kernel_distance_table"] == shared + lone_tables, tier
+
+
+class _Id:
+    """A minimal ``__index__`` type: an integer id that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestRequestIds:
+    def test_ints_bools_and_index_types_become_plain_ints(self):
+        point = DistanceRequest(_Id(3), True)
+        row = OneToManyRequest(False, [_Id(12), 4, True])
+        table = TableRequest((_Id(2), 5), range(3))
+        assert (point.source, point.target) == (3, 1)
+        assert (row.source, row.targets) == (0, (12, 4, 1))
+        assert (table.sources, table.targets) == ((2, 5), (0, 1, 2))
+        ids = (point.source, point.target, row.source, *row.targets, *table.sources)
+        assert all(type(v) is int for v in ids)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DistanceRequest(0.9, 3.7),
+            lambda: DistanceRequest(0, "3"),
+            lambda: OneToManyRequest(0, ["12", 4.99]),
+            lambda: OneToManyRequest(1.0, [1]),
+            lambda: TableRequest([0, 2.5], [1]),
+            lambda: TableRequest([0], [1, "2"]),
+        ],
+        ids=[
+            "float-point", "str-target", "str-and-float-row", "float-source",
+            "float-table-source", "str-table-target",
+        ],
+    )
+    def test_non_integer_ids_raise_type_error(self, make):
+        """A float or a string is not truncated or parsed into a node
+        the caller never named."""
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestPlannerCacheDiscipline:
@@ -241,9 +372,6 @@ class TestDistanceCacheConcurrency:
 
 class TestTargetInversionMemo:
     def test_memo_hit_on_repeated_target_tuple(self, hl):
-        # The memo backs the pure table kernel; the native C kernel
-        # builds its inversion internally, so pin the memo behaviour under
-        # the pure tier explicitly.
         with backend.forced("pure"):
             hl.clear_target_inversions()
             pool = (1, 4, 9, 16)
@@ -299,3 +427,91 @@ class TestTargetInversionMemo:
             for i in range(hl._tinv_max + 5):
                 hl.distance_table((0,), (i, i + 1))
             assert hl.target_inversion_stats()["size"] <= hl._tinv_max
+
+    @needs_native
+    def test_native_memo_counts_hits_and_misses(self, hl):
+        pool = (1, 4, 9, 16)
+        with backend.forced("pure"):
+            want = [hl.distance_table(s, pool) for s in ((0, 2), (3, 5))]
+        with backend.forced("native"):
+            hl.clear_target_inversions()
+            got = [hl.distance_table(s, pool) for s in ((0, 2), (3, 5))]
+            stats = hl.target_inversion_stats()
+        assert got == want
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+
+    @needs_native
+    def test_pure_and_native_entries_kept_apart(self, hl):
+        pool = (1, 4, 9)
+        hl.clear_target_inversions()
+        with backend.forced("pure"):
+            pure = hl.distance_table((0, 7), pool)
+        with backend.forced("native"):
+            native = hl.distance_table((0, 7), pool)
+        assert native == pure
+        assert hl.target_inversion_stats() == {
+            "hits": 0, "misses": 2, "size": 2, "maxsize": hl._tinv_max,
+        }
+
+    @needs_native
+    def test_native_memo_evicts_least_recently_used(self, hl):
+        tuples = [(i, i + 1, 40 - i) for i in range(hl._tinv_max + 1)]
+
+        def sources(targets):
+            return (0, 3, targets[0])
+
+        with backend.forced("pure"):
+            want = {t: hl.distance_table(sources(t), t) for t in tuples}
+        with backend.forced("native"):
+            hl.clear_target_inversions()
+
+            def ask(t):
+                assert hl.distance_table(sources(t), t) == want[t]
+                stats = hl.target_inversion_stats()
+                return stats["hits"], stats["misses"], stats["size"]
+
+            for k, t in enumerate(tuples[:-1]):
+                assert ask(t) == (0, k + 1, k + 1)
+            assert ask(tuples[0]) == (1, 8, 8)  # a hit refreshes tuples[0]
+            # The ninth distinct tuple evicts the least recently used
+            # one, tuples[1]; tuples[0] stays.
+            assert ask(tuples[-1]) == (1, 9, 8)
+            assert ask(tuples[0]) == (2, 9, 8)
+            assert ask(tuples[1]) == (2, 10, 8)
+            hl.clear_target_inversions()
+            assert hl.target_inversion_stats()["size"] == 0
+            assert ask(tuples[2]) == (0, 1, 1)
+
+    @needs_native
+    def test_native_memo_evictions_race_joins_safely(self, hl):
+        """Four threads cycle through twelve tuples, more than the memo
+        holds, so entries are evicted while other threads' joins read
+        them; every answer must equal the single-threaded pure one."""
+        tuples = [(i, 2 * i + 1, 48 - i) for i in range(12)]
+        jobs = [
+            [((s, 10 + s), tuples[(k * (s + 1)) % len(tuples)]) for k in range(60)]
+            for s in range(4)
+        ]
+        with backend.forced("pure"):
+            want = [[hl.distance_table(*job) for job in jobs_] for jobs_ in jobs]
+        got = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def worker(i):
+            barrier.wait()
+            got[i] = [hl.distance_table(*job) for job in jobs[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with backend.forced("native"):  # the tier is process-wide
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert hl.target_inversion_stats()["size"] <= hl._tinv_max

@@ -24,6 +24,7 @@ Five load-bearing properties:
 import asyncio
 import io
 import os
+import pathlib
 import signal
 import struct
 from array import array
@@ -170,6 +171,27 @@ def test_pool_rejects_bad_bundle(hl, blob):
     for bad in (12345, hl, blob, bytearray(blob), memoryview(blob)):  # not a path
         with pytest.raises(TypeError):
             WorkerPool(bad)
+
+
+class _BytesPath:
+    """An ``os.PathLike`` whose path is ``bytes``, not ``str``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return os.fsencode(self.path)
+
+
+def test_pool_boots_from_a_pathlike(bundle_path, hl):
+    """A ``pathlib.Path`` boots the pool as its ``str`` does, and the
+    worker spec (what respawns boot from) keeps the ``str``."""
+    reqs = [DistanceRequest(0, 35), OneToManyRequest(3, (1, 7, 30))]
+    with WorkerPool(pathlib.Path(bundle_path), workers=1) as pool:
+        assert pool._spec["bundle"] == bundle_path
+        assert pool.execute(reqs) == QueryPlanner(hl).execute(reqs)
+    with pytest.raises(TypeError):
+        WorkerPool(_BytesPath(bundle_path))
 
 
 # ----------------------------------------------------------------------
@@ -685,9 +707,8 @@ def test_bundle_file_load_still_serves_tables(hl, blob, tmp_path):
     assert hl2.distance_table((9, 2, 6), targets) == hl.distance_table(
         (9, 2, 6), targets
     )
-    # The memo lives in the pure table kernel; the native C kernel
-    # rebuilds its inversion internally, so pin the memo under the pure
-    # tier explicitly.
+    # Pin the pure tier's memo entry here; tests/test_planner.py pins
+    # the native tier's.
     with backend.forced("pure"):
         hl2.clear_target_inversions()
         hl2.distance_table((9, 2, 6), targets)

@@ -1,6 +1,7 @@
 """Tests for index serialization and metric customization (§7 extensions)."""
 
 import io
+import pathlib
 import struct
 
 import pytest
@@ -11,6 +12,11 @@ from repro.core.serialize import (
     bundle_bytes,
     inspect_bundle,
     load_bundle,
+    load_graph,
+    load_hl_index,
+    save_bundle,
+    save_graph,
+    save_hl_index,
 )
 from repro.graph import GraphBuilder
 from repro.graph.traversal import distance_query
@@ -256,3 +262,44 @@ class TestCustomization:
         custom = towns_ah.with_weights(towns_graph)
         assert custom.proximity is False
         assert custom.use_elevating is False
+
+
+class TestPathLikeSources:
+    """Every loader opens an ``os.PathLike`` as it opens a ``str`` path,
+    and every saver writes to one."""
+
+    def test_load_graph(self, towns_graph, tmp_path):
+        path = pathlib.Path(tmp_path / "towns.graph")
+        save_graph(towns_graph, path)
+        loaded = load_graph(path)
+        assert loaded.out_head == towns_graph.out_head
+        assert loaded.out_w == towns_graph.out_w
+        assert loaded.in_src == towns_graph.in_src
+
+    def test_load_index(self, towns_ah, towns_graph, tmp_path):
+        path = pathlib.Path(tmp_path / "towns.ah")
+        save_index(towns_ah, path)
+        loaded = load_index(path, towns_graph)
+        assert index_bytes(loaded) == index_bytes(towns_ah)
+        for s, t in random_pairs(towns_graph, 20, seed=4):
+            assert loaded.distance(s, t) == towns_ah.distance(s, t)
+
+    def test_load_hl_index(self, towns_graph, tmp_path):
+        from repro.baselines import HubLabelIndex
+
+        hl = HubLabelIndex(towns_graph)
+        path = pathlib.Path(tmp_path / "towns.hl")
+        save_hl_index(hl, path)
+        loaded = load_hl_index(path, towns_graph)
+        assert loaded.fwd_hub == hl.fwd_hub and loaded.bwd_dist == hl.bwd_dist
+        for s, t in random_pairs(towns_graph, 20, seed=5):
+            assert loaded.distance(s, t) == hl.distance(s, t)
+
+    def test_load_bundle(self, towns_ah, towns_graph, tmp_path):
+        path = pathlib.Path(tmp_path / "towns.bundle")
+        save_bundle(towns_ah, path)
+        assert path.read_bytes() == bundle_bytes(towns_ah)
+        graph, loaded = load_bundle(path)
+        assert graph.n == towns_graph.n
+        for s, t in random_pairs(towns_graph, 20, seed=6):
+            assert loaded.distance(s, t) == towns_ah.distance(s, t)

@@ -323,6 +323,51 @@ class TestLifecycle:
         got = asyncio.run(main())
         assert got == [hl.distance(i, 20) for i in range(8)]
 
+    def test_range_check_accepts_every_id_in_range(self, hl, graph):
+        """Empty id tuples and ids at both ends of ``[0, n)`` pass, and
+        an id one past either end fails, for rows and tables alike."""
+        last = graph.n - 1
+
+        async def main():
+            async with Server(hl) as server:
+                answers = [
+                    await server.one_to_many(0, ()),
+                    await server.one_to_many(last, (0, last, 3)),
+                    await server.distance_table((), (0, last)),
+                    await server.distance_table((0, last), ()),
+                    await server.distance_table((last, 0), (last, 0)),
+                ]
+                for bad in (
+                    TableRequest((0,), (last + 1,)),
+                    TableRequest((-1,), (0,)),
+                    OneToManyRequest(0, (0, -1, last)),
+                    OneToManyRequest(last + 1, ()),
+                ):
+                    with pytest.raises(ValueError, match="outside"):
+                        await server.submit(bad)
+                return answers
+
+        assert asyncio.run(main()) == [
+            [],
+            hl.one_to_many(last, (0, last, 3)),
+            [],
+            [[], []],
+            hl.distance_table((last, 0), (last, 0)),
+        ]
+
+    def test_non_integer_ids_fail_before_anything_is_queued(self, hl):
+        async def main():
+            async with Server(hl) as server:
+                with pytest.raises(TypeError):
+                    await server.distance(0.9, 3)
+                with pytest.raises(TypeError):
+                    await server.one_to_many(0, ["12", 4.99])
+                with pytest.raises(TypeError):
+                    await server.distance_table([0, 1.5], [2])
+                return server.stats()["submitted"]
+
+        assert asyncio.run(main()) == 0
+
 
 class TestStatsSurface:
     def test_histogram_and_depth_accounting(self, hl):
