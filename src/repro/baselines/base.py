@@ -518,15 +518,21 @@ class QueryEngine(abc.ABC):
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """A shortest path from ``source`` to ``target``; None if none."""
 
-    def _check_pair(self, source: int, target: int) -> None:
-        """Raise :class:`IndexError` unless both ids name graph nodes.
+    def _check_pair(self, source: int, target: int) -> Tuple[int, int]:
+        """Both ids as plain ints, normalised with :func:`operator.index`.
 
-        A negative id would otherwise index the search tables from their
-        end and answer for another node.
+        A float or a string raises :class:`TypeError`; an id that names
+        no graph node raises :class:`IndexError`, since a negative one
+        would otherwise index the search tables from their end and
+        answer for another node.  Callers query with the returned ints,
+        so a ``bool`` id never reaches a returned :class:`Path`.
         """
+        source = index(source)
+        target = index(target)
         n = self.graph.n
         if not (0 <= source < n and 0 <= target < n):
             raise IndexError(f"node pair ({source}, {target}) out of range [0, {n})")
+        return source, target
 
     # ------------------------------------------------------------------
     # Batched queries

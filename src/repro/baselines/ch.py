@@ -42,7 +42,9 @@ def unpack_shortcuts(middle: Dict[Tuple[int, int], int], packed: List[int]) -> L
 
     ``packed`` lists consecutive CH-graph edges ``(a, b)``; every pair
     with an entry in ``middle`` splits into ``(a, mid), (mid, b)`` until
-    only original edges remain.  Shared by the CH and HL engines.
+    only original edges remain.  Called by the CH and HL engines and by
+    AH's pure tier; it is the reference for the unpacking inside
+    :func:`repro.native.ah_query`.
     """
     nodes: List[int] = [packed[0]]
     stack: List[Tuple[int, int]] = [
@@ -351,7 +353,7 @@ class CHEngine(QueryEngine):
         or ``(inf, None)``.  With ``want_parents=False`` the packed path
         of a reachable pair is ``[]`` (only the distance was tracked).
         """
-        self._check_pair(source, target)
+        source, target = self._check_pair(source, target)
         if source == target:
             return 0.0, [source]
         res = self._res

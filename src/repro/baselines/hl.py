@@ -395,7 +395,7 @@ class HubLabelIndex(QueryEngine):
                     target,
                 )
             )
-        self._check_pair(source, target)
+        source, target = self._check_pair(source, target)
         fhub, fdist = self.fwd_hub, self.fwd_dist
         bhub, bdist = self.bwd_hub, self.bwd_dist
         i = self.fwd_head[source]
@@ -610,7 +610,7 @@ class HubLabelIndex(QueryEngine):
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Parent-hub walk on both sides, then CH shortcut unpacking."""
-        self._check_pair(source, target)
+        source, target = self._check_pair(source, target)
         if source == target:
             return Path((source,), 0.0)
         best, hub = self._meet(source, target)

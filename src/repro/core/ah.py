@@ -13,6 +13,9 @@ Construction pipeline
    the *middle node* it bypasses, which realises the paper's two-hop
    invariant (§4.1): any shortcut expands into two shorter edges, so a
    packed query path unpacks into the original-graph path in ``O(k)``.
+   The middle sits both in the ``middle`` dict and in the upward-row
+   entry of the shortcut's lower-ranked end; the pure tier unpacks
+   through the dict, the native query through the rows.
 4. **Elevating edges** (optional, §4.2/§4.3) — for border nodes of the
    coarser grids, precomputed jumps to the first nodes of level ``>= j``
    on upward shortest paths, letting queries skip the low hierarchy
@@ -29,9 +32,12 @@ reads tables derived once per index (``_build_query_tables``): each
 node's cell in the grid of its own proximity test, the endpoint anchors
 those cells are compared with, and each node's jump list per separation
 level.  A relaxation then tests proximity with integer arithmetic, and
-a jump costs one list index.  On the native tier the whole search is
-one C call (:func:`repro.native.ah_query`) over the same tables, read
-in place; the Python loop stays as its fallback and reference.
+a jump costs one list index.  On the native tier a distance or
+shortest-path query is one C call (:func:`repro.native.ah_query`) over
+the same tables, read in place: the search and, for a path, the
+unpacking, whose middles come from the upward rows.  The Python loop
+and :func:`repro.baselines.ch.unpack_shortcuts` stay as its fallback
+and reference.
 
 Correctness notes
 -----------------
@@ -419,12 +425,45 @@ class AHIndex(QueryEngine):
     # Queries
     # ------------------------------------------------------------------
     def distance(self, source: int, target: int) -> float:
-        """Network distance via the constrained bidirectional search."""
+        """Network distance via the constrained bidirectional search.
+
+        Under the native tier this is one :func:`repro.native.ah_query`
+        call; otherwise :meth:`_query` runs the search.
+        """
+        if backend.use_native():
+            d, _ = _native.ah_query(
+                self._tables,
+                source,
+                target,
+                False,
+                self.proximity,
+                self.stall_on_demand,
+                self.use_elevating,
+            )
+            return float(d)
         d, _ = self._query(source, target, want_parents=False)
         return d
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
-        """Shortest path: constrained search, then two-hop unpacking."""
+        """Shortest path: constrained search, then two-hop unpacking.
+
+        Under the native tier both steps are one
+        :func:`repro.native.ah_query` call, which reads each hop's middle
+        from the upward rows; otherwise :meth:`_query` finds the packed
+        path and :func:`unpack_shortcuts` expands it through the
+        ``middle`` dict.  Both return ``==`` paths.
+        """
+        if backend.use_native():
+            d, nodes = _native.ah_query(
+                self._tables,
+                source,
+                target,
+                True,
+                self.proximity,
+                self.stall_on_demand,
+                self.use_elevating,
+            )
+            return None if nodes is None else Path(tuple(nodes), float(d))
         d, packed = self._query(source, target, want_parents=True)
         if packed is None:
             return None
@@ -433,30 +472,18 @@ class AHIndex(QueryEngine):
     def _query(
         self, source: int, target: int, want_parents: bool
     ) -> Tuple[float, Optional[List[int]]]:
-        """Constrained bidirectional upward search.
+        """Constrained bidirectional upward search, in pure Python.
 
         Returns ``(distance, packed path)`` — the node sequence through
         the meeting point, shortcuts and jumps not yet expanded — or
         ``(inf, None)``.  With ``want_parents=False`` the packed path of
         a reachable pair is ``[]``.
 
-        Under the native tier the same search runs as one C call
-        (:func:`repro.native.ah_query`) over the same tables; this loop
-        is its fallback and reference, and both return ``==`` distances
-        and the same packed paths.
+        This loop is the fallback and reference of
+        :func:`repro.native.ah_query`, which runs the same search over
+        :attr:`_tables` and, for a path, the unpacking as well.
         """
-        if backend.use_native():
-            d, packed = _native.ah_query(
-                self._tables,
-                source,
-                target,
-                want_parents,
-                self.proximity,
-                self.stall_on_demand,
-                self.use_elevating,
-            )
-            return float(d), None if packed is None else list(packed)
-        self._check_pair(source, target)
+        source, target = self._check_pair(source, target)
         if source == target:
             return 0.0, [source]
         res = self._res

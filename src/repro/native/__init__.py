@@ -4,8 +4,8 @@ This package is the **only** place in the repo allowed to touch compiled
 code (the ``native-boundary-discipline`` analysis rule enforces it): it
 loads the ``_hubjoin`` extension module and exposes its kernels behind
 plain-Python wrappers — the three hub-label (HL) query kernels, the
-region search of AH's and FC's level assignment, and AH's query search
-(:func:`ah_query`).  Every caller goes
+region search of AH's and FC's level assignment, and AH's query, path
+unpacking included (:func:`ah_query`).  Every caller goes
 through :func:`available` / the wrappers, never the extension module
 itself, so a box without a compiler degrades to the pure-python kernels
 without any import-time failure.
@@ -35,9 +35,10 @@ by hub into an opaque handle, and :func:`distance_table` joins sources
 against it, so a caller that keeps the handle (``HubLabelIndex`` does,
 per target tuple) builds it once.  The region search reads the region graph's own
 ``(j, w)`` rows in place, and the AH query reads the index's query
-tables (its upward rows, levels, cells, anchors and jump columns) in
+tables (its upward rows, whose entries also carry the shortcut middles
+a path unpacks through, levels, cells, anchors and jump columns) in
 place, so it needs no set-up, no copy and no state between calls.
-Results come back as plain Python floats/lists; answers are
+Results come back as plain Python floats, lists and tuples; answers are
 bit-identical to the pure-python code (``tests/test_backend_parity.py``,
 ``tests/test_native.py``, ``tests/test_levels_reference.py``,
 ``tests/test_ah_query_tables.py``).
@@ -213,8 +214,8 @@ def extension_hash() -> Optional[str]:
 # ----------------------------------------------------------------------
 # Kernel wrappers — the boundary the rest of the repo calls through.
 # Each returns plain Python objects (the extension already builds
-# CPython floats/lists); callers still coerce at their own return
-# points, per the native-boundary-discipline rule.
+# CPython floats, lists and tuples); callers still coerce at their own
+# return points, per the native-boundary-discipline rule.
 # ----------------------------------------------------------------------
 def distance(fhead, fhub, fdist, bhead, bhub, bdist, source: int, target: int) -> float:
     """Two-pointer merge-join over one (source, target) label pair."""
@@ -272,15 +273,21 @@ def ah_query(
     proximity: bool,
     stall: bool,
     elevating: bool,
-) -> Tuple[float, Optional[List[int]]]:
-    """AH's constrained bidirectional upward search, in one call.
+) -> Tuple[float, Optional[Tuple[int, ...]]]:
+    """An AH distance or shortest-path query, in one call.
 
-    The compiled form of :meth:`repro.core.ah.AHIndex._query`, its pure
-    reference: ``tables`` is the index's ``_tables`` tuple, read in
-    place, and the flags are its three query toggles.  Returns
-    ``(distance, packed path)``, the packed path ``[]`` when
-    ``want_path`` is false and ``None`` when no path exists, ``==`` to
-    the pure loop's.
+    The compiled form of :meth:`repro.core.ah.AHIndex._query` followed
+    by :func:`repro.baselines.ch.unpack_shortcuts`, its pure reference:
+    ``tables`` is the index's ``_tables`` tuple, read in place, and the
+    flags are its three query toggles.  Returns ``(distance, nodes)``:
+    with ``want_path`` the path's node ids as a tuple of ints, each hop's
+    shortcut middle read from the upward rows ``tables[1]`` and
+    ``tables[2]``; without it ``()``; and ``None`` when no path exists.
+    Distances and node tuples are ``==`` to the pure code's.  A hop in
+    neither row raises :class:`ValueError`, a middle outside ``[0, n)``
+    :class:`IndexError`, a middle that is not an int :class:`TypeError`,
+    and a path that would unpack to more than ``n`` nodes (middles that
+    form a cycle, say) :class:`ValueError`.
     """
     return _hubjoin.ah_query(
         tables, source, target, want_path, proximity, stall, elevating

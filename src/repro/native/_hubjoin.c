@@ -11,7 +11,8 @@
  * refused with TypeError.  Beside them, `local_search` is the region
  * Dijkstra of AH's and FC's level assignment, run over the region
  * graph's own (j, w) rows, and `ah_query` is AH's constrained
- * bidirectional query, run over the index's own query tables.
+ * bidirectional query, run over the index's own query tables, with the
+ * path it finds unpacked from the same upward rows.
  *
  * Bit-identity contract (the repo's standing one): every answer equals
  * the pure-python code bit for bit.  The arithmetic here is the same
@@ -31,7 +32,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define HUBJOIN_VERSION "4"
+#define HUBJOIN_VERSION "5"
 
 /* One label column: a borrowed C-contiguous buffer of 8-byte items. */
 typedef struct {
@@ -652,20 +653,11 @@ compact_int(PyObject *o, int64_t *out)
     return 1;
 }
 
-/* One entry of a row or of the seeds: a tuple of `size` items that
- * starts (node, weight, ...).  The node must lie in [0, n), the weight
- * must be a non-negative float or int. */
+/* A node id: an int in [0, n).  Any other type raises TypeError, any
+ * int outside the range (however large) IndexError. */
 static int
-entry_unpack(PyObject *e, Py_ssize_t size, const char *shape, Py_ssize_t n,
-             const char *what, Py_ssize_t *node, double *weight)
+node_id(PyObject *j, const char *what, Py_ssize_t n, Py_ssize_t *node)
 {
-    if (!PyTuple_Check(e) || PyTuple_GET_SIZE(e) != size) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s entries must be %s tuples, not %.200s",
-                     what, shape, Py_TYPE(e)->tp_name);
-        return -1;
-    }
-    PyObject *j = PyTuple_GET_ITEM(e, 0), *w = PyTuple_GET_ITEM(e, 1);
     int64_t i;
     if (!compact_int(j, &i)) {
         if (!PyLong_Check(j)) {
@@ -685,6 +677,25 @@ entry_unpack(PyObject *e, Py_ssize_t size, const char *shape, Py_ssize_t n,
                      what, j, n);
         return -1;
     }
+    *node = (Py_ssize_t)i;
+    return 0;
+}
+
+/* One entry of a row or of the seeds: a tuple of `size` items that
+ * starts (node, weight, ...).  The node must lie in [0, n), the weight
+ * must be a non-negative float or int. */
+static int
+entry_unpack(PyObject *e, Py_ssize_t size, const char *shape, Py_ssize_t n,
+             const char *what, Py_ssize_t *node, double *weight)
+{
+    if (!PyTuple_Check(e) || PyTuple_GET_SIZE(e) != size) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s entries must be %s tuples, not %.200s",
+                     what, shape, Py_TYPE(e)->tp_name);
+        return -1;
+    }
+    PyObject *w = PyTuple_GET_ITEM(e, 1);
+    if (node_id(PyTuple_GET_ITEM(e, 0), what, n, node) < 0) return -1;
     double x;
     if (PyFloat_Check(w)) {
         x = PyFloat_AS_DOUBLE(w);
@@ -702,7 +713,6 @@ entry_unpack(PyObject *e, Py_ssize_t size, const char *shape, Py_ssize_t n,
                      what, w);
         return -1;
     }
-    *node = (Py_ssize_t)i;
     *weight = x;
     return 0;
 }
@@ -816,9 +826,10 @@ done:
 
 /* ------------------------------------------------------------------ */
 /* ah_query(tables, source, target, want_path, proximity, stall,      */
-/*          elevating) -> (float, list | None)                        */
+/*          elevating) -> (float, tuple | None)                       */
 /*                                                                    */
-/* AH's query; repro.core.ah.AHIndex._query is its pure reference.    */
+/* AH's query; repro.core.ah.AHIndex._query plus                      */
+/* repro.baselines.ch.unpack_shortcuts is its pure reference.         */
 /* It runs the bidirectional upward search under the rank constraint, */
 /* with the proximity test, stall-on-demand and the elevating jumps   */
 /* of the pair's separation level, over the tables the index derives  */
@@ -835,19 +846,24 @@ done:
 /* the meet test before the stall test and the relaxations.  So the   */
 /* distance is == and the packed path (node ids through the meeting   */
 /* node, jump chains spliced in as the pure reconstruction splices    */
-/* them, shortcuts still packed) is the same list.                    */
+/* them, shortcuts still packed) is the same list.  With want_path,   */
+/* that packed path is then unpacked in the order unpack_shortcuts    */
+/* follows, each hop's middle read from the upward rows (ah_hop), and */
+/* the node tuple is returned; without it, () stands for a reachable  */
+/* target.  No path is None.                                          */
 /*                                                                    */
 /* Per-call state is a hash map keyed by node id plus two heaps, all  */
-/* sized by the nodes the search touches: stack buffers that grow on  */
-/* demand, never an O(n) array, pre-pass or clearing, and nothing     */
-/* kept between calls.  Only the rows the search reads are checked:   */
-/* a malformed row, entry, level, cell, anchor list or jump chain     */
-/* raises TypeError, IndexError or ValueError.                        */
+/* sized by the nodes the search touches, and the packed path, the    */
+/* unpacked path and the unpack's hop stack: stack buffers that grow  */
+/* on demand, never an O(n) array, pre-pass or clearing, and nothing  */
+/* kept between calls.  Only the rows the search and the unpack read  */
+/* are checked: a malformed row, entry, middle, level, cell, anchor   */
+/* list or jump chain raises TypeError, IndexError or ValueError.     */
 /* ------------------------------------------------------------------ */
 #define AH_SLOTS_LOG2 7
 #define AH_SLOTS (1 << AH_SLOTS_LOG2)  /* initial map slots */
 #define AH_HEAP 64      /* initial entries per heap */
-#define AH_PATH 256     /* initial packed-path entries */
+#define AH_PATH 256     /* initial entries per path or hop stack */
 #define TRIPLE "(node, weight, middle)"
 #define JUMP "(node, weight, chain)"
 
@@ -1156,21 +1172,6 @@ path_add(ahpath_t *p, Py_ssize_t node)
     return 0;
 }
 
-/* Node k of a jump chain. */
-static int
-chain_node(PyObject *chain, Py_ssize_t k, Py_ssize_t n, Py_ssize_t *node)
-{
-    int64_t x;
-    if (read_int(PyTuple_GET_ITEM(chain, k), "chain node", &x) < 0) return -1;
-    if (x < 0 || x >= n) {
-        PyErr_Format(PyExc_IndexError, "chain node %lld out of range [0, %zd)",
-                     (long long)x, n);
-        return -1;
-    }
-    *node = (Py_ssize_t)x;
-    return 0;
-}
-
 /* Splice in a jump chain that must run first .. last: all but its
  * first node, reversed on the forward side (the pure loop's p[:0:-1],
  * since that walk runs from the meeting node back) and in order on the
@@ -1186,8 +1187,8 @@ path_add_chain(ahpath_t *p, PyObject *chain, Py_ssize_t first,
                      "not %.200s", Py_TYPE(chain)->tp_name);
         return -1;
     }
-    if (chain_node(chain, 0, n, &a) < 0 ||
-        chain_node(chain, len - 1, n, &b) < 0) {
+    if (node_id(PyTuple_GET_ITEM(chain, 0), "chain", n, &a) < 0 ||
+        node_id(PyTuple_GET_ITEM(chain, len - 1), "chain", n, &b) < 0) {
         return -1;
     }
     if (a != first || b != last) {
@@ -1198,7 +1199,8 @@ path_add_chain(ahpath_t *p, PyObject *chain, Py_ssize_t first,
     }
     for (Py_ssize_t i = 1; i < len; i++) {
         Py_ssize_t x;
-        if (chain_node(chain, backward ? i : len - i, n, &x) < 0 ||
+        if (node_id(PyTuple_GET_ITEM(chain, backward ? i : len - i), "chain",
+                    n, &x) < 0 ||
             path_add(p, x) < 0) {
             return -1;
         }
@@ -1261,11 +1263,85 @@ ah_packed(const ahq_t *q, Py_ssize_t source, Py_ssize_t target,
     return 0;
 }
 
-/* A list of n node ids; NULL (raised) on failure. */
+/* Hop (a, b) of a packed path: the entry with node b in up_out[a], else
+ * the one with node a in up_in[b].  Contraction freezes each edge into
+ * the row of its lower-ranked end with the middle the shortcut dict
+ * holds for it, and no later shortcut touches a pair with a contracted
+ * end, so the rows give the dict's answer.  Every entry read is checked
+ * as the search checks the entries it relaxes.  Borrowed; NULL
+ * (raised) when neither row holds the hop. */
 static PyObject *
-node_list(const Py_ssize_t *nodes, Py_ssize_t n)
+ah_hop(const ahq_t *q, Py_ssize_t a, Py_ssize_t b)
 {
-    PyObject *out = PyList_New(n);
+    Py_ssize_t ends[2] = {a, b};
+    for (int s = 0; s < 2; s++) {
+        PyObject **entries;
+        Py_ssize_t deg;
+        if (row_items(q->rows[s][ends[s]], s ? "up_in" : "up_out", ends[s],
+                      &entries, &deg) < 0) {
+            return NULL;
+        }
+        for (Py_ssize_t k = 0; k < deg; k++) {
+            Py_ssize_t v;
+            double w;
+            if (entry_unpack(entries[k], 3, TRIPLE, q->n, "up", &v, &w) < 0) {
+                return NULL;
+            }
+            if (v == ends[1 - s]) return entries[k];
+        }
+    }
+    PyErr_Format(PyExc_ValueError,
+                 "hop (%zd, %zd) is in neither up_out[%zd] nor up_in[%zd]",
+                 a, b, a, b);
+    return NULL;
+}
+
+/* Unpack the packed path p into out as ch.unpack_shortcuts does: a hop
+ * whose middle is None emits b, a middle m pushes (m, b), then (a, m).
+ * The hop stack st holds each pending hop as b, then a.  Every pending
+ * hop emits at least one node, so once the nodes emitted plus the hops
+ * pending pass n the path has more than n nodes and cannot be simple:
+ * that raises ValueError, which also stops middles that form a cycle
+ * before they can hang the call. */
+static int
+ah_unpack(const ahq_t *q, const ahpath_t *p, ahpath_t *out, ahpath_t *st)
+{
+    if (path_add(out, p->items[0]) < 0) return -1;
+    for (Py_ssize_t i = p->len - 1; i > 0; i--) {
+        if (path_add(st, p->items[i]) < 0 ||
+            path_add(st, p->items[i - 1]) < 0) {
+            return -1;
+        }
+    }
+    while (st->len) {
+        if (out->len + st->len / 2 > q->n) {
+            PyErr_Format(PyExc_ValueError,
+                         "shortcut middles unpack to more than %zd nodes",
+                         q->n);
+            return -1;
+        }
+        Py_ssize_t a = st->items[--st->len];
+        Py_ssize_t b = st->items[--st->len];
+        PyObject *e = ah_hop(q, a, b);
+        if (e == NULL) return -1;
+        PyObject *mid = PyTuple_GET_ITEM(e, 2);
+        Py_ssize_t m;
+        if (mid == Py_None) {
+            if (path_add(out, b) < 0) return -1;
+        } else if (node_id(mid, "middle", q->n, &m) < 0 ||
+                   path_add(st, b) < 0 || path_add(st, m) < 0 ||
+                   path_add(st, m) < 0 || path_add(st, a) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A tuple of n node ids; NULL (raised) on failure. */
+static PyObject *
+node_tuple(const Py_ssize_t *nodes, Py_ssize_t n)
+{
+    PyObject *out = PyTuple_New(n);
     if (out == NULL) return NULL;
     for (Py_ssize_t k = 0; k < n; k++) {
         PyObject *v = PyLong_FromSsize_t(nodes[k]);
@@ -1273,7 +1349,7 @@ node_list(const Py_ssize_t *nodes, Py_ssize_t n)
             Py_DECREF(out);
             return NULL;
         }
-        PyList_SET_ITEM(out, k, v);
+        PyTuple_SET_ITEM(out, k, v);
     }
     return out;
 }
@@ -1283,20 +1359,20 @@ static const char *const ah_columns[] = {
     "up_out", "up_in", "levels", "cell_x", "cell_y", "anchor_x", "anchor_y",
 };
 
-/* The (distance, packed) result; steals `packed`. */
+/* The (distance, nodes) result; steals `nodes`. */
 static PyObject *
-ah_result(double d, PyObject *packed)
+ah_result(double d, PyObject *nodes)
 {
-    if (packed == NULL) return NULL;
+    if (nodes == NULL) return NULL;
     PyObject *dist = PyFloat_FromDouble(d);
     PyObject *out = dist != NULL ? PyTuple_New(2) : NULL;
     if (out == NULL) {
         Py_XDECREF(dist);
-        Py_DECREF(packed);
+        Py_DECREF(nodes);
         return NULL;
     }
     PyTuple_SET_ITEM(out, 0, dist);
-    PyTuple_SET_ITEM(out, 1, packed);
+    PyTuple_SET_ITEM(out, 1, nodes);
     return out;
 }
 
@@ -1361,7 +1437,8 @@ hubjoin_ah_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (source == target) {
-        return ah_result(0.0, node_list(&source, 1));
+        return ah_result(0.0, want_path ? node_tuple(&source, 1)
+                                        : PyTuple_New(0));
     }
 
     ahq_t q;
@@ -1441,13 +1518,15 @@ hubjoin_ah_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         q.heap[s].len = 0;
         q.heap[s].cap = AH_HEAP;
     }
-    ahpath_t path;
+    ahpath_t path, nodes, hops;  /* packed, unpacked, the unpack's stack */
     path.items = path.items0;
-    path.len = 0;
-    path.cap = AH_PATH;
+    nodes.items = nodes.items0;
+    hops.items = hops.items0;
+    path.len = nodes.len = hops.len = 0;
+    path.cap = nodes.cap = hops.cap = AH_PATH;
 
     /* Nothing below runs Python code until the result is built, so the
-     * borrowed rows, entries and chains stay put. */
+     * borrowed rows, entries, middles and chains stay put. */
     PyObject *result = NULL;
     double best = HUGE_VAL;
     Py_ssize_t best_node = -1;
@@ -1485,9 +1564,10 @@ hubjoin_ah_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(Py_None);
         result = ah_result(best, Py_None);
     } else if (!want_path) {
-        result = ah_result(best, PyList_New(0));
-    } else if (ah_packed(&q, source, target, best_node, &path) == 0) {
-        result = ah_result(best, node_list(path.items, path.len));
+        result = ah_result(best, PyTuple_New(0));
+    } else if (ah_packed(&q, source, target, best_node, &path) == 0 &&
+               ah_unpack(&q, &path, &nodes, &hops) == 0) {
+        result = ah_result(best, node_tuple(nodes.items, nodes.len));
     }
 
 done:
@@ -1499,6 +1579,8 @@ done:
         if (q.heap[s].items != q.heap[s].items0) PyMem_Free(q.heap[s].items);
     }
     if (path.items != path.items0) PyMem_Free(path.items);
+    if (nodes.items != nodes.items0) PyMem_Free(nodes.items);
+    if (hops.items != hops.items0) PyMem_Free(hops.items);
     return result;
 }
 
@@ -1524,7 +1606,8 @@ static PyMethodDef hubjoin_methods[] = {
     {"ah_query", (PyCFunction)(void (*)(void))hubjoin_ah_query, METH_FASTCALL,
      "ah_query(tables, source, target, want_path, proximity, stall, "
      "elevating)\nAH's constrained bidirectional upward search over the "
-     "index's query tables: (distance, packed path or [] or None)."},
+     "index's query tables, then the found path unpacked from the upward "
+     "rows: (distance, node tuple, or () without want_path, or None)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -72,6 +72,27 @@ def test_out_of_range_node_raises(name, tier, id_check_indexes):
 
 
 @pytest.mark.parametrize("tier", ["native", "pure"])
+@pytest.mark.parametrize("name", ["AH", "CH", "HL"])
+def test_node_ids_answer_as_plain_ints(name, tier, id_check_indexes):
+    """A ``bool`` id is the int it stands for, so every node of a
+    returned path is exactly ``int`` on every engine and tier, and a
+    float or string id raises :class:`TypeError`."""
+    if tier == "native" and not backend.HAS_NATIVE:
+        pytest.skip("C extension not built")
+    engine = id_check_indexes[name]
+    with backend.forced(tier):
+        for source, target in ((True, 2), (True, True)):
+            path = engine.shortest_path(source, target)
+            assert path == engine.shortest_path(int(source), int(target))
+            assert all(type(v) is int for v in path.nodes), path.nodes
+        for source, target in ((1.0, 2), ("1", 2)):
+            with pytest.raises(TypeError):
+                engine.distance(source, target)
+            with pytest.raises(TypeError):
+                engine.shortest_path(source, target)
+
+
+@pytest.mark.parametrize("tier", ["native", "pure"])
 def test_out_of_range_node_raises_in_hl_batch_kernels(tier, id_check_indexes):
     """HL's batch kernels raise for an id outside ``[0, n)`` on both
     tiers, instead of answering ``inf`` from a wrapped label slice."""

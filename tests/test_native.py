@@ -14,10 +14,13 @@ Six groups:
   ``_local_search`` returns on random region graphs, and malformed rows,
   seeds and ``expand`` flags fail typed.
 * **AH query** (skipped when no extension is loaded):
-  ``native.ah_query`` returns exactly (``==``) the distance and packed
-  path of the pure ``AHIndex._query`` loop on random indexes, tied
-  weights included, ``_query`` dispatches to it, and malformed tables
-  fail typed.
+  ``native.ah_query`` returns exactly (``==``) the distance of the pure
+  ``AHIndex._query`` loop and, for a path, the node tuple that
+  ``unpack_shortcuts`` makes of its packed path, on built, bundle-loaded
+  and customized random indexes, tied weights included.
+  ``AHIndex.distance`` and ``shortest_path`` each make one call to it,
+  and malformed tables, malformed rows that only the unpacking reads
+  and middles that form a cycle fail typed.
 * **On-import build** (subprocesses over a fresh copy of the package
   under ``tmp_path``): the first import compiles ``_hubjoin.c`` into
   ``__pycache__/<source hash>/`` and removes the builds of other source
@@ -42,6 +45,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from array import array
 from pathlib import Path
 from textwrap import dedent
@@ -51,8 +55,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import backend, native
+from repro.baselines.ch import unpack_shortcuts
 from repro.core import AHIndex
+from repro.core import ah as ah_module
 from repro.core.arterial import _local_search
+from repro.core.serialize import bundle_bytes, load_bundle
 from repro.datasets import towns_and_highways
 from repro.graph import GraphBuilder
 
@@ -87,7 +94,7 @@ def _run(code, **env):
 class TestFacade:
     def test_extension_identified(self):
         assert native.available()
-        assert native.version() == "4"
+        assert native.version() == "5"
         path = native.extension_path()
         assert path and path.endswith(".so")
         digest = native.extension_hash()
@@ -104,9 +111,9 @@ class TestFacade:
             desc = backend.describe()
         assert desc["tier"] == "native"
         assert desc["native_available"] is True
-        assert desc["native_version"] == "4"
+        assert desc["native_version"] == "5"
         assert desc["native_hash"] == native.extension_hash()
-        assert desc["backend"].startswith("native (kernels v4")
+        assert desc["backend"].startswith("native (kernels v5")
 
     def test_native_stacks_on_container_layer(self):
         # One container under both tiers: a graph built under native
@@ -372,6 +379,30 @@ def _whole_weights(graph):
     return b.build()
 
 
+def _reweighted(graph, seed):
+    """``graph`` with every weight scaled by a random factor, for
+    :meth:`AHIndex.with_weights`."""
+    rng = random.Random(seed)
+    b = GraphBuilder()
+    for u in graph.nodes():
+        b.add_node(*graph.coord(u))
+    for u, v, w in graph.edges():
+        b.add_edge(u, v, w * rng.uniform(0.5, 2.0))
+    return b.build()
+
+
+def _pure_answer(index, source, target, want_path):
+    """``native.ah_query``'s answer as the pure tier makes it: the
+    ``_query`` loop, then ``unpack_shortcuts`` over the ``middle`` dict."""
+    with backend.forced("pure"):
+        d, packed = index._query(source, target, want_path)
+    if packed is None:
+        return d, None
+    if not want_path:
+        return d, ()
+    return d, tuple(unpack_shortcuts(index._res.middle, packed))
+
+
 @needs_native
 @settings(max_examples=30, deadline=None)
 @given(
@@ -380,35 +411,46 @@ def _whole_weights(graph):
     proximity=st.booleans(),
     stall=st.booleans(),
     elevating=st.booleans(),
+    kind=st.sampled_from(["built", "loaded", "customized"]),
 )
-def test_ah_query_matches_pure(seed, tied, proximity, stall, elevating):
+def test_ah_query_matches_pure(seed, tied, proximity, stall, elevating, kind):
     graph = towns_and_highways(3, 4, 4, seed=seed, prune=0.15)
     if tied:
         graph = _whole_weights(graph)
     ah = AHIndex(
         graph, proximity=proximity, stall_on_demand=stall, elevating=elevating
     )
+    if kind == "loaded":
+        _, ah = load_bundle(bundle_bytes(ah))
+    elif kind == "customized":
+        ah = ah.with_weights(_reweighted(graph, seed))
+    flags = (ah.proximity, ah.stall_on_demand, ah.use_elevating)
     rng = random.Random(seed)
     for _ in range(40):
         s, t = rng.randrange(graph.n), rng.randrange(graph.n)
         for want_path in (False, True):
-            with backend.forced("pure"):
-                want = ah._query(s, t, want_path)
-            got = native.ah_query(
-                ah._tables, s, t, want_path, proximity, stall, elevating
-            )
-            assert got == want, (s, t, want_path)
+            got = native.ah_query(ah._tables, s, t, want_path, *flags)
+            assert got == _pure_answer(ah, s, t, want_path), (s, t, want_path)
             assert type(got[0]) is float
+            assert all(type(v) is int for v in got[1] or ()), got[1]
         with backend.forced("pure"):
             pure = ah.shortest_path(s, t)
         with backend.forced("native"):
             compiled = ah.shortest_path(s, t)
-        assert (compiled and compiled.nodes) == (pure and pure.nodes), (s, t)
+        assert compiled == pure, (s, t)
 
 
 @needs_native
 def test_query_dispatches_to_native(monkeypatch):
+    """On the native tier ``distance`` and ``shortest_path`` make one
+    ``ah_query`` call each, and the path never passes through the Python
+    unpacking."""
     ah = AHIndex(towns_and_highways(3, 4, 4, seed=1, prune=0.15), elevating=True)
+    with backend.forced("pure"):
+        want_d = ah.distance(0, 47)
+        want = ah.shortest_path(0, 47)
+        packed = ah._query(0, 47, True)[1]
+    assert len(want.nodes) > len(packed)  # the path holds shortcuts
     calls = []
     real = native.ah_query
 
@@ -416,15 +458,16 @@ def test_query_dispatches_to_native(monkeypatch):
         calls.append((source, target, want_path))
         return real(tables, source, target, want_path, *flags)
 
+    def unpack_in_python(*args):
+        raise AssertionError("the native tier unpacked a path in Python")
+
     monkeypatch.setattr(native, "ah_query", spy)
+    monkeypatch.setattr(ah_module, "unpack_shortcuts", unpack_in_python)
     with backend.forced("native"):
-        d = ah.distance(0, 47)
-        path = ah.shortest_path(0, 47)
+        assert ah.distance(0, 47) == want_d
+        assert calls == [(0, 47, False)]
+        assert ah.shortest_path(0, 47) == want
     assert calls == [(0, 47, False), (0, 47, True)]
-    with backend.forced("pure"):
-        assert ah.distance(0, 47) == d
-        assert ah.shortest_path(0, 47).nodes == path.nodes
-    assert len(calls) == 2
 
 
 def _tiny_tables(**changes):
@@ -455,15 +498,23 @@ def test_ah_query_tiny_tables(elevating):
     tables = _tiny_tables()
     assert native.ah_query(tables, 0, 1, True, True, False, elevating) == (
         1.0,
-        [0, 1],
+        (0, 1),
+    )
+    assert native.ah_query(tables, 0, 1, False, True, False, elevating) == (
+        1.0,
+        (),
     )
     assert native.ah_query(tables, 1, 0, True, True, True, elevating) == (
         float("inf"),
         None,
     )
+    assert native.ah_query(tables, 1, 1, True, True, False, elevating) == (
+        0.0,
+        (1,),
+    )
     assert native.ah_query(tables, 1, 1, False, True, False, elevating) == (
         0.0,
-        [1],
+        (),
     )
 
 
@@ -476,10 +527,26 @@ def _flat_tables(n, up_out, up_in):
     )
 
 
+def _halving_tables(n):
+    """Flat tables whose shortcut ``0 -> n-1`` unpacks, by halving each
+    hop at its middle, into the line ``0, 1, .., n-1``.  Every hop sits
+    in ``up_out`` of its first node."""
+    up_out = [[] for _ in range(n)]
+    hops = [(0, n - 1)]
+    while hops:
+        a, b = hops.pop()
+        mid = (a + b) // 2 if b - a > 1 else None
+        up_out[a].append((b, float(b - a), mid))
+        if mid is not None:
+            hops += [(a, mid), (mid, b)]
+    return _flat_tables(n, up_out, [[] for _ in range(n)])
+
+
 @needs_native
 def test_ah_query_grows_past_its_stack_buffers():
-    """Searches that touch hundreds of nodes grow the map, the heap and
-    the packed path beyond their first buffers and still answer."""
+    """Searches that touch hundreds of nodes grow the map, the heap, the
+    packed path, the unpack's hop stack and the unpacked path beyond
+    their first buffers and still answer."""
     n = 300
     # A star: the source's 299 edges fill the map and the forward heap.
     star = _flat_tables(
@@ -488,17 +555,22 @@ def test_ah_query_grows_past_its_stack_buffers():
     )
     assert native.ah_query(star, 0, n - 1, True, False, False, False) == (
         float(n - 1),
-        [0, n - 1],
+        (0, n - 1),
     )
-    # A chain: the packed path holds all 300 nodes.
+    # A chain: the packed path holds all 300 nodes, so the unpack starts
+    # with 299 hops on its stack.
     chain = _flat_tables(
         n, [[(u + 1, 1.0, None)] for u in range(n - 1)] + [[]],
         [[] for _ in range(n)],
     )
     assert native.ah_query(chain, 0, n - 1, True, False, False, False) == (
         float(n - 1),
-        list(range(n)),
+        tuple(range(n)),
     )
+    # One shortcut whose middles unpack into all 300 nodes.
+    assert native.ah_query(
+        _halving_tables(n), 0, n - 1, True, False, False, False
+    ) == (float(n - 1), tuple(range(n)))
 
 
 @needs_native
@@ -540,6 +612,92 @@ def test_ah_query_rejects_malformed_tables(changes, source, flags, error, detail
             _tiny_tables(**changes), source, 1, True, True,
             "stall" in flags, "elevating" in flags,
         )
+
+
+def _shortcut_tables(**changes):
+    """A valid three-node index on one level: node 1 ranks lowest, and
+    the shortcut ``0 -> 2`` in ``up_out[0]`` bypasses it.  The search
+    from 0 to 2 reads only ``up_out[0]`` and ``up_in[2]``; unpacking its
+    packed path ``[0, 2]`` reads the hop ``(0, 1)`` from ``up_in[1]``
+    and the hop ``(1, 2)`` from ``up_out[1]``."""
+    rows = {
+        "up_out": [[(2, 2.0, 1)], [(2, 1.0, None)], []],
+        "up_in": [[], [(0, 1.0, None)], []],
+    }
+    rows.update(changes)
+    return _flat_tables(3, rows["up_out"], rows["up_in"])
+
+
+@needs_native
+def test_ah_query_unpacks_from_both_rows():
+    assert native.ah_query(_shortcut_tables(), 0, 2, True, False, False, False) == (
+        2.0,
+        (0, 1, 2),
+    )
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "changes, error, detail",
+    [
+        ({"up_in": [[], [], []]}, ValueError, "hop \\(0, 1\\) is in neither"),
+        (
+            {"up_out": [[(2, 2.0, 1)], [], []]},
+            ValueError, "hop \\(1, 2\\) is in neither",
+        ),
+        (
+            {"up_out": [[(2, 2.0, 7)], [(2, 1.0, None)], []]},
+            IndexError, "middle node 7 out of range",
+        ),
+        (
+            {"up_out": [[(2, 2.0, -1)], [(2, 1.0, None)], []]},
+            IndexError, "middle node -1 out of range",
+        ),
+        (
+            {"up_out": [[(2, 2.0, 1.0)], [(2, 1.0, None)], []]},
+            TypeError, "middle node must be an int",
+        ),
+        ({"up_in": [[], [(0, 1.0)], []]}, TypeError, "tuples"),
+        ({"up_in": [[], [(0, "1", None)], []]}, TypeError, "float or int"),
+        ({"up_in": [[], None, []]}, TypeError, "up_in\\[1\\]"),
+    ],
+    ids=[
+        "hop-dropped-from-up_in", "hop-dropped-from-up_out",
+        "middle-out-of-range", "negative-middle", "float-middle",
+        "entry-not-a-triple", "weight-not-a-number", "row-not-a-list",
+    ],
+)
+def test_ah_query_rejects_malformed_rows_it_unpacks(changes, error, detail):
+    """Rows that only the unpacking reads are checked as the search
+    checks the rows it relaxes; the distance alone still answers."""
+    tables = _shortcut_tables(**changes)
+    assert native.ah_query(tables, 0, 2, False, False, False, False) == (2.0, ())
+    with pytest.raises(error, match=detail):
+        native.ah_query(tables, 0, 2, True, False, False, False)
+
+
+@needs_native
+@pytest.mark.parametrize("emitting", [True, False], ids=["emitting", "stack-only"])
+def test_ah_query_stops_middle_cycles_at_n_nodes(emitting):
+    """Middles that form a cycle raise at the ``n``-node bound instead of
+    hanging the call or growing its buffers without bound.  The emitting
+    cycle unpacks ``(0, 2)`` through ``(1, 2)`` back into ``(0, 2)`` and
+    emits ``1, 0`` on every turn; the stack-only one names a hop's own
+    end as its middle and never emits."""
+    n = 1 << 16
+    up_out = [[] for _ in range(n)]
+    up_in = [[] for _ in range(n)]
+    if emitting:
+        up_out[0] = [(2, 2.0, 1)]
+        up_out[1] = [(2, 1.0, 0), (0, 1.0, None)]
+        up_in[1] = [(0, 1.0, None)]
+    else:
+        up_out[0] = [(2, 2.0, 2)]
+    tables = _flat_tables(n, up_out, up_in)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {n} nodes"):
+        native.ah_query(tables, 0, 2, True, False, False, False)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ----------------------------------------------------------------------
