@@ -5,12 +5,12 @@ customization speed vs full rebuild, serialized index size, and Transit
 Node Routing's table-lookup queries.
 """
 
-import io
 import time
 
 import pytest
 
-from repro.core import AHIndex, index_bytes, load_index, save_index
+from repro.core import index_bytes, load_bundle
+from repro.core.serialize import bundle_bytes
 from repro.graph import GraphBuilder
 
 from conftest import get_engine, get_graph, long_range_pairs
@@ -40,13 +40,9 @@ def test_customization_speed(benchmark):
 
 def test_serialization_roundtrip_speed(benchmark):
     engine = get_engine("AH", DATASET)
-    graph = get_graph(DATASET)
 
     def roundtrip():
-        buf = io.BytesIO()
-        save_index(engine, buf)
-        buf.seek(0)
-        return load_index(buf, graph)
+        return load_bundle(bundle_bytes(engine))[1]
 
     loaded = benchmark.pedantic(roundtrip, rounds=3, iterations=1)
     s, t = long_range_pairs(DATASET)[0]

@@ -45,7 +45,6 @@ regression guard with deliberately conservative thresholds.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import random
@@ -56,7 +55,7 @@ from pathlib import Path
 from repro import backend
 from repro.baselines import CHEngine, HubLabelIndex, QueryEngine
 from repro.bench.harness import environment_metadata
-from repro.core.serialize import inspect_bundle, load_hl_index, save_hl_index
+from repro.core.serialize import bundle_bytes, inspect_bundle, load_bundle
 from repro.datasets import dataset, generate_workloads
 from repro.graph.traversal import distance_query
 
@@ -156,17 +155,15 @@ def build_and_verify():
     # int64/float64 columns the index holds in memory is a *hard*
     # assertion, check mode included — and the loaded index must answer
     # bit-identically, on every tier.
-    buf = io.BytesIO()
-    save_hl_index(hl, buf)
-    comp_sec = inspect_bundle(buf.getvalue())[0]["detail"]
+    blob = bundle_bytes(hl)
+    comp_sec = inspect_bundle(blob)[1]["detail"]
     flat_label_bytes = hl.stats()["label_bytes"]
     size_ratio = flat_label_bytes / comp_sec["label_bytes"]
     assert size_ratio >= 2.5, (
         f"NH label sections shrank only {size_ratio:.2f}x "
         f"({flat_label_bytes} -> {comp_sec['label_bytes']} bytes)"
     )
-    buf.seek(0)
-    loaded = load_hl_index(buf, graph)
+    _, loaded = load_bundle(blob)
     pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(20)]
     for name in _fast_tiers() + ["pure"]:
         with backend.forced(name):

@@ -7,16 +7,12 @@ code answers bit-identically).
 Without a build here, :mod:`repro.native` compiles the same source on
 first import when a compiler is present; a module built here imports
 first.  The build therefore must never fail on a box without a working
-C toolchain:
-
-* every compile/link error is caught and reported as a warning — the
-  install completes as a pure build and :mod:`repro.native` degrades at
-  import time;
-* ``REPRO_PURE_BUILD=1`` skips the extension outright (the explicit
-  escape hatch, used by the compiler-less CI leg).
+C toolchain: every compile/link error is caught and reported as a
+warning, the install completes as a pure build and :mod:`repro.native`
+degrades at import time.  ``REPRO_NATIVE=0`` turns a built extension
+off at run time.
 """
 
-import os
 import warnings
 
 from setuptools import Extension, setup
@@ -45,17 +41,13 @@ class optional_build_ext(build_ext):
             )
 
 
-if os.environ.get("REPRO_PURE_BUILD", "").strip() in ("1", "true", "yes"):
-    ext_modules = []
-    cmdclass = {}
-else:
-    ext_modules = [
+setup(
+    ext_modules=[
         Extension(
             "repro.native._hubjoin",
             sources=["src/repro/native/_hubjoin.c"],
             optional=True,
         )
-    ]
-    cmdclass = {"build_ext": optional_build_ext}
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -97,6 +97,7 @@ class ALTEngine(QueryEngine):
 
     def _search(self, source: int, target: int) -> Tuple[float, Optional[List[int]]]:
         """Workspace-backed landmark A*; returns (distance, path nodes)."""
+        source, target = self._check_pair(source, target)
         graph = self.graph
         out = graph.out
         lower_bound = self._lower_bound

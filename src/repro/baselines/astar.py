@@ -70,6 +70,7 @@ class AStarEngine(QueryEngine):
         Dijkstra loops use does not transfer to A*, whose heap keys are
         f-values that the workspace does not store.
         """
+        source, target = self._check_pair(source, target)
         graph = self.graph
         tx, ty = graph.coord(target)
         out = graph.out

@@ -45,11 +45,11 @@ class DijkstraEngine(QueryEngine):
 
     def distance(self, source: int, target: int) -> float:
         """Distance via a single forward search stopped at ``target``."""
-        return distance_query(self.graph, source, target)
+        return distance_query(self.graph, *self._check_pair(source, target))
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Shortest path via a single forward search with parents."""
-        return shortest_path_query(self.graph, source, target)
+        return shortest_path_query(self.graph, *self._check_pair(source, target))
 
 
 class BidirectionalEngine(QueryEngine):
@@ -59,8 +59,8 @@ class BidirectionalEngine(QueryEngine):
 
     def distance(self, source: int, target: int) -> float:
         """Distance via alternating forward/backward searches."""
-        return bidirectional_distance(self.graph, source, target)
+        return bidirectional_distance(self.graph, *self._check_pair(source, target))
 
     def shortest_path(self, source: int, target: int) -> Optional[Path]:
         """Path via alternating searches with meeting-node splicing."""
-        return bidirectional_path(self.graph, source, target)
+        return bidirectional_path(self.graph, *self._check_pair(source, target))

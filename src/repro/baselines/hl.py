@@ -225,7 +225,7 @@ class HubLabelIndex(QueryEngine):
         """Per-instance caches rebuilt on every boot path.
 
         Called by ``__init__`` and by :func:`repro.core.serialize.
-        load_hl_index` (which bypasses ``__init__`` via ``__new__``), so
+        load_bundle` (which bypasses ``__init__`` via ``__new__``), so
         a bundle-loaded replica carries the same runtime state as a
         freshly built index.
         """

@@ -198,6 +198,7 @@ class SILCEngine(QueryEngine):
             return None
 
     def _follow(self, source: int, target: int) -> Optional[Tuple[List[int], float]]:
+        source, target = self._check_pair(source, target)
         if source == target:
             return [source], 0.0
         nodes = [source]

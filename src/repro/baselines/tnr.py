@@ -173,6 +173,7 @@ class TNREngine(QueryEngine):
     # ------------------------------------------------------------------
     def distance(self, source: int, target: int) -> float:
         """Table lookup for far pairs, CH fallback for local ones."""
+        source, target = self._check_pair(source, target)
         if source == target:
             return 0.0
         if self.is_local(source, target):

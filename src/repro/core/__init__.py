@@ -18,18 +18,7 @@ from .lemmas import (
 )
 from .ordering import RankAssignment, compute_ranks, greedy_vertex_cover
 from .perturb import PerturbedGraph, perturb_weights, recommended_tau
-from .serialize import (
-    BundleCorrupted,
-    index_bytes,
-    load_bundle,
-    load_graph,
-    load_hl_index,
-    load_index,
-    save_bundle,
-    save_graph,
-    save_hl_index,
-    save_index,
-)
+from .serialize import BundleCorrupted, index_bytes, load_bundle, save_bundle
 from .sliding_window import SlidingWindowResult, sliding_window
 
 __all__ = [
@@ -51,13 +40,7 @@ __all__ = [
     "recommended_tau",
     "SlidingWindowResult",
     "sliding_window",
-    "save_index",
-    "load_index",
-    "save_hl_index",
-    "load_hl_index",
     "index_bytes",
-    "save_graph",
-    "load_graph",
     "save_bundle",
     "load_bundle",
     "CoveringViolation",

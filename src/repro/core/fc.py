@@ -248,6 +248,7 @@ class FCIndex(QueryEngine):
         target))`` with both chains excluding the meeting node, or
         ``(inf, None)`` when unreachable.
         """
+        source, target = self._check_pair(source, target)
         if source == target:
             return 0.0, (source, [], [])
         levels = self.levels

@@ -1,14 +1,22 @@
-"""Compact binary serialization of graphs and AH indexes.
+"""Bundles: one CRC-checked binary file holding a graph and its index.
 
 The paper's §7 names the index's memory footprint as future work ("as is
-the case for mobile devices").  This module provides a dependency-free
-binary format for the query-time state of an :class:`AHIndex` — levels,
-ranks, the upward search graphs with their two-hop middles, and the grid
-pyramid — using ``array``-packed primitives rather than pickle, so the
-on-disk footprint is close to the information-theoretic content and the
-file is loadable without trusting arbitrary code execution.
+the case for mobile devices").  This module writes a deployable
+``(graph, index)`` pair as one dependency-free file, a *bundle*, using
+``array``-packed primitives rather than pickle, so the on-disk footprint
+is close to the information-theoretic content and the file is loadable
+without trusting arbitrary code execution.
 
-Index format (little-endian)::
+A bundle is a ``GCSR1`` graph section, then an ``AHIDX1`` or ``HLIDX2``
+index section, then a ``BCRC1`` trailer.  The bundle is the only file
+this module writes or reads: :func:`save_bundle` and
+:func:`bundle_bytes` write one, :func:`load_bundle` is the one decoder,
+and :func:`index_bytes` measures an index section without loading
+anything (Figure 10a in real units).
+
+``AHIDX1``, the query-time state of an :class:`AHIndex` (levels, ranks,
+the upward search graphs with their two-hop middles, and the grid
+pyramid), little-endian::
 
     magic  b"AHIDX1\\n"
     header: n, h, flags, then pyramid origin_x/origin_y/side as doubles
@@ -28,10 +36,8 @@ Elevating tables are *not* serialized (they are an optional query
 accelerator, cheaply rebuilt); a loaded index answers every query the
 saved one did, with ``elevating`` off.
 
-Since the graph substrate is CSR (flat parallel arrays), graphs now
-serialize as straight ``array.tofile`` dumps of those columns — *both*
-directions, so :func:`load_graph` hands the arrays to
-:meth:`Graph.from_csr` verbatim::
+``GCSR1``, the graph: straight dumps of its CSR columns, *both*
+directions, handed to :meth:`Graph.from_csr` verbatim on load::
 
     magic  b"GCSR1\\n"
     header: n, m (int64)
@@ -42,14 +48,14 @@ directions, so :func:`load_graph` hands the arrays to
 Loading range-checks both triples: each head column runs from 0 to
 ``m`` without decreasing, every id lies in ``[0, n)`` and every weight
 is finite and non-negative.  The reverse triple must then be exactly the
-counting-sort transpose of the forward one, the derivation every writer
-stores.  Inside a bundle, an index section whose node count differs from
-the graph's is damage too.
+counting-sort transpose of the forward one, the derivation the writer
+stores.  An index section whose node count differs from the graph's is
+damage too.
 
-Hub-label indexes (:class:`repro.baselines.hl.HubLabelIndex`) get the
-``HL2`` section: varint streams plus exact distance encodings, decoded
-back to the int64/float64 columns a built index holds, so a loaded index
-answers bit-identically to the build it was saved from::
+``HLIDX2``, a hub-label index (:class:`repro.baselines.hl.HubLabelIndex`):
+varint streams plus exact distance encodings, decoded back to the
+int64/float64 columns a built index holds, so a loaded index answers
+bit-identically to the build it was saved from::
 
     magic  b"HLIDX2\\n"
     header: n (int64)
@@ -88,11 +94,7 @@ shortcut unpacking therefore terminate, and every hub index stays
 inside the kernels' ``n``-sized scratch; damage raises
 :class:`BundleCorrupted`.
 
-:func:`save_bundle` / :func:`load_bundle` concatenate a graph section
-with an index section (AH or HL — the magic picks the loader) so one
-file round-trips a deployable (graph, index) pair.
-
-Bundles end with a **CRC trailer** (the robustness PR)::
+The ``BCRC1`` trailer closes every bundle::
 
     per section: offset (int64), length (int64), crc32 (uint32)
     count  (int64)
@@ -104,9 +106,12 @@ section's CRC32 before decoding anything and raises
 :class:`BundleCorrupted` naming the failing section — a torn or
 bit-flipped bundle fails typed instead of serving garbage — and a file
 with no trailer at all (torn before its end, or never a bundle) fails
-as section ``"trailer"``.  Raw ``struct.error`` / ``EOFError`` from the
-decoders are wrapped into :class:`BundleCorrupted` too, so callers need
-exactly one except clause.
+as section ``"trailer"``.  It then checks each section's magic: a
+``GCSR1`` magic that is not there fails as section ``"GCSR1"``, and an
+index magic that is neither ``AHIDX1`` nor ``HLIDX2`` as section
+``"index"``.  Raw ``struct.error`` / ``EOFError`` from the decoders are
+wrapped into :class:`BundleCorrupted` too, so callers need exactly one
+except clause.
 
 All flat sections move as whole-column ``tobytes`` blocks (loaded back
 with ``frombytes``) — no per-entry ``struct`` packing anywhere on the
@@ -116,15 +121,14 @@ interchangeable between tiers.
 
 Buffer sources (the worker-tier substrate)
 ------------------------------------------
-Every loader accepts a path, an open binary file or an in-memory buffer
-(``bytes`` / ``bytearray`` / ``memoryview``) — a multi-process serving
-tier boots engine replicas from a path or from bytes
-(:mod:`repro.serve.pool`).  Every column, the graph's and the hub
-labels' alike, is copied into arrays private to the loading process.  A
-length field larger than the bytes left in a seekable source raises
-before anything is read, so an inflated length allocates nothing.
-:func:`bundle_bytes` is the matching writer-side helper (one in-memory
-bundle to hand a worker over a pipe).
+:func:`load_bundle` and :func:`inspect_bundle` accept a path, an open
+binary file or an in-memory buffer (``bytes`` / ``bytearray`` /
+``memoryview``); :mod:`repro.serve.pool` boots its workers from a path.
+Every column, the graph's and the hub labels' alike, is copied into
+arrays private to the loading process.  A length field larger than the
+bytes left in the source raises before anything is read, so an inflated
+length allocates nothing.  :func:`bundle_bytes` is the matching
+writer-side helper (one in-memory bundle).
 """
 
 from __future__ import annotations
@@ -155,14 +159,8 @@ from .ah import AHIndex
 
 __all__ = [
     "BundleCorrupted",
-    "save_index",
-    "load_index",
     "index_bytes",
     "bundle_bytes",
-    "save_hl_index",
-    "load_hl_index",
-    "save_graph",
-    "load_graph",
     "save_bundle",
     "load_bundle",
     "inspect_bundle",
@@ -195,6 +193,7 @@ _INF = float("inf")
 _TRAILER_MAGIC = b"BCRC1\n"
 _TRAILER_ENTRY = struct.Struct("<qqI")
 _TRAILER_TAIL = 8 + len(_TRAILER_MAGIC)  # count + magic
+_NO_TRAILER = "no BCRC1 trailer (torn, truncated, or not a bundle)"
 
 _MAGIC_NAMES = {
     _MAGIC: "AHIDX1",
@@ -204,10 +203,11 @@ _MAGIC_NAMES = {
 
 
 class BundleCorrupted(ValueError):
-    """A serialized bundle/index/graph failed CRC verification or decode.
+    """A bundle failed CRC verification or decode.
 
     ``section`` names where the damage was detected (a section magic
-    such as ``"GCSR1"``, or ``"trailer"`` for a mangled trailer);
+    such as ``"GCSR1"``, ``"index"`` for an index section whose magic is
+    unknown, or ``"trailer"`` for a missing or mangled trailer);
     ``detail`` says what went wrong.  Subclasses :class:`ValueError` so
     every pre-existing ``except ValueError`` handler keeps working.
     """
@@ -428,60 +428,29 @@ def _read_adjacency(
     return adjacency
 
 
-def save_index(index: AHIndex, sink: Union[str, os.PathLike, BinaryIO]) -> None:
-    """Write the query-time state of ``index`` to ``sink``."""
-    fh: BinaryIO
-    own = isinstance(sink, (str, os.PathLike))
-    fh = open(sink, "wb") if own else sink  # type: ignore[assignment]
-    try:
-        res = index._res
-        flags = (_FLAG_PROXIMITY if index.proximity else 0) | (
-            _FLAG_STALL if index.stall_on_demand else 0
+def _write_ah_section(index: AHIndex, fh: BinaryIO) -> None:
+    """Write the ``AHIDX1`` section: the query-time state of ``index``."""
+    res = index._res
+    flags = (_FLAG_PROXIMITY if index.proximity else 0) | (
+        _FLAG_STALL if index.stall_on_demand else 0
+    )
+    pyramid = index.node_grid.pyramid
+    fh.write(_MAGIC)
+    fh.write(
+        struct.pack(
+            "<iii3d",
+            index.graph.n,
+            index.h,
+            flags,
+            pyramid.origin_x,
+            pyramid.origin_y,
+            pyramid.side,
         )
-        pyramid = index.node_grid.pyramid
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<iii3d",
-                index.graph.n,
-                index.h,
-                flags,
-                pyramid.origin_x,
-                pyramid.origin_y,
-                pyramid.side,
-            )
-        )
-        _write_col(fh, array("i", index.levels))
-        _write_col(fh, array("i", res.rank))
-        _write_adjacency(fh, res.up_out)
-        _write_adjacency(fh, res.up_in)
-    finally:
-        if own:
-            fh.close()
-
-
-def load_index(source: Source, graph: Graph) -> AHIndex:
-    """Reconstruct a queryable :class:`AHIndex` from ``source``.
-
-    ``source`` may be a path (``str`` or ``os.PathLike``), an open
-    binary file, or an in-memory buffer.  ``graph`` must be the network
-    the index was built on (used
-    for path validation metadata and the node-to-cell mapping); a
-    node-count mismatch is rejected as :class:`BundleCorrupted` (a
-    :class:`ValueError`).
-    """
-    fh, own = _open_source(source)
-    try:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not an AH index file (bad magic)")
-        try:
-            return _load_index_body(fh, graph)
-        except (struct.error, EOFError) as exc:
-            raise BundleCorrupted("AHIDX1", str(exc)) from exc
-    finally:
-        if own:
-            fh.close()
+    )
+    _write_col(fh, array("i", index.levels))
+    _write_col(fh, array("i", res.rank))
+    _write_adjacency(fh, res.up_out)
+    _write_adjacency(fh, res.up_in)
 
 
 def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
@@ -550,13 +519,19 @@ def _load_index_body(fh: BinaryIO, graph: Graph) -> AHIndex:
     return index
 
 
-def index_bytes(index: Union[AHIndex, HubLabelIndex]) -> int:
-    """Size of the serialized index in bytes (Figure 10a in real units)."""
-    buf = io.BytesIO()
+def _write_index_section(index: Union[AHIndex, HubLabelIndex], fh: BinaryIO) -> None:
+    """Write ``index``'s section, ``HLIDX2`` or ``AHIDX1`` by its type."""
     if isinstance(index, HubLabelIndex):
-        save_hl_index(index, buf)
+        _write_hl_section(index, fh)
     else:
-        save_index(index, buf)
+        _write_ah_section(index, fh)
+
+
+def index_bytes(index: Union[AHIndex, HubLabelIndex]) -> int:
+    """Size of the index's bundle section in bytes (Figure 10a in real
+    units); nothing is written to disk or loaded."""
+    buf = io.BytesIO()
+    _write_index_section(index, buf)
     return buf.tell()
 
 
@@ -568,72 +543,44 @@ def bundle_bytes(index: Union[AHIndex, HubLabelIndex]) -> bytes:
     return buf.getvalue()
 
 
-def save_hl_index(index: HubLabelIndex, sink: Union[str, os.PathLike, BinaryIO]) -> None:
-    """Write a hub-label index's query-time state to ``sink``.
+def _write_hl_section(index: HubLabelIndex, fh: BinaryIO) -> None:
+    """Write the ``HLIDX2`` section: a hub-label index's query-time state.
 
-    Writes the ``HL2`` section (see the module docstring's exactness
-    guard); the shortcut-middle dict rides along as parallel int32
-    columns so path unpacking survives the round-trip.  ``HL2`` stores
-    node ids as int32, so a graph of 2^31 or more nodes raises
-    :class:`ValueError`.
+    See the module docstring's exactness guard; the shortcut-middle dict
+    rides along as parallel int32 columns so path unpacking survives the
+    round-trip.  ``HLIDX2`` stores node ids as int32, so a graph of 2^31
+    or more nodes raises :class:`ValueError`.
     """
     if index.graph.n >= 2**31:
         raise ValueError(
             f"HLIDX2 stores node ids as int32; {index.graph.n} nodes do not fit"
         )
-    own = isinstance(sink, (str, os.PathLike))
-    fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
-    try:
-        fh.write(_HL2_MAGIC)
-        fh.write(struct.pack("<q", index.graph.n))
-        for head, hub, dist, parent in (
-            (index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent),
-            (index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent),
-        ):
-            enc, count, lengths, hubs, parents, dist_payload = _encode_label_side(
-                head, hub, dist, parent
-            )
-            fh.write(struct.pack("<Bq", enc, count))
-            _write_blob(fh, lengths)
-            _write_blob(fh, hubs)
-            _write_blob(fh, parents)
-            fh.write(dist_payload)
-        middle = index._middle
-        fh.write(struct.pack("<q", len(middle)))
-        a_col = array("i")
-        b_col = array("i")
-        mid_col = array("i")
-        for (a, b), mid in middle.items():
-            a_col.append(a)
-            b_col.append(b)
-            mid_col.append(mid)
-        _write_col(fh, a_col)
-        _write_col(fh, b_col)
-        _write_col(fh, mid_col)
-    finally:
-        if own:
-            fh.close()
-
-
-def load_hl_index(source: Source, graph: Graph) -> HubLabelIndex:
-    """Reconstruct a queryable :class:`HubLabelIndex` from ``source``.
-
-    The loaded index answers distance *and* path queries without any
-    rebuilding: labels, parent hubs and shortcut middles all come off
-    the file, decoded into the same int64/float64 columns a built index
-    holds.
-    """
-    fh, own = _open_source(source)
-    try:
-        if fh.read(len(_HL2_MAGIC)) != _HL2_MAGIC:
-            raise ValueError("not a hub-label index file (bad magic)")
-        try:
-            return _load_hl2_body(fh, graph)
-        except (struct.error, EOFError) as exc:
-            raise BundleCorrupted("HLIDX2", str(exc)) from exc
-    finally:
-        if own:
-            fh.close()
+    fh.write(_HL2_MAGIC)
+    fh.write(struct.pack("<q", index.graph.n))
+    for head, hub, dist, parent in (
+        (index.fwd_head, index.fwd_hub, index.fwd_dist, index.fwd_parent),
+        (index.bwd_head, index.bwd_hub, index.bwd_dist, index.bwd_parent),
+    ):
+        enc, count, lengths, hubs, parents, dist_payload = _encode_label_side(
+            head, hub, dist, parent
+        )
+        fh.write(struct.pack("<Bq", enc, count))
+        _write_blob(fh, lengths)
+        _write_blob(fh, hubs)
+        _write_blob(fh, parents)
+        fh.write(dist_payload)
+    middle = index._middle
+    fh.write(struct.pack("<q", len(middle)))
+    a_col = array("i")
+    b_col = array("i")
+    mid_col = array("i")
+    for (a, b), mid in middle.items():
+        a_col.append(a)
+        b_col.append(b)
+        mid_col.append(mid)
+    _write_col(fh, a_col)
+    _write_col(fh, b_col)
+    _write_col(fh, mid_col)
 
 
 # ----------------------------------------------------------------------
@@ -1093,36 +1040,30 @@ def _load_hl2_body(fh, graph: Graph) -> HubLabelIndex:
 # ----------------------------------------------------------------------
 # Graph CSR serialization
 # ----------------------------------------------------------------------
-def save_graph(graph: Graph, sink: Union[str, os.PathLike, BinaryIO]) -> None:
-    """Write ``graph``'s CSR columns (both directions) to ``sink``.
+def _write_graph_section(graph: Graph, fh: BinaryIO) -> None:
+    """Write the ``GCSR1`` section: ``graph``'s CSR columns, both directions.
 
-    Every column is a single contiguous ``array.tofile`` block — no
-    per-edge Python objects touch the disk path.  The reverse triple is
-    written as the counting-sort transpose of the forward one, which
-    :func:`load_graph` checks it against.  That is the graph's own
+    Every column is a single contiguous ``tobytes`` block — no per-edge
+    Python objects touch the disk path.  The reverse triple is written as
+    the counting-sort transpose of the forward one, which
+    :func:`_check_transpose` checks on load.  That is the graph's own
     reverse triple for every built graph; only :meth:`Graph.reversed` of
     a graph whose rows are not sorted by target holds the same edges in
     another order.
     """
-    own = isinstance(sink, (str, os.PathLike))
-    fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     forward = (graph.out_head, graph.out_dst, graph.out_w)
-    try:
-        fh.write(_GRAPH_MAGIC)
-        fh.write(struct.pack("<qq", graph.n, graph.m))
-        _write_col(fh, array("d", graph.xs))
-        _write_col(fh, array("d", graph.ys))
-        for col in (*forward, *_reverse_csr(graph.n, *forward)):
-            _write_col(fh, col)
-    finally:
-        if own:
-            fh.close()
+    fh.write(_GRAPH_MAGIC)
+    fh.write(struct.pack("<qq", graph.n, graph.m))
+    _write_col(fh, array("d", graph.xs))
+    _write_col(fh, array("d", graph.ys))
+    for col in (*forward, *_reverse_csr(graph.n, *forward)):
+        _write_col(fh, col)
 
 
-def load_graph(source: Source) -> Graph:
-    """Reconstruct a :class:`Graph` from :func:`save_graph` output.
+def _load_graph_body(fh) -> Graph:
+    """Read everything after the ``GCSR1`` magic and rebuild the graph.
 
-    Both CSR triples come straight off the file and the graph keeps them
+    Both CSR triples come straight off the bytes and the graph keeps them
     as read (no per-edge tuples are allocated): it is ``frombytes`` into
     six flat arrays plus the coordinate columns.  Each triple is
     range-checked before a search can index with it
@@ -1130,32 +1071,21 @@ def load_graph(source: Source) -> Graph:
     re-derived from the forward one (:func:`_check_transpose`); damage
     raises :class:`BundleCorrupted`.
     """
-    fh, own = _open_source(source)
-    try:
-        magic = fh.read(len(_GRAPH_MAGIC))
-        if magic != _GRAPH_MAGIC:
-            raise ValueError("not a CSR graph file (bad magic)")
-        try:
-            n, m = struct.unpack("<qq", _read_exact(fh, 16))
-            # Coordinates stay plain Python lists (Graph.coord hands them
-            # out directly); the six CSR columns come up as arrays with
-            # zero re-derivation.
-            xs = _read_array(fh, "d", n).tolist()
-            ys = _read_array(fh, "d", n).tolist()
-            out_head = _read_array(fh, "q", n + 1)
-            out_dst = _read_array(fh, "q", m)
-            out_w = _read_array(fh, "d", m)
-            in_head = _read_array(fh, "q", n + 1)
-            in_src = _read_array(fh, "q", m)
-            in_w = _read_array(fh, "d", m)
-        except (struct.error, EOFError) as exc:
-            raise BundleCorrupted("GCSR1", str(exc)) from exc
-        _check_csr(n, m, out_head, out_dst, out_w, "out")
-        _check_csr(n, m, in_head, in_src, in_w, "in")
-        _check_transpose(n, (out_head, out_dst, out_w), (in_head, in_src, in_w))
-    finally:
-        if own:
-            fh.close()
+    n, m = struct.unpack("<qq", _read_exact(fh, 16))
+    # Coordinates stay plain Python lists (Graph.coord hands them out
+    # directly); the six CSR columns come up as arrays with zero
+    # re-derivation.
+    xs = _read_array(fh, "d", n).tolist()
+    ys = _read_array(fh, "d", n).tolist()
+    out_head = _read_array(fh, "q", n + 1)
+    out_dst = _read_array(fh, "q", m)
+    out_w = _read_array(fh, "d", m)
+    in_head = _read_array(fh, "q", n + 1)
+    in_src = _read_array(fh, "q", m)
+    in_w = _read_array(fh, "d", m)
+    _check_csr(n, m, out_head, out_dst, out_w, "out")
+    _check_csr(n, m, in_head, in_src, in_w, "in")
+    _check_transpose(n, (out_head, out_dst, out_w), (in_head, in_src, in_w))
     return Graph.from_csr(
         xs, ys, out_head, out_dst, out_w, in_head, in_src, in_w
     )
@@ -1220,18 +1150,11 @@ def save_bundle(
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
         w = _CrcWriter(fh)
-        entries = []
-        offset = 0
-        save_graph(index.graph, w)  # type: ignore[arg-type]
-        length, section_crc = w.section_done()
-        entries.append((offset, length, section_crc))
-        offset += length
-        if isinstance(index, HubLabelIndex):
-            save_hl_index(index, w)  # type: ignore[arg-type]
-        else:
-            save_index(index, w)  # type: ignore[arg-type]
-        length, section_crc = w.section_done()
-        entries.append((offset, length, section_crc))
+        _write_graph_section(index.graph, w)  # type: ignore[arg-type]
+        graph_len, graph_crc = w.section_done()
+        _write_index_section(index, w)  # type: ignore[arg-type]
+        index_len, index_crc = w.section_done()
+        entries = ((0, graph_len, graph_crc), (graph_len, index_len, index_crc))
         for entry in entries:
             fh.write(_TRAILER_ENTRY.pack(*entry))
         fh.write(struct.pack("<q", len(entries)))
@@ -1282,9 +1205,7 @@ def _verify_crc_trailer(fh) -> None:
         fh.seek(max(pos, end - _TRAILER_TAIL))
         parsed = _parse_trailer_tail(bytes(fh.read(_TRAILER_TAIL)), end - pos)
         if parsed is None:
-            raise BundleCorrupted(
-                "trailer", "no BCRC1 trailer (torn, truncated, or not a bundle)"
-            )
+            raise BundleCorrupted("trailer", _NO_TRAILER)
         count, tstart = parsed
         fh.seek(pos + tstart)
         entries = [
@@ -1331,8 +1252,11 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
     torn or bit-flipped bundle raises :class:`BundleCorrupted` naming
     the failing section (``"trailer"`` when there is no trailer)
     instead of mis-decoding.  A non-seekable stream is read into memory
-    first so it is verified too.  Decode-time ``struct.error`` /
-    ``EOFError`` are wrapped into :class:`BundleCorrupted` as well.
+    first so it is verified too.  A section magic that is not the one
+    its place calls for fails as its section (``"GCSR1"``, or
+    ``"index"`` when the index magic is neither kind), and decode-time
+    ``struct.error`` / ``EOFError`` are wrapped into
+    :class:`BundleCorrupted` as well.
     """
     fh, own = _open_source(source)
     try:
@@ -1341,7 +1265,9 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
         _verify_crc_trailer(fh)
         section = "GCSR1"
         try:
-            graph = load_graph(fh)
+            if fh.read(len(_GRAPH_MAGIC)) != _GRAPH_MAGIC:
+                raise BundleCorrupted(section, "bad section magic")
+            graph = _load_graph_body(fh)
             section = "index"
             magic = fh.read(len(_MAGIC))
             if magic == _MAGIC:
@@ -1351,9 +1277,7 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
                 section = "HLIDX2"
                 index = _load_hl2_body(fh, graph)
             else:
-                raise ValueError(
-                    "bundle's index section has an unknown magic"
-                )
+                raise BundleCorrupted(section, "unknown section magic")
         except (struct.error, EOFError) as exc:
             raise BundleCorrupted(section, str(exc)) from exc
     finally:
@@ -1365,22 +1289,20 @@ def load_bundle(source: Source) -> Tuple[Graph, Union[AHIndex, HubLabelIndex]]:
 # ----------------------------------------------------------------------
 # Inspection: structural footprint report + CLI
 # ----------------------------------------------------------------------
-def _skip_adjacency_bytes(data: bytes, pos: int, n: int) -> int:
-    """Bytes one serialized AH adjacency occupies, starting at ``pos``."""
-    (total,) = struct.unpack_from("<q", data, pos + 4 * n)
-    return 4 * n + 8 + total * (4 + 8 + 4)
-
-
 def inspect_bundle(source: Source) -> List[dict]:
-    """Parse a bundle's (or bare index/graph file's) section structure.
+    """Parse a bundle's section structure.
 
-    Purely structural — nothing is decoded into arrays or objects.
-    Returns one dict per section with its magic, byte offset/size and a
+    Purely structural — nothing is decoded into arrays or objects and no
+    CRC is computed.  Returns one dict per section, in the order of the
+    ``BCRC1`` trailer's entries, with its magic, byte offset/size and a
     footprint breakdown: per-stream sizes and the distance encoding for
-    ``HLIDX2``, node/edge counts for graphs.  ``label_bytes`` spans
-    everything between a hub-label section's header and its middles
-    block.  Backs ``python -m repro.serialize --inspect`` and the
-    footprint benchmarks.
+    ``HLIDX2``, node/edge counts for graphs.  The trailer comes last as
+    its own pseudo-section, so offsets and sizes tile the file.
+    ``label_bytes`` spans everything between a hub-label section's
+    header and its middles block.  A file with no trailer, as in
+    :func:`load_bundle`, or a section that does not parse raises
+    :class:`BundleCorrupted`.  Backs ``python -m repro.serialize
+    --inspect`` and the footprint benchmarks.
     """
     fh, own = _open_source(source)
     try:
@@ -1388,20 +1310,28 @@ def inspect_bundle(source: Source) -> List[dict]:
     finally:
         if own:
             fh.close()
-    sections: List[dict] = []
-    # A BCRC1 trailer (magic last) bounds the section walk; report it as
-    # its own pseudo-section so offsets/sizes still tile the file.
-    limit = len(data)
-    trailer: Optional[dict] = None
     parsed = _parse_trailer_tail(data[-_TRAILER_TAIL:], len(data))
-    if parsed is not None:
-        count, tstart = parsed
-        entries = [
-            _TRAILER_ENTRY.unpack_from(data, tstart + _TRAILER_ENTRY.size * i)
-            for i in range(count)
-        ]
-        limit = tstart
-        trailer = {
+    if parsed is None:
+        raise BundleCorrupted("trailer", _NO_TRAILER)
+    count, tstart = parsed
+    entries = [
+        _TRAILER_ENTRY.unpack_from(data, tstart + _TRAILER_ENTRY.size * i)
+        for i in range(count)
+    ]
+    sections: List[dict] = []
+    for offset, length, _crc in entries:
+        _check_entry(offset, length, tstart)
+        sec = data[offset : offset + length]
+        name = _section_name(sec, offset)
+        try:
+            detail = _section_detail(name, sec)
+        except (struct.error, OverflowError) as exc:  # a length past the section
+            raise BundleCorrupted(name, str(exc)) from exc
+        sections.append(
+            {"magic": name, "offset": offset, "bytes": length, "detail": detail}
+        )
+    sections.append(
+        {
             "magic": "BCRC1",
             "offset": tstart,
             "bytes": len(data) - tstart,
@@ -1413,86 +1343,65 @@ def inspect_bundle(source: Source) -> List[dict]:
                 ],
             },
         }
-    pos = 0
-    while pos < limit:
-        start = pos
-        if data.startswith(_GRAPH_MAGIC, pos):
-            pos += len(_GRAPH_MAGIC)
-            n, m = struct.unpack_from("<qq", data, pos)
-            pos += 16 + 16 * n + 16 * (n + 1) + 32 * m
-            detail = {"n": n, "m": m}
-            magic = _GRAPH_MAGIC
-        elif data.startswith(_MAGIC, pos):
-            pos += len(_MAGIC)
-            n = struct.unpack_from("<i", data, pos)[0]
-            pos += 36 + 8 * n  # header + levels + rank (int32 each)
-            pos += _skip_adjacency_bytes(data, pos, n)
-            pos += _skip_adjacency_bytes(data, pos, n)
-            detail = {"n": n}
-            magic = _MAGIC
-        elif data.startswith(_HL2_MAGIC, pos):
-            pos += len(_HL2_MAGIC)
-            (n,) = struct.unpack_from("<q", data, pos)
-            pos += 8
-            label_start = pos
-            entries = 0
-            encs = []
-            per_side = []
-            for _ in range(2):
-                side_start = pos
-                enc, count = struct.unpack_from("<Bq", data, pos)
-                pos += 9
-                entries += count
-                streams = {}
-                for name in ("lengths", "hubs", "parents"):
-                    (nb,) = struct.unpack_from("<q", data, pos)
-                    streams[name] = nb
-                    pos += 8 + nb
-                if enc == _DIST_I4:
-                    streams["dists"] = 4 * count
-                    pos += 4 * count
-                elif enc == _DIST_F8:
-                    streams["dists"] = 8 * count
-                    pos += 8 * count
-                else:
-                    (dsize,) = struct.unpack_from("<q", data, pos)
-                    (inb,) = struct.unpack_from("<q", data, pos + 8 + 8 * dsize)
-                    streams["dists"] = 8 + 8 * dsize + 8 + inb
-                    streams["delta_dict_values"] = dsize
-                    pos += streams["dists"]
-                encs.append(_DIST_ENC_NAMES[enc])
-                per_side.append(
-                    {"entries": count, "bytes": pos - side_start, "streams": streams}
-                )
-            label_bytes = pos - label_start
-            (mcount,) = struct.unpack_from("<q", data, pos)
-            pos += 8 + 12 * mcount
-            detail = {
-                "n": n,
-                "entries": entries,
-                "label_bytes": label_bytes,
-                "bytes_per_entry": round(label_bytes / entries, 3) if entries else 0.0,
-                "middles": mcount,
-                "encoding": {"hub": "uvarint-delta", "dist": "/".join(encs), "parent": "uvarint-pos"},
-                "dist_encoding": encs,
-                "sides": per_side,
-            }
-            magic = _HL2_MAGIC
-        else:
-            raise ValueError(f"unknown section magic at byte {pos}")
-        if pos > limit:
-            raise EOFError("truncated section: file ends inside a section")
-        sections.append(
-            {
-                "magic": magic.decode().strip(),
-                "offset": start,
-                "bytes": pos - start,
-                "detail": detail,
-            }
-        )
-    if trailer is not None:
-        sections.append(trailer)
+    )
     return sections
+
+
+def _section_detail(name: str, sec: bytes) -> dict:
+    """The footprint breakdown :func:`inspect_bundle` reports for one
+    section, ``sec`` being its bytes and ``name`` its magic's name."""
+    if name == "GCSR1":
+        n, m = struct.unpack_from("<qq", sec, len(_GRAPH_MAGIC))
+        return {"n": n, "m": m}
+    if name == "AHIDX1":
+        return {"n": struct.unpack_from("<i", sec, len(_MAGIC))[0]}
+    if name != "HLIDX2":
+        raise BundleCorrupted(name, "unknown section magic")
+    pos = len(_HL2_MAGIC)
+    (n,) = struct.unpack_from("<q", sec, pos)
+    pos += 8
+    label_start = pos
+    entries = 0
+    encs = []
+    per_side = []
+    for _ in range(2):
+        side_start = pos
+        enc, count = struct.unpack_from("<Bq", sec, pos)
+        if enc not in _DIST_ENC_NAMES:
+            raise BundleCorrupted(name, f"unknown distance encoding {enc}")
+        pos += 9
+        entries += count
+        streams = {}
+        for stream in ("lengths", "hubs", "parents"):
+            (nb,) = struct.unpack_from("<q", sec, pos)
+            streams[stream] = nb
+            pos += 8 + nb
+        if enc == _DIST_I4:
+            streams["dists"] = 4 * count
+        elif enc == _DIST_F8:
+            streams["dists"] = 8 * count
+        else:
+            (dsize,) = struct.unpack_from("<q", sec, pos)
+            (inb,) = struct.unpack_from("<q", sec, pos + 8 + 8 * dsize)
+            streams["dists"] = 8 + 8 * dsize + 8 + inb
+            streams["delta_dict_values"] = dsize
+        pos += streams["dists"]
+        encs.append(_DIST_ENC_NAMES[enc])
+        per_side.append(
+            {"entries": count, "bytes": pos - side_start, "streams": streams}
+        )
+    label_bytes = pos - label_start
+    (mcount,) = struct.unpack_from("<q", sec, pos)
+    return {
+        "n": n,
+        "entries": entries,
+        "label_bytes": label_bytes,
+        "bytes_per_entry": round(label_bytes / entries, 3) if entries else 0.0,
+        "middles": mcount,
+        "encoding": {"hub": "uvarint-delta", "dist": "/".join(encs), "parent": "uvarint-pos"},
+        "dist_encoding": encs,
+        "sides": per_side,
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1501,14 +1410,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.serialize",
-        description="Inspect the section structure of a serialized "
-        "bundle / index / graph file.",
+        description="Inspect the section structure of a bundle file.",
     )
     parser.add_argument(
         "--inspect",
         metavar="PATH",
         required=True,
-        help="bundle (or bare index/graph) file to report on",
+        help="bundle file to report on",
     )
     args = parser.parse_args(argv)
     try:
@@ -1516,13 +1424,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.inspect}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (struct.error, ValueError, EOFError) as exc:
+    except BundleCorrupted as exc:
         print(
             f"error: {args.inspect} is not a valid bundle: {exc}", file=sys.stderr
         )
-        return 2
-    if not sections:
-        print(f"error: {args.inspect} is empty (no sections)", file=sys.stderr)
         return 2
     total = 0
     for sec in sections:

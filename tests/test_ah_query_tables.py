@@ -12,7 +12,6 @@ pure loop it falls back to — so a single run holds both to the
 reference.
 """
 
-import io
 import random
 
 import pytest
@@ -20,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import backend
-from repro.core import AHIndex, load_index, save_index
+from repro.core import AHIndex, load_bundle
+from repro.core.serialize import bundle_bytes
 from repro.core.ah import _separating_level
 from repro.datasets import dataset, grid_city, towns_and_highways
 from repro.graph import GraphBuilder
@@ -89,9 +89,7 @@ def test_loaded_and_customized_indexes_match_reference(seed, elevating):
     g = random_towns(seed)
     ah = AHIndex(g, elevating=elevating)
     pairs = random_pairs(g, 40, seed=seed)
-    buf = io.BytesIO()
-    save_index(ah, buf)
-    loaded = load_index(buf.getvalue(), g)
+    _, loaded = load_bundle(bundle_bytes(ah))
     assert_matches_reference(loaded, pairs)
     custom = ah.with_weights(scaled(g, seed))
     assert_matches_reference(custom, pairs)

@@ -9,12 +9,11 @@ from repro.baselines import (
     BidirectionalEngine,
     CHEngine,
     DijkstraEngine,
-    HubLabelIndex,
     SILCEngine,
     max_speed,
     select_landmarks_farthest,
 )
-from repro.core import AHIndex
+from repro.bench import ENGINE_FACTORIES as ALL_ENGINES
 from repro.datasets import grid_city, towns_and_highways
 from repro.graph.traversal import distance_query
 
@@ -46,16 +45,22 @@ def test_engine_self_query(name, factory, city_graph):
     assert path is not None and path.nodes[0] == 7 and path.length == 0.0
 
 
+#: Every engine, the three id-checked first.
+ID_CHECK_NAMES = ["AH", "CH", "HL"] + [
+    name for name in ALL_ENGINES if name not in ("AH", "CH", "HL")
+]
+
+
 @pytest.fixture(scope="module")
 def id_check_indexes():
-    """AH, CH and HL over one 48-node network: node 47 is the one a -1
+    """Every engine over one 48-node network: node 47 is the one a -1
     id would wrap around to."""
     graph = towns_and_highways(3, 4, 4, seed=1, prune=0.15)
-    return {"AH": AHIndex(graph), "CH": CHEngine(graph), "HL": HubLabelIndex(graph)}
+    return {name: factory(graph) for name, factory in ALL_ENGINES.items()}
 
 
 @pytest.mark.parametrize("tier", ["native", "pure"])
-@pytest.mark.parametrize("name", ["AH", "CH", "HL"])
+@pytest.mark.parametrize("name", ID_CHECK_NAMES)
 def test_out_of_range_node_raises(name, tier, id_check_indexes):
     """A node id outside ``[0, n)`` raises on every engine and tier,
     instead of answering for the node a negative index wraps to."""
@@ -72,7 +77,7 @@ def test_out_of_range_node_raises(name, tier, id_check_indexes):
 
 
 @pytest.mark.parametrize("tier", ["native", "pure"])
-@pytest.mark.parametrize("name", ["AH", "CH", "HL"])
+@pytest.mark.parametrize("name", ID_CHECK_NAMES)
 def test_node_ids_answer_as_plain_ints(name, tier, id_check_indexes):
     """A ``bool`` id is the int it stands for, so every node of a
     returned path is exactly ``int`` on every engine and tier, and a

@@ -9,20 +9,13 @@ not the forward one's transpose loaded and answered 56 of 625 pairs
 shorter than any real path.
 """
 
-import io
 import math
 import struct
 
 import pytest
 
 from repro.baselines import HubLabelIndex
-from repro.core.serialize import (
-    BundleCorrupted,
-    bundle_bytes,
-    load_bundle,
-    load_graph,
-    save_graph,
-)
+from repro.core.serialize import BundleCorrupted, bundle_bytes, load_bundle
 from repro.datasets import grid_city
 from repro.graph import Graph
 
@@ -107,8 +100,6 @@ def test_reversed_graph_with_unsorted_rows_round_trips():
         [0.0, 0.0, 0.0],
         [[(2, 1.0), (1, 2.0), (1, 3.0)], [(0, 1.0)], [(1, 1.0)]],
     ).reversed()
-    buf = io.BytesIO()
-    save_graph(g, buf)
-    loaded = load_graph(buf.getvalue())
+    loaded, _ = load_bundle(bundle_bytes(HubLabelIndex(g)))
     assert loaded.out == g.out
     assert [sorted(row) for row in loaded.inn] == [sorted(row) for row in g.inn]

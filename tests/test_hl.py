@@ -1,6 +1,5 @@
 """Tests for the hub-label oracle and the batched query surface."""
 
-import io
 import random
 
 import pytest
@@ -18,17 +17,17 @@ from repro.baselines import (
 )
 from repro.core import (
     AHIndex,
+    BundleCorrupted,
     FCIndex,
     load_bundle,
-    load_hl_index,
     perturb_weights,
     save_bundle,
-    save_hl_index,
 )
+from repro.core.serialize import bundle_bytes, inspect_bundle
 from repro.datasets import grid_city, towns_and_highways
 from repro.graph.traversal import dijkstra_distances, distance_query
 
-from conftest import assert_engine_matches_dijkstra, random_pairs
+from conftest import assert_engine_matches_dijkstra, random_pairs, recrc
 
 INF = float("inf")
 
@@ -183,30 +182,27 @@ class TestBatchedSurface:
 class TestSerialization:
     def test_hl_index_round_trip(self, towns_graph, towns_hl, tmp_path):
         path = str(tmp_path / "towns.hl")
-        save_hl_index(towns_hl, path)
-        loaded = load_hl_index(path, towns_graph)
+        save_bundle(towns_hl, path)
+        _, loaded = load_bundle(path)
         assert list(loaded.fwd_hub) == list(towns_hl.fwd_hub)
         assert list(loaded.bwd_dist) == list(towns_hl.bwd_dist)
         assert loaded._middle == towns_hl._middle
         for s, t in random_pairs(towns_graph, 25, seed=4):
             assert loaded.distance(s, t) == towns_hl.distance(s, t)
 
-    def test_hl_compact_default_writes_hl2(self, towns_hl, tmp_path):
-        path = str(tmp_path / "towns.hl")
-        save_hl_index(towns_hl, path)
-        with open(path, "rb") as fh:
-            assert fh.read(7) == b"HLIDX2\n"
+    def test_hl_compact_default_writes_hl2(self, towns_hl):
+        blob = bundle_bytes(towns_hl)
+        assert blob[inspect_bundle(blob)[1]["offset"] :].startswith(b"HLIDX2\n")
 
-    def test_hl_bad_magic_rejected(self, towns_graph):
-        with pytest.raises(ValueError, match="bad magic"):
-            load_hl_index(io.BytesIO(b"NOTANINDEX"), towns_graph)
-
-    def test_hl_node_count_mismatch_rejected(self, towns_graph, towns_hl):
-        buf = io.BytesIO()
-        save_hl_index(towns_hl, buf)
-        buf.seek(0)
-        with pytest.raises(ValueError, match="nodes"):
-            load_hl_index(buf, grid_city(4, 4, seed=1))
+    def test_hl_bad_magic_rejected(self, towns_hl):
+        """A damaged ``HLIDX2`` magic in a CRC-valid bundle fails typed,
+        as the ``"index"`` section."""
+        blob = bundle_bytes(towns_hl)
+        data = bytearray(blob)
+        data[inspect_bundle(blob)[1]["offset"]] ^= 0xFF
+        with pytest.raises(BundleCorrupted, match="unknown section magic") as exc_info:
+            load_bundle(recrc(data))
+        assert exc_info.value.section == "index"
 
     def test_bundle_round_trip_answers_without_rebuilding(self, tmp_path):
         g = towns_and_highways(3, seed=4)

@@ -10,10 +10,10 @@ kernel.
 """
 
 import copy
-import io
 import struct
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +22,9 @@ from repro.core import serialize
 from repro.core.serialize import (
     BundleCorrupted,
     bundle_bytes,
+    index_bytes,
     inspect_bundle,
     load_bundle,
-    save_hl_index,
 )
 from repro.datasets import grid_city
 from repro.graph import GraphBuilder
@@ -289,9 +289,7 @@ def test_inflated_length_allocates_nothing(tmp_path, indexes, source):
 
 
 def test_save_refuses_ids_past_int32():
-    class Huge:
-        class graph:
-            n = 2**31
-
+    huge = HubLabelIndex.__new__(HubLabelIndex)
+    huge.graph = SimpleNamespace(n=2**31)
     with pytest.raises(ValueError, match="int32"):
-        save_hl_index(Huge(), io.BytesIO())
+        index_bytes(huge)

@@ -2,9 +2,9 @@
 
 What must hold:
 
-* **Answer identity**: an index loaded from an HL2 section holds the
-  built index's column layout (int64 ids, float64 distances) and answers
-  ``distance`` / ``one_to_many`` / ``distance_table`` /
+* **Answer identity**: an index loaded from a bundle's HL2 section
+  holds the built index's column layout (int64 ids, float64 distances)
+  and answers ``distance`` / ``one_to_many`` / ``distance_table`` /
   ``shortest_path`` bit-for-bit like the index it was saved from, on
   both backends.
 * **Exactness guard** (hypothesis-pinned): the distance encoder picks
@@ -24,6 +24,7 @@ What must hold:
 
 import io
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,12 +38,11 @@ from repro.core.serialize import (
     _DIST_I4,
     _encode_dists,
     _encode_label_side,
+    BundleCorrupted,
     bundle_bytes,
     inspect_bundle,
     load_bundle,
-    load_hl_index,
     save_bundle,
-    save_hl_index,
 )
 from repro.core.serialize import main as serialize_main
 from repro.datasets import grid_city, towns_and_highways
@@ -68,8 +68,13 @@ def _pairs(n, count, seed):
 
 
 def _dist_encoding(blob):
-    """Per-direction distance encoding of a bare HL2 section's bytes."""
-    return inspect_bundle(blob)[0]["detail"]["dist_encoding"]
+    """Per-direction distance encoding of a bundle's HL2 section."""
+    return inspect_bundle(blob)[1]["detail"]["dist_encoding"]
+
+
+def _loaded(blob):
+    """The index of bundle ``blob``, loaded."""
+    return load_bundle(blob)[1]
 
 
 LABEL_COLUMNS = {
@@ -93,12 +98,10 @@ def _typecodes(index):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
 def test_compact_answers_bit_identical(towns_graph, towns_hl, name):
-    buf = io.BytesIO()
-    save_hl_index(towns_hl, buf)
-    assert _dist_encoding(buf.getvalue()) == ["dd", "dd"]  # towns: float weights
-    buf.seek(0)
+    blob = bundle_bytes(towns_hl)
+    assert _dist_encoding(blob) == ["dd", "dd"]  # towns: float weights
     with backend.forced(name):
-        compact = load_hl_index(buf, towns_graph)
+        compact = _loaded(blob)
         assert _typecodes(compact) == _typecodes(towns_hl) == LABEL_COLUMNS
         n = towns_graph.n
         for s, t in _pairs(n, 40, seed=11):
@@ -127,11 +130,9 @@ def test_compact_results_stay_floats(towns_graph, towns_hl):
         b.add_edge(u, v, float(1 + (u + v) % 7))
     gi = b.build()
     hl = HubLabelIndex(gi)
-    buf = io.BytesIO()
-    save_hl_index(hl, buf)
-    assert _dist_encoding(buf.getvalue()) == ["i4", "i4"]
-    buf.seek(0)
-    compact = load_hl_index(buf, gi)
+    blob = bundle_bytes(hl)
+    assert _dist_encoding(blob) == ["i4", "i4"]
+    compact = _loaded(blob)
     assert _typecodes(compact) == LABEL_COLUMNS
     d = compact.distance(0, gi.n - 1)
     assert type(d) is float and d == hl.distance(0, gi.n - 1)
@@ -144,15 +145,12 @@ def test_compact_results_stay_floats(towns_graph, towns_hl):
 # ----------------------------------------------------------------------
 # Round-trip determinism
 # ----------------------------------------------------------------------
-def test_save_load_save_idempotent(towns_graph, towns_hl):
-    buf = io.BytesIO()
-    save_hl_index(towns_hl, buf)
-    blob = buf.getvalue()
-    buf.seek(0)
-    loaded = load_hl_index(buf, towns_graph)
-    again = io.BytesIO()
-    save_hl_index(loaded, again)
-    assert again.getvalue() == blob
+def test_save_load_save_idempotent(towns_hl, tmp_path):
+    first, second = tmp_path / "first.bundle", tmp_path / "second.bundle"
+    save_bundle(towns_hl, first)
+    _, loaded = load_bundle(first)
+    save_bundle(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_compact_bundle_round_trip(towns_graph, towns_hl):
@@ -277,13 +275,10 @@ def test_guard_never_changes_answers(case):
     n, extras, weights = case
     g = _weighted_graph(n, extras, weights)
     hl = HubLabelIndex(g)
-
-    buf = io.BytesIO()
-    save_hl_index(hl, buf)
-    blob = buf.getvalue()
+    blob = bundle_bytes(hl)
 
     # guard semantics: i4 exactly when the built columns allow it
-    loaded = load_hl_index(io.BytesIO(blob), g)
+    loaded = _loaded(blob)
     for side_col, enc_name in zip((hl.fwd_dist, hl.bwd_dist), _dist_encoding(blob)):
         i4_ok = all(
             0 <= d <= 0x7FFFFFFF and d == int(d) for d in side_col.tolist()
@@ -291,9 +286,7 @@ def test_guard_never_changes_answers(case):
         assert (enc_name == "i4") == i4_ok
 
     # byte-determinism
-    again = io.BytesIO()
-    save_hl_index(loaded, again)
-    assert again.getvalue() == blob
+    assert bundle_bytes(loaded) == blob
 
     # answers never change, on either backend
     pairs = _pairs(n, 20, seed=n)
@@ -321,26 +314,20 @@ def test_compact_blobs_byte_identical_across_backends(case):
     for name in BACKENDS:
         with backend.forced(name):
             g = _weighted_graph(n, extras, weights)
-            hl = HubLabelIndex(g)
-            buf = io.BytesIO()
-            save_hl_index(hl, buf)
-            blobs[name] = buf.getvalue()
+            blobs[name] = bundle_bytes(HubLabelIndex(g))
     assert len(set(blobs.values())) == 1, blobs.keys()
 
 
 # ----------------------------------------------------------------------
 # Observability: stats(), inspect_bundle, the CLI
 # ----------------------------------------------------------------------
-def test_stats_reports_footprint(towns_graph, towns_hl):
+def test_stats_reports_footprint(towns_hl):
     built = towns_hl.stats()
     assert built["entries"] > 0
     assert built["bytes_per_entry"] > 24  # three 8-byte columns + heads
     assert set(built["columns"]) == set(LABEL_COLUMNS)
     assert {col["itemsize"] for col in built["columns"].values()} == {8}
-    buf = io.BytesIO()
-    save_hl_index(towns_hl, buf)
-    buf.seek(0)
-    assert load_hl_index(buf, towns_graph).stats() == built  # one layout
+    assert _loaded(bundle_bytes(towns_hl)).stats() == built  # one layout
 
 
 def test_inspect_reports_sections_and_ratio(towns_hl):
@@ -364,8 +351,31 @@ def test_inspect_reports_sections_and_ratio(towns_hl):
 
 
 def test_inspect_rejects_garbage():
-    with pytest.raises(ValueError, match="unknown section magic"):
+    with pytest.raises(BundleCorrupted, match="no BCRC1 trailer") as exc_info:
         inspect_bundle(b"NOTABUNDLE")
+    assert exc_info.value.section == "trailer"
+
+
+def test_inspect_reads_bundles_only(towns_hl):
+    """Sections without their trailer are not a bundle; a section magic
+    nothing writes, or a stream length past the section, fails as that
+    section."""
+    blob = bundle_bytes(towns_hl)
+    _, index_sec, trailer = inspect_bundle(blob)
+    with pytest.raises(BundleCorrupted, match="no BCRC1 trailer"):
+        inspect_bundle(blob[: trailer["offset"]])
+    data = bytearray(blob)
+    data[index_sec["offset"]] ^= 0xFF
+    with pytest.raises(BundleCorrupted, match="unknown section magic") as exc_info:
+        inspect_bundle(data)
+    assert exc_info.value.section == f"section@{index_sec['offset']}"
+    # magic, n, then the forward side's (enc, count) and its first length
+    for length in (1 << 20, 1 << 62):
+        data = bytearray(blob)
+        struct.pack_into("<q", data, index_sec["offset"] + 7 + 8 + 9, length)
+        with pytest.raises(BundleCorrupted) as exc_info:
+            inspect_bundle(data)
+        assert exc_info.value.section == "HLIDX2"
 
 
 def test_inspect_cli(tmp_path, towns_hl, capsys):
@@ -422,7 +432,8 @@ def test_inspect_cli_rejects_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.bundle"
     path.write_bytes(b"")
     assert serialize_main(["--inspect", str(path)]) == 2
-    assert "empty" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a valid bundle" in err and "no BCRC1 trailer" in err
 
 
 def test_inspect_cli_missing_file(tmp_path, capsys):

@@ -698,7 +698,7 @@ def test_bundle_loads_from_path(tmp_path, hl, blob):
 def test_bundle_file_load_still_serves_tables(hl, blob, tmp_path):
     """Regression: a file-loaded index must carry the PR 4 memo state.
 
-    Before PR 5 ``load_hl_index`` skipped the target-inversion memo
+    The hub-label section loader once skipped the target-inversion memo
     attributes, so the first ``distance_table`` on a loaded index
     raised AttributeError.
     """

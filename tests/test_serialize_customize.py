@@ -1,22 +1,17 @@
 """Tests for index serialization and metric customization (§7 extensions)."""
 
-import io
 import pathlib
 import struct
 
 import pytest
 
-from repro.core import AHIndex, index_bytes, load_index, save_index
+from repro.core import AHIndex, index_bytes
 from repro.core.serialize import (
     BundleCorrupted,
     bundle_bytes,
     inspect_bundle,
     load_bundle,
-    load_graph,
-    load_hl_index,
     save_bundle,
-    save_graph,
-    save_hl_index,
 )
 from repro.graph import GraphBuilder
 from repro.graph.traversal import distance_query
@@ -34,22 +29,22 @@ def reweighted(graph, factor_fn):
     return b.build()
 
 
+def round_trip(index):
+    """``index`` saved as a bundle and loaded back."""
+    _, loaded = load_bundle(bundle_bytes(index))
+    return loaded
+
+
 class TestSerialization:
     def test_roundtrip_distances(self, towns_ah, towns_graph):
-        buf = io.BytesIO()
-        save_index(towns_ah, buf)
-        buf.seek(0)
-        loaded = load_index(buf, towns_graph)
+        loaded = round_trip(towns_ah)
         for s, t in random_pairs(towns_graph, 40, seed=1):
             assert loaded.distance(s, t) == pytest.approx(
                 towns_ah.distance(s, t)
             )
 
     def test_roundtrip_paths(self, towns_ah, towns_graph):
-        buf = io.BytesIO()
-        save_index(towns_ah, buf)
-        buf.seek(0)
-        loaded = load_index(buf, towns_graph)
+        loaded = round_trip(towns_ah)
         for s, t in random_pairs(towns_graph, 12, seed=2):
             p = loaded.shortest_path(s, t)
             p.validate(towns_graph)
@@ -59,30 +54,27 @@ class TestSerialization:
 
     def test_flags_preserved(self, towns_graph):
         original = AHIndex(towns_graph, proximity=False, stall_on_demand=True)
-        buf = io.BytesIO()
-        save_index(original, buf)
-        buf.seek(0)
-        loaded = load_index(buf, towns_graph)
+        loaded = round_trip(original)
         assert loaded.proximity is False
         assert loaded.stall_on_demand is True
 
     def test_file_roundtrip(self, towns_ah, towns_graph, tmp_path):
-        path = str(tmp_path / "index.ahidx")
-        save_index(towns_ah, path)
-        loaded = load_index(path, towns_graph)
+        path = str(tmp_path / "index.bundle")
+        save_bundle(towns_ah, path)
+        _, loaded = load_bundle(path)
         s, t = 0, towns_graph.n - 1
         assert loaded.distance(s, t) == pytest.approx(towns_ah.distance(s, t))
 
-    def test_bad_magic_rejected(self, towns_graph):
-        with pytest.raises(ValueError, match="magic"):
-            load_index(io.BytesIO(b"garbage here"), towns_graph)
-
-    def test_wrong_graph_rejected(self, towns_ah, city_graph):
-        buf = io.BytesIO()
-        save_index(towns_ah, buf)
-        buf.seek(0)
-        with pytest.raises(ValueError, match="nodes"):
-            load_index(buf, city_graph)
+    def test_bad_magic_rejected(self, towns_ah):
+        """A damaged ``AHIDX1`` magic in a CRC-valid bundle fails typed,
+        as the ``"index"`` section."""
+        blob = bundle_bytes(towns_ah)
+        (section,) = [s for s in inspect_bundle(blob) if s["magic"] == "AHIDX1"]
+        data = bytearray(blob)
+        data[section["offset"]] ^= 0xFF
+        with pytest.raises(BundleCorrupted, match="unknown section magic") as exc_info:
+            load_bundle(recrc(data))
+        assert exc_info.value.section == "index"
 
     def test_index_bytes_reasonable(self, towns_ah, towns_graph):
         size = index_bytes(towns_ah)
@@ -90,28 +82,27 @@ class TestSerialization:
         assert 0 < size < 200 * towns_ah.index_size()
 
     def test_loaded_index_rejects_customization(self, towns_ah, towns_graph):
-        buf = io.BytesIO()
-        save_index(towns_ah, buf)
-        buf.seek(0)
-        loaded = load_index(buf, towns_graph)
+        loaded = round_trip(towns_ah)
         with pytest.raises(ValueError, match="deserialized"):
             loaded.with_weights(towns_graph)
 
 
 class AhStream:
-    """A ``save_index`` stream with the byte offsets of its fields.
+    """A bundle with the byte offsets of its ``AHIDX1`` section's fields.
 
-    Layout (see ``repro.core.serialize``): magic, header ``<iii3d``,
-    ``levels[n]`` and ``rank[n]`` (int32), then ``up_out`` as
-    ``counts[n]`` (int32), ``total`` (int64), ``targets``, ``weights``,
-    ``middles``, then ``up_in`` in the same layout.
+    Section layout (see ``repro.core.serialize``): magic, header
+    ``<iii3d``, ``levels[n]`` and ``rank[n]`` (int32), then ``up_out``
+    as ``counts[n]`` (int32), ``total`` (int64), ``targets``,
+    ``weights``, ``middles``, then ``up_in`` in the same layout.
+    :meth:`load` recomputes the trailer CRCs, so an edit reaches the
+    decoder's own checks.
     """
 
     def __init__(self, index):
-        buf = io.BytesIO()
-        save_index(index, buf)
-        self.data = bytearray(buf.getvalue())
-        self.header = 7
+        blob = bundle_bytes(index)
+        (section,) = [s for s in inspect_bundle(blob) if s["magic"] == "AHIDX1"]
+        self.data = bytearray(blob)
+        self.header = section["offset"] + 7
         self.n, self.h = struct.unpack_from("<ii", self.data, self.header)
         self.levels = self.header + 36
         self.counts = self.levels + 8 * self.n
@@ -134,8 +125,8 @@ class AhStream:
     def put(self, offset, i, value):
         struct.pack_into("<i", self.data, offset + 4 * i, value)
 
-    def load(self, graph):
-        return load_index(bytes(self.data), graph)
+    def load(self):
+        return load_bundle(recrc(self.data))
 
 
 class TestIndexValidation:
@@ -148,13 +139,13 @@ class TestIndexValidation:
     ``shortest_path`` into an endless unpacking loop.
     """
 
-    def assert_rejected(self, stream, graph, detail):
+    def assert_rejected(self, stream, detail):
         with pytest.raises(BundleCorrupted, match=detail) as exc_info:
-            stream.load(graph)
+            stream.load()
         assert exc_info.value.section == "AHIDX1"
 
     @pytest.mark.parametrize("damage", ["negative", "sum"])
-    def test_counts(self, towns_ah, towns_graph, damage):
+    def test_counts(self, towns_ah, damage):
         stream = AhStream(towns_ah)
         a = next(u for u in range(stream.n) if stream.get(stream.counts, u) > 0)
         count = stream.get(stream.counts, a)
@@ -163,49 +154,47 @@ class TestIndexValidation:
             stream.put(stream.counts, a, -1)
             after = stream.get(stream.counts, a + 1)
             stream.put(stream.counts, a + 1, after + count + 1)
-            self.assert_rejected(stream, towns_graph, "negative edge count")
+            self.assert_rejected(stream, "negative edge count")
         else:
             stream.put(stream.counts, a, count + 1)
-            self.assert_rejected(stream, towns_graph, "counts sum to")
+            self.assert_rejected(stream, "counts sum to")
 
     @pytest.mark.parametrize("bad", ["-1", "n", "i32-max"])
-    def test_targets(self, towns_ah, towns_graph, bad):
+    def test_targets(self, towns_ah, bad):
         stream = AhStream(towns_ah)
         value = {"-1": -1, "n": stream.n, "i32-max": 2**31 - 1}[bad]
         stream.put(stream.targets, stream.total // 2, value)
-        self.assert_rejected(stream, towns_graph, "up_out has a target outside")
+        self.assert_rejected(stream, "up_out has a target outside")
 
     @pytest.mark.parametrize("bad", ["-2", "n"])
-    def test_middles(self, towns_ah, towns_graph, bad):
+    def test_middles(self, towns_ah, bad):
         stream = AhStream(towns_ah)
         stream.put(stream.middles, 0, {"-2": -2, "n": stream.n}[bad])
-        self.assert_rejected(stream, towns_graph, "up_out has a middle outside")
+        self.assert_rejected(stream, "up_out has a middle outside")
 
     @pytest.mark.parametrize("bad", ["-3", "h+1"])
-    def test_levels(self, towns_ah, towns_graph, bad):
+    def test_levels(self, towns_ah, bad):
         stream = AhStream(towns_ah)
         stream.put(stream.levels, 0, {"-3": -3, "h+1": stream.h + 1}[bad])
-        self.assert_rejected(stream, towns_graph, "level lies outside")
+        self.assert_rejected(stream, "level lies outside")
 
     @pytest.mark.parametrize("value", [0, 65])
-    def test_grid_height(self, towns_ah, towns_graph, value):
+    def test_grid_height(self, towns_ah, value):
         stream = AhStream(towns_ah)
         struct.pack_into("<i", stream.data, stream.header + 4, value)
-        self.assert_rejected(stream, towns_graph, "grid height")
+        self.assert_rejected(stream, "grid height")
 
     @pytest.mark.parametrize("value", [-1000.0, float("nan"), float("inf")])
-    def test_weights(self, towns_ah, towns_graph, value):
+    def test_weights(self, towns_ah, value):
         stream = AhStream(towns_ah)
         struct.pack_into("<d", stream.data, stream.weights, value)
-        self.assert_rejected(
-            stream, towns_graph, "up_out has a negative, NaN or infinite weight"
-        )
+        self.assert_rejected(stream, "up_out has a negative, NaN or infinite weight")
 
-    def test_middle_ranked_below_its_ends(self, towns_ah, towns_graph):
+    def test_middle_ranked_below_its_ends(self, towns_ah):
         stream = AhStream(towns_ah)
         i = next(i for i in range(stream.total) if stream.get(stream.middles, i) >= 0)
         stream.put(stream.middles, i, stream.tail(i))
-        self.assert_rejected(stream, towns_graph, "not ranked below both of its ends")
+        self.assert_rejected(stream, "not ranked below both of its ends")
 
     def test_bundle_node_count_mismatch_is_typed(self, towns_ah, towns_graph):
         """Inside a bundle an ``AHIDX1`` n that differs from the bundle's
@@ -265,35 +254,8 @@ class TestCustomization:
 
 
 class TestPathLikeSources:
-    """Every loader opens an ``os.PathLike`` as it opens a ``str`` path,
-    and every saver writes to one."""
-
-    def test_load_graph(self, towns_graph, tmp_path):
-        path = pathlib.Path(tmp_path / "towns.graph")
-        save_graph(towns_graph, path)
-        loaded = load_graph(path)
-        assert loaded.out_head == towns_graph.out_head
-        assert loaded.out_w == towns_graph.out_w
-        assert loaded.in_src == towns_graph.in_src
-
-    def test_load_index(self, towns_ah, towns_graph, tmp_path):
-        path = pathlib.Path(tmp_path / "towns.ah")
-        save_index(towns_ah, path)
-        loaded = load_index(path, towns_graph)
-        assert index_bytes(loaded) == index_bytes(towns_ah)
-        for s, t in random_pairs(towns_graph, 20, seed=4):
-            assert loaded.distance(s, t) == towns_ah.distance(s, t)
-
-    def test_load_hl_index(self, towns_graph, tmp_path):
-        from repro.baselines import HubLabelIndex
-
-        hl = HubLabelIndex(towns_graph)
-        path = pathlib.Path(tmp_path / "towns.hl")
-        save_hl_index(hl, path)
-        loaded = load_hl_index(path, towns_graph)
-        assert loaded.fwd_hub == hl.fwd_hub and loaded.bwd_dist == hl.bwd_dist
-        for s, t in random_pairs(towns_graph, 20, seed=5):
-            assert loaded.distance(s, t) == hl.distance(s, t)
+    """``load_bundle`` opens an ``os.PathLike`` as it opens a ``str``
+    path, and ``save_bundle`` writes to one."""
 
     def test_load_bundle(self, towns_ah, towns_graph, tmp_path):
         path = pathlib.Path(tmp_path / "towns.bundle")

@@ -6,13 +6,14 @@ reusing a :class:`SearchWorkspace` must answer exactly what a fresh
 dict-based Dijkstra answers — the workspace is invisible in results.
 """
 
-import io
 import random
 from heapq import heappop, heappush
 
 import pytest
 
-from repro.core import AHIndex, load_bundle, load_graph, save_bundle, save_graph
+from repro.baselines import HubLabelIndex
+from repro.core import AHIndex, BundleCorrupted, load_bundle, save_bundle
+from repro.core.serialize import bundle_bytes
 from repro.datasets import grid_city, towns_and_highways
 from repro.graph import Graph, GraphBuilder, SearchWorkspace
 from repro.graph.traversal import (
@@ -21,6 +22,8 @@ from repro.graph.traversal import (
     shortest_path_query,
 )
 from repro.graph.workspace import acquire, release
+
+from conftest import recrc
 
 INF = float("inf")
 
@@ -300,9 +303,9 @@ class TestPoolDiscipline:
 class TestSerializeCSR:
     def test_graph_round_trip(self, tmp_path):
         g = towns_and_highways(3, seed=4)
-        path = str(tmp_path / "g.csr")
-        save_graph(g, path)
-        g2 = load_graph(path)
+        path = str(tmp_path / "g.bundle")
+        save_bundle(HubLabelIndex(g), path)
+        g2, _ = load_bundle(path)
         assert g2.n == g.n and g2.m == g.m
         assert list(g2.out_head) == list(g.out_head)
         assert list(g2.out_dst) == list(g.out_dst)
@@ -313,8 +316,13 @@ class TestSerializeCSR:
         assert g2.xs == g.xs and g2.ys == g.ys
 
     def test_graph_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="bad magic"):
-            load_graph(io.BytesIO(b"NOTAGRAPH"))
+        """A damaged ``GCSR1`` magic in a CRC-valid bundle fails as that
+        section, not as a plain ``ValueError``."""
+        data = bytearray(bundle_bytes(HubLabelIndex(grid_city(4, 4, seed=1))))
+        data[0] ^= 0xFF
+        with pytest.raises(BundleCorrupted, match="bad section magic") as exc_info:
+            load_bundle(recrc(data))
+        assert exc_info.value.section == "GCSR1"
 
     def test_bundle_round_trip_answers_identically(self, tmp_path):
         g = grid_city(9, 9, seed=6)
@@ -330,13 +338,11 @@ class TestSerializeCSR:
             want = fresh_dict_dijkstra(g, s, t)
             assert loaded.distance(s, t) == pytest.approx(want)
 
-    def test_loaded_graph_queries_without_rederiving(self, tmp_path):
-        # load_graph hands both CSR triples to from_csr; a query on the
+    def test_loaded_graph_queries_without_rederiving(self):
+        # load_bundle hands both CSR triples to from_csr; a query on the
         # loaded graph must work straight away (and match the original).
         g = grid_city(7, 7, seed=8)
-        path = str(tmp_path / "g.csr")
-        save_graph(g, path)
-        g2 = load_graph(path)
+        g2, _ = load_bundle(bundle_bytes(HubLabelIndex(g)))
         for s, t in [(0, 48), (13, 5)]:
             assert distance_query(g2, s, t) == pytest.approx(
                 distance_query(g, s, t)
